@@ -96,30 +96,7 @@ impl BatchedStreamHarness {
     ///
     /// Panics if `lanes == 0`.
     pub fn new(module: Module, lanes: usize) -> Result<Self, ValidateError> {
-        Self::with_widths(module, lanes, 12, 9)
-    }
-
-    /// A batched harness for non-IDCT element widths.
-    ///
-    /// # Errors
-    ///
-    /// Returns the module's [`ValidateError`] if it is structurally
-    /// invalid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`.
-    pub fn with_widths(
-        module: Module,
-        lanes: usize,
-        in_elem_width: u32,
-        out_elem_width: u32,
-    ) -> Result<Self, ValidateError> {
-        Self::with_spec(
-            module,
-            lanes,
-            MatrixWrapperSpec::new(8, 8, in_elem_width, out_elem_width),
-        )
+        Self::with_spec(module, lanes, MatrixWrapperSpec::idct())
     }
 
     /// A batched harness for an explicit wrapper geometry.
@@ -224,45 +201,6 @@ impl BatchedStreamHarness {
             .collect();
         let (outs, timings) = self.run_lanes_flat(&chunks, max_cycles);
         (outs.into_iter().flatten().collect(), timings[0])
-    }
-
-    /// Streams one independent matrix sequence per lane (back-to-back
-    /// within each lane) and returns each lane's decoded outputs and
-    /// timing figures. `chunks.len()` must equal [`lanes`](Self::lanes);
-    /// empty chunks are allowed. Gives up after `max_cycles` per lane
-    /// (callers assert on output counts).
-    #[allow(clippy::type_complexity)]
-    pub fn run_lanes(
-        &mut self,
-        chunks: &[&[[[i32; 8]; 8]]],
-        max_cycles: u64,
-    ) -> (Vec<Vec<[[i32; 8]; 8]>>, Vec<StreamTiming>) {
-        assert_eq!((self.rows, self.cols), (8, 8), "run_lanes() is the 8x8 API");
-        let flat: Vec<Vec<Vec<i32>>> = chunks
-            .iter()
-            .map(|c| {
-                c.iter()
-                    .map(|m| m.iter().flatten().copied().collect())
-                    .collect()
-            })
-            .collect();
-        let flat_refs: Vec<&[Vec<i32>]> = flat.iter().map(Vec::as_slice).collect();
-        let (outs, timings) = self.run_lanes_flat(&flat_refs, max_cycles);
-        let outputs = outs
-            .into_iter()
-            .map(|lane| {
-                lane.into_iter()
-                    .map(|o| {
-                        let mut m = [[0i32; 8]; 8];
-                        for (i, v) in o.into_iter().enumerate() {
-                            m[i / 8][i % 8] = v;
-                        }
-                        m
-                    })
-                    .collect()
-            })
-            .collect();
-        (outputs, timings)
     }
 
     /// Streams one independent row-major block sequence per lane
@@ -508,13 +446,13 @@ mod tests {
     fn ragged_lanes_complete_independently() {
         // Uneven chunks: lanes finish at different times and are masked
         // out without disturbing the stragglers.
-        let mk = |k: i32| [[k; 8]; 8];
+        let mk = |k: i32| vec![k; 64];
         let c0 = [mk(1), mk(2), mk(3), mk(4)];
         let c1 = [mk(5)];
-        let c2: [[[i32; 8]; 8]; 0] = [];
+        let c2: [Vec<i32>; 0] = [];
         let mut batched = BatchedStreamHarness::new(identity_wrapper(), 3).unwrap();
-        let chunks: Vec<&[[[i32; 8]; 8]]> = vec![&c0, &c1, &c2];
-        let (outs, timings) = batched.run_lanes(&chunks, 2000);
+        let chunks: Vec<&[Vec<i32>]> = vec![&c0, &c1, &c2];
+        let (outs, timings) = batched.run_lanes_flat(&chunks, 2000);
         assert_eq!(outs[0].len(), 4);
         assert_eq!(outs[1].len(), 1);
         assert!(outs[2].is_empty());

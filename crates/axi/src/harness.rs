@@ -51,24 +51,7 @@ impl StreamHarness<Simulator> {
     /// Returns the module's [`ValidateError`] if it is structurally
     /// invalid.
     pub fn new(module: Module) -> Result<Self, ValidateError> {
-        Self::with_widths(module, 12, 9)
-    }
-
-    /// An interpreted-backend harness for non-IDCT element widths.
-    ///
-    /// # Errors
-    ///
-    /// Returns the module's [`ValidateError`] if it is structurally
-    /// invalid.
-    pub fn with_widths(
-        module: Module,
-        in_elem_width: u32,
-        out_elem_width: u32,
-    ) -> Result<Self, ValidateError> {
-        Self::with_backend(
-            module,
-            MatrixWrapperSpec::new(8, 8, in_elem_width, out_elem_width),
-        )
+        Self::with_backend(module, MatrixWrapperSpec::idct())
     }
 }
 
@@ -81,24 +64,7 @@ impl StreamHarness<CompiledSimulator> {
     /// Returns the module's [`ValidateError`] if it is structurally
     /// invalid.
     pub fn compiled(module: Module) -> Result<Self, ValidateError> {
-        Self::compiled_with_widths(module, 12, 9)
-    }
-
-    /// A compiled-backend harness for non-IDCT element widths.
-    ///
-    /// # Errors
-    ///
-    /// Returns the module's [`ValidateError`] if it is structurally
-    /// invalid.
-    pub fn compiled_with_widths(
-        module: Module,
-        in_elem_width: u32,
-        out_elem_width: u32,
-    ) -> Result<Self, ValidateError> {
-        Self::with_backend(
-            module,
-            MatrixWrapperSpec::new(8, 8, in_elem_width, out_elem_width),
-        )
+        Self::with_backend(module, MatrixWrapperSpec::idct())
     }
 
     /// A compiled-backend harness with explicit engine construction options
@@ -231,7 +197,6 @@ impl<B: SimBackend> StreamHarness<B> {
         }
 
         let expected_beats = blocks.len() * rows;
-        let start_cycle = self.sim.cycle();
         let mut first_in_beats: Vec<u64> = Vec::new();
         for _ in 0..max_cycles {
             let sent_before = driver.beats_sent;
@@ -286,7 +251,6 @@ impl<B: SimBackend> StreamHarness<B> {
                 timing.periodicity = firsts[1] - firsts[0];
             }
         }
-        let _ = start_cycle;
         (outputs, timing)
     }
 }
@@ -312,19 +276,6 @@ pub fn unpack_elems_n(word: &Bits, elem_width: u32, n: usize) -> Vec<i32> {
         .collect()
 }
 
-/// Packs 8 signed elements into one row word, element 0 in the low bits.
-pub fn pack_elems(row: &[i32; 8], elem_width: u32) -> Bits {
-    pack_elems_n(row, elem_width)
-}
-
-/// Unpacks one row word into 8 sign-extended elements.
-pub fn unpack_elems(word: &Bits, elem_width: u32) -> [i32; 8] {
-    let v = unpack_elems_n(word, elem_width, 8);
-    let mut out = [0i32; 8];
-    out.copy_from_slice(&v);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,8 +290,8 @@ mod tests {
     #[test]
     fn pack_unpack_round_trip() {
         let row = [-2048, -1, 0, 1, 2047, -100, 100, 7];
-        let word = pack_elems(&row, 12);
-        assert_eq!(unpack_elems(&word, 12), row);
+        let word = pack_elems_n(&row, 12);
+        assert_eq!(unpack_elems_n(&word, 12, 8), row);
     }
 
     #[test]

@@ -54,8 +54,6 @@ pub use adapter::{
 };
 pub use batched::{lanes_for_blocks, BatchedStreamHarness};
 pub use bfm::{AxisDriver, AxisMonitor, ProtocolChecker, ProtocolError};
-pub use harness::{
-    pack_elems, pack_elems_n, unpack_elems, unpack_elems_n, StreamHarness, StreamTiming,
-};
+pub use harness::{pack_elems_n, unpack_elems_n, StreamHarness, StreamTiming};
 pub use pcie::PcieLink;
 pub use ports::{AxisMaster, AxisSlave};

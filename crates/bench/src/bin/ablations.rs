@@ -4,7 +4,7 @@
 //! 2. The XLS pipeline-stage sweep (quality peak)
 //! 3. The sequential-adapter ceiling (AXI wrapper vs raw matrix/cycle kernel)
 //! 4. maxdsp=0 normalization (DSP inference on vs off)
-use hc_core::entries::{dse_points, Design};
+use hc_core::entries::{dse_points, pcie_stream};
 use hc_core::measure::measure;
 use hc_core::tool::ToolId;
 use hc_rtl::passes::optimize;
@@ -61,15 +61,14 @@ fn main() {
 
     println!("\n== Ablation 3: the sequential-adapter ceiling ==");
     let wrapped = measure(&dse_points(ToolId::Verilog)[0], 3);
-    let raw = {
-        let d = Design {
-            label: "matrix/cycle, no adapter".into(),
-            module: hc_dataflow::designs::full_matrix_kernel(),
-            interface: hc_core::entries::DesignInterface::Stream { bits_per_op: 1024 },
-            loc: 0,
-        };
-        measure(&d, 3)
-    };
+    let raw = measure(
+        &pcie_stream(
+            "matrix/cycle, no adapter",
+            hc_dataflow::designs::full_matrix_kernel(),
+            0,
+        ),
+        3,
+    );
     println!(
         "  AXI row-by-row : T_P={} -> P={:.2} MOPS at {:.1} MHz",
         wrapped.periodicity, wrapped.throughput_mops, wrapped.fmax_mhz

@@ -1,11 +1,10 @@
 //! Validates a Chrome-trace JSON file produced via `HC_TRACE`.
 //!
 //! CI runs one traced `perfsnap` point and then this checker, which
-//! asserts the trace (a) parses as JSON — with a small self-contained
-//! parser, since the workspace is offline and vendors no JSON crate —
-//! (b) uses the Chrome "complete event" shape (`ph: "X"` with `ts`/`dur`
-//! per event), and (c) covers the whole measurement pipeline: every
-//! expected stage span must appear at least once.
+//! asserts the trace (a) parses as JSON (with `hc_serve`'s parser), (b)
+//! uses the Chrome "complete event" shape (`ph: "X"` with `ts`/`dur` per
+//! event), and (c) covers the whole measurement pipeline: every expected
+//! stage span must appear at least once.
 //!
 //! Usage: `tracecheck <trace.json> [required-span ...]`
 //! (default required spans: parse, elaborate, optimize, synthesize,
@@ -16,235 +15,13 @@
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 
-/// A parsed JSON value — only what the trace shape check needs.
-#[derive(Debug)]
-enum Json {
-    Null,
-    // The payload is only reachable through Debug diagnostics, but a
-    // boolean-without-its-value would be a lie in those diagnostics.
-    #[allow(dead_code)]
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("malformed number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("malformed \\u escape"))?;
-                            // Surrogates would need pairing; trace output
-                            // never emits them, so reject outright.
-                            out.push(
-                                char::from_u32(hex)
-                                    .ok_or_else(|| self.err("invalid \\u code point"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\') {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid UTF-8 in string"))?,
-                    );
-                }
-                None => return Err(self.err("unterminated string")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-fn parse(text: &[u8]) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text,
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing garbage after JSON document"));
-    }
-    Ok(v)
-}
+use hc_serve::Json;
 
 fn check(doc: &Json, required: &[String]) -> Result<(), String> {
     let events = doc
         .get("traceEvents")
         .ok_or("top-level object lacks \"traceEvents\"")?;
-    let Json::Arr(events) = events else {
-        return Err("\"traceEvents\" is not an array".into());
-    };
+    let events = events.as_arr().ok_or("\"traceEvents\" is not an array")?;
     if events.is_empty() {
         return Err("trace contains no events".into());
     }
@@ -264,7 +41,7 @@ fn check(doc: &Json, required: &[String]) -> Result<(), String> {
             ));
         }
         for field in ["ts", "dur", "pid", "tid"] {
-            if e.get(field).and_then(Json::as_num).is_none() {
+            if e.get(field).and_then(Json::as_f64).is_none() {
                 return Err(format!("event {i} ({name}) lacks numeric \"{field}\""));
             }
         }
@@ -308,14 +85,14 @@ fn main() -> ExitCode {
         .map(String::from)
         .to_vec();
     }
-    let text = match std::fs::read(&path) {
+    let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("tracecheck: cannot read {path}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let doc = match parse(&text) {
+    let doc = match Json::parse(&text) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("tracecheck: {path} is not valid JSON: {e}");
@@ -337,36 +114,23 @@ mod tests {
 
     #[test]
     fn accepts_a_minimal_valid_trace() {
-        let text = br#"{"displayTimeUnit": "ms", "traceEvents": [
+        let text = r#"{"displayTimeUnit": "ms", "traceEvents": [
           {"name": "optimize", "cat": "hc", "ph": "X", "pid": 1, "tid": 0, "ts": 1, "dur": 5, "args": {"nodes_before": 10}},
           {"name": "simulate", "cat": "hc", "ph": "X", "pid": 1, "tid": 0, "ts": 8, "dur": 2, "args": {}}
         ]}"#;
-        let doc = parse(text).unwrap();
+        let doc = Json::parse(text).unwrap();
         check(&doc, &["optimize".into(), "simulate".into()]).unwrap();
     }
 
     #[test]
     fn rejects_missing_spans_and_bad_shapes() {
-        let doc = parse(br#"{"traceEvents": [{"name": "lower", "ph": "X", "pid": 1, "tid": 0, "ts": 0, "dur": 1}]}"#).unwrap();
+        let doc = Json::parse(r#"{"traceEvents": [{"name": "lower", "ph": "X", "pid": 1, "tid": 0, "ts": 0, "dur": 1}]}"#).unwrap();
         assert!(check(&doc, &["simulate".into()])
             .unwrap_err()
             .contains("missing"));
-        let doc = parse(br#"{"traceEvents": [{"name": "lower", "ph": "B", "pid": 1, "tid": 0, "ts": 0, "dur": 1}]}"#).unwrap();
+        let doc = Json::parse(r#"{"traceEvents": [{"name": "lower", "ph": "B", "pid": 1, "tid": 0, "ts": 0, "dur": 1}]}"#).unwrap();
         assert!(check(&doc, &[]).unwrap_err().contains("complete event"));
-        assert!(parse(b"{\"traceEvents\": [").is_err());
-        assert!(parse(b"{} trailing").is_err());
-    }
-
-    #[test]
-    fn parses_escapes_and_numbers() {
-        let doc = parse(br#"{"a": "x\"\\\nA", "b": [-1.5e2, 0, 3]}"#).unwrap();
-        assert_eq!(doc.get("a").and_then(Json::as_str), Some("x\"\\\nA"));
-        match doc.get("b") {
-            Some(Json::Arr(items)) => {
-                assert_eq!(items[0].as_num(), Some(-150.0));
-                assert_eq!(items[2].as_num(), Some(3.0));
-            }
-            other => panic!("expected array, got {other:?}"),
-        }
+        assert!(Json::parse("{\"traceEvents\": [").is_err());
+        assert!(Json::parse("{} trailing").is_err());
     }
 }

@@ -1,5 +1,6 @@
 //! The evaluated designs: initial/optimized pairs and DSE sweeps.
 
+use crate::measure::Workload;
 use crate::metrics::{count_loc, fn_loc, fn_source, line_diff};
 use crate::tool::{table1_rows, ToolId, ToolInfo};
 use hc_hls::{BambuConfig, VivadoHlsConfig};
@@ -27,6 +28,9 @@ pub struct Design {
     pub module: Module,
     /// Interface/throughput model.
     pub interface: DesignInterface,
+    /// What the design computes: the stimulus it is driven with and the
+    /// golden model it must match.
+    pub workload: Workload,
     /// `L = L_FU + L_AXI + L_Conf`.
     pub loc: usize,
 }
@@ -44,11 +48,25 @@ pub struct ToolEntry {
     pub delta_loc: usize,
 }
 
-fn axis(label: &str, module: Module, loc: usize) -> Design {
+/// An AXI-Stream design of the paper's IDCT.
+pub fn axis(label: impl Into<String>, module: Module, loc: usize) -> Design {
     Design {
-        label: label.to_owned(),
+        label: label.into(),
         module,
         interface: DesignInterface::Axis,
+        workload: Workload::Idct,
+        loc,
+    }
+}
+
+/// A MaxJ-style stream kernel of the paper's IDCT behind the PCIe link
+/// (1024 bits of 16-bit-aligned elements per operation).
+pub fn pcie_stream(label: impl Into<String>, module: Module, loc: usize) -> Design {
+    Design {
+        label: label.into(),
+        module,
+        interface: DesignInterface::Stream { bits_per_op: 1024 },
+        workload: Workload::Idct,
         loc,
     }
 }
@@ -146,18 +164,8 @@ pub fn maxj_entry() -> ToolEntry {
     );
     ToolEntry {
         info: table1_rows()[4].clone(),
-        initial: Design {
-            label: "matrix/cycle".to_owned(),
-            module: d::full_matrix_kernel(),
-            interface: DesignInterface::Stream { bits_per_op: 1024 },
-            loc: init_loc,
-        },
-        optimized: Design {
-            label: "row/cycle".to_owned(),
-            module: d::row_kernel(),
-            interface: DesignInterface::Stream { bits_per_op: 1024 },
-            loc: opt_loc,
-        },
+        initial: pcie_stream("matrix/cycle", d::full_matrix_kernel(), init_loc),
+        optimized: pcie_stream("row/cycle", d::row_kernel(), opt_loc),
         delta_loc: delta,
     }
 }
@@ -261,34 +269,24 @@ pub fn dse_points(id: ToolId) -> Vec<Design> {
             // varies the scheduler's urgency order the same way.
             use hc_rules::designs as d;
             let mut points: Vec<Design> = (0..6)
-                .map(|v| axis(&format!("seq,urgency{v}"), d::initial_design_variant(v), 0))
+                .map(|v| axis(format!("seq,urgency{v}"), d::initial_design_variant(v), 0))
                 .collect();
             points.extend(
-                (0..20).map(|v| axis(&format!("rowcol,urgency{v}"), d::opt_rowcol_variant(v), 0)),
+                (0..20).map(|v| axis(format!("rowcol,urgency{v}"), d::opt_rowcol_variant(v), 0)),
             );
             points
         }
         ToolId::Dslx => {
             use hc_flow::designs as d;
             (0..=18)
-                .map(|s| axis(&format!("stages={s}"), d::design(s), 0))
+                .map(|s| axis(format!("stages={s}"), d::design(s), 0))
                 .collect()
         }
         ToolId::Maxj => {
             use hc_dataflow::designs as d;
             vec![
-                Design {
-                    label: "matrix/cycle".to_owned(),
-                    module: d::full_matrix_kernel(),
-                    interface: DesignInterface::Stream { bits_per_op: 1024 },
-                    loc: 0,
-                },
-                Design {
-                    label: "row/cycle".to_owned(),
-                    module: d::row_kernel(),
-                    interface: DesignInterface::Stream { bits_per_op: 1024 },
-                    loc: 0,
-                },
+                pcie_stream("matrix/cycle", d::full_matrix_kernel(), 0),
+                pcie_stream("row/cycle", d::row_kernel(), 0),
             ]
         }
         ToolId::CBambu => {
@@ -297,7 +295,7 @@ pub fn dse_points(id: ToolId) -> Vec<Design> {
                 .into_iter()
                 .map(|c| {
                     axis(
-                        &format!(
+                        format!(
                             "{:?}{}{}",
                             c.preset,
                             if c.speculative_sdc { "+sdc" } else { "" },
@@ -315,7 +313,7 @@ pub fn dse_points(id: ToolId) -> Vec<Design> {
                 .into_iter()
                 .map(|c| {
                     axis(
-                        &format!(
+                        format!(
                             "pipe={},part={},inline={}",
                             u8::from(c.pipeline),
                             u8::from(c.partition),

@@ -12,8 +12,10 @@
 //!   twice (normal and `maxdsp=0`), and *simulated* through its stream
 //!   interface to measure latency `T_L` and periodicity `T_P`; throughput
 //!   is `ν_max / T_P` (or the PCIe bound for the MaxCompiler-style
-//!   system designs). Bit-exactness against the golden fixed-point IDCT
-//!   is asserted during measurement.
+//!   system designs). Every output block is checked bit-exact against the
+//!   golden model of the design's [`measure::Workload`] (the fixed-point
+//!   IDCT, or a matrix kernel's); a design that fails is a typed
+//!   [`measure::MeasureError`].
 //! * **Subjects** ([`entries`]): the seven language/tool pairs of
 //!   Table I, each with its initial and optimized design and its DSE
 //!   configuration space (19 XLS stage counts, 12 Bambu configurations,

@@ -4,31 +4,23 @@
 //! The paper's Table II fixes the workload (one 8×8 IDCT) and varies the
 //! tool; this module generalizes the experiment along the workload axis so
 //! the per-tool metrics (α, C_Φ, Q) can be recomputed per kernel. Each
-//! cell is a complete [`Design`] labelled `matrix.<kernel>.<frontend>`,
-//! measured with the same synthesize-simulate-derive procedure as the
-//! Table II entries and asserted bit-exact against the kernel's golden
-//! fixed-point model.
+//! cell is a complete [`Design`] labelled `matrix.<kernel>.<frontend>`
+//! whose [`Workload`] is its kernel, so the one measurement path of the
+//! Table II entries drives it and checks it bit-exact against the
+//! kernel's golden fixed-point model.
 
 use crate::entries::{Design, DesignInterface};
-use crate::measure::Measurement;
+use crate::measure::{Measurement, Workload};
 use crate::metrics;
 use crate::par::parallel_map;
 use crate::tool::ToolId;
-use hc_axi::{
-    lanes_for_blocks, pack_elems_n, unpack_elems_n, wrap_comb_matrix, BatchedStreamHarness,
-    MatrixWrapperSpec, PcieLink,
-};
+use hc_axi::{wrap_comb_matrix, MatrixWrapperSpec};
 use hc_hls::{BambuConfig, VivadoHlsConfig};
 use hc_kernels::{Algo, KernelSpec};
-use hc_sim::NativeSimulator;
 
 /// Stage count of the flow (DSLX) cells — the knob the IDCT sweep
 /// identified as that frontend's best all-round configuration.
 const FLOW_STAGES: u32 = 4;
-
-/// Stimulus seed for matrix measurements; every cell of a kernel sees the
-/// same deterministic blocks.
-const STIM_SEED: u64 = 7;
 
 /// The frontends of the matrix, in Table I order (Verilog first — it is
 /// the α/C_Φ baseline for every kernel).
@@ -176,6 +168,7 @@ pub fn cell_design(spec: &KernelSpec, id: ToolId) -> Design {
         label,
         module,
         interface,
+        workload: Workload::Kernel(spec.clone()),
         loc,
     }
 }
@@ -188,165 +181,17 @@ pub fn matrix_cells(spec: &KernelSpec) -> Vec<(ToolId, Design)> {
         .collect()
 }
 
-/// Measures one matrix cell: memoized optimize + synthesize front-half,
-/// then simulation against the kernel's golden model and the same
-/// throughput/quality derivation as [`crate::measure::measure`]. Results
-/// are persisted through the content-addressed store when one is
-/// configured, exactly like the Table II measurements.
+/// Measures one matrix cell built by [`cell_design`] for `spec`: the
+/// Table II procedure ([`crate::measure::measure`]) against the kernel's
+/// golden model.
 ///
 /// # Panics
 ///
-/// Panics if the design is not bit-exact with `spec.golden` on the sample
-/// blocks — measurement implies conformance.
+/// Panics if `design` is not a `spec` cell, or is not bit-exact with
+/// `spec.golden` on the sample blocks — measurement implies conformance.
 pub fn measure_cell(spec: &KernelSpec, design: &Design, nblocks: usize) -> Measurement {
-    let front = crate::cache::front_half(&design.module);
-
-    let store_key = crate::persist::store().map(|store| {
-        let key = crate::persist::measure_key(front.key, nblocks, &design.interface);
-        let tier = crate::persist::tier_counters();
-        (store, key, tier)
-    });
-    if let Some((store, key, tier)) = &store_key {
-        if let Some(mut m) = crate::persist::load_measurement_in(store, key) {
-            tier.measure_hits.inc();
-            m.label = design.label.clone();
-            m.loc = design.loc;
-            return m;
-        }
-        tier.measure_misses.inc();
-    }
-
-    let module = front.module.as_ref().clone();
-    let fmax = front.full.timing.fmax_mhz();
-    let blocks = spec.stimulus(nblocks.max(2), STIM_SEED);
-
-    let mut span = hc_obs::span("simulate").with("design", design.label.as_str());
-    span.attach("blocks", blocks.len());
-    let (latency, periodicity) = match design.interface {
-        DesignInterface::Axis => {
-            let lanes = lanes_for_blocks(blocks.len());
-            let mut harness = BatchedStreamHarness::with_spec(module, lanes, wrapper_spec(spec))
-                .expect("measured designs validate");
-            let budget = 4000 * (blocks.len() as u64 + 4);
-            let (outputs, timing) = harness.run_blocks_flat(&blocks, budget);
-            assert_eq!(outputs.len(), blocks.len(), "{}: lost blocks", design.label);
-            for (i, (b, o)) in blocks.iter().zip(&outputs).enumerate() {
-                assert_eq!(
-                    o,
-                    &spec.golden(b),
-                    "{}: block {i} not bit-exact",
-                    design.label
-                );
-            }
-            assert!(harness.protocol_errors.is_empty());
-            (timing.latency, timing.periodicity)
-        }
-        DesignInterface::Stream { .. } => measure_stream_cell(module, spec, &blocks, &design.label),
-    };
-    span.attach("latency", latency);
-    span.attach("periodicity", periodicity);
-    drop(span);
-
-    let throughput_mops = match design.interface {
-        DesignInterface::Axis => fmax / periodicity as f64,
-        DesignInterface::Stream { bits_per_op } => {
-            let pcie = PcieLink::gen3_x16().ops_per_second(bits_per_op) / 1e6;
-            pcie.min(fmax / periodicity as f64)
-        }
-    };
-    let q = metrics::quality(throughput_mops, front.nodsp.area.normalized());
-
-    let m = Measurement {
-        label: design.label.clone(),
-        fmax_mhz: fmax,
-        t_clk_ns: front.full.timing.t_clk_ns,
-        latency,
-        periodicity,
-        throughput_mops,
-        area: front.full.area,
-        area_nodsp: front.nodsp.area,
-        q,
-        loc: design.loc,
-    };
-    if let Some((store, key, _)) = &store_key {
-        crate::persist::save_measurement_in(store, key, &m);
-    }
-    m
-}
-
-/// [`measure_cell`] for callers that must survive a failing design —
-/// hc-serve turns the error into a structured JSON response.
-///
-/// # Errors
-///
-/// The panic payload of the failed measurement, stringified.
-pub fn try_measure_cell(
-    spec: &KernelSpec,
-    design: &Design,
-    nblocks: usize,
-) -> Result<Measurement, String> {
-    let (spec, design) = (spec.clone(), design.clone());
-    crate::measure::quiet_catch(move || measure_cell(&spec, &design, nblocks))
-}
-
-/// The registry kernel a design label refers to, if the label follows the
-/// matrix naming scheme `matrix.<kernel>.<frontend>`.
-pub fn kernel_of_label(label: &str) -> Option<KernelSpec> {
-    let rest = label.strip_prefix("matrix.")?;
-    let (id, _slug) = rest.split_once('.')?;
-    hc_kernels::kernels().into_iter().find(|k| k.id == id)
-}
-
-/// Drives a full-block `in_data`/`in_valid` → `out_data`/`out_valid`
-/// stream kernel (the dataflow cells); returns (latency, periodicity) and
-/// asserts bit-exactness against the golden model.
-fn measure_stream_cell(
-    module: hc_rtl::Module,
-    spec: &KernelSpec,
-    blocks: &[Vec<i32>],
-    label: &str,
-) -> (u64, u64) {
-    let mut sim = NativeSimulator::new(module).expect("kernel validates");
-    sim.set_u64("rst", 1);
-    sim.set_u64("in_valid", 0);
-    sim.step();
-    sim.set_u64("rst", 0);
-    sim.set_u64("in_valid", 1);
-
-    let zero = pack_elems_n(&vec![0; spec.elems()], spec.in_width);
-    let mut out_cycles: Vec<u64> = Vec::new();
-    let mut outputs: Vec<Vec<i32>> = Vec::new();
-    // The flush tail covers the deepest registry pipeline (the 16×16
-    // transform's auto-pipelined mac trees).
-    for cycle in 0..(blocks.len() as u64 + 2_000) {
-        match blocks.get(cycle as usize) {
-            Some(blk) => sim.set("in_data", pack_elems_n(blk, spec.in_width)),
-            None => sim.set("in_data", zero.clone()),
-        }
-        if sim.get("out_valid").to_bool() {
-            out_cycles.push(cycle);
-            outputs.push(unpack_elems_n(
-                &sim.get("out_data"),
-                spec.out_width,
-                spec.elems(),
-            ));
-        }
-        sim.step();
-        if outputs.len() >= blocks.len() {
-            break;
-        }
-    }
-    assert_eq!(outputs.len(), blocks.len(), "{label}: lost blocks");
-    for (i, (b, o)) in blocks.iter().zip(&outputs).enumerate() {
-        assert_eq!(o, &spec.golden(b), "{label}: block {i} not bit-exact");
-    }
-    let latency = out_cycles[0] + 1;
-    let periodicity = if out_cycles.len() >= 2 {
-        out_cycles[out_cycles.len() - 1] - out_cycles[out_cycles.len() - 2]
-    } else {
-        1
-    };
-    (latency, periodicity)
+    assert_eq!(design.workload.kernel_id(), Some(spec.id));
+    crate::measure::measure(design, nblocks)
 }
 
 /// One row of a kernel's matrix: a frontend's measurement plus the

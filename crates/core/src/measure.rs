@@ -1,57 +1,188 @@
 //! §III-C procedure: synthesize, simulate, measure.
+//!
+//! One path measures every design: [`try_measure`] checks the port
+//! contract, runs the memoized front half, drives the design's wrapper
+//! with its [`Workload`]'s stimulus, compares every output block with the
+//! workload's golden model and derives `T_L`, `T_P` and `Q`. A design
+//! that cannot be measured is a [`MeasureError`], never a panic.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::entries::{Design, DesignInterface, ToolEntry};
 use crate::metrics;
 use crate::par::parallel_map;
 use crate::tool::ToolId;
-use hc_axi::{lanes_for_blocks, BatchedStreamHarness, PcieLink};
+use hc_axi::{
+    lanes_for_blocks, pack_elems_n, unpack_elems_n, BatchedStreamHarness, MatrixWrapperSpec,
+    PcieLink, ProtocolError, StreamTiming,
+};
+use hc_bits::Bits;
 use hc_idct::generator::BlockGen;
 use hc_idct::{fixed, Block};
+use hc_kernels::KernelSpec;
 use hc_rtl::passes::optimize;
+use hc_rtl::{Module, ValidateError};
 use hc_sim::NativeSimulator;
 use hc_synth::{synthesize, Device, SynthOptions};
 
-/// The shared stimulus for one sweep: the sample blocks plus the raw
-/// matrices the batched harness feeds, pre-extracted once so design points
-/// stop rebuilding the same `Vec` each.
-#[derive(Debug)]
-struct Stimulus {
-    blocks: Vec<Block>,
-    inputs: Vec<[[i32; 8]; 8]>,
+/// Stimulus seed of every workload: all designs of a workload see the same
+/// deterministic blocks.
+const STIM_SEED: u64 = 7;
+
+/// Cycles a run may spend per block (plus four blocks of slack) before
+/// the outputs still missing count as lost. Only a failing design ever
+/// reaches it.
+const CYCLES_PER_BLOCK: u64 = 4000;
+
+/// Cycles a stream drive keeps clocking after its last input beat — deep
+/// enough for the deepest registry pipeline (the 16×16 transform's
+/// auto-pipelined mac trees).
+const FLUSH_CYCLES: u64 = 2000;
+
+/// What a design computes, as its measurement sees it: the wrapper
+/// geometry its ports carry, a deterministic stimulus of row-major blocks
+/// and the golden model every output block must match bit for bit.
+#[derive(Clone, Debug)]
+pub enum Workload {
+    /// The paper's Chen–Wang 8×8 IDCT (Table II, Fig. 1): 12-bit
+    /// coefficients over the full range in, [`fixed::idct2d`]'s 9-bit
+    /// samples out.
+    Idct,
+    /// A registry kernel of the benchmark matrix ([`crate::matrix`]).
+    Kernel(KernelSpec),
 }
 
-/// The process-wide stimulus cache behind [`sample_blocks`].
-fn stimulus_cache() -> &'static Mutex<HashMap<usize, Arc<Stimulus>>> {
-    static CACHE: OnceLock<Mutex<HashMap<usize, Arc<Stimulus>>>> = OnceLock::new();
+impl Workload {
+    /// The wrapper geometry: beats per block, elements per beat and the
+    /// element widths.
+    pub(crate) fn spec(&self) -> MatrixWrapperSpec {
+        match self {
+            Workload::Idct => MatrixWrapperSpec::idct(),
+            Workload::Kernel(k) => crate::matrix::wrapper_spec(k),
+        }
+    }
+
+    /// The registry kernel's id, `None` for the IDCT.
+    pub(crate) fn kernel_id(&self) -> Option<&'static str> {
+        match self {
+            Workload::Idct => None,
+            Workload::Kernel(k) => Some(k.id),
+        }
+    }
+
+    /// The deterministic stimulus of an `nblocks`-block run, generated
+    /// once per workload and size per process: every design of a sweep
+    /// shares it, and the generator's determinism makes sharing sound.
+    ///
+    /// A panic while the cache lock is held poisons it; the cache is
+    /// insert-only with deterministic values, so a poisoned lock carries
+    /// no torn state and is taken over.
+    pub(crate) fn stimulus(&self, nblocks: usize) -> Arc<Vec<Vec<i32>>> {
+        let mut cache = stimulus_cache()
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        cache
+            .entry((self.kernel_id(), nblocks))
+            .or_insert_with(|| {
+                Arc::new(match self {
+                    Workload::Idct => BlockGen::new(STIM_SEED, -2048, 2047)
+                        .take_blocks(nblocks)
+                        .iter()
+                        .map(|b| b.iter().collect())
+                        .collect(),
+                    Workload::Kernel(k) => k.stimulus(nblocks, STIM_SEED),
+                })
+            })
+            .clone()
+    }
+
+    /// The golden model's output for one row-major input block.
+    pub(crate) fn golden(&self, block: &[i32]) -> Vec<i32> {
+        match self {
+            Workload::Idct => fixed::idct2d(&Block::from_fn(|r, c| block[r * 8 + c]))
+                .iter()
+                .collect(),
+            Workload::Kernel(k) => k.golden(block),
+        }
+    }
+}
+
+type StimulusCache = Mutex<HashMap<(Option<&'static str>, usize), Arc<Vec<Vec<i32>>>>>;
+
+/// The process-wide stimulus cache behind [`Workload::stimulus`].
+fn stimulus_cache() -> &'static StimulusCache {
+    static CACHE: OnceLock<StimulusCache> = OnceLock::new();
     CACHE.get_or_init(Mutex::default)
 }
 
-/// Returns the deterministic stimulus for an `nblocks`-point run,
-/// generating each distinct size once per process. Every measurement in a
-/// sweep shares the same stimulus, so regenerating it per design point is
-/// pure waste (and the generator's determinism makes sharing sound).
-///
-/// A panic in one measurement task (a bit-exactness assertion, say) used
-/// to poison this mutex and abort every *subsequent* sweep in the process
-/// with "block cache" — the cache is insert-only with deterministic
-/// values, so a poisoned lock carries no torn state and is safe to take
-/// over.
-fn sample_blocks(nblocks: usize) -> Arc<Stimulus> {
-    let mut cache = stimulus_cache()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    cache
-        .entry(nblocks)
-        .or_insert_with(|| {
-            let blocks = BlockGen::new(7, -2048, 2047).take_blocks(nblocks);
-            let inputs = blocks.iter().map(|b| b.0).collect();
-            Arc::new(Stimulus { blocks, inputs })
-        })
-        .clone()
+/// Why a design could not be measured.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum MeasureError {
+    /// The module lacks a port its interface model drives, or has it at a
+    /// width the workload's geometry does not allow.
+    Interface {
+        /// The offending port.
+        port: &'static str,
+        /// What is wrong with it.
+        problem: String,
+    },
+    /// The simulator rejected the module as structurally invalid.
+    Validate(ValidateError),
+    /// Fewer output blocks than input blocks came back within the cycle
+    /// budget.
+    LostBlocks {
+        /// Blocks fed.
+        expected: usize,
+        /// Blocks that came back.
+        got: usize,
+    },
+    /// The first output element that differs from the golden model.
+    Mismatch {
+        /// Block index in the stimulus.
+        block: usize,
+        /// Row-major element index within the block.
+        element: usize,
+        /// The golden model's value.
+        expected: i32,
+        /// The design's value.
+        got: i32,
+    },
+    /// The output stream broke an AXI-Stream stability rule.
+    Protocol {
+        /// The harness lane it happened on.
+        lane: usize,
+        /// The violation.
+        error: ProtocolError,
+    },
 }
+
+impl fmt::Display for MeasureError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MeasureError::Interface { port, problem } => write!(f, "port \"{port}\": {problem}"),
+            MeasureError::Validate(e) => write!(f, "invalid module: {e}"),
+            MeasureError::LostBlocks { expected, got } => {
+                write!(f, "lost blocks: {got} of {expected} came back")
+            }
+            MeasureError::Mismatch {
+                block,
+                element,
+                expected,
+                got,
+            } => write!(
+                f,
+                "block {block} not bit-exact: element {element} is {got}, expected {expected}"
+            ),
+            MeasureError::Protocol { lane, error } => {
+                write!(f, "protocol violation on lane {lane}: {error}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for MeasureError {}
 
 /// Everything measured for one design point.
 #[derive(Clone, Debug)]
@@ -98,9 +229,10 @@ pub struct ToolRow {
     pub flexibility: f64,
 }
 
-/// Measures one design point: optimizes the netlist, synthesizes twice
-/// (default and `maxdsp=0`), simulates the stream interface against the
-/// golden model and derives throughput and quality.
+/// Measures one design point: checks its port contract, optimizes the
+/// netlist, synthesizes twice (default and `maxdsp=0`), simulates its
+/// wrapper against the golden model of its [`Workload`] and derives
+/// throughput and quality.
 ///
 /// The optimize + synthesize front-half is memoized through
 /// [`crate::cache::front_half`], keyed on the module's structural hash —
@@ -108,20 +240,23 @@ pub struct ToolRow {
 /// under many parameters) compute it once. Use [`measure_uncached`] for
 /// the cold-pipeline baseline.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the design is not bit-exact with the golden fixed-point IDCT
-/// on the sample blocks — measurement implies conformance.
-pub fn measure(design: &Design, nblocks: usize) -> Measurement {
+/// A [`MeasureError`] when the design cannot be driven or is not
+/// bit-exact with the golden model on the sample blocks — measurement
+/// implies conformance.
+pub fn try_measure(design: &Design, nblocks: usize) -> Result<Measurement, MeasureError> {
+    check_ports(design)?;
     let front = crate::cache::front_half(&design.module);
 
     // Third tier: the persistent store also memoizes whole measurements,
     // keyed by the front-half key plus everything else the result depends
-    // on (stimulus size, interface model). `label` and `loc` are design
-    // metadata, not derived from the module, so they come from the live
-    // design, never from disk.
+    // on (stimulus size, interface model, workload). `label` and `loc` are
+    // design metadata, not derived from the module, so they come from the
+    // live design, never from disk.
     let store_key = crate::persist::store().map(|store| {
-        let key = crate::persist::measure_key(front.key, nblocks, &design.interface);
+        let key =
+            crate::persist::measure_key(front.key, nblocks, &design.interface, &design.workload);
         let tier = crate::persist::tier_counters();
         (store, key, tier)
     });
@@ -130,74 +265,26 @@ pub fn measure(design: &Design, nblocks: usize) -> Measurement {
             tier.measure_hits.inc();
             m.label = design.label.clone();
             m.loc = design.loc;
-            return m;
+            return Ok(m);
         }
         tier.measure_misses.inc();
     }
 
     let module = front.module.as_ref().clone();
-    let m = measure_back_half(design, nblocks, module, &front.full, &front.nodsp);
+    let m = measure_back_half(design, nblocks, module, &front.full, &front.nodsp)?;
     if let Some((store, key, _)) = &store_key {
         crate::persist::save_measurement_in(store, key, &m);
     }
-    m
+    Ok(m)
 }
 
-/// [`measure`] for callers that must survive a failing design — hc-serve
-/// turns the error into a structured JSON response instead of dying.
+/// [`try_measure`] for batch sweeps, where a failing design is a bug.
 ///
-/// The measurement path asserts its invariants by panicking (lost
-/// matrices, bit-exactness against the golden IDCT, protocol violations):
-/// the right behavior for a batch sweep, fatal for a long-running server
-/// fed arbitrary client designs. This wrapper catches the panic, restores
-/// the hook, and returns the payload as the error string. The underlying
-/// state is panic-safe: the stimulus cache recovers from poisoning (see
-/// [`sample_blocks`]) and the front-half cache completes every mutation
-/// before control leaves the shard lock.
+/// # Panics
 ///
-/// # Errors
-///
-/// The panic payload of the failed measurement, stringified.
-pub fn try_measure(design: &Design, nblocks: usize) -> Result<Measurement, String> {
-    let design = design.clone();
-    quiet_catch(move || measure(&design, nblocks))
-}
-
-/// Runs a measurement closure with panics caught, printing suppressed and
-/// the payload stringified — the shared probe machinery behind
-/// [`try_measure`] and [`crate::matrix::try_measure_cell`].
-pub(crate) fn quiet_catch(f: impl FnOnce() -> Measurement) -> Result<Measurement, String> {
-    use std::cell::Cell;
-    use std::sync::Once;
-
-    thread_local! {
-        static SUPPRESS_PANIC_PRINT: Cell<bool> = const { Cell::new(false) };
-    }
-    // The default hook prints "thread panicked at ..." plus a backtrace for
-    // every caught probe — log spam for a server fed bad designs. Swapping
-    // hooks per call would race (two overlapping probes can leak the silent
-    // hook process-wide), so install a delegating hook exactly once and
-    // gate the suppression through a thread-local only this probe sets.
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !SUPPRESS_PANIC_PRINT.with(Cell::get) {
-                prev(info);
-            }
-        }));
-    });
-
-    SUPPRESS_PANIC_PRINT.with(|f| f.set(true));
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-    SUPPRESS_PANIC_PRINT.with(|f| f.set(false));
-    result.map_err(|payload| {
-        payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_owned())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "measurement failed (non-string panic payload)".to_owned())
-    })
+/// Panics with the [`MeasureError`] if the design fails to measure.
+pub fn measure(design: &Design, nblocks: usize) -> Measurement {
+    try_measure(design, nblocks).unwrap_or_else(|e| panic!("{}: {e}", design.label))
 }
 
 /// The legacy cold pipeline: clone, optimize, synthesize twice and
@@ -210,98 +297,184 @@ pub(crate) fn quiet_catch(f: impl FnOnce() -> Measurement) -> Result<Measurement
 ///
 /// As [`measure`].
 pub fn measure_uncached(design: &Design, nblocks: usize) -> Measurement {
-    let mut module = design.module.clone();
-    optimize(&mut module);
-    let device = Device::xcvu9p();
-    let full = synthesize(&module, &device, &SynthOptions::default());
-    let nodsp = synthesize(&module, &device, &SynthOptions::no_dsp());
-    measure_back_half(design, nblocks, module, &full, &nodsp)
+    let measured = check_ports(design).and_then(|()| {
+        let mut module = design.module.clone();
+        optimize(&mut module);
+        let device = Device::xcvu9p();
+        let full = synthesize(&module, &device, &SynthOptions::default());
+        let nodsp = synthesize(&module, &device, &SynthOptions::no_dsp());
+        measure_back_half(design, nblocks, module, &full, &nodsp)
+    });
+    measured.unwrap_or_else(|e| panic!("{}: {e}", design.label))
 }
 
-/// Simulates the (already optimized) module and assembles the
-/// [`Measurement`] from the two synthesis reports.
+/// Checks that the design's module carries every port its interface model
+/// drives, at the widths its workload's geometry implies: `rst` plus the
+/// `s_axis_*`/`m_axis_*` bundles of an AXIS wrapper, or the
+/// `in_*`/`out_*` ports of a stream kernel, whose `in_data` carries a
+/// whole number of rows per beat.
+fn check_ports(design: &Design) -> Result<(), MeasureError> {
+    let module = &design.module;
+    let spec = design.workload.spec();
+    let width = |port: &'static str, input: bool| {
+        let found = if input {
+            module.input_named(port).map(|p| p.width)
+        } else {
+            module
+                .output_named(port)
+                .and_then(|o| module.nodes().get(o.node.index()))
+                .map(|n| n.width)
+        };
+        found.ok_or_else(|| MeasureError::Interface {
+            port,
+            problem: format!("missing {}", if input { "input" } else { "output" }),
+        })
+    };
+    let expect = |port: &'static str, input: bool, want: u32| {
+        let w = width(port, input)?;
+        if w == want {
+            Ok(())
+        } else {
+            Err(MeasureError::Interface {
+                port,
+                problem: format!("{w} bits wide, expected {want}"),
+            })
+        }
+    };
+    expect("rst", true, 1)?;
+    match design.interface {
+        DesignInterface::Axis => {
+            expect("s_axis_tvalid", true, 1)?;
+            expect("s_axis_tdata", true, spec.in_row_width())?;
+            expect("m_axis_tready", true, 1)?;
+            expect("s_axis_tready", false, 1)?;
+            expect("m_axis_tvalid", false, 1)?;
+            expect("m_axis_tdata", false, spec.out_row_width())
+        }
+        DesignInterface::Stream { .. } => {
+            expect("in_valid", true, 1)?;
+            let w = width("in_data", true)?;
+            let row = spec.in_row_width();
+            let block = row * spec.rows;
+            if !w.is_multiple_of(row) || !block.is_multiple_of(w) {
+                return Err(MeasureError::Interface {
+                    port: "in_data",
+                    problem: format!(
+                        "{w} bits wide, expected whole {row}-bit rows dividing the {block}-bit block"
+                    ),
+                });
+            }
+            expect("out_valid", false, 1)?;
+            expect("out_data", false, spec.elems() as u32 * spec.out_elem_width)
+        }
+    }
+}
+
+/// Simulates the (already optimized) module on its workload, checks the
+/// outputs against the golden model and assembles the [`Measurement`]
+/// from the two synthesis reports.
+///
+/// AXIS designs ride the lane-batched engine: blocks are independent
+/// stimuli, so each lane gets one contiguous chunk, lane 0's starting at
+/// reset so its `T_L`/`T_P` equal the scalar harness figures (the root
+/// equivalence suite pins this against the interpreted oracle). Stream
+/// kernels take one stimulus and run on the scalar JIT ([`drive_stream`]).
 fn measure_back_half(
     design: &Design,
     nblocks: usize,
-    module: hc_rtl::Module,
+    module: Module,
     full: &hc_synth::SynthReport,
     nodsp: &hc_synth::SynthReport,
-) -> Measurement {
+) -> Result<Measurement, MeasureError> {
     let fmax = full.timing.fmax_mhz();
-
-    let stim = sample_blocks(nblocks.max(2));
-    let blocks = &stim.blocks;
+    let workload = &design.workload;
+    let blocks = workload.stimulus(nblocks.max(2));
     let mut span = hc_obs::span("simulate").with("design", design.label.as_str());
     span.attach("blocks", blocks.len());
-    let (latency, periodicity) = match design.interface {
+    let (outputs, timing, protocol) = match design.interface {
         DesignInterface::Axis => {
-            // Blocks are independent stimuli, so they ride the lane-batched
-            // engine: one contiguous chunk per lane, lane 0's chunk starting
-            // at reset so its T_L/T_P equal the scalar harness figures (the
-            // root equivalence suite pins this against the interpreted
-            // oracle).
             let lanes = lanes_for_blocks(blocks.len());
-            let mut harness =
-                BatchedStreamHarness::new(module, lanes).expect("measured designs validate");
-            let (outputs, timing) =
-                harness.run_blocks(&stim.inputs, 2000 * (blocks.len() as u64 + 4));
-            assert_eq!(
-                outputs.len(),
-                blocks.len(),
-                "{}: lost matrices",
-                design.label
-            );
-            for (i, (b, o)) in blocks.iter().zip(&outputs).enumerate() {
-                assert_eq!(
-                    Block(*o),
-                    fixed::idct2d(b),
-                    "{}: block {i} not bit-exact",
-                    design.label
-                );
-            }
-            assert!(harness.protocol_errors.is_empty());
-            (timing.latency, timing.periodicity)
+            let mut harness = BatchedStreamHarness::with_spec(module, lanes, workload.spec())
+                .map_err(MeasureError::Validate)?;
+            let budget = CYCLES_PER_BLOCK * (blocks.len() as u64 + 4);
+            let (outputs, timing) = harness.run_blocks_flat(&blocks, budget);
+            (outputs, timing, harness.protocol_errors.into_iter().next())
         }
-        DesignInterface::Stream { .. } => measure_stream(module, blocks, &design.label),
+        DesignInterface::Stream { .. } => {
+            let (outputs, timing) = drive_stream(module, workload.spec(), &blocks)?;
+            (outputs, timing, None)
+        }
     };
-    span.attach("latency", latency);
-    span.attach("periodicity", periodicity);
+    if outputs.len() != blocks.len() {
+        return Err(MeasureError::LostBlocks {
+            expected: blocks.len(),
+            got: outputs.len(),
+        });
+    }
+    for (block, (input, output)) in blocks.iter().zip(&outputs).enumerate() {
+        let golden = workload.golden(input);
+        if let Some(element) = golden.iter().zip(output).position(|(g, o)| g != o) {
+            return Err(MeasureError::Mismatch {
+                block,
+                element,
+                expected: golden[element],
+                got: output[element],
+            });
+        }
+    }
+    if let Some((lane, error)) = protocol {
+        return Err(MeasureError::Protocol { lane, error });
+    }
+    span.attach("latency", timing.latency);
+    span.attach("periodicity", timing.periodicity);
     drop(span);
 
     let throughput_mops = match design.interface {
-        DesignInterface::Axis => fmax / periodicity as f64,
+        DesignInterface::Axis => fmax / timing.periodicity as f64,
         DesignInterface::Stream { bits_per_op } => {
             let pcie = PcieLink::gen3_x16().ops_per_second(bits_per_op) / 1e6;
-            pcie.min(fmax / periodicity as f64)
+            pcie.min(fmax / timing.periodicity as f64)
         }
     };
     let q = metrics::quality(throughput_mops, nodsp.area.normalized());
 
-    Measurement {
+    Ok(Measurement {
         label: design.label.clone(),
         fmax_mhz: fmax,
         t_clk_ns: full.timing.t_clk_ns,
-        latency,
-        periodicity,
+        latency: timing.latency,
+        periodicity: timing.periodicity,
         throughput_mops,
         area: full.area,
         area_nodsp: nodsp.area,
         q,
         loc: design.loc,
-    }
+    })
 }
 
 /// Drives a MaxJ-style `in_data`/`in_valid` → `out_data`/`out_valid`
-/// kernel; returns (latency, periodicity) and asserts bit-exactness.
+/// kernel back-to-back: each beat carries `in_data`'s width in row-major
+/// elements (a row, or the whole block), each `out_valid` cycle one output
+/// block. `T_L` counts from the first beat to the first output, `T_P` is
+/// the spacing of the last two outputs.
 ///
 /// Runs on the native (per-cone JIT) engine — stream kernels are
 /// single-stimulus, so they can't ride the lane-batched engine the AXIS
 /// designs use, and the JIT is the fastest single-stream tier. Off
 /// x86-64 (or under `HC_NO_NATIVE=1`) it degrades to the tape
 /// interpreter with identical results.
-fn measure_stream(module: hc_rtl::Module, blocks: &[Block], label: &str) -> (u64, u64) {
-    let row_mode = module.input_named("in_data").expect("stream port").width == 96;
-    let mut sim = NativeSimulator::new(module).expect("kernel validates");
+fn drive_stream(
+    module: Module,
+    spec: MatrixWrapperSpec,
+    blocks: &[Vec<i32>],
+) -> Result<(Vec<Vec<i32>>, StreamTiming), MeasureError> {
+    let beat_width = module.input_named("in_data").map_or(0, |p| p.width);
+    let per_beat = (beat_width / spec.in_elem_width) as usize;
+    let total_beats = (blocks.len() * spec.elems()).div_ceil(per_beat) as u64;
+    let mut beats = blocks.iter().flat_map(|b| b.chunks(per_beat));
+    let zero = Bits::zero(beat_width);
+
+    let mut sim = NativeSimulator::new(module).map_err(MeasureError::Validate)?;
     sim.set_u64("rst", 1);
     sim.set_u64("in_valid", 0);
     sim.step();
@@ -309,60 +482,31 @@ fn measure_stream(module: hc_rtl::Module, blocks: &[Block], label: &str) -> (u64
     sim.set_u64("in_valid", 1);
 
     let mut out_cycles: Vec<u64> = Vec::new();
-    let mut outputs: Vec<Block> = Vec::new();
-    let total_feeds = if row_mode {
-        blocks.len() * 8
-    } else {
-        blocks.len()
-    };
-    for cycle in 0..(total_feeds as u64 + 400) {
-        if row_mode {
-            let idx = cycle as usize;
-            let row = if idx < total_feeds {
-                *blocks[idx / 8].row(idx % 8)
-            } else {
-                [0; 8]
-            };
-            sim.set("in_data", hc_axi::pack_elems(&row, 12));
-        } else {
-            let idx = cycle as usize;
-            let block = blocks.get(idx).copied().unwrap_or(Block::zero());
-            let mut word = hc_bits::Bits::zero(768);
-            for r in 0..8 {
-                for c in 0..8 {
-                    let e = hc_bits::Bits::from_i64(12, i64::from(block[(r, c)]));
-                    for bit in 0..12 {
-                        if e.bit(bit) {
-                            word.set_bit((r * 8 + c) as u32 * 12 + bit, true);
-                        }
-                    }
-                }
-            }
-            sim.set("in_data", word);
-        }
+    let mut outputs: Vec<Vec<i32>> = Vec::new();
+    for cycle in 0..total_beats + FLUSH_CYCLES {
+        let word = beats.next().map_or_else(
+            || zero.clone(),
+            |beat| pack_elems_n(beat, spec.in_elem_width),
+        );
+        sim.set("in_data", word);
         if sim.get("out_valid").to_bool() {
             out_cycles.push(cycle);
             let word = sim.get("out_data");
-            outputs.push(Block::from_fn(|r, c| {
-                word.slice((r * 8 + c) as u32 * 9, 9).to_i64() as i32
-            }));
+            outputs.push(unpack_elems_n(&word, spec.out_elem_width, spec.elems()));
         }
         sim.step();
         if outputs.len() >= blocks.len() {
             break;
         }
     }
-    assert_eq!(outputs.len(), blocks.len(), "{label}: lost matrices");
-    for (i, (b, o)) in blocks.iter().zip(&outputs).enumerate() {
-        assert_eq!(*o, fixed::idct2d(b), "{label}: block {i} not bit-exact");
-    }
-    let latency = out_cycles[0] + 1;
-    let periodicity = if out_cycles.len() >= 2 {
-        out_cycles[out_cycles.len() - 1] - out_cycles[out_cycles.len() - 2]
-    } else {
-        1
+    let timing = StreamTiming {
+        latency: out_cycles.first().map_or(0, |c| c + 1),
+        periodicity: match out_cycles[..] {
+            [.., prev, last] => last - prev,
+            _ => 0,
+        },
     };
-    (latency, periodicity)
+    Ok((outputs, timing))
 }
 
 /// Measures every tool's initial and optimized designs and derives the
@@ -372,8 +516,6 @@ fn measure_stream(module: hc_rtl::Module, blocks: &[Block], label: &str) -> (u64
 /// available cores; results are reassembled in tool order, making the
 /// output identical to a serial run.
 pub fn measure_all(tools: &[ToolEntry], nblocks: usize) -> Vec<ToolRow> {
-    // Pre-generate the shared stimulus once, outside the parallel region.
-    let _ = sample_blocks(nblocks.max(2));
     let designs: Vec<&Design> = tools
         .iter()
         .flat_map(|t| [&t.initial, &t.optimized])
@@ -420,30 +562,95 @@ pub fn measure_all(tools: &[ToolEntry], nblocks: usize) -> Vec<ToolRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entries::{axis, pcie_stream};
+    use hc_axi::wrap_comb_matrix;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// The AXIS port bundle around a pass-through core that accepts every
+    /// beat; `tvalid_low` ties `m_axis_tvalid` low instead.
+    fn axis_shell(rst: bool, tdata: u32, tvalid_low: bool) -> Module {
+        let mut m = Module::new("axis_shell");
+        if rst {
+            m.input("rst", 1);
+        }
+        let valid = m.input("s_axis_tvalid", 1);
+        let data = m.input("s_axis_tdata", tdata);
+        m.input("m_axis_tready", 1);
+        let one = m.const_u(1, 1);
+        m.output("s_axis_tready", one);
+        let out_valid = if tvalid_low { m.const_u(1, 0) } else { valid };
+        m.output("m_axis_tvalid", out_valid);
+        let out = m.slice(data, 0, 72);
+        m.output("m_axis_tdata", out);
+        m
+    }
+
+    /// The variant of a measurement error and the field a test pins.
+    fn tag(e: &MeasureError) -> String {
+        match e {
+            MeasureError::Interface { port, .. } => format!("interface {port}"),
+            MeasureError::Validate(_) => "validate".to_owned(),
+            MeasureError::LostBlocks { expected, got } => format!("lost {got} of {expected}"),
+            MeasureError::Mismatch { block, .. } => format!("mismatch at block {block}"),
+            MeasureError::Protocol { lane, .. } => format!("protocol on lane {lane}"),
+        }
+    }
+
+    #[test]
+    fn try_measure_returns_typed_errors() {
+        let stream = {
+            let mut m = Module::new("stream_100");
+            m.input("rst", 1);
+            let valid = m.input("in_valid", 1);
+            m.input("in_data", 100);
+            m.output("out_valid", valid);
+            let out = m.const_u(576, 0);
+            m.output("out_data", out);
+            m
+        };
+        let identity = wrap_comb_matrix("identity", MatrixWrapperSpec::idct(), |m, elems| {
+            elems.iter().map(|&e| m.slice(e, 0, 9)).collect()
+        });
+        let cases = [
+            (
+                axis("no_rst", axis_shell(false, 96, false), 0),
+                "interface rst",
+            ),
+            (
+                axis("wide_tdata", axis_shell(true, 100, false), 0),
+                "interface s_axis_tdata",
+            ),
+            (pcie_stream("stream_100", stream, 0), "interface in_data"),
+            (axis("identity", identity, 0), "mismatch at block 0"),
+            (
+                axis("tvalid_low", axis_shell(true, 96, true), 0),
+                "lost 0 of 2",
+            ),
+        ];
+        for (design, want) in cases {
+            let result = catch_unwind(AssertUnwindSafe(|| try_measure(&design, 2)));
+            let err = result
+                .unwrap_or_else(|_| panic!("{}: try_measure panicked", design.label))
+                .expect_err("a bad design cannot measure");
+            assert_eq!(tag(&err), want, "{}: {err}", design.label);
+        }
+    }
 
     #[test]
     fn try_measure_reports_bad_designs_instead_of_dying() {
-        // A module without the AXIS contract can't be driven: measure()
-        // panics, try_measure returns the payload as an error.
-        let mut m = hc_rtl::Module::new("not_an_idct");
+        // A module without the AXIS contract can't be driven: try_measure
+        // names the first missing port.
+        let mut m = Module::new("not_an_idct");
         let a = m.input("a", 8);
         m.output("y", a);
-        let bad = Design {
-            label: "bad".into(),
-            module: m,
-            interface: DesignInterface::Axis,
-            loc: 1,
-        };
-        let err = try_measure(&bad, 2).expect_err("a portless design cannot measure");
-        assert!(!err.is_empty());
+        let err = try_measure(&axis("bad", m, 1), 2).expect_err("a portless design cannot measure");
+        assert!(err.to_string().contains("\"rst\""), "{err}");
         // The path stays healthy afterwards: a real design still measures.
-        let good = Design {
-            label: "good".into(),
-            module: hc_verilog::designs::initial_design().expect("parses"),
-            interface: DesignInterface::Axis,
-            loc: 1,
-        };
+        let good = axis(
+            "good",
+            hc_verilog::designs::initial_design().expect("parses"),
+            1,
+        );
         let meas = try_measure(&good, 2).expect("the Verilog initial design measures");
         assert!(meas.throughput_mops > 0.0);
     }
@@ -451,9 +658,8 @@ mod tests {
     #[test]
     fn sample_blocks_recovers_from_poisoned_cache() {
         // A sweep task panicking while holding the stimulus cache lock
-        // (what a bit-exactness assertion inside the generation closure
-        // does) used to poison the mutex and abort every later sweep in
-        // the process.
+        // used to poison the mutex and abort every later sweep in the
+        // process.
         let result = catch_unwind(AssertUnwindSafe(|| {
             let items: Vec<u32> = (0..4).collect();
             parallel_map(&items, |&x| {
@@ -469,10 +675,10 @@ mod tests {
         assert!(result.is_err(), "the panic must propagate out of the sweep");
         // The next sweep's stimulus generation still completes and the
         // cache still memoizes.
-        let stim = sample_blocks(3);
-        assert_eq!(stim.blocks.len(), 3);
-        assert_eq!(stim.inputs.len(), 3);
-        let again = sample_blocks(3);
+        let stim = Workload::Idct.stimulus(3);
+        assert_eq!(stim.len(), 3);
+        assert!(stim.iter().all(|b| b.len() == 64));
+        let again = Workload::Idct.stimulus(3);
         assert!(Arc::ptr_eq(&stim, &again), "cache lost its memoization");
     }
 }

@@ -114,21 +114,32 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: OnceSlots<R> = OnceSlots::new(n);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(&items[i]);
-                // SAFETY: the fetch_add claim makes this thread the only
-                // writer of index `i`; collection happens after the join.
-                unsafe { slots.write(i, r) };
-            });
+    run_workers(workers, || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        let r = f(&items[i]);
+        // SAFETY: the fetch_add claim makes this thread the only
+        // writer of index `i`; collection happens after the join.
+        unsafe { slots.write(i, r) };
     });
     slots.into_vec()
+}
+
+/// Runs `workers` copies of `body` on scoped threads and re-raises the
+/// first worker panic with its own payload, so a failing item surfaces
+/// exactly as it would serially (a bare scope replaces the payload with
+/// "a scoped thread panicked").
+fn run_workers(workers: usize, body: impl Fn() + Sync) {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(&body)).collect();
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
 }
 
 /// Target per-task wall time for [`adaptive_chunk`]: long enough that
@@ -180,21 +191,17 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: OnceSlots<R> = OnceSlots::new(n);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                let end = (start + chunk).min(n);
-                for (offset, item) in items[start..end].iter().enumerate() {
-                    let r = f(item);
-                    // SAFETY: the chunk claim [start, start+chunk) belongs
-                    // to this thread alone; collection is post-join.
-                    unsafe { slots.write(start + offset, r) };
-                }
-            });
+    run_workers(workers, || loop {
+        let start = next.fetch_add(chunk, Ordering::Relaxed);
+        if start >= n {
+            break;
+        }
+        let end = (start + chunk).min(n);
+        for (offset, item) in items[start..end].iter().enumerate() {
+            let r = f(item);
+            // SAFETY: the chunk claim [start, start+chunk) belongs
+            // to this thread alone; collection is post-join.
+            unsafe { slots.write(start + offset, r) };
         }
     });
     slots.into_vec()

@@ -10,7 +10,8 @@
 //!   cache's key, so the tiers never disagree about identity.
 //! * [`KIND_MEASURE`] — one sweep point's [`Measurement`], keyed by the
 //!   front-half key plus everything else the result depends on: the
-//!   stimulus size and the interface/throughput model. The design's
+//!   stimulus size, the interface/throughput model and the workload
+//!   (stimulus and golden model). The design's
 //!   `label` and `loc` are *metadata*, not derived from the module, so
 //!   they are patched in from the live [`Design`](crate::entries::Design)
 //!   on load rather than trusted from disk.
@@ -30,7 +31,7 @@ use hc_store::{codec, Store, StoreOptions};
 
 use crate::cache::FrontHalf;
 use crate::entries::DesignInterface;
-use crate::measure::Measurement;
+use crate::measure::{Measurement, Workload};
 
 /// Record kind for front-half artifacts.
 pub const KIND_FRONT: u8 = 1;
@@ -71,9 +72,16 @@ pub fn front_key(key: (u128, u8)) -> [u8; 17] {
 }
 
 /// The store key of a measurement: the front-half key plus the stimulus
-/// size and interface model. `nblocks` is clamped to the measurement
-/// path's effective minimum of 2 so equivalent requests share a record.
-pub fn measure_key(key: (u128, u8), nblocks: usize, interface: &DesignInterface) -> Vec<u8> {
+/// size, interface model and workload, so a record written for one
+/// workload never answers another. `nblocks` is clamped to the
+/// measurement path's effective minimum of 2 so equivalent requests share
+/// a record.
+pub fn measure_key(
+    key: (u128, u8),
+    nblocks: usize,
+    interface: &DesignInterface,
+    workload: &Workload,
+) -> Vec<u8> {
     let mut e = Enc::new();
     e.u128(key.0);
     e.u8(key.1);
@@ -83,6 +91,13 @@ pub fn measure_key(key: (u128, u8), nblocks: usize, interface: &DesignInterface)
         DesignInterface::Stream { bits_per_op } => {
             e.u8(1);
             e.u64(*bits_per_op);
+        }
+    }
+    match workload.kernel_id() {
+        None => e.u8(0),
+        Some(id) => {
+            e.u8(1);
+            e.str(id);
         }
     }
     e.into_bytes()
@@ -165,13 +180,13 @@ pub fn load_measurement_in(store: &Store, key: &[u8]) -> Option<Measurement> {
 
 /// The store key a [`measure`](crate::measure::measure) call for this
 /// design will use — content hash + active pass config + stimulus size +
-/// interface model. Costs one structural hash of the module.
+/// interface model + workload. Costs one structural hash of the module.
 pub fn design_measure_key(design: &crate::entries::Design, nblocks: usize) -> Vec<u8> {
     let key = (
         hc_rtl::hash::content_hash(&design.module),
         hc_rtl::passes::PassConfig::from_env().key(),
     );
-    measure_key(key, nblocks, &design.interface)
+    measure_key(key, nblocks, &design.interface, &design.workload)
 }
 
 /// True when a measurement record exists for `key` — lets hc-serve's
@@ -221,12 +236,11 @@ mod tests {
     }
 
     fn verilog_design() -> Design {
-        Design {
-            label: "verilog/initial".into(),
-            module: hc_verilog::designs::initial_design().expect("parses"),
-            interface: DesignInterface::Axis,
-            loc: 210,
-        }
+        crate::entries::axis(
+            "verilog/initial",
+            hc_verilog::designs::initial_design().expect("parses"),
+            210,
+        )
     }
 
     #[test]
@@ -257,13 +271,21 @@ mod tests {
         let design = verilog_design();
         let m = crate::measure::measure(&design, 2);
         let key = (hc_rtl::hash::content_hash(&design.module), 0);
-        let k_axis = measure_key(key, 2, &DesignInterface::Axis);
-        let k_stream = measure_key(key, 2, &DesignInterface::Stream { bits_per_op: 768 });
-        let k_more_blocks = measure_key(key, 3, &DesignInterface::Axis);
+        let idct = Workload::Idct;
+        let k_axis = measure_key(key, 2, &DesignInterface::Axis, &idct);
+        let k_stream = measure_key(key, 2, &DesignInterface::Stream { bits_per_op: 768 }, &idct);
+        let k_more_blocks = measure_key(key, 3, &DesignInterface::Axis, &idct);
+        let k_kernel = measure_key(
+            key,
+            2,
+            &DesignInterface::Axis,
+            &Workload::Kernel(hc_kernels::dct8()),
+        );
         assert_ne!(k_axis, k_stream);
         assert_ne!(k_axis, k_more_blocks);
+        assert_ne!(k_axis, k_kernel);
         // nblocks 0, 1 and 2 alias (the back half clamps to 2).
-        assert_eq!(k_axis, measure_key(key, 0, &DesignInterface::Axis));
+        assert_eq!(k_axis, measure_key(key, 0, &DesignInterface::Axis, &idct));
 
         save_measurement_in(&store, &k_axis, &m);
         let back = load_measurement_in(&store, &k_axis).expect("stored measurement loads");
@@ -287,17 +309,10 @@ mod tests {
         store
             .put(KIND_FRONT, &front_key((42, 0)), b"garbage")
             .unwrap();
-        store
-            .put(
-                KIND_MEASURE,
-                &measure_key((42, 0), 2, &DesignInterface::Axis),
-                b"junk",
-            )
-            .unwrap();
+        let key = measure_key((42, 0), 2, &DesignInterface::Axis, &Workload::Idct);
+        store.put(KIND_MEASURE, &key, b"junk").unwrap();
         assert!(load_front_in(&store, (42, 0)).is_none());
-        assert!(
-            load_measurement_in(&store, &measure_key((42, 0), 2, &DesignInterface::Axis)).is_none()
-        );
+        assert!(load_measurement_in(&store, &key).is_none());
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -11,7 +11,7 @@ fn unpack_matrix(word: &Bits, elem_w: u32) -> Block {
 }
 
 fn pack_row(row: &[i32; 8]) -> Bits {
-    hc_axi::pack_elems(row, 12)
+    hc_axi::pack_elems_n(row, 12)
 }
 
 fn pack_matrix(b: &Block) -> Bits {

@@ -3,7 +3,7 @@
 
 use hc_core::cache;
 use hc_core::entries::dse_points;
-use hc_core::measure::{try_measure, Measurement};
+use hc_core::measure::{try_measure, MeasureError, Measurement};
 use hc_core::{dse, obs};
 use hc_synth::{AreaReport, SynthReport};
 
@@ -86,22 +86,19 @@ pub fn synth(body: &Json) -> Result<Json, ApiError> {
     })
 }
 
-/// `POST /v1/measure`: full §III-C measurement of one design point.
+/// `POST /v1/measure`: full §III-C measurement of one design point,
+/// checked against its workload's golden model (the IDCT, or a matrix
+/// cell's kernel).
 ///
 /// # Errors
 ///
 /// Resolution failures, plus `422 measurement_failed` when the design
-/// cannot be driven/verified (the panic payload, stringified).
+/// cannot be driven/verified (the [`MeasureError`], as text).
 pub fn measure(body: &Json) -> Result<Json, ApiError> {
     let design = resolve_design(body)?;
     let n = nblocks(body)?;
-    // Matrix cells verify against their kernel's golden model; everything
-    // else is an IDCT design point on the Table II path.
-    let m = match hc_core::matrix::kernel_of_label(&design.label) {
-        Some(spec) => hc_core::matrix::try_measure_cell(&spec, &design, n),
-        None => try_measure(&design, n),
-    }
-    .map_err(|e| ApiError::unprocessable("measurement_failed", e))?;
+    let m = try_measure(&design, n)
+        .map_err(|e| ApiError::unprocessable("measurement_failed", e.to_string()))?;
     Ok(measurement_json(&m))
 }
 
@@ -116,7 +113,7 @@ pub fn dse(body: &Json, worker: &Worker) -> Result<Json, ApiError> {
     let n = nblocks(body)?;
     let points = dse_points(tool);
     let span = obs::span("serve.dse").with("tool", format!("{tool:?}"));
-    let measured: Vec<Result<Measurement, String>> =
+    let measured: Vec<Result<Measurement, MeasureError>> =
         worker.scatter(points, move |d, _| try_measure(d, n));
     drop(span);
     let mut ok = Vec::with_capacity(measured.len());
@@ -268,6 +265,7 @@ mod tests {
         let err = measure(&body).unwrap_err();
         assert_eq!(err.status, 422);
         assert_eq!(err.code, "measurement_failed");
+        assert!(err.message.contains("\"rst\""), "{}", err.message);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! understands; this module turns that into an elaborated design or a
 //! structured [`ApiError`] — never a panic, whatever the client sent.
 
-use hc_core::entries::{Design, DesignInterface};
+use hc_core::entries::{axis, pcie_stream, Design};
 use hc_core::tool::ToolId;
 use hc_hls::{BambuConfig, BambuPreset, VivadoHlsConfig};
 
@@ -184,15 +184,6 @@ fn matrix_cell(frontend: &str, body: &Json) -> Result<Option<Design>, ApiError> 
     Ok(Some(hc_core::matrix::cell_design(spec, tool)))
 }
 
-fn axis(label: String, module: hc_rtl::Module, loc: usize) -> Design {
-    Design {
-        label,
-        module,
-        interface: DesignInterface::Axis,
-        loc,
-    }
-}
-
 fn verilog_design(body: &Json) -> Result<Design, ApiError> {
     use hc_verilog::designs as d;
     if let Some(source) = body.get("source") {
@@ -317,12 +308,7 @@ fn maxj_design(body: &Json) -> Result<Design, ApiError> {
             ))
         }
     };
-    Ok(Design {
-        label: format!("maxj:{kernel}/cycle"),
-        module,
-        interface: DesignInterface::Stream { bits_per_op: 1024 },
-        loc: 0,
-    })
+    Ok(pcie_stream(format!("maxj:{kernel}/cycle"), module, 0))
 }
 
 fn bambu_design(body: &Json) -> Result<Design, ApiError> {

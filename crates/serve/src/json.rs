@@ -1,9 +1,9 @@
 //! A small JSON value type with a hand-rolled parser and printer.
 //!
 //! The workspace builds offline, so the server speaks JSON without serde:
-//! the same recursive-descent shape `tracecheck` uses for Chrome traces,
-//! grown into a two-way codec (the server must *produce* JSON too, and
-//! `loadgen` read-modify-writes `BENCH_sim.json` through it).
+//! a recursive-descent parser plus printer (the server must *produce*
+//! JSON too, `loadgen` read-modify-writes `BENCH_sim.json` through it and
+//! `tracecheck` reads Chrome traces with it).
 
 use std::fmt;
 
@@ -487,6 +487,15 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn parses_escapes_and_numbers() {
+        let doc = Json::parse(r#"{"a": "x\"\\\nA", "b": [-1.5e2, 0, 3]}"#).unwrap();
+        assert_eq!(doc.get("a").and_then(Json::as_str), Some("x\"\\\nA"));
+        let items = doc.get("b").and_then(Json::as_arr).unwrap();
+        assert_eq!(items[0].as_f64(), Some(-150.0));
+        assert_eq!(items[2].as_f64(), Some(3.0));
     }
 
     #[test]

@@ -555,8 +555,10 @@ fn stream_dse<W: Write>(
         type PointFn = dyn Fn(
                 &(usize, hc_core::entries::Design),
                 usize,
-            ) -> (usize, Result<hc_core::measure::Measurement, String>)
-            + Send
+            ) -> (
+                usize,
+                Result<hc_core::measure::Measurement, hc_core::measure::MeasureError>,
+            ) + Send
             + Sync;
         let measure: Arc<PointFn> = Arc::new(move |(i, d), _| {
             let i = *i;
@@ -572,7 +574,7 @@ fn stream_dse<W: Write>(
                     "event" => "point",
                     "index" => i,
                     "cached" => point_cached[i],
-                    "error" => e.clone(),
+                    "error" => e.to_string(),
                 },
             };
             let _ = point_tx

@@ -382,13 +382,16 @@ fn malformed_designs_fail_structured_in_every_frontend() {
         .request("POST", "/v1/measure", Some(&body(undrivable)))
         .unwrap();
     assert_eq!(r.status, 422, "{}", r.body);
+    let error = r.body.get("error");
     assert_eq!(
-        r.body
-            .get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(Json::as_str),
+        error.and_then(|e| e.get("code")).and_then(Json::as_str),
         Some("measurement_failed")
     );
+    let message = error
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .unwrap_or_default();
+    assert!(message.contains("\"rst\""), "{message}");
     server.shutdown();
 }
 

@@ -86,7 +86,7 @@ fn optimized_design_survives_backpressure() {
     let mut driver = AxisDriver::new("s_axis", 96);
     for (i, b) in blocks.iter().enumerate() {
         for row in &b.0 {
-            driver.push_with_gap(hc_axi::pack_elems(row, 12), (i % 3) as u32);
+            driver.push_with_gap(hc_axi::pack_elems_n(row, 12), (i % 3) as u32);
         }
     }
     let mut monitor = AxisMonitor::new("m_axis").with_stalls(3);
@@ -105,8 +105,8 @@ fn optimized_design_survives_backpressure() {
     for (i, block) in blocks.iter().enumerate() {
         let golden = fixed::idct2d(block);
         for r in 0..8 {
-            let row = hc_axi::unpack_elems(&monitor.beats[i * 8 + r].1, 9);
-            assert_eq!(row, *golden.row(r), "block {i} row {r}");
+            let row = hc_axi::unpack_elems_n(&monitor.beats[i * 8 + r].1, 9, 8);
+            assert_eq!(row, golden.row(r), "block {i} row {r}");
         }
     }
 }

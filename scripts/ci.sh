@@ -264,4 +264,21 @@ awk '
   }
 ' BENCH_sim.json
 
+echo "== perfbench smoke (builds offline against the crates; every workload correct)"
+# The end-to-end benchmark is a package of its own: this catches a change
+# that removes an API it calls, or that moves any frozen T_L/T_P/fmax/
+# area/Q or IEEE 1180 figure (the result line's "correct" turns false).
+bench=(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml --)
+cargo build --release --quiet --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+"${bench[@]}" --selftest
+for workload in ieee1180_rtl fig1_cold matrix serve; do
+  result=$("${bench[@]}" --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  echo "$workload: $result"
+  case "$result" in
+    *'"correct":true'*) ;;
+    *) echo "perfbench $workload: result is not correct"; exit 1 ;;
+  esac
+done
+
 echo "CI OK"

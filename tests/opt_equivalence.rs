@@ -163,7 +163,7 @@ proptest! {
         nblocks in 1usize..=2,
     ) {
         let blocks = BlockGen::new(seed, -2048, 2047).take_blocks(nblocks);
-        let inputs: Vec<[[i32; 8]; 8]> = blocks.iter().map(|b| b.0).collect();
+        let inputs: Vec<Vec<i32>> = blocks.iter().map(|b| b.iter().collect()).collect();
         let short = &inputs[..inputs.len() - 1];
         let budget = 2000 * (inputs.len() as u64 + 4);
         for tool in all_tools() {
@@ -174,8 +174,8 @@ proptest! {
                             StreamHarness::new(design.module.clone()).expect("validates");
                         let mut tape =
                             StreamHarness::compiled(design.module.clone()).expect("validates");
-                        let (oout, otiming) = oracle.run(&inputs, budget);
-                        let (tout, ttiming) = tape.run(&inputs, budget);
+                        let (oout, otiming) = oracle.run_flat(&inputs, budget);
+                        let (tout, ttiming) = tape.run_flat(&inputs, budget);
                         prop_assert_eq!(
                             &oout, &tout,
                             "{}: optimized tape diverges from interpreter", design.label
@@ -191,8 +191,8 @@ proptest! {
                         let mut batched =
                             BatchedStreamHarness::new(design.module.clone(), 3)
                                 .expect("validates");
-                        let chunks: Vec<&[[[i32; 8]; 8]]> = vec![&inputs, short, &[]];
-                        let (louts, ltimings) = batched.run_lanes(&chunks, budget);
+                        let chunks: Vec<&[Vec<i32>]> = vec![&inputs, short, &[]];
+                        let (louts, ltimings) = batched.run_lanes_flat(&chunks, budget);
                         prop_assert_eq!(
                             &louts[0], &oout,
                             "{}: batched lane 0 diverges from interpreter", design.label
@@ -204,7 +204,7 @@ proptest! {
                         if short.is_empty() {
                             prop_assert!(louts[1].is_empty());
                         } else {
-                            let (sout, stiming) = oracle.run(short, budget);
+                            let (sout, stiming) = oracle.run_flat(short, budget);
                             prop_assert_eq!(
                                 &louts[1], &sout,
                                 "{}: ragged batched lane diverges", design.label
