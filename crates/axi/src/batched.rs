@@ -34,14 +34,17 @@
 //!
 //! The batched harness drives back-to-back only (no valid gaps, no ready
 //! stalls): that is the configuration every measurement in the paper uses.
+//!
+//! The per-cycle loop moves little-endian `u64` words through resolved
+//! port handles (`set_port_words`/`get_port_words`): every input beat is
+//! packed once before the run and every output beat decoded once after
+//! it, so the loop itself neither builds a `Bits` nor allocates.
 
 use crate::adapter::MatrixWrapperSpec;
-use crate::harness::{pack_elems_n, unpack_elems_n, StreamTiming};
+use crate::harness::{pack_words, unpack_words, StreamTiming};
 use crate::ProtocolError;
-use hc_bits::Bits;
 use hc_rtl::{Module, ValidateError};
 use hc_sim::{EngineOptions, NativeBatchedSimulator};
-use std::collections::VecDeque;
 
 /// How many lanes to use for a run of `nblocks` independent matrices.
 ///
@@ -54,17 +57,30 @@ pub fn lanes_for_blocks(nblocks: usize) -> usize {
     (nblocks / 3).clamp(1, 16)
 }
 
-/// Per-lane slave-side driver state (back-to-back, mirrors `AxisDriver`).
-#[derive(Debug, Default)]
-struct LaneDriver {
-    queue: VecDeque<Bits>,
-    beats_sent: u64,
-}
-
-/// Per-lane checker state (mirrors `ProtocolChecker`).
-#[derive(Debug, Default)]
-struct LaneChecker {
-    waiting: Option<Bits>,
+/// One lane's stream, kept as flat words so the per-cycle loop never
+/// allocates: the slave-side driver (`AxisDriver`) is an index into the
+/// pre-packed input beats, the monitor (`AxisMonitor`) appends cycles and
+/// output words, and the stability checker (`ProtocolChecker`) holds a
+/// stalled beat's words.
+#[derive(Debug)]
+struct Lane {
+    /// Input beats, packed once, `in_words` little-endian words each.
+    input: Vec<u64>,
+    /// Input beats accepted so far; the driver offers beat `sent` next.
+    sent: usize,
+    /// Cycle of the lane's first accepted input beat.
+    first_in: Option<u64>,
+    /// Cycle of each output beat.
+    out_cycles: Vec<u64>,
+    /// Output beats, `out_words` words each.
+    output: Vec<u64>,
+    /// Output beats after which the lane is done.
+    expected: usize,
+    done: bool,
+    /// An output beat was valid but not ready at the last edge.
+    stalled: bool,
+    /// That beat's data.
+    held: Vec<u64>,
 }
 
 /// Feeds an independent 8×8 matrix stream down each lane of a batched
@@ -208,7 +224,11 @@ impl BatchedStreamHarness {
     /// outputs and timing figures. `chunks.len()` must equal
     /// [`lanes`](Self::lanes); empty chunks are allowed. Gives up after
     /// `max_cycles` per lane (callers assert on output counts).
-    #[allow(clippy::too_many_lines, clippy::type_complexity)]
+    ///
+    /// # Panics
+    ///
+    /// Panics if a block does not have `rows * cols` elements, or the
+    /// wrapper's `tdata` ports are narrower than one row.
     pub fn run_lanes_flat(
         &mut self,
         chunks: &[&[Vec<i32>]],
@@ -219,126 +239,135 @@ impl BatchedStreamHarness {
         let cols = self.cols;
         assert_eq!(chunks.len(), lanes, "one matrix sequence per lane");
         // Resolve the port handles once: the per-lane per-cycle loops below
-        // would otherwise pay a name lookup (and a heap allocation for the
-        // narrow flags) on every call, which at high lane counts costs more
-        // than the amortized tape evaluation itself.
+        // would otherwise pay a name lookup on every call, which at high
+        // lane counts costs more than the amortized tape evaluation itself.
         let m_tready = self.sim.in_port("m_axis_tready");
         let m_tvalid = self.sim.out_port("m_axis_tvalid");
         let m_tdata = self.sim.out_port("m_axis_tdata");
         let s_tvalid = self.sim.in_port("s_axis_tvalid");
         let s_tdata = self.sim.in_port("s_axis_tdata");
         let s_tready = self.sim.out_port("s_axis_tready");
-        let mut drivers: Vec<LaneDriver> = (0..lanes).map(|_| LaneDriver::default()).collect();
-        let mut checkers: Vec<LaneChecker> = (0..lanes).map(|_| LaneChecker::default()).collect();
-        let mut beats: Vec<Vec<(u64, Bits)>> = vec![Vec::new(); lanes];
-        let mut first_in_beats: Vec<Vec<u64>> = vec![Vec::new(); lanes];
-        let mut driver_valid = vec![false; lanes];
-        for (lane, chunk) in chunks.iter().enumerate() {
-            for block in *chunk {
-                assert_eq!(block.len(), rows * cols, "block has rows*cols elements");
-                for row in block.chunks(cols) {
-                    drivers[lane]
-                        .queue
-                        .push_back(pack_elems_n(row, self.in_elem_width));
+        assert_eq!(
+            s_tdata.width(),
+            self.in_elem_width * cols as u32,
+            "s_axis_tdata carries one row"
+        );
+        assert!(
+            m_tdata.width() >= self.out_elem_width * cols as u32,
+            "m_axis_tdata carries one row"
+        );
+        let (in_words, out_words) = (s_tdata.words(), m_tdata.words());
+        let mut st: Vec<Lane> = chunks
+            .iter()
+            .map(|chunk| {
+                let mut input = vec![0; chunk.len() * rows * in_words];
+                let mut beats = input.chunks_exact_mut(in_words);
+                for block in *chunk {
+                    assert_eq!(block.len(), rows * cols, "block has rows*cols elements");
+                    for (row, beat) in block.chunks(cols).zip(&mut beats) {
+                        pack_words(row, self.in_elem_width, beat);
+                    }
                 }
-            }
-        }
-        let expected_beats: Vec<usize> = chunks.iter().map(|c| c.len() * rows).collect();
-        let zero_word = Bits::zero(self.in_elem_width * cols as u32);
+                Lane {
+                    input,
+                    sent: 0,
+                    first_in: None,
+                    out_cycles: Vec::with_capacity(chunk.len() * rows),
+                    output: Vec::with_capacity(chunk.len() * rows * out_words),
+                    expected: chunk.len() * rows,
+                    done: chunk.is_empty(),
+                    stalled: false,
+                    held: vec![0; out_words],
+                }
+            })
+            .collect();
+        let zero = vec![0u64; in_words];
+        let mut sampled = vec![0u64; out_words];
         // A lane is done once its expected output beats have been
         // collected; it is then masked out of the clock so its state and
         // cycle counter freeze, and its BFMs stop acting.
-        let mut done: Vec<bool> = expected_beats.iter().map(|&e| e == 0).collect();
-        for (lane, &d) in done.iter().enumerate() {
-            if d {
+        for (lane, s) in st.iter().enumerate() {
+            if s.done {
                 self.sim.set_active(lane, false);
             }
         }
 
         for _ in 0..max_cycles {
-            if done.iter().all(|&d| d) {
+            if st.iter().all(|s| s.done) {
                 break;
             }
             // Phase 1 — the monitor side, all lanes: apply ready, then
             // sample tvalid/tdata. The s_axis inputs still hold the
             // previous cycle's values, matching the scalar per-cycle
             // ordering (monitor before driver).
-            for (lane, &d) in done.iter().enumerate() {
-                if !d {
+            for (lane, s) in st.iter().enumerate() {
+                if !s.done {
                     self.sim.set_port_u64(lane, m_tready, 1);
                 }
             }
-            for lane in 0..lanes {
-                if done[lane] {
-                    continue;
-                }
-                if self.sim.get_port_u64(lane, m_tvalid) != 0 {
-                    let cycle = self.sim.cycle(lane);
-                    let data = self.sim.get_port(lane, m_tdata);
-                    beats[lane].push((cycle, data));
+            for (lane, s) in st.iter_mut().enumerate() {
+                if !s.done && self.sim.get_port_u64(lane, m_tvalid) != 0 {
+                    s.out_cycles.push(self.sim.cycle(lane));
+                    let n = s.output.len();
+                    s.output.resize(n + out_words, 0);
+                    self.sim.get_port_words(lane, m_tdata, &mut s.output[n..]);
                 }
             }
             // Phase 2 — the driver side, all lanes: apply tvalid/tdata,
             // then sample tready for the handshake; the protocol checks
             // sample last (exactly the scalar driver → checker order).
-            for lane in 0..lanes {
-                if done[lane] {
+            for (lane, s) in st.iter_mut().enumerate() {
+                if s.done {
                     continue;
                 }
-                let valid = !drivers[lane].queue.is_empty();
-                driver_valid[lane] = valid;
-                self.sim.set_port_u64(lane, s_tvalid, u64::from(valid));
-                let data = drivers[lane].queue.front().unwrap_or(&zero_word);
-                self.sim.set_port(lane, s_tdata, data);
+                let beat = s.input.get(s.sent * in_words..(s.sent + 1) * in_words);
+                self.sim
+                    .set_port_u64(lane, s_tvalid, u64::from(beat.is_some()));
+                self.sim
+                    .set_port_words(lane, s_tdata, beat.unwrap_or(&zero));
             }
-            for lane in 0..lanes {
-                if done[lane] {
+            for (lane, s) in st.iter_mut().enumerate() {
+                if s.done {
                     continue;
                 }
-                if driver_valid[lane] && self.sim.get_port_u64(lane, s_tready) != 0 {
-                    let d = &mut drivers[lane];
-                    d.queue.pop_front();
-                    d.beats_sent += 1;
-                    if (d.beats_sent - 1).is_multiple_of(rows as u64) {
-                        first_in_beats[lane].push(self.sim.cycle(lane));
-                    }
+                let cycle = self.sim.cycle(lane);
+                let offering = s.sent * in_words < s.input.len();
+                if offering && self.sim.get_port_u64(lane, s_tready) != 0 {
+                    s.sent += 1;
+                    s.first_in.get_or_insert(cycle);
                 }
                 // Stability rules (ProtocolChecker::before_edge). tdata is
-                // gathered lazily: in the back-to-back configuration no beat
-                // ever stalls, so the held-data comparison almost never runs.
-                let cycle = self.sim.cycle(lane);
+                // read only around a stall: in the back-to-back
+                // configuration no beat ever stalls, so the held-data
+                // comparison almost never runs.
                 let valid = self.sim.get_port_u64(lane, m_tvalid) != 0;
                 let ready = self.sim.input_port_u64(lane, m_tready) != 0;
-                let chk = &mut checkers[lane];
-                if let Some(held) = chk.waiting.take() {
-                    if !valid {
+                if std::mem::take(&mut s.stalled) {
+                    let rule = if valid {
+                        self.sim.get_port_words(lane, m_tdata, &mut sampled);
+                        (sampled != s.held).then_some("tdata changed while stalled")
+                    } else {
+                        Some("tvalid deasserted before handshake")
+                    };
+                    if let Some(rule) = rule {
                         self.protocol_errors.push((
                             lane,
                             ProtocolError {
                                 cycle,
-                                rule: "tvalid deasserted before handshake".into(),
-                            },
-                        ));
-                    } else if held != self.sim.get_port(lane, m_tdata) {
-                        self.protocol_errors.push((
-                            lane,
-                            ProtocolError {
-                                cycle,
-                                rule: "tdata changed while stalled".into(),
+                                rule: rule.into(),
                             },
                         ));
                     }
                 }
-                chk.waiting = if valid && !ready {
-                    Some(self.sim.get_port(lane, m_tdata))
-                } else {
-                    None
-                };
+                if valid && !ready {
+                    self.sim.get_port_words(lane, m_tdata, &mut s.held);
+                    s.stalled = true;
+                }
             }
             self.sim.step();
-            for lane in 0..lanes {
-                if !done[lane] && beats[lane].len() >= expected_beats[lane] {
-                    done[lane] = true;
+            for (lane, s) in st.iter_mut().enumerate() {
+                if !s.done && s.out_cycles.len() >= s.expected {
+                    s.done = true;
                     self.sim.set_active(lane, false);
                 }
             }
@@ -352,32 +381,31 @@ impl BatchedStreamHarness {
 
         let mut outputs = Vec::with_capacity(lanes);
         let mut timings = Vec::with_capacity(lanes);
-        for lane in 0..lanes {
-            let out: Vec<Vec<i32>> = beats[lane]
-                .chunks(rows)
-                .filter(|c| c.len() == rows)
-                .map(|beat_rows| {
+        for s in &st {
+            let out: Vec<Vec<i32>> = s
+                .output
+                .chunks_exact(rows * out_words)
+                .map(|beats| {
                     let mut block = Vec::with_capacity(rows * cols);
-                    for (_, bits) in beat_rows {
-                        block.extend(unpack_elems_n(bits, self.out_elem_width, cols));
+                    for beat in beats.chunks_exact(out_words) {
+                        unpack_words(beat, self.out_elem_width, cols, &mut block);
                     }
                     block
                 })
                 .collect();
             outputs.push(out);
             // Timing per lane: latency of the lane's matrix 0, periodicity
-            // from its steady state (same extraction as the scalar
-            // harness).
+            // from the spacing of its last two matrices' first output
+            // beats (same extraction as the scalar harness).
             let mut timing = StreamTiming::default();
-            if !beats[lane].is_empty() && !first_in_beats[lane].is_empty() {
-                if let Some((last, _)) = beats[lane].get(rows - 1) {
-                    timing.latency = last - first_in_beats[lane][0] + 1;
+            if let (Some(first_in), false) = (s.first_in, s.out_cycles.is_empty()) {
+                if let Some(last) = s.out_cycles.get(rows - 1) {
+                    timing.latency = last - first_in + 1;
                 }
-                let firsts: Vec<u64> = beats[lane].iter().step_by(rows).map(|(c, _)| *c).collect();
-                if firsts.len() >= 3 {
-                    timing.periodicity = firsts[firsts.len() - 1] - firsts[firsts.len() - 2];
-                } else if firsts.len() == 2 {
-                    timing.periodicity = firsts[1] - firsts[0];
+                let matrices = s.out_cycles.len().div_ceil(rows);
+                if matrices >= 2 {
+                    timing.periodicity =
+                        s.out_cycles[(matrices - 1) * rows] - s.out_cycles[(matrices - 2) * rows];
                 }
             }
             timings.push(timing);

@@ -258,22 +258,58 @@ impl<B: SimBackend> StreamHarness<B> {
 /// Packs signed elements into one row word, element 0 in the low bits.
 pub fn pack_elems_n(row: &[i32], elem_width: u32) -> Bits {
     let mut word = Bits::zero(elem_width * row.len() as u32);
-    for (c, &v) in row.iter().enumerate() {
-        let e = Bits::from_i64(elem_width, i64::from(v));
-        for b in 0..elem_width {
-            if e.bit(b) {
-                word.set_bit(c as u32 * elem_width + b, true);
-            }
-        }
-    }
+    let mut words = vec![0; word.as_words().len()];
+    pack_words(row, elem_width, &mut words);
+    word.copy_from_words(&words);
     word
 }
 
 /// Unpacks one row word into `n` sign-extended elements.
+///
+/// # Panics
+///
+/// Panics if `n` elements do not fit in the word.
 pub fn unpack_elems_n(word: &Bits, elem_width: u32, n: usize) -> Vec<i32> {
-    (0..n)
-        .map(|c| word.slice(c as u32 * elem_width, elem_width).to_i64() as i32)
-        .collect()
+    assert!(
+        n as u32 * elem_width <= word.width(),
+        "{n} elements of {elem_width} bits overrun a {}-bit word",
+        word.width()
+    );
+    let mut out = Vec::with_capacity(n);
+    unpack_words(word.as_words(), elem_width, n, &mut out);
+    out
+}
+
+/// Packs signed elements into little-endian row words, element 0 in the
+/// low bits. Each element is truncated to `elem_width` (1..=64) bits;
+/// `out` is cleared first, so its bits above the row are zero.
+pub(crate) fn pack_words(row: &[i32], elem_width: u32, out: &mut [u64]) {
+    out.fill(0);
+    let m = u64::MAX >> (64 - elem_width);
+    for (c, &v) in row.iter().enumerate() {
+        let e = i64::from(v) as u64 & m;
+        let lo = c as u32 * elem_width;
+        let (w, sh) = ((lo / 64) as usize, lo % 64);
+        out[w] |= e << sh;
+        if sh + elem_width > 64 {
+            out[w + 1] |= e >> (64 - sh);
+        }
+    }
+}
+
+/// Appends `n` sign-extended `elem_width`-bit (1..=64) elements unpacked
+/// from little-endian row words, element 0 from the low bits.
+pub(crate) fn unpack_words(words: &[u64], elem_width: u32, n: usize, out: &mut Vec<i32>) {
+    let up = 64 - elem_width;
+    out.extend((0..n).map(|c| {
+        let lo = c as u32 * elem_width;
+        let (w, sh) = ((lo / 64) as usize, lo % 64);
+        let mut x = words[w] >> sh;
+        if sh + elem_width > 64 {
+            x |= words[w + 1] << (64 - sh);
+        }
+        ((x << up) as i64 >> up) as i32
+    }));
 }
 
 #[cfg(test)]
@@ -292,6 +328,37 @@ mod tests {
         let row = [-2048, -1, 0, 1, 2047, -100, 100, 7];
         let word = pack_elems_n(&row, 12);
         assert_eq!(unpack_elems_n(&word, 12, 8), row);
+        // Element 5 of a 96-bit row straddles bit 64; every element must
+        // land where the per-bit definition puts it.
+        assert_eq!(word.width(), 96);
+        for (c, &v) in row.iter().enumerate() {
+            let e = word.slice(c as u32 * 12, 12);
+            assert_eq!(e, Bits::from_i64(12, i64::from(v)), "element {c}");
+        }
+        assert_eq!(word.extract_u64(60, 12), 0xf9c, "-100 across the word seam");
+        // The 12-bit extremes, alternating, and a 9-bit output row.
+        let extremes = [-2048, 2047, -2048, 2047, -2048, 2047, -2048, 2047];
+        assert_eq!(
+            unpack_elems_n(&pack_elems_n(&extremes, 12), 12, 8),
+            extremes
+        );
+        let out_row = [-256, 255, -1, 0, 1, -200, 200, 7];
+        let out_word = pack_elems_n(&out_row, 9);
+        assert_eq!(out_word.width(), 72);
+        assert_eq!(unpack_elems_n(&out_word, 9, 8), out_row);
+        // Out-of-range values truncate to the element width.
+        assert_eq!(
+            unpack_elems_n(&pack_elems_n(&[256, -257], 9), 9, 2),
+            [-256, 255]
+        );
+        // A whole 8x8 block in one 768-bit beat (the stream kernels' shape).
+        let block: Vec<i32> = (0..64).map(|i| (i * 67 % 4096) - 2048).collect();
+        let beat = pack_elems_n(&block, 12);
+        assert_eq!(beat.width(), 768);
+        assert_eq!(unpack_elems_n(&beat, 12, 64), block);
+        for (c, &v) in block.iter().enumerate() {
+            assert_eq!(beat.slice(c as u32 * 12, 12).to_i64(), i64::from(v));
+        }
     }
 
     #[test]

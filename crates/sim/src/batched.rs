@@ -231,11 +231,37 @@ pub struct InPort {
     idx: usize,
 }
 
+impl InPort {
+    /// The port's bit width.
+    pub fn width(&self) -> u32 {
+        self.width
+    }
+
+    /// Little-endian `u64` words a value of this port occupies (see
+    /// [`BatchedSimulator::set_port_words`]).
+    pub fn words(&self) -> usize {
+        self.width.div_ceil(64) as usize
+    }
+}
+
 /// A pre-resolved output-port handle (see [`BatchedSimulator::out_port`]).
 #[derive(Clone, Copy, Debug)]
 pub struct OutPort {
     loc: Loc,
     width: u32,
+}
+
+impl OutPort {
+    /// The port's bit width.
+    pub fn width(&self) -> u32 {
+        self.width
+    }
+
+    /// Little-endian `u64` words a value of this port occupies (see
+    /// [`BatchedSimulator::get_port_words`]).
+    pub fn words(&self) -> usize {
+        self.width.div_ceil(64) as usize
+    }
 }
 
 /// A cycle-accurate simulator evaluating `L` independent stimulus lanes of
@@ -562,6 +588,37 @@ impl BatchedSimulator {
         }
     }
 
+    /// Writes one lane of an input from little-endian words, comparing in
+    /// place: only a changed value marks the port's cones dirty. Words
+    /// past the end of `words` read as zero and the top word is masked to
+    /// the port width, so the zero-top invariant holds. Every lane write
+    /// goes through here.
+    fn write_lane(&mut self, lane: usize, port: InPort, words: &[u64]) {
+        assert!(lane < self.lanes, "lane {lane} out of range");
+        let l = self.lanes;
+        let changed = match port.loc {
+            Loc::N(s) => {
+                let v = words.first().copied().unwrap_or(0) & mask(port.width);
+                std::mem::replace(&mut self.narrow[s as usize * l + lane], v) != v
+            }
+            Loc::W(s) => {
+                let s = s as usize;
+                let n = self.wwords[s];
+                let base = self.wbase[s] + lane;
+                let mut changed = false;
+                for w in 0..n {
+                    let mut v = words.get(w).copied().unwrap_or(0);
+                    if w == n - 1 {
+                        v &= top_mask(port.width);
+                    }
+                    changed |= std::mem::replace(&mut self.wide[base + w * l], v) != v;
+                }
+                changed
+            }
+        };
+        self.touch_input(port.idx, changed);
+    }
+
     /// Drives an input port on one lane.
     ///
     /// # Panics
@@ -569,57 +626,20 @@ impl BatchedSimulator {
     /// Panics if `lane` is out of range, no input named `name` exists, or
     /// the width differs.
     pub fn set(&mut self, lane: usize, name: &str, value: Bits) {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        let idx = self.low.input_idx(name);
-        let (loc, width) = self.low.input_locs[idx];
-        assert_eq!(width, value.width(), "input {name:?} width");
-        let changed = match loc {
-            Loc::N(s) => {
-                let v = value.to_u64();
-                std::mem::replace(&mut self.narrow[s as usize * self.lanes + lane], v) != v
-            }
-            Loc::W(s) => {
-                let b = self.wbase[s as usize];
-                let old = gather_bits(&self.wide[b..], self.lanes, lane, width);
-                if old == value {
-                    false
-                } else {
-                    scatter_bits(&mut self.wide[b..], self.lanes, lane, &value);
-                    true
-                }
-            }
-        };
-        self.touch_input(idx, changed);
+        let port = self.in_port(name);
+        assert_eq!(port.width, value.width(), "input {name:?} width");
+        self.write_lane(lane, port, value.as_words());
     }
 
     /// Drives an input port on one lane from a `u64` (truncated to the port
-    /// width).
+    /// width; the high words of a wide port are zeroed).
     ///
     /// # Panics
     ///
     /// Panics if `lane` is out of range or no input named `name` exists.
     pub fn set_u64(&mut self, lane: usize, name: &str, value: u64) {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        let idx = self.low.input_idx(name);
-        let (loc, width) = self.low.input_locs[idx];
-        let changed = match loc {
-            Loc::N(s) => {
-                let v = value & mask(width);
-                std::mem::replace(&mut self.narrow[s as usize * self.lanes + lane], v) != v
-            }
-            Loc::W(s) => {
-                let s = s as usize;
-                let b = self.wbase[s];
-                // Wide ports are > 64 bits: low word takes the value whole.
-                // Conservatively treated as changed.
-                self.wide[b + lane] = value;
-                for w in 1..self.wwords[s] {
-                    self.wide[b + w * self.lanes + lane] = 0;
-                }
-                true
-            }
-        };
-        self.touch_input(idx, changed);
+        let port = self.in_port(name);
+        self.write_lane(lane, port, &[value]);
     }
 
     /// Drives an input port to the same `u64` on every lane (the usual way
@@ -629,8 +649,9 @@ impl BatchedSimulator {
     ///
     /// Panics if no input named `name` exists.
     pub fn set_all_u64(&mut self, name: &str, value: u64) {
+        let port = self.in_port(name);
         for lane in 0..self.lanes {
-            self.set_u64(lane, name, value);
+            self.write_lane(lane, port, &[value]);
         }
     }
 
@@ -663,51 +684,20 @@ impl BatchedSimulator {
     ///
     /// Panics if `lane` is out of range.
     pub fn set_port_u64(&mut self, lane: usize, port: InPort, value: u64) {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        let changed = match port.loc {
-            Loc::N(s) => {
-                let v = value & mask(port.width);
-                std::mem::replace(&mut self.narrow[s as usize * self.lanes + lane], v) != v
-            }
-            Loc::W(s) => {
-                let s = s as usize;
-                let b = self.wbase[s];
-                self.wide[b + lane] = value;
-                for w in 1..self.wwords[s] {
-                    self.wide[b + w * self.lanes + lane] = 0;
-                }
-                true
-            }
-        };
-        self.touch_input(port.idx, changed);
+        self.write_lane(lane, port, &[value]);
     }
 
-    /// Drives a pre-resolved input port on one lane, borrowing the value
-    /// (no clone). The fast-path equivalent of [`set`](Self::set).
+    /// Drives a pre-resolved input port on one lane from its little-endian
+    /// words ([`InPort::words`] of them; bits above the width are
+    /// ignored). The allocation-free equivalent of [`set`](Self::set): an
+    /// unchanged value leaves the port's cones clean.
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is out of range or the width differs.
-    pub fn set_port(&mut self, lane: usize, port: InPort, value: &Bits) {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        assert_eq!(port.width, value.width(), "input port width");
-        let changed = match port.loc {
-            Loc::N(s) => {
-                let v = value.to_u64();
-                std::mem::replace(&mut self.narrow[s as usize * self.lanes + lane], v) != v
-            }
-            Loc::W(s) => {
-                let b = self.wbase[s as usize];
-                let old = gather_bits(&self.wide[b..], self.lanes, lane, port.width);
-                if &old == value {
-                    false
-                } else {
-                    scatter_bits(&mut self.wide[b..], self.lanes, lane, value);
-                    true
-                }
-            }
-        };
-        self.touch_input(port.idx, changed);
+    /// Panics if `lane` is out of range or `words` has the wrong length.
+    pub fn set_port_words(&mut self, lane: usize, port: InPort, words: &[u64]) {
+        assert_eq!(words.len(), port.words(), "input port word count");
+        self.write_lane(lane, port, words);
     }
 
     /// Reads a narrow (≤ 64-bit) pre-resolved output port on one lane
@@ -725,16 +715,27 @@ impl BatchedSimulator {
         }
     }
 
-    /// Reads a pre-resolved output port on one lane (evaluating first if
-    /// necessary).
+    /// Copies a pre-resolved output port on one lane into `out` as
+    /// little-endian words ([`OutPort::words`] of them), evaluating first
+    /// if necessary. The allocation-free equivalent of [`get`](Self::get).
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is out of range.
-    pub fn get_port(&mut self, lane: usize, port: OutPort) -> Bits {
+    /// Panics if `lane` is out of range or `out` has the wrong length.
+    pub fn get_port_words(&mut self, lane: usize, port: OutPort, out: &mut [u64]) {
         assert!(lane < self.lanes, "lane {lane} out of range");
+        assert_eq!(out.len(), port.words(), "output port word count");
         self.eval();
-        self.read_loc(lane, port.loc, port.width)
+        let l = self.lanes;
+        match port.loc {
+            Loc::N(s) => out[0] = self.narrow[s as usize * l + lane],
+            Loc::W(s) => {
+                let base = self.wbase[s as usize] + lane;
+                for (w, o) in out.iter_mut().enumerate() {
+                    *o = self.wide[base + w * l];
+                }
+            }
+        }
     }
 
     /// Reads back the `u64` currently driving a narrow pre-resolved input

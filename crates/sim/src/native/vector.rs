@@ -265,13 +265,13 @@ impl NativeBatchedSimulator {
         self.sim.set_port_u64(lane, port, value);
     }
 
-    /// See [`BatchedSimulator::set_port`].
+    /// See [`BatchedSimulator::set_port_words`].
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is out of range or the width differs.
-    pub fn set_port(&mut self, lane: usize, port: InPort, value: &Bits) {
-        self.sim.set_port(lane, port, value);
+    /// Panics if `lane` is out of range or `words` has the wrong length.
+    pub fn set_port_words(&mut self, lane: usize, port: InPort, words: &[u64]) {
+        self.sim.set_port_words(lane, port, words);
     }
 
     /// Reads an output port on one lane as a `u64` (evaluating first if
@@ -285,14 +285,16 @@ impl NativeBatchedSimulator {
         self.sim.get_port_u64(lane, port)
     }
 
-    /// Reads an output port on one lane (evaluating first if necessary).
+    /// Copies an output port on one lane into `out` as little-endian words
+    /// (evaluating first if necessary); see
+    /// [`BatchedSimulator::get_port_words`].
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is out of range.
-    pub fn get_port(&mut self, lane: usize, port: OutPort) -> Bits {
+    /// Panics if `lane` is out of range or `out` has the wrong length.
+    pub fn get_port_words(&mut self, lane: usize, port: OutPort, out: &mut [u64]) {
         self.eval();
-        self.sim.get_port(lane, port)
+        self.sim.get_port_words(lane, port, out);
     }
 
     /// See [`BatchedSimulator::input_port_u64`].

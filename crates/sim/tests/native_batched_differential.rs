@@ -188,6 +188,134 @@ fn single_lane_matches_scalar_oracle() {
     }
 }
 
+/// Port widths for the word-accessor test: one bit, one full word, a
+/// ragged second word, and a third word.
+const WORD_WIDTHS: [u32; 4] = [1, 64, 96, 130];
+
+/// Per width `w`: input `a{w}`, its pass-through `p{w}`, its register
+/// `q{w}`, and `x{w} = a{w} ^ q{w}` in a cone of its own. A one-bit
+/// `kick` feeds one more cone, so a settle can be forced without touching
+/// the data ports.
+fn port_words_module() -> hc_rtl::Module {
+    let mut m = hc_rtl::Module::new("port_words");
+    for w in WORD_WIDTHS {
+        let a = m.input(format!("a{w}"), w);
+        m.output(format!("p{w}"), a);
+        let r = m.reg(format!("r{w}"), w, Bits::zero(w));
+        m.connect_reg(r, a);
+        let q = m.reg_out(r);
+        m.output(format!("q{w}"), q);
+        let x = m.binary(hc_rtl::BinaryOp::Xor, a, q, w);
+        m.output(format!("x{w}"), x);
+    }
+    let kick = m.input("kick", 1);
+    let kicked = m.unary(hc_rtl::UnaryOp::Not, kick);
+    m.output("kicked", kicked);
+    m
+}
+
+/// Checks one engine type's word accessors at one lane count: words
+/// written with `set_port_words` and read with `get_port_words` equal the
+/// by-name `Bits` path on a twin engine, and rewriting unchanged words
+/// leaves every data cone clean.
+macro_rules! check_port_words {
+    ($engine:ty, $lanes:expr, $rng:expr) => {{
+        let lanes: usize = $lanes;
+        let rng: &mut Lcg = $rng;
+        let engine = stringify!($engine);
+        let mut words = <$engine>::new(port_words_module(), lanes).expect("validates");
+        let mut named = <$engine>::new(port_words_module(), lanes).expect("validates");
+        let ins: Vec<(String, hc_sim::InPort)> = WORD_WIDTHS
+            .iter()
+            .map(|w| {
+                let name = format!("a{w}");
+                let port = words.in_port(&name);
+                assert_eq!(port.words(), w.div_ceil(64) as usize, "{name}");
+                (name, port)
+            })
+            .collect();
+        let outs: Vec<(String, hc_sim::OutPort)> = ["p", "q", "x"]
+            .iter()
+            .flat_map(|k| WORD_WIDTHS.iter().map(move |w| format!("{k}{w}")))
+            .map(|name| {
+                let port = words.out_port(&name);
+                (name, port)
+            })
+            .collect();
+        let read_all = |sim: &mut $engine| -> Vec<Vec<u64>> {
+            let mut all = Vec::new();
+            for lane in 0..lanes {
+                for (_, port) in &outs {
+                    let mut buf = vec![0; port.words()];
+                    sim.get_port_words(lane, *port, &mut buf);
+                    all.push(buf);
+                }
+            }
+            all
+        };
+        for round in 0..4 {
+            for lane in 0..lanes {
+                for (name, port) in &ins {
+                    let v = rng.bits(port.width());
+                    words.set_port_words(lane, *port, v.as_words());
+                    named.set(lane, name, v);
+                }
+            }
+            for lane in 0..lanes {
+                for (name, port) in &outs {
+                    let want = named.get(lane, name);
+                    let mut got = vec![0; port.words()];
+                    words.get_port_words(lane, *port, &mut got);
+                    assert_eq!(
+                        got,
+                        want.as_words(),
+                        "{engine}, {lanes} lanes: lane {lane} {name} round {round}"
+                    );
+                    assert_eq!(words.get(lane, name), want, "{engine}: get vs words");
+                }
+            }
+            words.step();
+            named.step();
+        }
+        // Settle, then rewrite every data port with its current value
+        // (through both write paths) and flip `kick`: only kick's cone
+        // may run, every other cone counts as skipped, and no output moves.
+        let settled = read_all(&mut words);
+        let report = words
+            .tape_opt_report()
+            .expect("tape optimizer is on by default");
+        for lane in 0..lanes {
+            for (name, port) in &ins {
+                let current = words.input_value(lane, name);
+                words.set_port_words(lane, *port, current.as_words());
+                words.set(lane, name, current);
+            }
+        }
+        words.set_all_u64("kick", 1);
+        assert_eq!(read_all(&mut words), settled, "{engine}, {lanes} lanes");
+        let skipped = words.tape_opt_report().unwrap().cones_skipped - report.cones_skipped;
+        assert!(report.cones >= 5, "{engine}: {} cones", report.cones);
+        assert_eq!(
+            skipped,
+            report.cones as u64 - 1,
+            "{engine}, {lanes} lanes: an unchanged rewrite dirtied a cone"
+        );
+    }};
+}
+
+/// The allocation-free word accessors of both batched engines agree with
+/// the by-name `Bits` accessors on narrow, one-word, ragged and three-word
+/// ports, pass-through and registered, at every lane-group shape.
+#[test]
+fn port_words_match_the_bits_path() {
+    let _guard = CFG_LOCK.lock().unwrap();
+    let mut rng = Lcg(0x5eed_0f30_575a_11ab);
+    for lanes in [1, 3, 5, 16] {
+        check_port_words!(BatchedSimulator, lanes, &mut rng);
+        check_port_words!(NativeBatchedSimulator, lanes, &mut rng);
+    }
+}
+
 /// Applies one cycle of stimulus to one lane of either engine (mirrors
 /// `common::drive`).
 macro_rules! set_lane {

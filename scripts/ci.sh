@@ -76,6 +76,18 @@ if [ "$(uname -m)" = "x86_64" ] && grep -q avx2 /proc/cpuinfo; then
     }
     END { if (!seen) { print "native_batched_speedup_vs_batched missing from BENCH_sim.json"; exit 1 } }
   ' BENCH_sim.json
+  # The AXI harness around the vector JIT must deliver a real share of the
+  # engine-only rate (both driven through resolved port handles).
+  awk -F'[:,]' '
+    /"native_batched_harness_engine_ratio"/ {
+      seen = 1
+      if ($2 + 0 < 0.3) {
+        print "batched harness too slow vs its engine: " $2 "x of the engine rate (need >= 0.3)"; exit 1
+      }
+      print "vector JIT harness/engine ratio:" $2 "x"
+    }
+    END { if (!seen) { print "native_batched_harness_engine_ratio missing from BENCH_sim.json"; exit 1 } }
+  ' BENCH_sim.json
   echo "== forced-fallback A/B twin (differential suite under HC_NO_NATIVE_BATCHED=1)"
   HC_NO_NATIVE_BATCHED=1 cargo test -q -p hc-sim --test native_batched_differential
 else
