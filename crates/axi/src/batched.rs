@@ -9,7 +9,7 @@
 //! lanes — and, on AVX2 hosts, each combinational cone runs as JIT-emitted
 //! vector code over the lane store (four lanes per 256-bit register),
 //! falling back to the interpreted batched engine elsewhere or under
-//! `HC_NO_NATIVE_BATCHED=1`. Lanes that drain their sequence early are
+//! `HC_NO_NATIVE=1`. Lanes that drain their sequence early are
 //! masked out of the clock (their cycle counters freeze at completion,
 //! preserving the per-stream timing figures).
 //!

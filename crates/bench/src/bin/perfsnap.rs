@@ -19,7 +19,7 @@
 //!    lane-cycles/sec is directly comparable to the scalar figures).
 //!    Measured twice: the vector-JIT tier as built by default
 //!    (per-cone AVX2 codegen over the lane store) and an interpreted
-//!    A/B twin built under an `HC_NO_NATIVE_BATCHED` override. Both
+//!    A/B twin built under an `HC_NO_NATIVE` override. Both
 //!    engines are additionally timed *engine-level* (direct per-lane
 //!    stimulus + step, no AXI protocol), which isolates the component
 //!    the JIT replaces; that ratio is
@@ -27,9 +27,8 @@
 //!    while the harness-level ratio lands in
 //!    `native_batched_harness_speedup`, and the vector-JIT tier's
 //!    harness-level over engine-level rate in
-//!    `native_batched_harness_engine_ratio` (also gated). The detected
-//!    SIMD tier and per-design vector-cone/fallback counts are recorded
-//!    alongside.
+//!    `native_batched_harness_engine_ratio` (also gated). Per-design
+//!    vector-cone/fallback counts are recorded alongside.
 //! 4. **Native (per-cone JIT) throughput** on the same stream, with a
 //!    native-off A/B twin (the identical engine built under an
 //!    `HC_NO_NATIVE` override, i.e. the tape interpreter inside the same
@@ -52,12 +51,21 @@
 //!
 //! Usage: `cargo run -p hc-bench --release --bin perfsnap [nblocks]`
 //! (`nblocks` sizes the sweep simulation effort; default 2).
+//!
+//! The file is one [`Json`] document written with [`Json::pretty`];
+//! `benchgate` reads it back for the CI gates.
 
 use std::time::{Duration, Instant};
 
 use hc_axi::{BatchedStreamHarness, StreamHarness};
 use hc_idct::generator::BlockGen;
-use hc_sim::{EngineOptions, NativeBatchedReport, NativeBatchedSimulator, TapeOptReport};
+use hc_obs::{jobj, Json};
+use hc_sim::{
+    EngineOptions, NativeBatchedReport, NativeBatchedSimulator, SimBackend, TapeOptReport,
+};
+
+/// One 8x8 input block.
+type Block = [[i32; 8]; 8];
 
 /// Best cycles/sec over 3 timed repetitions (after one warmup rep). The
 /// closure streams one batch through an already-built engine and returns the
@@ -81,61 +89,73 @@ fn rate<F: FnMut() -> u64>(mut run_batch: F) -> f64 {
     best
 }
 
-/// Formats the *static* half of a [`TapeOptReport`] as a JSON object —
-/// everything the optimizer decided at construction. The runtime
-/// `cones_skipped` counter is deliberately excluded: it measures how many
-/// cone evaluations activity gating elided *during whatever run the engine
-/// happened to do*, so folding it into this object made the top-level
-/// report (observed over the timed streaming run) disagree with the
-/// per-design `tape[]` entries (engines that never stepped, always 0).
-/// The main run's figure is emitted separately as
-/// `cones_skipped_runtime`.
-fn report_json(r: &TapeOptReport) -> String {
-    format!(
-        "{{\"instrs_pre\": {}, \"instrs_post\": {}, \"fused\": {}, \
-         \"forwarded\": {}, \"cse\": {}, \"strength_reduced\": {}, \
-         \"dead_removed\": {}, \
-         \"narrow_slots_pre\": {}, \"narrow_slots_post\": {}, \
-         \"wide_slots_pre\": {}, \"wide_slots_post\": {}, \
-         \"cones\": {}}}",
-        r.instrs_pre,
-        r.instrs_post,
-        r.fused,
-        r.forwarded,
-        r.cse,
-        r.strength_reduced,
-        r.dead_removed,
-        r.narrow_slots_pre,
-        r.narrow_slots_post,
-        r.wide_slots_pre,
-        r.wide_slots_post,
-        r.cones,
-    )
+/// [`rate`] of a scalar harness streaming `inputs`, in simulated cycles.
+fn stream_rate<B: SimBackend>(h: &mut StreamHarness<B>, inputs: &[Block], budget: u64) -> f64 {
+    rate(|| {
+        let before = h.simulator_mut().cycle();
+        assert_eq!(h.run(inputs, budget).0.len(), inputs.len());
+        h.simulator_mut().cycle() - before
+    })
 }
 
-/// The `"store"` section: the persistent tier's hit/miss deltas over the
-/// first sweep plus the on-disk log's own stats (or `{"enabled": false}`
-/// when `HC_STORE_DIR` is unset).
-fn store_json(enabled: bool, front: (u64, u64), measure: (u64, u64)) -> String {
-    let Some(store) = hc_core::persist::store() else {
-        return "{\"enabled\": false}".to_owned();
+/// [`rate`] of a batched harness streaming `inputs`, in lane-cycles.
+fn batched_rate(h: &mut BatchedStreamHarness, inputs: &[Block], budget: u64) -> f64 {
+    let lane_cycles = |h: &mut BatchedStreamHarness| {
+        let sim = h.simulator_mut();
+        (0..sim.lanes()).map(|lane| sim.cycle(lane)).sum::<u64>()
     };
-    let s = store.stats();
-    format!(
-        "{{\"enabled\": {enabled}, \"front_hits\": {}, \"front_misses\": {}, \
-         \"measure_hits\": {}, \"measure_misses\": {}, \
-         \"segments\": {}, \"records\": {}, \"live_bytes\": {}, \
-         \"dead_bytes\": {}, \"compactions\": {}}}",
-        front.0,
-        front.1,
-        measure.0,
-        measure.1,
-        s.segments,
-        s.records,
-        s.live_bytes,
-        s.dead_bytes,
-        s.compactions,
-    )
+    rate(|| {
+        let before = lane_cycles(h);
+        assert_eq!(h.run_blocks(inputs, budget).0.len(), inputs.len());
+        lane_cycles(h) - before
+    })
+}
+
+/// Builds an engine with both JIT tiers off (a temporary `HC_NO_NATIVE`
+/// override): the interpreted A/B twin of whatever `build` constructs.
+/// The decision is taken at engine construction, so restoring the config
+/// right after the build keeps the override window minimal.
+fn without_jit<T>(build: impl FnOnce() -> T) -> T {
+    let baseline = (*hc_obs::config()).clone();
+    hc_obs::config::set_override(hc_obs::Config {
+        no_native: true,
+        ..baseline.clone()
+    });
+    let built = build();
+    hc_obs::config::set_override(baseline);
+    built
+}
+
+/// `x` rounded to `decimals` places: rates per second to integers, ratios
+/// to 2 places, seconds to 3, Q and hit rates to 4.
+fn round(x: f64, decimals: i32) -> Json {
+    let scale = 10f64.powi(decimals);
+    Json::Num((x * scale).round() / scale)
+}
+
+/// The *static* half of a [`TapeOptReport`] — everything the optimizer
+/// decided at construction. The runtime `cones_skipped` counter is
+/// deliberately excluded: it measures how many cone evaluations activity
+/// gating elided *during whatever run the engine happened to do*, so
+/// folding it in made the top-level report (observed over the timed
+/// streaming run) disagree with the per-design `tape[]` entries (engines
+/// that never stepped, always 0). The main run's figure is recorded
+/// separately as `cones_skipped_runtime`.
+fn tapeopt_json(r: &TapeOptReport) -> Json {
+    jobj! {
+        "instrs_pre" => r.instrs_pre,
+        "instrs_post" => r.instrs_post,
+        "fused" => r.fused,
+        "forwarded" => r.forwarded,
+        "cse" => r.cse,
+        "strength_reduced" => r.strength_reduced,
+        "dead_removed" => r.dead_removed,
+        "narrow_slots_pre" => r.narrow_slots_pre,
+        "narrow_slots_post" => r.narrow_slots_post,
+        "wide_slots_pre" => r.wide_slots_pre,
+        "wide_slots_post" => r.wide_slots_post,
+        "cones" => r.cones,
+    }
 }
 
 fn main() {
@@ -146,91 +166,38 @@ fn main() {
 
     let module = hc_verilog::designs::initial_design().expect("parses");
     let blocks = BlockGen::new(3, -2048, 2047).take_blocks(64);
-    let inputs: Vec<[[i32; 8]; 8]> = blocks.iter().map(|b| b.0).collect();
+    let inputs: Vec<Block> = blocks.iter().map(|b| b.0).collect();
     let budget = 2000 * (inputs.len() as u64 + 4);
     let lanes = hc_axi::lanes_for_blocks(inputs.len());
 
     println!("simulating 64 blocks on the Verilog initial design...");
     let mut ih = StreamHarness::new(module.clone()).expect("validates");
-    let ihz = rate(|| {
-        let before = ih.simulator_mut().cycle();
-        let n = ih.run(&inputs, budget).0.len();
-        assert_eq!(n, inputs.len());
-        ih.simulator_mut().cycle() - before
-    });
+    let ihz = stream_rate(&mut ih, &inputs, budget);
     let mut ch = StreamHarness::compiled(module.clone()).expect("validates");
-    let chz = rate(|| {
-        let before = ch.simulator_mut().cycle();
-        let n = ch.run(&inputs, budget).0.len();
-        assert_eq!(n, inputs.len());
-        ch.simulator_mut().cycle() - before
-    });
+    let chz = stream_rate(&mut ch, &inputs, budget);
     let mut rh = StreamHarness::compiled_with_options(module.clone(), EngineOptions::no_tape_opt())
         .expect("validates");
-    let chz_raw = rate(|| {
-        let before = rh.simulator_mut().cycle();
-        let n = rh.run(&inputs, budget).0.len();
-        assert_eq!(n, inputs.len());
-        rh.simulator_mut().cycle() - before
-    });
+    let chz_raw = stream_rate(&mut rh, &inputs, budget);
     // Native (per-cone JIT) A/B: the same harness type twice, once as
-    // built by default (JIT where the target supports it) and once under a
-    // temporary HC_NO_NATIVE override — the decision is taken at engine
-    // construction, so restoring the config right after build keeps the
-    // override window minimal. Off x86-64 both figures are the interpreted
-    // tape and the speedup reads ~1.0 (ci.sh skips the gate there).
+    // built by default (JIT where the target supports it) and once without
+    // the JIT. Off x86-64 both figures are the interpreted tape and the
+    // speedup reads ~1.0 (benchgate skips the gate there).
     let mut nh = StreamHarness::native(module.clone()).expect("validates");
-    let nhz = rate(|| {
-        let before = nh.simulator_mut().cycle();
-        let n = nh.run(&inputs, budget).0.len();
-        assert_eq!(n, inputs.len());
-        nh.simulator_mut().cycle() - before
-    });
+    let nhz = stream_rate(&mut nh, &inputs, budget);
     let native_report = nh.simulator_mut().native_report();
-    let baseline_cfg = (*hc_obs::config()).clone();
-    let mut off_cfg = baseline_cfg.clone();
-    off_cfg.no_native = true;
-    hc_obs::config::set_override(off_cfg);
-    let mut oh = StreamHarness::native(module.clone()).expect("validates");
-    hc_obs::config::set_override(baseline_cfg);
-    let nhz_off = rate(|| {
-        let before = oh.simulator_mut().cycle();
-        let n = oh.run(&inputs, budget).0.len();
-        assert_eq!(n, inputs.len());
-        oh.simulator_mut().cycle() - before
-    });
+    let mut oh = without_jit(|| StreamHarness::native(module.clone()).expect("validates"));
+    let nhz_off = stream_rate(&mut oh, &inputs, budget);
     let mut bh = BatchedStreamHarness::new(module.clone(), lanes).expect("validates");
-    let bhz = rate(|| {
-        let sim = bh.simulator_mut();
-        let before: u64 = (0..sim.lanes()).map(|lane| sim.cycle(lane)).sum();
-        let n = bh.run_blocks(&inputs, budget).0.len();
-        assert_eq!(n, inputs.len());
-        let sim = bh.simulator_mut();
-        let after: u64 = (0..sim.lanes()).map(|lane| sim.cycle(lane)).sum();
-        after - before
-    });
+    let bhz = batched_rate(&mut bh, &inputs, budget);
     let nb_report = bh.simulator_mut().native_batched_report();
     let nb_active = bh.simulator_mut().vector_active();
-    // Vector-JIT A/B: the identical batched harness built under a
-    // temporary HC_NO_NATIVE_BATCHED override, i.e. the interpreted
-    // batched engine (AVX2 lane kernels and all) inside the same
-    // wrapper. Off AVX2 hosts both figures are interpreted and the
-    // speedup reads ~1.0 (ci.sh skips the gate there).
-    let baseline_cfg = (*hc_obs::config()).clone();
-    let mut off_cfg = baseline_cfg.clone();
-    off_cfg.no_native_batched = true;
-    hc_obs::config::set_override(off_cfg);
-    let mut obh = BatchedStreamHarness::new(module.clone(), lanes).expect("validates");
-    hc_obs::config::set_override(baseline_cfg);
-    let bhz_off = rate(|| {
-        let sim = obh.simulator_mut();
-        let before: u64 = (0..sim.lanes()).map(|lane| sim.cycle(lane)).sum();
-        let n = obh.run_blocks(&inputs, budget).0.len();
-        assert_eq!(n, inputs.len());
-        let sim = obh.simulator_mut();
-        let after: u64 = (0..sim.lanes()).map(|lane| sim.cycle(lane)).sum();
-        after - before
-    });
+    // Vector-JIT A/B: the identical batched harness built without the JIT,
+    // i.e. the interpreted batched engine inside the same wrapper. Off
+    // AVX2 hosts both figures are interpreted and the speedup reads ~1.0
+    // (benchgate skips the gate there).
+    let mut obh =
+        without_jit(|| BatchedStreamHarness::new(module.clone(), lanes).expect("validates"));
+    let bhz_off = batched_rate(&mut obh, &inputs, budget);
     // Engine-level lane throughput: the same two engines driven directly
     // (fresh stimulus on every lane, eval + step, no AXI protocol or
     // harness bookkeeping), isolating the component the vector JIT
@@ -238,12 +205,8 @@ fn main() {
     // above fold in protocol simulation that both engines pay equally,
     // which dilutes the ratio and makes it noisy around a threshold.
     let mut evjit = NativeBatchedSimulator::new(module.clone(), lanes).expect("validates");
-    let baseline_cfg = (*hc_obs::config()).clone();
-    let mut off_cfg = baseline_cfg.clone();
-    off_cfg.no_native_batched = true;
-    hc_obs::config::set_override(off_cfg);
-    let mut einterp = NativeBatchedSimulator::new(module.clone(), lanes).expect("validates");
-    hc_obs::config::set_override(baseline_cfg);
+    let mut einterp =
+        without_jit(|| NativeBatchedSimulator::new(module.clone(), lanes).expect("validates"));
     // The stimulus port is resolved once, as the harness resolves its
     // ports, so a by-name lookup per lane per cycle does not understate
     // the engine rate the harness is compared against.
@@ -264,17 +227,9 @@ fn main() {
     let ebhz = engine_rate(&mut evjit, 1);
     let ebhz_off = engine_rate(&mut einterp, 2);
     // Harness-level over engine-level throughput of the vector-JIT tier:
-    // the share of the engine's rate the AXI harness delivers (ci.sh
+    // the share of the engine's rate the AXI harness delivers (benchgate
     // gates it on AVX2 hosts).
     let harness_engine_ratio = bhz / ebhz;
-    #[cfg(target_arch = "x86_64")]
-    let simd_tier = if std::arch::is_x86_feature_detected!("avx2") && !hc_obs::config().no_simd {
-        "avx2"
-    } else {
-        "scalar"
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let simd_tier = "scalar";
     // The measured design's optimizer report, with the cones-skipped
     // counter observed over the whole timed streaming run above.
     let main_report = ch
@@ -306,7 +261,7 @@ fn main() {
     );
     println!(
         "  vector JIT batched: {bhz:12.0} lane-cycles/sec  ({nb_harness_speedup:.2}x vs \
-         batched; {} cones compiled, {} fallback, {} code bytes, {simd_tier} tier)",
+         batched; {} cones compiled, {} fallback, {} code bytes)",
         nb_report.cones_compiled, nb_report.cones_fallback, nb_report.code_bytes
     );
     println!(
@@ -366,26 +321,26 @@ fn main() {
         .map(|(_, _, _, r, _)| r.fused)
         .min()
         .unwrap_or(0);
-    let tape_json = tape_rows
+    let tape_json: Vec<Json> = tape_rows
         .iter()
         .map(|(label, pre, post, report, vjit)| {
-            format!(
-                "{{\"design\": \"{label}\", \"tape_pre\": {pre}, \"tape_post\": {post}, \
-                 \"tapeopt\": {}, \"vjit_cones_compiled\": {}, \"vjit_cones_fallback\": {}}}",
-                report_json(report),
-                vjit.cones_compiled,
-                vjit.cones_fallback,
-            )
+            jobj! {
+                "design" => label.as_str(),
+                "tape_pre" => *pre,
+                "tape_post" => *post,
+                "tapeopt" => tapeopt_json(report),
+                "vjit_cones_compiled" => vjit.cones_compiled,
+                "vjit_cones_fallback" => vjit.cones_fallback,
+            }
         })
-        .collect::<Vec<_>>()
-        .join(",\n    ");
+        .collect();
 
     println!("kernel x frontend matrix (nblocks = {nblocks})...");
     // Every registry kernel across all seven frontends: measure_cell
     // asserts golden agreement, so a cell only lands here (with
     // "agreement": true) if it was bit-exact; ci.sh gates on all
     // kernels x frontends being present and agreeing.
-    let mut matrix_entries: Vec<String> = Vec::new();
+    let mut matrix_json: Vec<(String, Json)> = Vec::new();
     for spec in hc_bench::kernels::kernels() {
         let rows = hc_core::matrix::measure_kernel_matrix(&spec, nblocks.max(2));
         for row in &rows {
@@ -394,23 +349,19 @@ fn main() {
                 "  {:26} {:9.1} MOPS  Q {:10.3}  T_P {:4}  alpha {:6.1}%  C_Q {:6.1}%",
                 m.label, m.throughput_mops, m.q, m.periodicity, row.automation, row.controllability
             );
-            matrix_entries.push(format!(
-                "\"{}\": {{\"throughput_mops\": {:.2}, \"q\": {:.4}, \
-                 \"periodicity\": {}, \"latency\": {}, \"loc\": {}, \
-                 \"automation\": {:.1}, \"controllability\": {:.1}, \
-                 \"agreement\": true}}",
-                m.label,
-                m.throughput_mops,
-                m.q,
-                m.periodicity,
-                m.latency,
-                m.loc,
-                row.automation,
-                row.controllability,
-            ));
+            let cell = jobj! {
+                "throughput_mops" => round(m.throughput_mops, 2),
+                "q" => round(m.q, 4),
+                "periodicity" => m.periodicity,
+                "latency" => m.latency,
+                "loc" => m.loc,
+                "automation" => round(row.automation, 1),
+                "controllability" => round(row.controllability, 1),
+                "agreement" => true,
+            };
+            matrix_json.push((m.label.clone(), cell));
         }
     }
-    let matrix_json = matrix_entries.join(",\n    ");
 
     println!("fig. 1 sweep (nblocks = {nblocks})...");
     // The first sweep of the process is the warm-start probe: with
@@ -470,77 +421,77 @@ fn main() {
     let point_p50 = hc_bench::percentile(&point_secs, 50.0);
     let point_p90 = hc_bench::percentile(&point_secs, 90.0);
 
-    let json = format!(
-        "{{\n  \"design\": \"verilog_initial\",\n  \"blocks\": 64,\n  \
-         \"interpreted_cycles_per_sec\": {ihz:.0},\n  \
-         \"compiled_cycles_per_sec\": {chz:.0},\n  \
-         \"compiled_raw_tape_cycles_per_sec\": {chz_raw:.0},\n  \
-         \"tapeopt_speedup\": {tapeopt_speedup:.2},\n  \
-         \"tapeopt_fused_min\": {tapeopt_fused_min},\n  \
-         \"tapeopt\": {main_rep},\n  \
-         \"cones_skipped_runtime\": {skipped},\n  \
-         \"sim_speedup\": {sim:.2},\n  \
-         \"native_cycles_per_sec\": {nhz:.0},\n  \
-         \"native_off_cycles_per_sec\": {nhz_off:.0},\n  \
-         \"native_speedup_vs_compiled\": {native_speedup:.2},\n  \
-         \"native_cones_compiled\": {ncc},\n  \
-         \"native_cones_fallback\": {ncf},\n  \
-         \"native_code_bytes\": {ncb},\n  \
-         \"batched_lanes\": {lanes},\n  \
-         \"simd_tier\": \"{simd_tier}\",\n  \
-         \"batched_lane_cycles_per_sec\": {bhz_off:.0},\n  \
-         \"batched_speedup_vs_compiled\": {bs:.2},\n  \
-         \"native_batched_lane_cycles_per_sec\": {bhz:.0},\n  \
-         \"native_batched_harness_speedup\": {nb_harness_speedup:.2},\n  \
-         \"batched_engine_lane_cycles_per_sec\": {ebhz_off:.0},\n  \
-         \"native_batched_engine_lane_cycles_per_sec\": {ebhz:.0},\n  \
-         \"native_batched_speedup_vs_batched\": {native_batched_speedup:.2},\n  \
-         \"native_batched_harness_engine_ratio\": {harness_engine_ratio:.2},\n  \
-         \"native_batched_active\": {nb_active},\n  \
-         \"native_batched_cones_compiled\": {nbc},\n  \
-         \"native_batched_cones_fallback\": {nbf},\n  \
-         \"native_batched_code_bytes\": {nbb},\n  \
-         \"fig1_nblocks\": {nblocks},\n  \
-         \"fig1_points\": {points},\n  \
-         \"fig1_serial_seconds\": {st:.3},\n  \
-         \"fig1_parallel_seconds\": {pt:.3},\n  \
-         \"fig1_first_sweep_seconds\": {fst:.3},\n  \
-         \"store_front_hit_rate\": {store_front_hit_rate:.4},\n  \
-         \"store\": {store_section},\n  \
-         \"fig1_speedup\": {sweep_speedup:.2},\n  \
-         \"fig1_chunk_size\": {chunk},\n  \
-         \"cache_hits\": {cache_hits},\n  \
-         \"cache_misses\": {cache_misses},\n  \
-         \"fig1_point_seconds_mean\": {point_mean:.4},\n  \
-         \"fig1_point_seconds_p50\": {point_p50:.4},\n  \
-         \"fig1_point_seconds_p90\": {point_p90:.4},\n  \
-         \"fig1_point_seconds_max\": {point_max:.4},\n  \
-         \"tape\": [\n    {tape_json}\n  ],\n  \
-         \"matrix\": {{\n    {matrix_json}\n  }},\n  \
-         \"metrics\": {metrics},\n  \
-         \"threads\": {threads}\n}}\n",
-        main_rep = report_json(&main_report),
-        skipped = main_report.cones_skipped,
-        sim = chz / ihz,
-        ncc = native_report.cones_compiled,
-        ncf = native_report.cones_fallback,
-        ncb = native_report.code_bytes,
-        bs = bhz_off / chz,
-        nbc = nb_report.cones_compiled,
-        nbf = nb_report.cones_fallback,
-        nbb = nb_report.code_bytes,
-        points = serial.len(),
-        st = serial_time.as_secs_f64(),
-        pt = parallel_time.as_secs_f64(),
-        fst = first_sweep_time.as_secs_f64(),
-        store_section = store_json(
-            store_on,
-            (front_hits, front_misses),
-            (meas_hits, meas_misses)
-        ),
-        metrics = hc_obs::metrics::snapshot_json(),
-    );
-    std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
+    // The `"store"` section: the persistent tier's hit/miss deltas over
+    // the first sweep plus the on-disk log's own stats.
+    let store_json = match hc_core::persist::store() {
+        None => jobj! { "enabled" => false },
+        Some(store) => {
+            let st = store.stats();
+            jobj! {
+                "enabled" => store_on,
+                "front_hits" => front_hits,
+                "front_misses" => front_misses,
+                "measure_hits" => meas_hits,
+                "measure_misses" => meas_misses,
+                "segments" => st.segments,
+                "records" => st.records,
+                "live_bytes" => st.live_bytes,
+                "dead_bytes" => st.dead_bytes,
+                "compactions" => st.compactions,
+            }
+        }
+    };
+    let json = jobj! {
+        "design" => "verilog_initial",
+        "blocks" => 64u32,
+        "interpreted_cycles_per_sec" => round(ihz, 0),
+        "compiled_cycles_per_sec" => round(chz, 0),
+        "compiled_raw_tape_cycles_per_sec" => round(chz_raw, 0),
+        "tapeopt_speedup" => round(tapeopt_speedup, 2),
+        "tapeopt_fused_min" => tapeopt_fused_min,
+        "tapeopt" => tapeopt_json(&main_report),
+        "cones_skipped_runtime" => main_report.cones_skipped,
+        "sim_speedup" => round(chz / ihz, 2),
+        "native_cycles_per_sec" => round(nhz, 0),
+        "native_off_cycles_per_sec" => round(nhz_off, 0),
+        "native_speedup_vs_compiled" => round(native_speedup, 2),
+        "native_cones_compiled" => native_report.cones_compiled,
+        "native_cones_fallback" => native_report.cones_fallback,
+        "native_code_bytes" => native_report.code_bytes,
+        "batched_lanes" => lanes,
+        "batched_lane_cycles_per_sec" => round(bhz_off, 0),
+        "batched_speedup_vs_compiled" => round(bhz_off / chz, 2),
+        "native_batched_lane_cycles_per_sec" => round(bhz, 0),
+        "native_batched_harness_speedup" => round(nb_harness_speedup, 2),
+        "batched_engine_lane_cycles_per_sec" => round(ebhz_off, 0),
+        "native_batched_engine_lane_cycles_per_sec" => round(ebhz, 0),
+        "native_batched_speedup_vs_batched" => round(native_batched_speedup, 2),
+        "native_batched_harness_engine_ratio" => round(harness_engine_ratio, 2),
+        "native_batched_active" => nb_active,
+        "native_batched_cones_compiled" => nb_report.cones_compiled,
+        "native_batched_cones_fallback" => nb_report.cones_fallback,
+        "native_batched_code_bytes" => nb_report.code_bytes,
+        "fig1_nblocks" => nblocks,
+        "fig1_points" => serial.len(),
+        "fig1_serial_seconds" => round(serial_time.as_secs_f64(), 3),
+        "fig1_parallel_seconds" => round(parallel_time.as_secs_f64(), 3),
+        "fig1_first_sweep_seconds" => round(first_sweep_time.as_secs_f64(), 3),
+        "store_front_hit_rate" => round(store_front_hit_rate, 4),
+        "store" => store_json,
+        "fig1_speedup" => round(sweep_speedup, 2),
+        "fig1_chunk_size" => chunk,
+        "cache_hits" => cache_hits,
+        "cache_misses" => cache_misses,
+        "fig1_point_seconds_mean" => round(point_mean, 4),
+        "fig1_point_seconds_p50" => round(point_p50, 4),
+        "fig1_point_seconds_p90" => round(point_p90, 4),
+        "fig1_point_seconds_max" => round(point_max, 4),
+        "tape" => tape_json,
+        "matrix" => Json::Obj(matrix_json),
+        "metrics" => hc_obs::metrics::snapshot_json(),
+        "threads" => threads,
+    };
+    std::fs::write("BENCH_sim.json", json.pretty()).expect("write BENCH_sim.json");
     println!("(written to BENCH_sim.json)");
 
     // With HC_TRACE=<path> set, every span recorded above lands in one

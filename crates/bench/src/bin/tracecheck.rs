@@ -1,7 +1,7 @@
 //! Validates a Chrome-trace JSON file produced via `HC_TRACE`.
 //!
 //! CI runs one traced `perfsnap` point and then this checker, which
-//! asserts the trace (a) parses as JSON (with `hc_serve`'s parser), (b)
+//! asserts the trace (a) parses as JSON (with `hc_obs::Json`), (b)
 //! uses the Chrome "complete event" shape (`ph: "X"` with `ts`/`dur` per
 //! event), and (c) covers the whole measurement pipeline: every expected
 //! stage span must appear at least once.
@@ -15,7 +15,7 @@
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 
-use hc_serve::Json;
+use hc_obs::Json;
 
 fn check(doc: &Json, required: &[String]) -> Result<(), String> {
     let events = doc

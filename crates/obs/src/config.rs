@@ -31,13 +31,6 @@ pub struct Config {
     /// scalar `NativeSimulator` codegen and the vector
     /// `NativeBatchedSimulator` codegen — forcing the interpreted paths.
     pub no_native: bool,
-    /// `HC_NO_NATIVE_BATCHED`: disable only the vector (AVX2 per-cone)
-    /// JIT in `NativeBatchedSimulator`, leaving the scalar JIT and the
-    /// interpreter's AVX2 lane kernels alone.
-    pub no_native_batched: bool,
-    /// `HC_NO_SIMD`: disable the explicit AVX2 lane kernels in the
-    /// batched interpreter, forcing the scalar lane loops.
-    pub no_simd: bool,
     /// `HC_CACHE_SHARDS`: shard count of the front-half memo cache
     /// (`None` = derived from the machine's parallelism).
     pub cache_shards: Option<usize>,
@@ -85,8 +78,6 @@ impl Config {
             trace: get("HC_TRACE").filter(|p| !p.is_empty()),
             profile: flag(get("HC_PROFILE")),
             no_native: flag(get("HC_NO_NATIVE")),
-            no_native_batched: flag(get("HC_NO_NATIVE_BATCHED")),
-            no_simd: flag(get("HC_NO_SIMD")),
             cache_shards: positive(get("HC_CACHE_SHARDS")),
             serve_threads: positive(get("HC_SERVE_THREADS")),
             serve_queue_cap: positive(get("HC_SERVE_QUEUE_CAP")),
@@ -163,10 +154,6 @@ mod tests {
         assert!(fixture(&[("HC_PROFILE", "1")]).profile);
         assert!(fixture(&[("HC_NO_NATIVE", "1")]).no_native);
         assert!(!fixture(&[("HC_NO_NATIVE", "0")]).no_native);
-        assert!(fixture(&[("HC_NO_NATIVE_BATCHED", "1")]).no_native_batched);
-        assert!(!fixture(&[("HC_NO_NATIVE_BATCHED", "0")]).no_native_batched);
-        assert!(fixture(&[("HC_NO_SIMD", "1")]).no_simd);
-        assert!(!fixture(&[("HC_NO_SIMD", "")]).no_simd);
     }
 
     #[test]

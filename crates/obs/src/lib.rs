@@ -1,6 +1,8 @@
 //! Observability for the whole pipeline: one environment [`config`], a
-//! hierarchical tracing layer ([`trace`]) and a process-wide metrics
-//! registry ([`metrics`]).
+//! hierarchical tracing layer ([`trace`]), a process-wide metrics
+//! registry ([`metrics`]) and the workspace's one JSON codec ([`json`])
+//! that traces, metrics snapshots, `BENCH_sim.json` and hc-serve's wire
+//! format are all written and read with.
 //!
 //! This crate is a dependency *leaf* — it uses nothing but `std`, so every
 //! layer of the flow (frontends, `hc-rtl` passes, `hc-synth`, `hc-sim`,
@@ -29,8 +31,10 @@
 //! | `HC_SERVE_RPS` | per-client request rate budget (beyond it: HTTP 429) |
 
 pub mod config;
+pub mod json;
 pub mod metrics;
 pub mod trace;
 
 pub use config::{config, Config};
+pub use json::Json;
 pub use trace::{span, Span};

@@ -4,8 +4,9 @@
 //! that used to live wherever a subsystem happened to count something
 //! (cache hits in `hc_core::cache`, fusion counts inside `TapeOptReport`
 //! plumbing, cones skipped inside each simulator). Subsystems bump
-//! counters at pipeline-stage granularity; `perfsnap` dumps the whole
-//! registry into `BENCH_sim.json` so every figure lands in one place.
+//! counters at pipeline-stage granularity; [`snapshot_json`] feeds both
+//! the `metrics` section of `BENCH_sim.json` and the `counters` field of
+//! hc-serve's `/v1/metrics`, so every figure lands in one place.
 //!
 //! A [`Counter`] is a `Copy` handle to a leaked `AtomicU64`: after the
 //! first [`counter`] lookup a caller can cache the handle and every bump is
@@ -15,6 +16,8 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
+
+use crate::json::Json;
 
 fn registry() -> &'static Mutex<BTreeMap<&'static str, &'static AtomicU64>> {
     static REGISTRY: OnceLock<Mutex<BTreeMap<&'static str, &'static AtomicU64>>> = OnceLock::new();
@@ -77,16 +80,6 @@ pub fn counter_named(name: &str) -> Counter {
     Counter(cell)
 }
 
-/// Every registered counter and its current value, sorted by name.
-pub fn snapshot() -> Vec<(&'static str, u64)> {
-    registry()
-        .lock()
-        .expect("metrics registry")
-        .iter()
-        .map(|(name, cell)| (*name, cell.load(Ordering::Relaxed)))
-        .collect()
-}
-
 /// Zeroes every registered counter (entries stay registered).
 pub fn reset() {
     for (_, cell) in registry().lock().expect("metrics registry").iter() {
@@ -94,18 +87,16 @@ pub fn reset() {
     }
 }
 
-/// Renders a snapshot as a flat JSON object (`{"name": value, ...}`).
-pub fn snapshot_json() -> String {
-    let snap = snapshot();
-    let mut out = String::from("{");
-    for (i, (name, value)) in snap.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{name}\": {value}"));
-    }
-    out.push('}');
-    out
+/// Every registered counter and its current value as a flat JSON object
+/// (`{"name": value, ...}`), sorted by name.
+pub fn snapshot_json() -> Json {
+    let registry = registry().lock().expect("metrics registry");
+    let counters = registry.iter();
+    Json::Obj(
+        counters
+            .map(|(name, cell)| ((*name).to_owned(), Json::from(cell.load(Ordering::Relaxed))))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -129,21 +120,24 @@ mod tests {
         assert_eq!(c.get(), base + 5);
         // Re-looking up the same name yields the same cell.
         assert_eq!(counter("test.metrics.alpha").get(), base + 5);
-        let snap = snapshot();
-        assert!(snap
-            .iter()
-            .any(|(n, v)| *n == "test.metrics.alpha" && *v == base + 5));
+        let snap = snapshot_json();
+        let alpha = snap.get("test.metrics.alpha").and_then(Json::as_u64);
+        assert_eq!(alpha, Some(base + 5));
     }
 
     #[test]
     fn snapshot_json_is_flat_and_sorted() {
         counter("test.metrics.b").add(2);
         counter("test.metrics.a").add(1);
-        let json = snapshot_json();
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        let a = json.find("test.metrics.a").unwrap();
-        let b = json.find("test.metrics.b").unwrap();
-        assert!(a < b, "sorted order: {json}");
+        let Json::Obj(fields) = snapshot_json() else {
+            panic!("snapshot is an object");
+        };
+        let at = |name: &str| fields.iter().position(|(k, _)| k == name).unwrap();
+        assert!(at("test.metrics.a") < at("test.metrics.b"), "sorted order");
+        assert!(fields[at("test.metrics.b")]
+            .1
+            .as_u64()
+            .is_some_and(|v| v >= 2));
     }
 
     #[test]

@@ -17,6 +17,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::json::Json;
+
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// One attachment value; counters are the common case.
@@ -177,51 +179,37 @@ impl Drop for Span {
     }
 }
 
-fn escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
 /// Serializes events as Chrome-trace JSON (the `traceEvents` object form,
 /// accepted by `chrome://tracing` and Perfetto).
 pub fn to_chrome_json(events: &[Event]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-    for (i, e) in events.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"name\": \"{}\", \"cat\": \"hc\", \"ph\": \"X\", \"pid\": 1, \
-             \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{",
-            e.name, e.tid, e.ts_us, e.dur_us
-        ));
-        for (j, (k, v)) in e.args.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
+    let events: Vec<Json> = events
+        .iter()
+        .map(|e| {
+            let args = e.args.iter().map(|(k, v)| {
+                let v = match v {
+                    ArgValue::U(n) => Json::from(*n),
+                    ArgValue::I(n) => Json::Num(*n as f64),
+                    ArgValue::F(x) => Json::Num(*x),
+                    ArgValue::S(s) => Json::from(s.as_str()),
+                };
+                ((*k).to_owned(), v)
+            });
+            crate::jobj! {
+                "name" => e.name,
+                "cat" => "hc",
+                "ph" => "X",
+                "pid" => 1u32,
+                "tid" => e.tid,
+                "ts" => e.ts_us,
+                "dur" => e.dur_us,
+                "args" => Json::Obj(args.collect()),
             }
-            out.push('"');
-            escape(k, &mut out);
-            out.push_str("\": ");
-            match v {
-                ArgValue::U(n) => out.push_str(&n.to_string()),
-                ArgValue::I(n) => out.push_str(&n.to_string()),
-                ArgValue::F(x) if x.is_finite() => out.push_str(&format!("{x:.6}")),
-                ArgValue::F(_) => out.push_str("null"),
-                ArgValue::S(s) => {
-                    out.push('"');
-                    escape(s, &mut out);
-                    out.push('"');
-                }
-            }
-        }
-        out.push_str("}}");
-        out.push_str(if i + 1 < events.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]}\n");
-    out
+        })
+        .collect();
+    format!(
+        "{}\n",
+        crate::jobj! { "displayTimeUnit" => "ms", "traceEvents" => events }
+    )
 }
 
 /// A copy of every event recorded so far (test/inspection hook).
@@ -290,23 +278,22 @@ mod tests {
                 args: vec![("label", ArgValue::S("a \"b\"\\c".into()))],
             },
         ];
-        let json = to_chrome_json(&events);
-        assert!(json.contains("\"traceEvents\": ["), "{json}");
-        assert!(json.contains("\"name\": \"optimize\""), "{json}");
-        assert!(json.contains("\"nodes_before\": 100"), "{json}");
-        assert!(json.contains("\"ph\": \"X\""), "{json}");
-        assert!(json.contains("a \\\"b\\\"\\\\c"), "{json}");
-        // Balanced brackets — a cheap structural sanity check.
+        let doc = Json::parse(&to_chrome_json(&events)).expect("valid JSON");
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
+            doc.get("displayTimeUnit").and_then(Json::as_str),
+            Some("ms")
         );
-        assert_eq!(
-            json.matches('[').count(),
-            json.matches(']').count(),
-            "{json}"
-        );
+        let list = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        assert_eq!(list.len(), 2);
+        let field = |i: usize, k: &str| list[i].get(k).cloned();
+        assert_eq!(field(0, "name"), Some(Json::from("optimize")));
+        assert_eq!(field(0, "ph"), Some(Json::from("X")));
+        assert_eq!(field(1, "tid"), Some(Json::from(1u32)));
+        assert_eq!(field(1, "dur"), Some(Json::from(1000u64)));
+        let args = |i: usize, k: &str| list[i].get("args").and_then(|a| a.get(k)).cloned();
+        assert_eq!(args(0, "nodes_before"), Some(Json::from(100u64)));
+        assert_eq!(args(0, "ratio"), Some(Json::from(0.5)));
+        assert_eq!(args(1, "label"), Some(Json::from("a \"b\"\\c")));
     }
 
     #[test]

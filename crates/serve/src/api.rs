@@ -147,10 +147,6 @@ pub fn dse(body: &Json, worker: &Worker) -> Result<Json, ApiError> {
 /// is unset.
 pub fn metrics(pool: &JobPool) -> Json {
     let (hits, misses) = cache::stats();
-    let counters = obs::metrics::snapshot()
-        .into_iter()
-        .map(|(name, value)| (name.to_owned(), Json::from(value)))
-        .collect();
     let per_shard = cache::shard_stats()
         .into_iter()
         .map(|(h, m, s)| jobj! { "hits" => h, "misses" => m, "store_hits" => s })
@@ -167,7 +163,7 @@ pub fn metrics(pool: &JobPool) -> Json {
             "per_shard" => per_shard,
         },
         "store" => store_json(),
-        "counters" => Json::Obj(counters),
+        "counters" => obs::metrics::snapshot_json(),
     }
 }
 

@@ -8,9 +8,9 @@
 //! `hc_core::cache`) and one work-stealing [`pool`].
 //!
 //! Everything is hand-rolled on `std` — the workspace builds offline, so
-//! the HTTP framing ([`http`]), the JSON codec ([`json`]) and the pool
-//! ([`pool`]) carry no dependencies, like `tracecheck`'s trace parser
-//! before them.
+//! the HTTP framing ([`http`]) and the pool ([`pool`]) carry no
+//! dependencies. The JSON codec is `hc_obs`'s, re-exported here as
+//! [`json`] and [`Json`].
 //!
 //! # Endpoints
 //!
@@ -41,12 +41,12 @@ pub mod api;
 pub mod client;
 pub mod frontend;
 pub mod http;
-pub mod json;
 pub mod pool;
 pub mod ratelimit;
 pub mod server;
 
 pub use frontend::ApiError;
+pub use hc_obs::{jobj, json};
 pub use json::Json;
 pub use pool::{JobPool, Priority, SubmitError, Worker};
 pub use server::{start, Options, Server};

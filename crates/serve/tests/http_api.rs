@@ -422,6 +422,38 @@ fn http_level_garbage_gets_400_404_405() {
     server.shutdown();
 }
 
+/// A 20 KB body of `[` once overflowed the connection thread's stack and
+/// took the whole process down; it must be an ordinary `400 bad_json` and
+/// leave the server answering.
+#[test]
+fn hostile_nesting_gets_400_and_the_server_stays_up() {
+    use std::io::{Read, Write};
+    let server = test_server(1, 4);
+    let body = "[".repeat(20_000);
+    let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+    write!(
+        raw,
+        "POST /v1/synth HTTP/1.1\r\nhost: test\r\ncontent-type: application/json\r\n\
+         content-length: {}\r\nconnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut buf = Vec::new();
+    raw.read_to_end(&mut buf).unwrap();
+    let text = String::from_utf8_lossy(&buf);
+    assert!(text.starts_with("HTTP/1.1 400"), "{text}");
+    let json = Json::parse(&text[text.find("\r\n\r\n").unwrap() + 4..]).unwrap();
+    let error = json.get("error").expect("structured error body");
+    assert_eq!(error.get("code").and_then(Json::as_str), Some("bad_json"));
+    assert!(error
+        .get("message")
+        .and_then(Json::as_str)
+        .is_some_and(|m| m.contains("nesting deeper than 128")));
+    let r = roundtrip(server.addr(), "GET", "/healthz", None).unwrap();
+    assert_eq!(r.status, 200);
+    server.shutdown();
+}
+
 /// Backpressure: a tiny queue behind a wedged worker must answer 429 with
 /// Retry-After instead of queueing unboundedly.
 ///

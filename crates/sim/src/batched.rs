@@ -306,15 +306,11 @@ pub struct BatchedSimulator {
     pub(crate) cones_skipped: u64,
     /// Execution histograms, allocated iff `HC_PROFILE` was on at
     /// construction (see `crate::profile`). Opcode counts are per tape
-    /// replay, not per lane. Both lane tiers (scalar and AVX2) dispatch
-    /// per tape instruction, so the re-walk attribution stays accurate —
-    /// only cones that run as JIT machine code (see
+    /// replay, not per lane. The lane loops dispatch per tape
+    /// instruction, so the re-walk attribution stays accurate — only
+    /// cones that run as JIT machine code (see
     /// [`crate::NativeSimulator`]) need the separate `native` bucket.
     pub(crate) prof: Option<Box<crate::profile::ProfileState>>,
-    /// Use the explicit AVX2 lane kernels (see `crate::simd`): x86-64 with
-    /// AVX2 detected at runtime, lane count a multiple of four, and
-    /// `HC_NO_SIMD` unset at construction.
-    simd: bool,
 }
 
 /// `dst[lane] = f(a[lane])` over the destination's lane group.
@@ -452,11 +448,6 @@ impl BatchedSimulator {
         let wreg_shadow = vec![0u64; soff];
         let dirty = vec![true; low.segments.len()];
         let prof = crate::profile::ProfileState::from_config(&low);
-        #[cfg(target_arch = "x86_64")]
-        let simd =
-            lanes.is_multiple_of(4) && !hc_obs::config().no_simd && crate::simd::avx2_available();
-        #[cfg(not(target_arch = "x86_64"))]
-        let simd = false;
         Ok(BatchedSimulator {
             low,
             lanes,
@@ -478,7 +469,6 @@ impl BatchedSimulator {
             dirty,
             cones_skipped: 0,
             prof,
-            simd,
         })
     }
 
@@ -843,21 +833,12 @@ impl BatchedSimulator {
     #[allow(clippy::too_many_lines)]
     fn eval_tape<const L: usize>(&mut self, start: usize, end: usize) {
         let l = if L == 0 { self.lanes } else { L };
-        let simd = self.simd;
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = simd;
         let narrow = &mut self.narrow[..];
         let wide = &mut self.wide[..];
         let wbase = &self.wbase;
         let wwords = &self.wwords;
         let wwidth = &self.wwidth;
         for instr in &self.low.tape[start..end] {
-            // The AVX2 tier intercepts its covered opcodes; anything it
-            // declines falls through to the scalar lane loops below.
-            #[cfg(target_arch = "x86_64")]
-            if simd && unsafe { crate::simd::try_instr(instr, narrow, l) } {
-                continue;
-            }
             match *instr {
                 Instr::CopyMask { a, dst, mask } => {
                     lane_un(narrow, l, a, dst, |x| x & mask);

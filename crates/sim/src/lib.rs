@@ -49,8 +49,7 @@
 //!   the per-instruction dispatch cost is amortized over all lanes and the
 //!   per-op inner loop is a tight, auto-vectorizable kernel. Use it when
 //!   many independent stimulus streams (e.g. IEEE-1180 blocks) go through
-//!   one design. On x86-64 the hot lane loops use explicit AVX2 kernels
-//!   (four lanes per 256-bit op) when the CPU supports them.
+//!   one design.
 //!
 //! - [`NativeSimulator`] JIT-compiles each combinational cone of the tape
 //!   into straight-line x86-64 machine code over the same word-packed slot
@@ -64,9 +63,8 @@
 //!   on the batched engine's SoA lane store (four lanes per 256-bit
 //!   register, unrolled to the lane count, masked ragged tails), with
 //!   per-chunk fallback to the batched interpreter. Fastest multi-stream
-//!   engine on AVX2 hosts; elsewhere (or under `HC_NO_NATIVE=1` /
-//!   `HC_NO_NATIVE_BATCHED=1`) it degrades to exactly
-//!   [`BatchedSimulator`].
+//!   engine on AVX2 hosts; elsewhere (or under `HC_NO_NATIVE=1`) it
+//!   degrades to exactly [`BatchedSimulator`].
 //!
 //! All compiled engines run the **tape backend optimizer** by default
 //! (see [`TapeOptReport`]): superinstruction fusion, copy forwarding, tape
@@ -81,8 +79,6 @@ mod lower;
 mod native;
 mod probe;
 mod profile;
-#[cfg(target_arch = "x86_64")]
-mod simd;
 mod simulator;
 mod tapeopt;
 mod vcd;

@@ -15,8 +15,7 @@
 //!
 //! * x86-64 Linux with AVX2 detected **at runtime** (binaries built
 //!   without `-C target-cpu=native` still get the fast path),
-//! * neither `HC_NO_NATIVE` (both JIT tiers) nor `HC_NO_NATIVE_BATCHED`
-//!   (this tier only) is set, and
+//! * `HC_NO_NATIVE` (both JIT tiers) is not set, and
 //! * `HC_PROFILE` is off — opcode histograms require the interpreter's
 //!   per-instruction dispatch, so profiling runs fall back whole.
 //!
@@ -33,6 +32,12 @@ use crate::lower::EngineOptions;
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 use super::vcode;
+
+/// Whether the running CPU has AVX2 (checked once per engine build).
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn avx2_available() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
+}
 
 /// Construction-time accounting for one engine instance (also folded into
 /// the `sim.native_batched.*` metrics).
@@ -97,10 +102,7 @@ impl NativeBatchedSimulator {
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         {
             let cfg = hc_obs::config();
-            let engaged = !cfg.no_native
-                && !cfg.no_native_batched
-                && crate::simd::avx2_available()
-                && sim.prof.is_none();
+            let engaged = !cfg.no_native && avx2_available() && sim.prof.is_none();
             let c = if engaged {
                 vcode::compile(&sim)
             } else {
@@ -500,7 +502,7 @@ mod tests {
     #[test]
     fn narrow_design_vector_compiles() {
         let cfg = hc_obs::config();
-        if cfg.no_native || cfg.no_native_batched || !crate::simd::avx2_available() {
+        if cfg.no_native || !avx2_available() {
             return;
         }
         let mut sim = NativeBatchedSimulator::new(mac_module(), 6).unwrap();

@@ -18,6 +18,8 @@
 
 use std::collections::HashMap;
 
+use hc_obs::Json;
+
 use crate::lower::Lowered;
 
 /// Live histograms for one engine instance.
@@ -130,24 +132,14 @@ impl ProfileReport {
         self.total_instrs() == 0 && self.total_cone_evals() == 0
     }
 
-    /// Renders the histograms as a small JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"opcodes\": {");
-        for (i, (name, count)) in self.opcodes.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{name}\": {count}"));
+    /// The histograms as a JSON object: `{"opcodes": {name: count, ...},
+    /// "cone_evals": [...]}`.
+    pub fn to_json(&self) -> Json {
+        let opcodes = self.opcodes.iter();
+        hc_obs::jobj! {
+            "opcodes" => Json::Obj(opcodes.map(|(name, n)| ((*name).to_owned(), Json::from(*n))).collect()),
+            "cone_evals" => self.cone_evals.iter().map(|&n| Json::from(n)).collect::<Vec<_>>(),
         }
-        out.push_str("}, \"cone_evals\": [");
-        for (i, n) in self.cone_evals.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&n.to_string());
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -204,8 +196,17 @@ mod tests {
             assert!(pair[0].1 >= pair[1].1, "{report:?}");
         }
         let json = report.to_json();
-        assert!(json.contains("\"opcodes\""), "{json}");
-        assert!(json.contains("\"cone_evals\""), "{json}");
+        let opcodes = json.get("opcodes").unwrap();
+        let (name, count) = report.opcodes[0];
+        assert_eq!(
+            opcodes.get(name).and_then(hc_obs::Json::as_u64),
+            Some(count)
+        );
+        let cones = json
+            .get("cone_evals")
+            .and_then(hc_obs::Json::as_arr)
+            .unwrap();
+        assert_eq!(cones.len(), report.cone_evals.len());
     }
 
     /// With profiling off (the default), engines carry no profiling state.

@@ -14,7 +14,7 @@
 //!
 //! The suite also pins coverage on AVX2 hosts (some cones must compile,
 //! some must fall back, or a path is dead weight) and exercises the
-//! `HC_NO_NATIVE_BATCHED` escape hatch as a forced-fallback A/B twin.
+//! `HC_NO_NATIVE` escape hatch as a forced-fallback A/B twin.
 //!
 //! Config overrides are process-global; tests that flip or assert on them
 //! serialize through [`CFG_LOCK`].
@@ -29,7 +29,7 @@ use hc_sim::{BatchedSimulator, NativeBatchedSimulator, Simulator};
 use proptest::prelude::*;
 
 /// Serializes the tests that set or depend on a process-global config
-/// override (`HC_NO_NATIVE`, `HC_NO_NATIVE_BATCHED`).
+/// override (`HC_NO_NATIVE`).
 static CFG_LOCK: Mutex<()> = Mutex::new(());
 
 /// Whether the vector tier can engage in this process right now.
@@ -37,10 +37,7 @@ fn tier_available() -> bool {
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     {
         let cfg = hc_obs::config();
-        !cfg.no_native
-            && !cfg.no_native_batched
-            && !cfg.profile
-            && std::arch::is_x86_feature_detected!("avx2")
+        !cfg.no_native && !cfg.profile && std::arch::is_x86_feature_detected!("avx2")
     }
     #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
     {
@@ -338,7 +335,7 @@ proptest! {
     /// shape), per-lane stimulus streams of different lengths with lanes
     /// retiring via `set_active`, through three engines at once: the
     /// vector tier, the interpreted batched oracle, and a forced-fallback
-    /// twin built under the `HC_NO_NATIVE_BATCHED` override (which must
+    /// twin built under the `HC_NO_NATIVE` override (which must
     /// also report zero compiled cones).
     #[test]
     fn vector_tier_matches_interpreter_on_random_modules(
@@ -361,7 +358,7 @@ proptest! {
                 NativeBatchedSimulator::new(module.clone(), lanes).expect("compiler accepts");
             let baseline = (*hc_obs::config()).clone();
             let mut off = baseline.clone();
-            off.no_native_batched = true;
+            off.no_native = true;
             hc_obs::config::set_override(off);
             let forced =
                 NativeBatchedSimulator::new(module.clone(), lanes).expect("compiler accepts");
@@ -371,7 +368,7 @@ proptest! {
         };
         prop_assert_eq!(
             forced.native_batched_report().cones_compiled, 0,
-            "HC_NO_NATIVE_BATCHED must disable vector codegen"
+            "HC_NO_NATIVE must disable vector codegen"
         );
         prop_assert_eq!(forced.native_batched_report().code_bytes, 0);
 

@@ -1,35 +1,15 @@
-//! Differential suite for the native-code tiers.
+//! Differential suite for the scalar native-code tier.
 //!
-//! Two properties:
-//!
-//! 1. [`hc_sim::NativeSimulator`] (per-cone x86-64 JIT with tape-
-//!    interpreter fallback) is bit-exact with the interpreted oracle on
-//!    every Table II design — initial *and* optimized, including the
-//!    memory-bearing designs whose transpose buffers exercise the
-//!    per-cone fallback path.
-//! 2. The batched engine's AVX2 lane kernels are bit-exact with its
-//!    scalar lane loops on random modules under ragged (partially
-//!    inactive) lane masks, where masked lanes must stay frozen while
-//!    the vector kernels keep streaming the active ones.
-//!
-//! Both engines under test are built from the same module as their
-//! oracle, so any divergence is the native tier's fault by construction.
-//!
-//! `HC_NO_NATIVE`/`HC_NO_SIMD` overrides are process-global; the tests
-//! that flip or assert on them serialize through [`CFG_LOCK`].
+//! [`hc_sim::NativeSimulator`] (per-cone x86-64 JIT with tape-interpreter
+//! fallback) must be bit-exact with the interpreted oracle on every
+//! Table II design — initial *and* optimized, including the
+//! memory-bearing designs whose transpose buffers exercise the per-cone
+//! fallback path. The engine under test is built from the same module as
+//! its oracle, so any divergence is the native tier's fault by
+//! construction.
 
-mod common;
-
-use std::sync::Mutex;
-
-use common::{step_strategy, WIDE};
 use hc_bits::Bits;
-use hc_sim::{BatchedSimulator, NativeSimulator, SimBackend, Simulator};
-use proptest::prelude::*;
-
-/// Serializes the tests that set or depend on a process-global config
-/// override (`HC_NO_NATIVE`, `HC_NO_SIMD`).
-static CFG_LOCK: Mutex<()> = Mutex::new(());
+use hc_sim::{NativeSimulator, SimBackend, Simulator};
 
 /// Deterministic 64-bit LCG (Knuth constants) — the stimulus source for
 /// the Table II sweep, so failures replay exactly.
@@ -65,7 +45,6 @@ impl Lcg {
 /// dead weight the suite never exercised.
 #[test]
 fn table_ii_designs_native_matches_interpreter() {
-    let _guard = CFG_LOCK.lock().unwrap();
     let mut rng = Lcg(0x9e3779b97f4a7c15);
     let mut compiled_total = 0usize;
     let mut fallback_total = 0usize;
@@ -125,95 +104,5 @@ fn table_ii_designs_native_matches_interpreter() {
     #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
     {
         let _ = (compiled_total, fallback_total);
-    }
-}
-
-/// Applies one cycle of stimulus to one lane (mirrors `common::drive`).
-fn set_lane(sim: &mut BatchedSimulator, lane: usize, stim: common::Stim) {
-    let (a, b, c, wlo, whi, rst) = stim;
-    sim.set_u64(lane, "i0", a);
-    sim.set_u64(lane, "i1", b);
-    sim.set_u64(lane, "i2", c);
-    let mut w = Bits::zero(WIDE);
-    w.deposit_u64(0, 64, wlo);
-    w.deposit_u64(64, WIDE - 64, whi);
-    sim.set(lane, "wi", w);
-    sim.set_u64(lane, "rst", u64::from(rst));
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-    /// AVX2 lane kernels vs. scalar lane loops: the same random module and
-    /// ragged per-lane stimulus through two batched engines, one built as
-    /// the platform default (AVX2 kernels on a lane count divisible by
-    /// four) and one forced scalar via the `HC_NO_SIMD` override. On
-    /// hosts without AVX2 both engines are scalar and the property is
-    /// trivially true.
-    #[test]
-    fn avx2_lane_kernels_match_scalar_lane_loops(
-        steps in proptest::collection::vec(step_strategy(), 1..40),
-        lane_stims in proptest::collection::vec(
-            proptest::collection::vec(
-                (0u64..4096, 0u64..4096, 0u64..4096, any::<u64>(), 0u64..(1 << 16), any::<bool>()),
-                1..12,
-            ),
-            8..=8,
-        ),
-    ) {
-        let module = common::build(&steps);
-        module.validate().expect("generated module is valid");
-        let lanes = lane_stims.len();
-
-        let (mut vector, mut scalar) = {
-            let _guard = CFG_LOCK.lock().unwrap();
-            let vector = BatchedSimulator::new(module.clone(), lanes).expect("compiler accepts");
-            let baseline = (*hc_obs::config()).clone();
-            let mut off = baseline.clone();
-            off.no_simd = true;
-            hc_obs::config::set_override(off);
-            let scalar = BatchedSimulator::new(module, lanes).expect("compiler accepts");
-            hc_obs::config::set_override(baseline);
-            (vector, scalar)
-        };
-
-        let longest = lane_stims.iter().map(Vec::len).max().unwrap();
-        for t in 0..longest {
-            for (lane, stim) in lane_stims.iter().enumerate() {
-                if let Some(&s) = stim.get(t) {
-                    set_lane(&mut vector, lane, s);
-                    set_lane(&mut scalar, lane, s);
-                }
-            }
-            for (lane, stim) in lane_stims.iter().enumerate() {
-                if t < stim.len() {
-                    for out in ["y0", "y1", "yw"] {
-                        prop_assert_eq!(
-                            vector.get(lane, out),
-                            scalar.get(lane, out),
-                            "lane {} output {} diverged at cycle {}", lane, out, t
-                        );
-                    }
-                }
-            }
-            vector.step();
-            scalar.step();
-            for (lane, stim) in lane_stims.iter().enumerate() {
-                if t + 1 == stim.len() {
-                    vector.set_active(lane, false);
-                    scalar.set_active(lane, false);
-                }
-            }
-        }
-
-        for lane in 0..lanes {
-            prop_assert_eq!(vector.cycle(lane), scalar.cycle(lane), "lane {} cycle", lane);
-            for reg in ["r0", "wr"] {
-                prop_assert_eq!(
-                    vector.peek_reg(lane, reg),
-                    scalar.peek_reg(lane, reg),
-                    "lane {} register {} diverged", lane, reg
-                );
-            }
-        }
     }
 }

@@ -141,10 +141,25 @@ fn every_cell_matches_golden_native() {
     check_all_cells::<NativeSimulator>("native");
 }
 
+/// Builds under a temporary `HC_NO_NATIVE` override, i.e. the interpreted
+/// twin of whatever `build` constructs. The override is process-wide but
+/// lasts only for the construction, and every tier computes identical
+/// results, so a concurrent test that observes it stays correct.
+fn without_jit<T>(build: impl FnOnce() -> T) -> T {
+    let baseline = hls_vs_hc::obs::config::config().as_ref().clone();
+    hls_vs_hc::obs::config::set_override(hls_vs_hc::obs::Config {
+        no_native: true,
+        ..baseline.clone()
+    });
+    let built = build();
+    hls_vs_hc::obs::config::set_override(baseline);
+    built
+}
+
 /// The lane-batched engine (both tiers) against the interpreted oracle:
 /// two lanes streaming the stimulus twice over must reproduce the scalar
 /// outputs and lane-0 timing exactly.
-fn check_batched_tier(tier: &str) {
+fn check_batched_tier(tier: &str, jit: bool) {
     for spec in kernels_under_test() {
         for (_, design) in matrix_cells(&spec) {
             if !matches!(design.interface, DesignInterface::Axis) {
@@ -153,9 +168,11 @@ fn check_batched_tier(tier: &str) {
             let (lat, per) = check_axis::<Simulator>(&spec, &design, "interp-oracle");
             let blocks = stimulus(&spec);
             let doubled: Vec<Vec<i32>> = blocks.iter().chain(blocks.iter()).cloned().collect();
-            let mut h =
+            let build = || {
                 BatchedStreamHarness::with_spec(design.module.clone(), 2, wrapper_spec(&spec))
-                    .expect("matrix cells validate");
+                    .expect("matrix cells validate")
+            };
+            let mut h = if jit { build() } else { without_jit(build) };
             let (outs, timing) = h.run_blocks_flat(&doubled, BUDGET);
             assert_eq!(
                 outs.len(),
@@ -251,22 +268,10 @@ fn per_kernel_timing_is_pinned() {
 
 #[test]
 fn every_axis_cell_matches_golden_native_batched() {
-    check_batched_tier("native-batched");
+    check_batched_tier("native-batched", true);
 }
 
 #[test]
 fn every_axis_cell_matches_golden_batched_interpreted() {
-    // Forcing the vector-JIT tier off exercises the batched interpreter
-    // with its AVX2 lane kernels. The override is process-wide, but every
-    // tier in this binary computes identical results, so a concurrent
-    // test observing it stays correct.
-    let baseline = hls_vs_hc::obs::config::config().as_ref().clone();
-    let mut off = baseline.clone();
-    off.no_native_batched = true;
-    hls_vs_hc::obs::config::set_override(off);
-    let result = std::panic::catch_unwind(|| check_batched_tier("batched-interp"));
-    hls_vs_hc::obs::config::set_override(baseline);
-    if let Err(p) = result {
-        std::panic::resume_unwind(p);
-    }
+    check_batched_tier("batched-interp", false);
 }
