@@ -29,8 +29,11 @@ pub struct StreamTiming {
 ///
 /// The harness is generic over the simulation engine. The default is the
 /// interpreted [`Simulator`]; [`StreamHarness::compiled`] builds one on the
-/// lowered [`CompiledSimulator`] for measurement sweeps. Both produce
-/// identical functional output and timing.
+/// lowered [`CompiledSimulator`], and measurement runs it on the scalar
+/// JIT ([`NativeSimulator`], through [`StreamHarness::with_spec`]).
+/// Every engine produces identical functional output and timing.
+///
+/// [`NativeSimulator`]: hc_sim::NativeSimulator
 #[derive(Debug)]
 pub struct StreamHarness<B: SimBackend = Simulator> {
     sim: B,

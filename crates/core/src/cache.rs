@@ -431,6 +431,27 @@ pub fn clear() {
     reset_stats();
 }
 
+/// The lock that keeps this crate's lib tests from looking up front halves
+/// while `aggregate_counters_stay_the_sum_of_shard_counters` compares the
+/// counters: a lookup bumps the aggregate and its shard with two separate
+/// adds, so a read of both sides may land between them.
+#[cfg(test)]
+pub(crate) mod counters_lock {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static LOCK: RwLock<()> = RwLock::new(());
+
+    /// Held by every lib test that reaches [`super::front_half`].
+    pub(crate) fn lookups() -> RwLockReadGuard<'static, ()> {
+        LOCK.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Held by the test that reads the counters.
+    pub(crate) fn exclusive() -> RwLockWriteGuard<'static, ()> {
+        LOCK.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,6 +470,7 @@ mod tests {
 
     #[test]
     fn second_lookup_hits_and_shares_the_artifact() {
+        let _lookups = counters_lock::lookups();
         let m = redundant_adder("cache_t1");
         let first = front_half(&m);
         let second = front_half(&m.clone());
@@ -459,6 +481,7 @@ mod tests {
 
     #[test]
     fn different_modules_do_not_alias() {
+        let _lookups = counters_lock::lookups();
         let a = front_half(&redundant_adder("cache_t2a"));
         let b = front_half(&redundant_adder("cache_t2b"));
         assert!(!Arc::ptr_eq(&a, &b));
@@ -468,8 +491,9 @@ mod tests {
     #[test]
     fn aggregate_counters_stay_the_sum_of_shard_counters() {
         // Every front_half bump updates the aggregate AND the key's shard,
-        // so the deltas must agree no matter what other tests do in
-        // parallel (they move both sides equally).
+        // so the deltas must agree. The two adds are separate, so no other
+        // test may look up a front half between this test's reads.
+        let _exclusive = counters_lock::exclusive();
         let sum_shards = || {
             shard_stats()
                 .iter()

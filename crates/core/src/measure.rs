@@ -15,8 +15,8 @@ use crate::metrics;
 use crate::par::parallel_map;
 use crate::tool::ToolId;
 use hc_axi::{
-    lanes_for_blocks, pack_elems_n, unpack_elems_n, BatchedStreamHarness, MatrixWrapperSpec,
-    PcieLink, ProtocolError, StreamTiming,
+    pack_elems_n, unpack_elems_n, MatrixWrapperSpec, PcieLink, ProtocolError, StreamHarness,
+    StreamTiming,
 };
 use hc_bits::Bits;
 use hc_idct::generator::BlockGen;
@@ -151,7 +151,8 @@ pub enum MeasureError {
     },
     /// The output stream broke an AXI-Stream stability rule.
     Protocol {
-        /// The harness lane it happened on.
+        /// The harness lane it happened on: 0, as every measurement drives
+        /// one stream.
         lane: usize,
         /// The violation.
         error: ProtocolError,
@@ -374,11 +375,15 @@ fn check_ports(design: &Design) -> Result<(), MeasureError> {
 /// outputs against the golden model and assembles the [`Measurement`]
 /// from the two synthesis reports.
 ///
-/// AXIS designs ride the lane-batched engine: blocks are independent
-/// stimuli, so each lane gets one contiguous chunk, lane 0's starting at
-/// reset so its `T_L`/`T_P` equal the scalar harness figures (the root
-/// equivalence suite pins this against the interpreted oracle). Stream
-/// kernels take one stimulus and run on the scalar JIT ([`drive_stream`]).
+/// Every measurement runs one stimulus stream on the scalar JIT
+/// ([`NativeSimulator`]): AXIS designs through the scalar [`StreamHarness`],
+/// stream kernels through [`drive_stream`]. Table II takes 3 blocks, Fig. 1
+/// and the kernel matrix 2, and at one lane the lane-batched vector JIT
+/// leaves three of every four `ymm` lanes idle: the scalar JIT built and
+/// ran all 94 AXIS designs faster with identical outputs and `T_L`/`T_P`.
+/// A 64-block `/v1/measure`, which would fill 16 lanes, takes about 2.2×
+/// as long here as on the batched harness; that harness stays with the
+/// IEEE 1180 runs (EXPERIMENTS.md, "Engine ladder").
 fn measure_back_half(
     design: &Design,
     nblocks: usize,
@@ -393,11 +398,10 @@ fn measure_back_half(
     span.attach("blocks", blocks.len());
     let (outputs, timing, protocol) = match design.interface {
         DesignInterface::Axis => {
-            let lanes = lanes_for_blocks(blocks.len());
-            let mut harness = BatchedStreamHarness::with_spec(module, lanes, workload.spec())
+            let mut harness = StreamHarness::<NativeSimulator>::with_spec(module, workload.spec())
                 .map_err(MeasureError::Validate)?;
             let budget = CYCLES_PER_BLOCK * (blocks.len() as u64 + 4);
-            let (outputs, timing) = harness.run_blocks_flat(&blocks, budget);
+            let (outputs, timing) = harness.run_flat(&blocks, budget);
             (outputs, timing, harness.protocol_errors.into_iter().next())
         }
         DesignInterface::Stream { .. } => {
@@ -422,8 +426,8 @@ fn measure_back_half(
             });
         }
     }
-    if let Some((lane, error)) = protocol {
-        return Err(MeasureError::Protocol { lane, error });
+    if let Some(error) = protocol {
+        return Err(MeasureError::Protocol { lane: 0, error });
     }
     span.attach("latency", timing.latency);
     span.attach("periodicity", timing.periodicity);
@@ -458,10 +462,12 @@ fn measure_back_half(
 /// block. `T_L` counts from the first beat to the first output, `T_P` is
 /// the spacing of the last two outputs.
 ///
-/// Runs on the native (per-cone JIT) engine — stream kernels are
-/// single-stimulus, so they can't ride the lane-batched engine the AXIS
-/// designs use, and the JIT is the fastest single-stream tier. Off
-/// x86-64 (or under `HC_NO_NATIVE=1`) it degrades to the tape
+/// Runs on the scalar (per-cone) JIT, like every AXIS measurement (see
+/// [`measure_back_half`]): a stream kernel takes one stimulus, so it cannot
+/// fill the vector JIT's lanes, and at one lane the scalar JIT ran these
+/// kernels 1.9–3.3× faster per cycle with bit-identical outputs
+/// (EXPERIMENTS.md, "Engine ladder").
+/// Off x86-64 (or under `HC_NO_NATIVE=1`) it degrades to the tape
 /// interpreter with identical results.
 fn drive_stream(
     module: Module,
@@ -563,7 +569,7 @@ pub fn measure_all(tools: &[ToolEntry], nblocks: usize) -> Vec<ToolRow> {
 mod tests {
     use super::*;
     use crate::entries::{axis, pcie_stream};
-    use hc_axi::wrap_comb_matrix;
+    use hc_axi::{wrap_comb_matrix, BatchedStreamHarness};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// The AXIS port bundle around a pass-through core that accepts every
@@ -598,6 +604,7 @@ mod tests {
 
     #[test]
     fn try_measure_returns_typed_errors() {
+        let _lookups = crate::cache::counters_lock::lookups();
         let stream = {
             let mut m = Module::new("stream_100");
             m.input("rst", 1);
@@ -638,6 +645,7 @@ mod tests {
 
     #[test]
     fn try_measure_reports_bad_designs_instead_of_dying() {
+        let _lookups = crate::cache::counters_lock::lookups();
         // A module without the AXIS contract can't be driven: try_measure
         // names the first missing port.
         let mut m = Module::new("not_an_idct");
@@ -653,6 +661,87 @@ mod tests {
         );
         let meas = try_measure(&good, 2).expect("the Verilog initial design measures");
         assert!(meas.throughput_mops > 0.0);
+    }
+
+    /// The scalar harness every AXIS measurement runs must reproduce, on
+    /// every Fig. 1 AXIS point, the outputs and `T_L`/`T_P` of the 1-lane
+    /// batched harness, and `try_measure` must report those figures.
+    #[test]
+    fn scalar_route_matches_the_batched_harness_on_every_fig1_point() {
+        let _lookups = crate::cache::counters_lock::lookups();
+        let mut points = 0;
+        for tool in crate::matrix::MATRIX_TOOLS {
+            for design in crate::entries::dse_points(tool) {
+                if design.interface != DesignInterface::Axis {
+                    continue;
+                }
+                let label = &design.label;
+                let blocks = design.workload.stimulus(2);
+                let budget = CYCLES_PER_BLOCK * (blocks.len() as u64 + 4);
+                let module = crate::cache::front_half(&design.module)
+                    .module
+                    .as_ref()
+                    .clone();
+                let spec = design.workload.spec();
+
+                let mut scalar =
+                    StreamHarness::<NativeSimulator>::with_spec(module.clone(), spec).unwrap();
+                let (outputs, timing) = scalar.run_flat(&blocks, budget);
+                let mut batched = BatchedStreamHarness::with_spec(module, 1, spec).unwrap();
+                let (batched_outputs, batched_timing) = batched.run_blocks_flat(&blocks, budget);
+                assert_eq!(outputs, batched_outputs, "{tool:?} {label}: outputs");
+                assert_eq!(timing, batched_timing, "{tool:?} {label}: T_L/T_P");
+                assert!(scalar.protocol_errors.is_empty(), "{tool:?} {label}");
+                assert!(batched.protocol_errors.is_empty(), "{tool:?} {label}");
+
+                let m = try_measure(&design, 2).unwrap_or_else(|e| panic!("{tool:?} {label}: {e}"));
+                assert_eq!(
+                    (m.latency, m.periodicity),
+                    (timing.latency, timing.periodicity),
+                    "{tool:?} {label}: measured T_L/T_P"
+                );
+                points += 1;
+            }
+        }
+        assert_eq!(points, 70, "every Fig. 1 AXIS point");
+    }
+
+    /// A long `/v1/measure` run (6 to 64 blocks) streams every block through
+    /// one scalar harness. Each Table II design must still match the golden
+    /// model on every block and report the `T_L`/`T_P` lane 0 of the
+    /// lane-batched harness gives at that length.
+    #[test]
+    fn long_runs_match_the_batched_harness_on_every_table2_design() {
+        let _lookups = crate::cache::counters_lock::lookups();
+        for nblocks in [6, 64] {
+            for tool in crate::entries::all_tools() {
+                for design in [&tool.initial, &tool.optimized] {
+                    if design.interface != DesignInterface::Axis {
+                        continue;
+                    }
+                    let label = &design.label;
+                    let blocks = design.workload.stimulus(nblocks);
+                    let lanes = hc_axi::lanes_for_blocks(nblocks);
+                    let module = crate::cache::front_half(&design.module)
+                        .module
+                        .as_ref()
+                        .clone();
+                    let mut batched =
+                        BatchedStreamHarness::with_spec(module, lanes, design.workload.spec())
+                            .unwrap();
+                    let budget = CYCLES_PER_BLOCK * (blocks.len() as u64 + 4);
+                    let (_, timing) = batched.run_blocks_flat(&blocks, budget);
+
+                    let m = try_measure(design, nblocks)
+                        .unwrap_or_else(|e| panic!("{label} x{nblocks}: {e}"));
+                    assert_eq!(
+                        (m.latency, m.periodicity),
+                        (timing.latency, timing.periodicity),
+                        "{label} x{nblocks}: T_L/T_P"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

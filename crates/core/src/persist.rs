@@ -245,6 +245,7 @@ mod tests {
 
     #[test]
     fn front_half_round_trips_through_a_store() {
+        let _lookups = crate::cache::counters_lock::lookups();
         let (store, dir) = temp_store("front");
         let design = verilog_design();
         let front = crate::cache::front_half(&design.module);
@@ -267,6 +268,7 @@ mod tests {
 
     #[test]
     fn measurement_round_trips_and_key_separates_configs() {
+        let _lookups = crate::cache::counters_lock::lookups();
         let (store, dir) = temp_store("meas");
         let design = verilog_design();
         let m = crate::measure::measure(&design, 2);

@@ -454,6 +454,48 @@ fn hostile_nesting_gets_400_and_the_server_stays_up() {
     server.shutdown();
 }
 
+/// Inline Verilog whose widths or nesting the netlist cannot hold used to
+/// panic the handler (`500 internal_error`) or overflow its stack; each is
+/// an ordinary `422 verilog_error` and the server keeps answering.
+#[test]
+fn hostile_verilog_gets_422_and_the_server_stays_up() {
+    let server = test_server(1, 4);
+    let module = |ports: &str, rhs: &str| {
+        format!("module t ({ports}, output [7:0] y); assign y = {rhs}; endmodule")
+    };
+    let sources = [
+        module("input [7:0] a", "0'd1"),
+        module("input [7:0] a", "5000'd1"),
+        module("input [4999:0] a", "a"),
+        module("input [4294967295:0] a", "a"),
+        module("input [7:0] a", "a[100:93]"),
+        module("input [7:0] a", "{1000000{a}}"),
+        module("input [7:0] a", &"(".repeat(20_000)),
+        module("input [7:0] a", &format!("a{}", "+a".repeat(20_000))),
+        module("input [7:0] a", &format!("{}a", "a ? a : ".repeat(20_000))),
+        "module t (input [7:0] a, output [7:0] y); t u (.a(a), .y(y)); endmodule".to_owned(),
+    ];
+    let mut conn = Conn::open(server.addr()).unwrap();
+    for source in sources {
+        let req = hc_serve::jobj! { "frontend" => "verilog", "source" => source.as_str() };
+        let r = conn.request("POST", "/v1/synth", Some(&req)).unwrap();
+        let shown = &source[..source.len().min(80)];
+        assert_eq!(r.status, 422, "{shown}: {}", r.body);
+        assert_eq!(
+            r.body
+                .get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
+            Some("verilog_error"),
+            "{shown}: {}",
+            r.body
+        );
+    }
+    let r = roundtrip(server.addr(), "GET", "/healthz", None).unwrap();
+    assert_eq!(r.status, 200);
+    server.shutdown();
+}
+
 /// Backpressure: a tiny queue behind a wedged worker must answer 429 with
 /// Retry-After instead of queueing unboundedly.
 ///

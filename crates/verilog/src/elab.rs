@@ -14,6 +14,22 @@ use hc_rtl::{BinaryOp, Module, NodeId, RegId, UnaryOp};
 // (the persistent store's key) must not vary with a randomized seed.
 use std::collections::{BTreeMap, BTreeSet};
 
+/// How deep the elaborator's recursion may go. A net demanding its driver,
+/// an expression operand, a statement and an instance each count one
+/// level, so a hostile chain of nets or a module instantiating itself fails
+/// here instead of overflowing the stack.
+///
+/// The bound admits any one expression or statement the parser admits (a
+/// syntax tree at most 256 levels tall) with 256 more levels for the nets
+/// and instances it reaches. A level costs at most 0.9 KB of stack in a
+/// release build and 2.4 KB in a debug build (an instance; nets, operands
+/// and statements take at most 0.45 and 1.5 KB). The deepest design the
+/// bound admits, a chain of instances ending in a constant folded at the
+/// parser's full height, takes 0.49 MB (release) and 1.4 MB (debug) of a
+/// 2 MiB thread, the default for hc-serve's connection threads and for
+/// test threads (EXPERIMENTS.md, "Verilog recursion bounds").
+const MAX_DEPTH: usize = 512;
+
 /// Elaborates `top` (and everything it instantiates) into a flat module.
 ///
 /// # Errors
@@ -42,7 +58,7 @@ pub fn elaborate(design: &Design, top: &str) -> Result<Module, VerilogError> {
         }
     }
 
-    let outputs = elaborate_module(design, vmod, params, bindings, String::new(), &mut m)?;
+    let outputs = elaborate_module(design, vmod, params, bindings, String::new(), &mut m, 0)?;
     for port in &vmod.ports {
         if port.dir == Dir::Output {
             let node = outputs
@@ -52,6 +68,8 @@ pub fn elaborate(design: &Design, top: &str) -> Result<Module, VerilogError> {
             m.output(&port.name, node);
         }
     }
+    m.validate()
+        .map_err(|e| VerilogError::new(format!("invalid netlist: {e}")))?;
     span.attach("nodes", m.nodes().len());
     Ok(m)
 }
@@ -86,44 +104,82 @@ fn range_width(
                     "subset: ranges must be [N:0], got [{msb}:{lsb}]"
                 )));
             }
-            Ok(msb as u32 + 1)
+            node_width(i128::from(msb) + 1, || format!("range [{msb}:{lsb}]"))
         }
     }
 }
 
-/// Constant-folds an expression over parameter values only.
+/// `width` as a netlist node width, or an error naming `what` when it lies
+/// outside `1..=Bits::MAX_WIDTH`.
+fn node_width(width: i128, what: impl FnOnce() -> String) -> Result<u32, VerilogError> {
+    u32::try_from(width)
+        .ok()
+        .filter(|w| (1..=Bits::MAX_WIDTH).contains(w))
+        .ok_or_else(|| {
+            VerilogError::new(format!(
+                "{} is {width} bits wide, outside 1..={}",
+                what(),
+                Bits::MAX_WIDTH
+            ))
+        })
+}
+
+/// Constant-folds an expression over parameter values only. The recursion
+/// runs through here, so the folding and its errors live in helpers and
+/// this frame stays small.
 pub(crate) fn const_eval(params: &BTreeMap<String, i64>, expr: &Expr) -> Result<i64, VerilogError> {
-    Ok(match expr {
-        Expr::Literal { value, .. } => *value,
-        Expr::Ident(name) => *params
-            .get(name)
-            .ok_or_else(|| VerilogError::new(format!("{name:?} is not a parameter")))?,
-        Expr::Unary(UnOp::Neg, e) => -const_eval(params, e)?,
-        Expr::Unary(UnOp::Not, e) => !const_eval(params, e)?,
-        Expr::Binary(op, a, b) => {
-            let (a, b) = (const_eval(params, a)?, const_eval(params, b)?);
-            match op {
-                BinOp::Add => a + b,
-                BinOp::Sub => a - b,
-                BinOp::Mul => a * b,
-                BinOp::Shl => a << b,
-                BinOp::Shr | BinOp::AShr => a >> b,
-                BinOp::And => a & b,
-                BinOp::Or => a | b,
-                BinOp::Xor => a ^ b,
-                other => {
-                    return Err(VerilogError::new(format!(
-                        "operator {other:?} in constant expression"
-                    )))
-                }
-            }
+    match expr {
+        Expr::Literal { value, .. } => Ok(*value),
+        Expr::Ident(name) => const_param(params, name),
+        Expr::Unary(op @ (UnOp::Neg | UnOp::Not), e) => {
+            let a = const_eval(params, e)?;
+            const_unary(*op, a)
         }
+        Expr::Binary(op, a, b) => {
+            let a = const_eval(params, a)?;
+            let b = const_eval(params, b)?;
+            const_binary(*op, a, b)
+        }
+        other => Err(VerilogError::new(format!(
+            "unsupported constant expression {other:?}"
+        ))),
+    }
+}
+
+fn const_param(params: &BTreeMap<String, i64>, name: &str) -> Result<i64, VerilogError> {
+    params
+        .get(name)
+        .copied()
+        .ok_or_else(|| VerilogError::new(format!("{name:?} is not a parameter")))
+}
+
+fn const_unary(op: UnOp, a: i64) -> Result<i64, VerilogError> {
+    match op {
+        UnOp::Neg => a
+            .checked_neg()
+            .ok_or_else(|| VerilogError::new(format!("constant -({a}) overflows"))),
+        _ => Ok(!a),
+    }
+}
+
+fn const_binary(op: BinOp, a: i64, b: i64) -> Result<i64, VerilogError> {
+    let shift = u32::try_from(b).ok();
+    let value = match op {
+        BinOp::Add => a.checked_add(b),
+        BinOp::Sub => a.checked_sub(b),
+        BinOp::Mul => a.checked_mul(b),
+        BinOp::Shl => shift.and_then(|b| a.checked_shl(b)),
+        BinOp::Shr | BinOp::AShr => shift.and_then(|b| a.checked_shr(b)),
+        BinOp::And => Some(a & b),
+        BinOp::Or => Some(a | b),
+        BinOp::Xor => Some(a ^ b),
         other => {
             return Err(VerilogError::new(format!(
-                "unsupported constant expression {other:?}"
+                "operator {other:?} in constant expression"
             )))
         }
-    })
+    };
+    value.ok_or_else(|| VerilogError::new(format!("constant {a} {op:?} {b} overflows 64 bits")))
 }
 
 #[derive(Clone)]
@@ -153,6 +209,8 @@ struct ModCtx<'a, 'm> {
     in_progress: BTreeSet<String>,
     /// Instance output maps, memoized by item index.
     inst_outputs: BTreeMap<usize, BTreeMap<String, NodeId>>,
+    /// Demand recursion depth, counted from the top module.
+    depth: usize,
 }
 
 /// Elaborates one module instance; returns its output-port values.
@@ -163,6 +221,7 @@ fn elaborate_module(
     input_bindings: BTreeMap<String, NodeId>,
     prefix: String,
     m: &mut Module,
+    depth: usize,
 ) -> Result<BTreeMap<String, NodeId>, VerilogError> {
     let mut ctx = ModCtx {
         design,
@@ -176,6 +235,7 @@ fn elaborate_module(
         values: BTreeMap::new(),
         in_progress: BTreeSet::new(),
         inst_outputs: BTreeMap::new(),
+        depth,
     };
     ctx.collect_nets()?;
     ctx.collect_drivers(&input_bindings)?;
@@ -352,7 +412,18 @@ impl<'a, 'm> ModCtx<'a, 'm> {
             .get(name)
             .cloned()
             .ok_or_else(|| VerilogError::new(format!("{:?} undriven", self.full_name(name))))?;
-        let value = match driver {
+        self.enter()?;
+        let value = self.drive(name, driver);
+        self.depth -= 1;
+        let value = value?;
+        self.in_progress.remove(name);
+        self.values.insert(name.to_owned(), value);
+        Ok(value)
+    }
+
+    /// Evaluates `name`'s driver.
+    fn drive(&mut self, name: &str, driver: Driver<'a>) -> Result<NodeId, VerilogError> {
+        Ok(match driver {
             Driver::Input(node) => node,
             Driver::Ff => unreachable!("regs resolved above"),
             Driver::Assign(expr, w) => {
@@ -370,10 +441,7 @@ impl<'a, 'm> ModCtx<'a, 'm> {
                 self.elab_instance(idx)?;
                 *self.values.get(name).expect("instance outputs stored")
             }
-        };
-        self.in_progress.remove(name);
-        self.values.insert(name.to_owned(), value);
-        Ok(value)
+        })
     }
 
     /// Executes a combinational always block, storing all assigned nets.
@@ -439,7 +507,15 @@ impl<'a, 'm> ModCtx<'a, 'm> {
             }
         }
         let sub_prefix = self.full_name(name);
-        let outputs = elaborate_module(self.design, sub, sub_params, bindings, sub_prefix, self.m)?;
+        let outputs = elaborate_module(
+            self.design,
+            sub,
+            sub_params,
+            bindings,
+            sub_prefix,
+            self.m,
+            self.depth + 1,
+        )?;
         // Store connected outputs under the parent nets.
         for (port, expr) in connections {
             let decl = sub.ports.iter().find(|p| p.name == *port).expect("checked");
@@ -497,67 +573,113 @@ impl<'a, 'm> ModCtx<'a, 'm> {
         env: &mut BTreeMap<String, NodeId>,
         reads: &BTreeMap<String, NodeId>,
     ) -> Result<(), VerilogError> {
+        self.enter()?;
+        let done = self.exec_stmt_node(stmt, env, reads);
+        self.depth -= 1;
+        done
+    }
+
+    /// Executes one statement node. The recursion runs through here, so
+    /// each kind of statement has its own helper and this frame stays small.
+    fn exec_stmt_node(
+        &mut self,
+        stmt: &Stmt,
+        env: &mut BTreeMap<String, NodeId>,
+        reads: &BTreeMap<String, NodeId>,
+    ) -> Result<(), VerilogError> {
         match stmt {
             Stmt::Block(stmts) => {
                 for s in stmts {
                     self.exec_stmt(s, env, reads)?;
                 }
+                Ok(())
             }
-            Stmt::Assign { lhs, rhs, line, .. } => {
-                if !env.contains_key(lhs) {
-                    return Err(VerilogError::at(
-                        *line,
-                        format!("{lhs:?} not assignable here"),
-                    ));
-                }
-                let w = self.widths[lhs];
-                let v = self.expr_with_reads(rhs, env, reads)?;
-                let v = fit(self.m, v, w);
-                env.insert(lhs.clone(), v);
-            }
+            Stmt::Assign { lhs, rhs, line, .. } => self.exec_assign(lhs, rhs, *line, env, reads),
             Stmt::If { cond, then, else_ } => {
-                let c = self.expr_with_reads(cond, env, reads)?;
-                let c = truthy(self.m, c);
-                let mut then_env = env.clone();
-                self.exec_stmt(then, &mut then_env, reads)?;
-                let mut else_env = env.clone();
-                if let Some(e) = else_ {
-                    self.exec_stmt(e, &mut else_env, reads)?;
-                }
-                merge_env(self.m, c, &then_env, &else_env, env);
+                self.exec_if(cond, then, else_.as_deref(), env, reads)
             }
             Stmt::Case {
                 subject,
                 arms,
                 default,
-            } => {
-                let subj = self.expr_with_reads(subject, env, reads)?;
-                // Build bottom-up: default first, then arms in reverse.
-                let mut result_env = env.clone();
-                if let Some(d) = default {
-                    self.exec_stmt(d, &mut result_env, reads)?;
-                }
-                for (labels, body) in arms.iter().rev() {
-                    let mut hit = None;
-                    for label in labels {
-                        let l = self.expr_with_reads(label, env, reads)?;
-                        let (a, b) = same_width(self.m, subj, l);
-                        let eq = self.m.binary(BinaryOp::Eq, a, b, 1);
-                        hit = Some(match hit {
-                            None => eq,
-                            Some(prev) => self.m.binary(BinaryOp::Or, prev, eq, 1),
-                        });
-                    }
-                    let cond = hit.expect("case arm has at least one label");
-                    let mut arm_env = env.clone();
-                    self.exec_stmt(body, &mut arm_env, reads)?;
-                    let mut merged = env.clone();
-                    merge_env(self.m, cond, &arm_env, &result_env, &mut merged);
-                    result_env = merged;
-                }
-                *env = result_env;
-            }
+            } => self.exec_case(subject, arms, default.as_deref(), env, reads),
         }
+    }
+
+    fn exec_assign(
+        &mut self,
+        lhs: &str,
+        rhs: &Expr,
+        line: u32,
+        env: &mut BTreeMap<String, NodeId>,
+        reads: &BTreeMap<String, NodeId>,
+    ) -> Result<(), VerilogError> {
+        if !env.contains_key(lhs) {
+            return Err(VerilogError::at(
+                line,
+                format!("{lhs:?} not assignable here"),
+            ));
+        }
+        let w = self.widths[lhs];
+        let v = self.expr_with_reads(rhs, env, reads)?;
+        let v = fit(self.m, v, w);
+        env.insert(lhs.to_owned(), v);
+        Ok(())
+    }
+
+    fn exec_if(
+        &mut self,
+        cond: &Expr,
+        then: &Stmt,
+        else_: Option<&Stmt>,
+        env: &mut BTreeMap<String, NodeId>,
+        reads: &BTreeMap<String, NodeId>,
+    ) -> Result<(), VerilogError> {
+        let c = self.expr_with_reads(cond, env, reads)?;
+        let c = truthy(self.m, c);
+        let mut then_env = env.clone();
+        self.exec_stmt(then, &mut then_env, reads)?;
+        let mut else_env = env.clone();
+        if let Some(e) = else_ {
+            self.exec_stmt(e, &mut else_env, reads)?;
+        }
+        merge_env(self.m, c, &then_env, &else_env, env);
+        Ok(())
+    }
+
+    fn exec_case(
+        &mut self,
+        subject: &Expr,
+        arms: &[(Vec<Expr>, Stmt)],
+        default: Option<&Stmt>,
+        env: &mut BTreeMap<String, NodeId>,
+        reads: &BTreeMap<String, NodeId>,
+    ) -> Result<(), VerilogError> {
+        let subj = self.expr_with_reads(subject, env, reads)?;
+        // Build bottom-up: default first, then arms in reverse.
+        let mut result_env = env.clone();
+        if let Some(d) = default {
+            self.exec_stmt(d, &mut result_env, reads)?;
+        }
+        for (labels, body) in arms.iter().rev() {
+            let mut hit = None;
+            for label in labels {
+                let l = self.expr_with_reads(label, env, reads)?;
+                let (a, b) = same_width(self.m, subj, l);
+                let eq = self.m.binary(BinaryOp::Eq, a, b, 1);
+                hit = Some(match hit {
+                    None => eq,
+                    Some(prev) => self.m.binary(BinaryOp::Or, prev, eq, 1),
+                });
+            }
+            let cond = hit.expect("case arm has at least one label");
+            let mut arm_env = env.clone();
+            self.exec_stmt(body, &mut arm_env, reads)?;
+            let mut merged = env.clone();
+            merge_env(self.m, cond, &arm_env, &result_env, &mut merged);
+            result_env = merged;
+        }
+        *env = result_env;
         Ok(())
     }
 
@@ -585,96 +707,198 @@ impl<'a, 'm> ModCtx<'a, 'm> {
         self.expr_in_env(expr, &empty)
     }
 
+    /// Enters one more level of recursion, failing past [`MAX_DEPTH`].
+    /// The caller leaves it with `self.depth -= 1` once the level returns.
+    fn enter(&mut self) -> Result<(), VerilogError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(too_deep());
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn expr_in_env(
         &mut self,
         expr: &Expr,
         env: &BTreeMap<String, NodeId>,
     ) -> Result<NodeId, VerilogError> {
-        Ok(match expr {
-            Expr::Literal { value, width } => {
-                let w = width.unwrap_or(32);
-                self.m.constant(Bits::from_i64(w, *value))
+        self.enter()?;
+        let node = self.expr_node(expr, env);
+        self.depth -= 1;
+        node
+    }
+
+    /// Elaborates one expression node. The recursion runs through here, so
+    /// each kind of node has its own helper and this frame stays small.
+    fn expr_node(
+        &mut self,
+        expr: &Expr,
+        env: &BTreeMap<String, NodeId>,
+    ) -> Result<NodeId, VerilogError> {
+        match expr {
+            Expr::Literal { value, width } => self.literal(*value, *width),
+            Expr::Ident(name) => self.ident(name, env),
+            Expr::Unary(op, e) => self.unary(*op, e, env),
+            Expr::Binary(op, a, b) => self.binary(*op, a, b, env),
+            Expr::Ternary(c, t, f) => self.ternary(c, t, f, env),
+            Expr::Concat(parts) => self.concat(parts, env),
+            Expr::Repl(count, value) => self.replicate(count, value, env),
+            Expr::Part(name, msb, lsb) => self.part_select(name, msb, lsb, env),
+            Expr::Bit(name, index) => self.bit_select(name, index, env),
+        }
+    }
+
+    fn literal(&mut self, value: i64, width: Option<u32>) -> Result<NodeId, VerilogError> {
+        let w = match width {
+            Some(w) => node_width(i128::from(w), || format!("literal {w}'d{value}"))?,
+            None => 32,
+        };
+        Ok(self.m.constant(Bits::from_i64(w, value)))
+    }
+
+    fn ident(
+        &mut self,
+        name: &str,
+        env: &BTreeMap<String, NodeId>,
+    ) -> Result<NodeId, VerilogError> {
+        if let Some(&v) = env.get(name) {
+            Ok(v)
+        } else if let Some(&p) = self.params.get(name) {
+            Ok(self.m.constant(Bits::from_i64(32, p)))
+        } else {
+            self.net_value(name)
+        }
+    }
+
+    fn unary(
+        &mut self,
+        op: UnOp,
+        operand: &Expr,
+        env: &BTreeMap<String, NodeId>,
+    ) -> Result<NodeId, VerilogError> {
+        let v = self.expr_in_env(operand, env)?;
+        Ok(match op {
+            UnOp::Neg => self.m.unary(UnaryOp::Neg, v),
+            UnOp::Not => self.m.unary(UnaryOp::Not, v),
+            UnOp::LogicNot => {
+                let r = self.m.unary(UnaryOp::ReduceOr, v);
+                self.m.unary(UnaryOp::Not, r)
             }
-            Expr::Ident(name) => {
-                if let Some(&v) = env.get(name) {
-                    v
-                } else if let Some(&p) = self.params.get(name) {
-                    self.m.constant(Bits::from_i64(32, p))
-                } else {
-                    self.net_value(name)?
-                }
+            UnOp::RedOr => self.m.unary(UnaryOp::ReduceOr, v),
+            UnOp::RedAnd => self.m.unary(UnaryOp::ReduceAnd, v),
+            UnOp::RedXor => self.m.unary(UnaryOp::ReduceXor, v),
+        })
+    }
+
+    fn binary(
+        &mut self,
+        op: BinOp,
+        a: &Expr,
+        b: &Expr,
+        env: &BTreeMap<String, NodeId>,
+    ) -> Result<NodeId, VerilogError> {
+        let a = self.expr_in_env(a, env)?;
+        let b = self.expr_in_env(b, env)?;
+        Ok(self.binary_node(op, a, b))
+    }
+
+    fn ternary(
+        &mut self,
+        cond: &Expr,
+        t: &Expr,
+        f: &Expr,
+        env: &BTreeMap<String, NodeId>,
+    ) -> Result<NodeId, VerilogError> {
+        let cond = self.expr_in_env(cond, env)?;
+        let cond = truthy(self.m, cond);
+        let t = self.expr_in_env(t, env)?;
+        let f = self.expr_in_env(f, env)?;
+        let (t, f) = same_width(self.m, t, f);
+        Ok(self.m.mux(cond, t, f))
+    }
+
+    fn concat(
+        &mut self,
+        parts: &[Expr],
+        env: &BTreeMap<String, NodeId>,
+    ) -> Result<NodeId, VerilogError> {
+        let mut nodes = Vec::new();
+        for p in parts {
+            nodes.push(self.expr_in_env(p, env)?);
+        }
+        let total: i128 = nodes.iter().map(|&n| i128::from(self.m.width(n))).sum();
+        node_width(total, || "concatenation".to_owned())?;
+        let mut acc = nodes[0];
+        for &n in &nodes[1..] {
+            acc = self.m.concat(acc, n);
+        }
+        Ok(acc)
+    }
+
+    fn replicate(
+        &mut self,
+        count: &Expr,
+        value: &Expr,
+        env: &BTreeMap<String, NodeId>,
+    ) -> Result<NodeId, VerilogError> {
+        let k = const_eval(&self.params, count)?;
+        if k < 1 {
+            return Err(VerilogError::new(format!("replication count {k}")));
+        }
+        let v = self.expr_in_env(value, env)?;
+        let w = self.m.width(v);
+        node_width(i128::from(k) * i128::from(w), || {
+            format!("replication {{{k}{{{w}-bit value}}}}")
+        })?;
+        let mut acc = v;
+        for _ in 1..k {
+            acc = self.m.concat(acc, v);
+        }
+        Ok(acc)
+    }
+
+    fn part_select(
+        &mut self,
+        name: &str,
+        msb: &Expr,
+        lsb: &Expr,
+        env: &BTreeMap<String, NodeId>,
+    ) -> Result<NodeId, VerilogError> {
+        let base = self.name_value(name, env)?;
+        let msb = const_eval(&self.params, msb)?;
+        let lsb = const_eval(&self.params, lsb)?;
+        if msb < lsb || lsb < 0 {
+            return Err(VerilogError::new(format!("bad part select [{msb}:{lsb}]")));
+        }
+        let base_width = self.m.width(base);
+        if msb >= i64::from(base_width) {
+            return Err(VerilogError::new(format!(
+                "part select [{msb}:{lsb}] of {base_width}-bit {name:?}"
+            )));
+        }
+        let width = (msb - lsb + 1) as u32;
+        Ok(self.m.slice(base, lsb as u32, width))
+    }
+
+    fn bit_select(
+        &mut self,
+        name: &str,
+        index: &Expr,
+        env: &BTreeMap<String, NodeId>,
+    ) -> Result<NodeId, VerilogError> {
+        let base = self.name_value(name, env)?;
+        let base_width = self.m.width(base);
+        Ok(match const_eval(&self.params, index) {
+            Ok(i) if i >= i64::from(base_width) => {
+                return Err(VerilogError::new(format!(
+                    "bit select [{i}] of {base_width}-bit {name:?}"
+                )))
             }
-            Expr::Unary(op, e) => {
-                let v = self.expr_in_env(e, env)?;
-                match op {
-                    UnOp::Neg => self.m.unary(UnaryOp::Neg, v),
-                    UnOp::Not => self.m.unary(UnaryOp::Not, v),
-                    UnOp::LogicNot => {
-                        let r = self.m.unary(UnaryOp::ReduceOr, v);
-                        self.m.unary(UnaryOp::Not, r)
-                    }
-                    UnOp::RedOr => self.m.unary(UnaryOp::ReduceOr, v),
-                    UnOp::RedAnd => self.m.unary(UnaryOp::ReduceAnd, v),
-                    UnOp::RedXor => self.m.unary(UnaryOp::ReduceXor, v),
-                }
-            }
-            Expr::Binary(op, a, b) => {
-                let av = self.expr_in_env(a, env)?;
-                let bv = self.expr_in_env(b, env)?;
-                self.binary(*op, av, bv)
-            }
-            Expr::Ternary(c, t, f) => {
-                let cv = self.expr_in_env(c, env)?;
-                let cv = truthy(self.m, cv);
-                let tv = self.expr_in_env(t, env)?;
-                let fv = self.expr_in_env(f, env)?;
-                let (tv, fv) = same_width(self.m, tv, fv);
-                self.m.mux(cv, tv, fv)
-            }
-            Expr::Concat(parts) => {
-                let mut nodes = Vec::new();
-                for p in parts {
-                    nodes.push(self.expr_in_env(p, env)?);
-                }
-                let mut acc = nodes[0];
-                for &n in &nodes[1..] {
-                    acc = self.m.concat(acc, n);
-                }
-                acc
-            }
-            Expr::Repl(count, value) => {
-                let k = const_eval(&self.params, count)?;
-                if k < 1 {
-                    return Err(VerilogError::new(format!("replication count {k}")));
-                }
-                let v = self.expr_in_env(value, env)?;
-                let mut acc = v;
-                for _ in 1..k {
-                    acc = self.m.concat(acc, v);
-                }
-                acc
-            }
-            Expr::Part(name, msb, lsb) => {
-                let base = self.name_value(name, env)?;
-                let msb = const_eval(&self.params, msb)?;
-                let lsb = const_eval(&self.params, lsb)?;
-                if msb < lsb || lsb < 0 {
-                    return Err(VerilogError::new(format!("bad part select [{msb}:{lsb}]")));
-                }
-                let width = (msb - lsb + 1) as u32;
-                self.m.slice(base, lsb as u32, width)
-            }
-            Expr::Bit(name, index) => {
-                let base = self.name_value(name, env)?;
-                match const_eval(&self.params, index) {
-                    Ok(i) if i >= 0 => self.m.slice(base, i as u32, 1),
-                    _ => {
-                        let idx = self.expr_in_env(index, env)?;
-                        let w = self.m.width(base);
-                        let shifted = self.m.binary(BinaryOp::ShrL, base, idx, w);
-                        self.m.slice(shifted, 0, 1)
-                    }
-                }
+            Ok(i) if i >= 0 => self.m.slice(base, i as u32, 1),
+            _ => {
+                let idx = self.expr_in_env(index, env)?;
+                let shifted = self.m.binary(BinaryOp::ShrL, base, idx, base_width);
+                self.m.slice(shifted, 0, 1)
             }
         })
     }
@@ -691,7 +915,7 @@ impl<'a, 'm> ModCtx<'a, 'm> {
         }
     }
 
-    fn binary(&mut self, op: BinOp, a: NodeId, b: NodeId) -> NodeId {
+    fn binary_node(&mut self, op: BinOp, a: NodeId, b: NodeId) -> NodeId {
         use BinaryOp as B;
         match op {
             BinOp::Add | BinOp::Sub | BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Mul => {
@@ -743,6 +967,14 @@ impl<'a, 'm> ModCtx<'a, 'm> {
             }
         }
     }
+}
+
+/// The error past [`MAX_DEPTH`], built out of line so the recursion's frames
+/// stay small.
+fn too_deep() -> VerilogError {
+    VerilogError::new(format!(
+        "elaboration deeper than {MAX_DEPTH} levels of nets, operands, statements and instances"
+    ))
 }
 
 /// Collects the nets assigned anywhere in a statement.
@@ -967,6 +1199,290 @@ mod tests {
         assert_eq!(s.get("y").to_u64(), 1);
         s.set_u64("i", 5);
         assert_eq!(s.get("y").to_u64(), 0);
+    }
+
+    /// Parses and elaborates `src`'s module `t`, expecting an error that
+    /// mentions `needle` where the netlist builders used to panic.
+    fn rejects(src: &str, needle: &str) {
+        let (src, needle) = (src.to_owned(), needle.to_owned());
+        on_2mib_stack(move || {
+            let d = parse(&src).unwrap();
+            let err = elaborate(&d, "t").expect_err("hostile source elaborates");
+            assert!(err.to_string().contains(&needle), "{err}");
+        });
+    }
+
+    /// Runs `f` on a thread with a 2 MiB stack, the default for hc-serve's
+    /// connection threads, so a test also pins that the recursion bounds
+    /// fit one.
+    fn on_2mib_stack(f: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap_or_else(|e| std::panic::resume_unwind(e));
+    }
+
+    /// `y` for each of `inputs` on `a`, after elaborating `src` on a 2 MiB
+    /// stack.
+    fn outputs_on_2mib_stack(src: String, inputs: &'static [u64]) -> Vec<u64> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        on_2mib_stack(move || {
+            let mut s = sim(&src, "t");
+            let ys = inputs
+                .iter()
+                .map(|&a| {
+                    s.set_u64("a", a);
+                    s.get("y").to_u64()
+                })
+                .collect();
+            tx.send(ys).unwrap();
+        });
+        rx.recv().unwrap()
+    }
+
+    #[test]
+    fn ternary_chain_of_250_arms_elaborates() {
+        let arms: String = (0..250)
+            .map(|i| format!("a == 8'd{i} ? 8'd{} : ", (i + 1) % 256))
+            .collect();
+        let src =
+            format!("module t (input [7:0] a, output [7:0] y); assign y = {arms}8'd0; endmodule");
+        assert_eq!(
+            outputs_on_2mib_stack(src, &[0, 99, 249, 250]),
+            [1, 100, 250, 0]
+        );
+    }
+
+    #[test]
+    fn else_if_chain_of_250_arms_elaborates() {
+        let arms: String = (1..250)
+            .map(|i| format!("else if (a == 8'd{i}) y = 8'd{};\n", (i + 1) % 256))
+            .collect();
+        let src = format!(
+            "module t (input [7:0] a, output reg [7:0] y);
+               always @* if (a == 8'd0) y = 8'd1; {arms} else y = 8'd0;
+             endmodule"
+        );
+        assert_eq!(
+            outputs_on_2mib_stack(src, &[0, 99, 249, 250]),
+            [1, 100, 250, 0]
+        );
+    }
+
+    #[test]
+    fn tallest_sum_the_parser_admits_elaborates() {
+        // 256 terms: 255 operators, a tree 256 levels tall.
+        let src = format!(
+            "module t (input [15:0] a, output [15:0] y); assign y = a{}; endmodule",
+            " + a".repeat(255)
+        );
+        assert_eq!(outputs_on_2mib_stack(src, &[1, 3]), [256, 768]);
+    }
+
+    /// `a[7:0]`, its bound a constant the parser admits at nearly its full
+    /// height; `const_eval` folds it without counting depth, so the chains
+    /// below end in its recursion.
+    fn tall_constant_select() -> String {
+        format!("a[7{}:0]", " + 0".repeat(250))
+    }
+
+    /// `stages` modules, each instantiating the next (two levels each), the
+    /// last one selecting from `a` through [`tall_constant_select`].
+    fn instance_chain(stages: usize) -> String {
+        let mut src = String::new();
+        for i in 0..stages {
+            let name = if i == 0 {
+                "t".to_owned()
+            } else {
+                format!("m{i}")
+            };
+            src += &format!(
+                "module {name} (input [7:0] a, output [7:0] y); m{} u (.a(a), .y(y)); endmodule\n",
+                i + 1
+            );
+        }
+        src += &format!(
+            "module m{stages} (input [7:0] a, output [7:0] y); assign y = {}; endmodule",
+            tall_constant_select()
+        );
+        src
+    }
+
+    /// `stages` nets, each the previous one `+ a` (three levels each), the
+    /// first one selecting from `a` through [`tall_constant_select`].
+    fn net_chain(stages: usize) -> String {
+        let mut src = String::from("module t (input [7:0] a, output [7:0] y);\n");
+        for i in 0..stages {
+            src += &format!("wire [7:0] w{i};\n");
+        }
+        src += &format!("assign w0 = {};\n", tall_constant_select());
+        for i in 1..stages {
+            src += &format!("assign w{i} = w{} + a;\n", i - 1);
+        }
+        src += &format!("assign y = w{};\nendmodule", stages - 1);
+        src
+    }
+
+    #[test]
+    fn deepest_instance_chain_fits_a_2mib_stack() {
+        // Instances cost the most stack per level. Two levels per instance
+        // and three for the leaf's select: 2 * 254 + 3 = 511.
+        const STAGES: usize = 254;
+        assert_eq!(outputs_on_2mib_stack(instance_chain(STAGES), &[3]), [3]);
+        rejects(
+            &instance_chain(STAGES + 1),
+            "elaboration deeper than 512 levels",
+        );
+    }
+
+    #[test]
+    fn deepest_net_chain_fits_a_2mib_stack() {
+        // Three levels per net and two for the first one's select:
+        // 3 * 170 + 2 = 512.
+        const STAGES: usize = 170;
+        assert_eq!(outputs_on_2mib_stack(net_chain(STAGES), &[1]), [170]);
+        rejects(&net_chain(STAGES + 1), "elaboration deeper than 512 levels");
+    }
+
+    #[test]
+    fn zero_width_literal_is_an_error() {
+        rejects(
+            "module t (input [7:0] a, output [7:0] y); assign y = 0'd1; endmodule",
+            "literal 0'd1 is 0 bits wide",
+        );
+    }
+
+    #[test]
+    fn literal_wider_than_max_width_is_an_error() {
+        rejects(
+            "module t (input [7:0] a, output [7:0] y); assign y = 5000'd1; endmodule",
+            "literal 5000'd1 is 5000 bits wide",
+        );
+    }
+
+    #[test]
+    fn port_range_wider_than_max_width_is_an_error() {
+        rejects(
+            "module t (input [4999:0] a, output [7:0] y); assign y = a; endmodule",
+            "range [4999:0] is 5000 bits wide",
+        );
+    }
+
+    #[test]
+    fn port_range_past_u32_is_an_error() {
+        // `msb as u32 + 1` used to wrap to a zero-width input in release
+        // builds and overflow in debug builds.
+        rejects(
+            "module t (input [4294967295:0] a, output [7:0] y); assign y = a; endmodule",
+            "range [4294967295:0] is 4294967296 bits wide",
+        );
+    }
+
+    #[test]
+    fn part_select_past_the_base_width_is_an_error() {
+        rejects(
+            "module t (input [7:0] a, output [7:0] y); assign y = a[100:93]; endmodule",
+            "part select [100:93] of 8-bit \"a\"",
+        );
+    }
+
+    #[test]
+    fn constant_bit_select_past_the_base_width_is_an_error() {
+        rejects(
+            "module t (input [7:0] a, output y); assign y = a[8]; endmodule",
+            "bit select [8] of 8-bit \"a\"",
+        );
+    }
+
+    #[test]
+    fn replication_wider_than_max_width_is_an_error() {
+        rejects(
+            "module t (input [7:0] a, output [7:0] y); assign y = {1000000{a}}; endmodule",
+            "replication {1000000{8-bit value}} is 8000000 bits wide",
+        );
+    }
+
+    #[test]
+    fn concatenation_wider_than_max_width_is_an_error() {
+        rejects(
+            "module t (input [4095:0] a, output [7:0] y); assign y = {a, a}; endmodule",
+            "concatenation is 8192 bits wide",
+        );
+    }
+
+    #[test]
+    fn constant_overflow_is_an_error() {
+        for (expr, needle) in [
+            ("1 << 70", "Shl"),
+            ("9223372036854775807 + 1", "Add"),
+            ("-9223372036854775807 - 2", "Sub"),
+            ("4294967296 * 4294967296", "Mul"),
+            ("1 >> 64", "Shr"),
+            ("1 << -1", "Shl"),
+        ] {
+            rejects(
+                &format!(
+                    "module t #(parameter N = {expr}) (input [7:0] a, output [7:0] y);
+                       assign y = a;
+                     endmodule"
+                ),
+                needle,
+            );
+        }
+    }
+
+    #[test]
+    fn self_instantiation_is_an_error() {
+        rejects(
+            "module t (input a, output y); t u (.a(a), .y(y)); endmodule",
+            "elaboration deeper than 512 levels",
+        );
+    }
+
+    #[test]
+    fn long_net_chain_is_an_error() {
+        let n = 20_000;
+        let mut src = String::from("module t (input a, output y);\n");
+        for i in 0..n {
+            src += &format!("wire w{i};\n");
+        }
+        src += "assign w0 = a;\n";
+        for i in 1..n {
+            src += &format!("assign w{i} = w{};\n", i - 1);
+        }
+        src += &format!("assign y = w{};\nendmodule", n - 1);
+        rejects(&src, "elaboration deeper than 512 levels");
+    }
+
+    #[test]
+    fn tall_trees_along_a_net_chain_are_an_error() {
+        // Each tree is one the parser admits; chained, they pass the bound.
+        let mut src = String::from("module t (input [7:0] a, output [7:0] y);\n");
+        for i in 0..4 {
+            src += &format!("wire [7:0] w{i};\n");
+        }
+        src += &format!("assign w0 = a{};\n", " + a".repeat(200));
+        for i in 1..4 {
+            src += &format!("assign w{i} = w{}{};\n", i - 1, " + a".repeat(200));
+        }
+        src += "assign y = w3;\nendmodule";
+        rejects(&src, "elaboration deeper than 512 levels");
+    }
+
+    #[test]
+    fn elaborated_modules_are_valid_netlists() {
+        // A source the elaborator accepts is a netlist every simulator
+        // and `synthesize` can take without panicking.
+        let d = parse(
+            "module t (input [7:0] a, output [3:0] y, output z);
+               assign y = a[7:4] ^ {a[0], a[1], 2'd3};
+               assign z = a[7];
+             endmodule",
+        )
+        .unwrap();
+        elaborate(&d, "t").unwrap().validate().unwrap();
     }
 
     #[test]

@@ -4,6 +4,22 @@ use crate::ast::*;
 use crate::error::VerilogError;
 use crate::lexer::{lex, SpannedTok, Tok};
 
+/// How deep the parser nests parentheses, unary operators, `?:` true arms
+/// and statements: it recurses once per level, and a 20 KB run of `(` used
+/// to overflow the stack and abort the process. Chains of binary operators,
+/// `?:` false arms and `else if` arms are parsed in loops and cost no
+/// nesting. A level costs at most 1.4 KB of stack in a release build and
+/// 8.5 KB in a debug build (a parenthesis; EXPERIMENTS.md, "Verilog
+/// recursion bounds"), so 64 levels take at most 0.55 MB of a 2 MiB thread.
+const MAX_NESTING: usize = 64;
+
+/// How tall a syntax tree may grow: an expression, or a statement with the
+/// statements and expressions inside it. A chain like `a + a + ...`,
+/// `c ? x : c ? x : ...` or `if .. else if ..` is parsed in a loop but
+/// nests one level per link, and the elaborator and the tree's drop
+/// recurse on that height.
+const MAX_HEIGHT: usize = 256;
+
 /// Parses a source file into a [`Design`].
 ///
 /// # Errors
@@ -14,7 +30,12 @@ pub fn parse(source: &str) -> Result<Design, VerilogError> {
     let mut span = hc_obs::span("parse").with("source_bytes", source.len());
     let toks = lex(source)?;
     span.attach("tokens", toks.len());
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+        height: 0,
+    };
     let mut modules = Vec::new();
     while !p.at_eof() {
         modules.push(p.module()?);
@@ -26,9 +47,37 @@ pub fn parse(source: &str) -> Result<Design, VerilogError> {
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// Nesting of the expression or statement being parsed.
+    depth: usize,
+    /// Height of the expression or statement tree parsed last.
+    height: usize,
 }
 
 impl Parser {
+    /// Runs `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, VerilogError>,
+    ) -> Result<T, VerilogError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
+    }
+
+    /// Returns `node`, whose tallest child is `below` high, failing when
+    /// it would be taller than [`MAX_HEIGHT`].
+    fn node<T>(&mut self, below: usize, node: T) -> Result<T, VerilogError> {
+        if below >= MAX_HEIGHT {
+            return Err(self.err(format!("syntax tree taller than {MAX_HEIGHT} levels")));
+        }
+        self.height = below + 1;
+        Ok(node)
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].tok
     }
@@ -326,32 +375,30 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, VerilogError> {
+        self.nested(Self::stmt_inner)
+    }
+
+    fn stmt_inner(&mut self) -> Result<Stmt, VerilogError> {
         let line = self.line();
         if self.eat_kw("begin") {
             let mut stmts = Vec::new();
+            let mut below = 0;
             while !self.eat_kw("end") {
                 if self.at_eof() {
                     return Err(self.err("missing end"));
                 }
                 stmts.push(self.stmt()?);
+                below = below.max(self.height);
             }
-            return Ok(Stmt::Block(stmts));
+            return self.node(below, Stmt::Block(stmts));
         }
-        if self.eat_kw("if") {
-            self.expect_punct("(")?;
-            let cond = self.expr()?;
-            self.expect_punct(")")?;
-            let then = Box::new(self.stmt()?);
-            let else_ = if self.eat_kw("else") {
-                Some(Box::new(self.stmt()?))
-            } else {
-                None
-            };
-            return Ok(Stmt::If { cond, then, else_ });
+        if self.at_kw("if") {
+            return self.if_chain();
         }
         if self.eat_kw("case") {
             self.expect_punct("(")?;
             let subject = self.expr()?;
+            let mut below = self.height;
             self.expect_punct(")")?;
             let mut arms = Vec::new();
             let mut default = None;
@@ -362,20 +409,27 @@ impl Parser {
                 if self.eat_kw("default") {
                     self.expect_punct(":")?;
                     default = Some(Box::new(self.stmt()?));
+                    below = below.max(self.height);
                     continue;
                 }
                 let mut labels = vec![self.expr()?];
+                below = below.max(self.height);
                 while self.eat_punct(",") {
                     labels.push(self.expr()?);
+                    below = below.max(self.height);
                 }
                 self.expect_punct(":")?;
                 arms.push((labels, self.stmt()?));
+                below = below.max(self.height);
             }
-            return Ok(Stmt::Case {
-                subject,
-                arms,
-                default,
-            });
+            return self.node(
+                below,
+                Stmt::Case {
+                    subject,
+                    arms,
+                    default,
+                },
+            );
         }
         // Assignment.
         let lhs = self.ident()?;
@@ -386,13 +440,51 @@ impl Parser {
             true
         };
         let rhs = self.expr()?;
+        let below = self.height;
         self.expect_punct(";")?;
-        Ok(Stmt::Assign {
-            lhs,
-            rhs,
-            blocking,
-            line,
-        })
+        self.node(
+            below,
+            Stmt::Assign {
+                lhs,
+                rhs,
+                blocking,
+                line,
+            },
+        )
+    }
+
+    /// Parses `if (c) s else if (c) s ... [else s]` in a loop, so an arm
+    /// costs no nesting, and folds the arms right to left into nested
+    /// [`Stmt::If`]s.
+    fn if_chain(&mut self) -> Result<Stmt, VerilogError> {
+        let mut arms = Vec::new();
+        let mut last = None;
+        while self.eat_kw("if") {
+            self.expect_punct("(")?;
+            let cond = self.expr()?;
+            let below = self.height;
+            self.expect_punct(")")?;
+            let then = self.stmt()?;
+            arms.push((cond, then, below.max(self.height)));
+            if !self.eat_kw("else") {
+                break;
+            }
+            if !self.at_kw("if") {
+                last = Some((self.stmt()?, self.height));
+                break;
+            }
+        }
+        let (mut else_, mut height) = match last {
+            Some((stmt, height)) => (Some(Box::new(stmt)), height),
+            None => (None, 0),
+        };
+        for (cond, then, below) in arms.into_iter().rev() {
+            let then = Box::new(then);
+            let stmt = self.node(below.max(height), Stmt::If { cond, then, else_ })?;
+            height = self.height;
+            else_ = Some(Box::new(stmt));
+        }
+        Ok(*else_.expect("an if chain has an arm"))
     }
 
     // ------------------------------------------------------------------
@@ -400,23 +492,37 @@ impl Parser {
     // ------------------------------------------------------------------
 
     pub(crate) fn expr(&mut self) -> Result<Expr, VerilogError> {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
+    /// Parses `c ? t : c ? t : ... : f` in a loop, so a false arm costs no
+    /// nesting, and folds the arms right to left into nested
+    /// [`Expr::Ternary`]s.
     fn ternary(&mut self) -> Result<Expr, VerilogError> {
-        let cond = self.binary(0)?;
-        if self.eat_punct("?") {
-            let t = self.ternary()?;
+        let mut cond = self.binary(0)?;
+        let mut height = self.height;
+        let mut arms = Vec::new();
+        while self.eat_punct("?") {
+            let t = self.expr()?;
+            arms.push((cond, t, height.max(self.height)));
             self.expect_punct(":")?;
-            let f = self.ternary()?;
-            Ok(Expr::Ternary(Box::new(cond), Box::new(t), Box::new(f)))
-        } else {
-            Ok(cond)
+            cond = self.binary(0)?;
+            height = self.height;
         }
+        // `cond` is the last false arm.
+        let mut tree = cond;
+        for (cond, t, below) in arms.into_iter().rev() {
+            let node = Expr::Ternary(Box::new(cond), Box::new(t), Box::new(tree));
+            tree = self.node(below.max(height), node)?;
+            height = self.height;
+        }
+        Ok(tree)
     }
 
-    fn binop_at(&self, level: usize) -> Option<BinOp> {
-        let table: &[&[(&str, BinOp)]] = &[
+    /// The binary operator at the cursor and its precedence level, 0
+    /// binding loosest.
+    fn binop(&self) -> Option<(BinOp, usize)> {
+        const TABLE: &[&[(&str, BinOp)]] = &[
             &[("||", BinOp::LogicOr)],
             &[("&&", BinOp::LogicAnd)],
             &[("|", BinOp::Or)],
@@ -438,23 +544,25 @@ impl Parser {
             &[("+", BinOp::Add), ("-", BinOp::Sub)],
             &[("*", BinOp::Mul)],
         ];
-        table.get(level).and_then(|ops| {
+        TABLE.iter().enumerate().find_map(|(level, ops)| {
             ops.iter()
                 .find(|(p, _)| self.at_punct(p))
-                .map(|&(_, op)| op)
+                .map(|&(_, op)| (op, level))
         })
     }
 
-    fn binary(&mut self, level: usize) -> Result<Expr, VerilogError> {
-        const MAX_LEVEL: usize = 10;
-        if level >= MAX_LEVEL {
-            return self.unary();
-        }
-        let mut lhs = self.binary(level + 1)?;
-        while let Some(op) = self.binop_at(level) {
+    /// Parses a left-associative chain of operators at `min_level` or
+    /// tighter (precedence climbing): it recurses only where a tighter
+    /// operator follows, so a parenthesis costs one frame here, not one per
+    /// precedence level.
+    fn binary(&mut self, min_level: usize) -> Result<Expr, VerilogError> {
+        let mut lhs = self.unary()?;
+        while let Some((op, level)) = self.binop().filter(|&(_, level)| level >= min_level) {
             self.bump();
+            let below = self.height;
             let rhs = self.binary(level + 1)?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+            let below = below.max(self.height);
+            lhs = self.node(below, Expr::Binary(op, Box::new(lhs), Box::new(rhs)))?;
         }
         Ok(lhs)
     }
@@ -470,8 +578,9 @@ impl Parser {
         ] {
             if self.at_punct(p) {
                 self.bump();
-                let operand = self.unary()?;
-                return Ok(Expr::Unary(op, Box::new(operand)));
+                let operand = self.nested(Self::unary)?;
+                let below = self.height;
+                return self.node(below, Expr::Unary(op, Box::new(operand)));
             }
         }
         self.primary()
@@ -479,19 +588,25 @@ impl Parser {
 
     fn primary(&mut self) -> Result<Expr, VerilogError> {
         match self.bump() {
-            Tok::Number { value, width } => Ok(Expr::Literal { value, width }),
+            Tok::Number { value, width } => {
+                self.height = 1;
+                Ok(Expr::Literal { value, width })
+            }
             Tok::Ident(name) => {
                 if self.eat_punct("[") {
                     let first = self.expr()?;
+                    let below = self.height;
                     if self.eat_punct(":") {
                         let lsb = self.expr()?;
+                        let below = below.max(self.height);
                         self.expect_punct("]")?;
-                        Ok(Expr::Part(name, Box::new(first), Box::new(lsb)))
+                        self.node(below, Expr::Part(name, Box::new(first), Box::new(lsb)))
                     } else {
                         self.expect_punct("]")?;
-                        Ok(Expr::Bit(name, Box::new(first)))
+                        self.node(below, Expr::Bit(name, Box::new(first)))
                     }
                 } else {
+                    self.height = 1;
                     Ok(Expr::Ident(name))
                 }
             }
@@ -502,19 +617,22 @@ impl Parser {
             }
             Tok::Punct("{") => {
                 let first = self.expr()?;
+                let mut below = self.height;
                 if self.eat_punct("{") {
                     // Replication: {count{value}}.
                     let value = self.expr()?;
+                    let below = below.max(self.height);
                     self.expect_punct("}")?;
                     self.expect_punct("}")?;
-                    return Ok(Expr::Repl(Box::new(first), Box::new(value)));
+                    return self.node(below, Expr::Repl(Box::new(first), Box::new(value)));
                 }
                 let mut parts = vec![first];
                 while self.eat_punct(",") {
                     parts.push(self.expr()?);
+                    below = below.max(self.height);
                 }
                 self.expect_punct("}")?;
-                Ok(Expr::Concat(parts))
+                self.node(below, Expr::Concat(parts))
             }
             other => Err(self.err(format!("expected expression, found {other:?}"))),
         }
@@ -616,6 +734,122 @@ mod tests {
             } => {}
             other => panic!("{other:?}"),
         }
+    }
+
+    /// Each of these used to overflow the parser's (or the tree drop's)
+    /// stack and abort the process. The test runs on a 2 MiB stack, the
+    /// default for hc-serve's connection threads, to pin that the bounds
+    /// fit one.
+    #[test]
+    fn hostile_nesting_is_an_error() {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(hostile_nesting_cases)
+            .unwrap()
+            .join()
+            .unwrap_or_else(|e| std::panic::resume_unwind(e));
+    }
+
+    fn hostile_nesting_cases() {
+        let wrap = |body: String| format!("module t (input a, output reg y); {body} endmodule");
+        for (src, needle) in [
+            (
+                wrap(format!(
+                    "assign y = {}a{};",
+                    "(".repeat(20_000),
+                    ")".repeat(20_000)
+                )),
+                "nesting deeper than 64 levels",
+            ),
+            (
+                wrap(format!("assign y = {}a;", "~".repeat(20_000))),
+                "nesting deeper than 64 levels",
+            ),
+            (
+                wrap(format!("assign y = a{};", "+a".repeat(20_000))),
+                "syntax tree taller than 256 levels",
+            ),
+            (
+                wrap(format!("assign y = {}a;", "a ? a : ".repeat(20_000))),
+                "syntax tree taller than 256 levels",
+            ),
+            (
+                wrap(format!(
+                    "always @* {} y = a; {}",
+                    "begin ".repeat(20_000),
+                    "end ".repeat(20_000)
+                )),
+                "nesting deeper than 64 levels",
+            ),
+            (
+                wrap(format!("always @* {} y = a;", "if (a) ".repeat(20_000))),
+                "nesting deeper than 64 levels",
+            ),
+            (
+                wrap(format!(
+                    "always @* if (a) y = a; {} else y = a;",
+                    "else if (a) y = a; ".repeat(20_000)
+                )),
+                "syntax tree taller than 256 levels",
+            ),
+        ] {
+            let err = parse(&src).expect_err("hostile nesting parses");
+            assert!(err.to_string().contains(needle), "{err}");
+        }
+        // The limits leave room: 63 nested parentheses, a 255-operator
+        // chain, a 255-arm `?:` chain and a 250-arm `else if` chain parse.
+        parse(&wrap(format!(
+            "assign y = {}a{};",
+            "(".repeat(63),
+            ")".repeat(63)
+        )))
+        .unwrap();
+        parse(&wrap(format!("assign y = a{};", "+a".repeat(255)))).unwrap();
+        parse(&wrap(format!("assign y = {}a;", "a ? a : ".repeat(255)))).unwrap();
+        parse(&wrap(format!(
+            "always @* if (a) y = a; {} else y = a;",
+            "else if (a) y = a; ".repeat(250)
+        )))
+        .unwrap();
+    }
+
+    #[test]
+    fn chains_fold_right_to_left() {
+        let d = parse(
+            "module m (input a, input b, output reg y, output z);
+               assign z = a ? 1'd0 : b ? 1'd1 : a;
+               always @* if (a) y = 1'd0; else if (b) y = 1'd1; else y = a;
+             endmodule",
+        )
+        .unwrap();
+        let items = &d.module("m").unwrap().items;
+        let Item::Assign {
+            rhs: Expr::Ternary(c, _, f),
+            ..
+        } = &items[0]
+        else {
+            panic!("{:?}", items[0]);
+        };
+        assert!(
+            matches!((&**c, &**f), (Expr::Ident(a), Expr::Ternary(b, ..))
+            if a == "a" && matches!(&**b, Expr::Ident(b) if b == "b"))
+        );
+        let Item::Always {
+            body: Stmt::If { cond, else_, .. },
+            ..
+        } = &items[1]
+        else {
+            panic!("{:?}", items[1]);
+        };
+        assert!(matches!(cond, Expr::Ident(a) if a == "a"));
+        let Some(else_) = else_ else {
+            panic!("else arm dropped")
+        };
+        let Stmt::If { cond, else_, .. } = &**else_ else {
+            panic!("{else_:?}");
+        };
+        assert!(matches!(cond, Expr::Ident(b) if b == "b"));
+        assert!(matches!(else_.as_deref(), Some(Stmt::Assign { .. })));
     }
 
     #[test]

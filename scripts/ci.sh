@@ -36,6 +36,15 @@ echo "== perfsnap gates (engine speedups, tape optimizer, kernel x frontend matr
 HC_THREADS=2 ./target/release/perfsnap >/dev/null
 ./target/release/benchgate perfsnap BENCH_sim.json
 
+if [ "$(uname -m)" = "x86_64" ]; then
+  echo "== forced-fallback twin of the measurement route (scalar JIT's tape fallback vs the batched interpreter)"
+  # Every measurement runs on the scalar JIT; under HC_NO_NATIVE=1 its
+  # tape fallback must give every Fig. 1 AXIS point the batched
+  # interpreter's outputs and T_L/T_P.
+  HC_NO_NATIVE=1 cargo test -q -p hc-core --lib \
+    measure::tests::scalar_route_matches_the_batched_harness_on_every_fig1_point
+fi
+
 if [ "$(uname -m)" = "x86_64" ] && grep -q avx2 /proc/cpuinfo; then
   echo "== forced-fallback A/B twin (vector JIT differential suite under HC_NO_NATIVE=1)"
   HC_NO_NATIVE=1 cargo test -q -p hc-sim --test native_batched_differential
