@@ -22,13 +22,10 @@ use std::hash::{Hash, Hasher};
 /// difference — an operand, a width, a reset value, a write port — changes
 /// the hash.
 pub fn content_hash(module: &Module) -> u128 {
-    let lo = hash_with(module, 0xcbf2_9ce4_8422_2325);
-    let hi = hash_with(module, 0x6c62_272e_07bb_0142);
-    (u128::from(hi) << 64) | u128::from(lo)
-}
-
-fn hash_with(module: &Module, basis: u64) -> u64 {
-    let mut h = Fnv1a { state: basis };
+    let mut h = Fnv1aPair {
+        lo: 0xcbf2_9ce4_8422_2325,
+        hi: 0x6c62_272e_07bb_0142,
+    };
     module.name().hash(&mut h);
     module.nodes().len().hash(&mut h);
     for nd in module.nodes() {
@@ -68,24 +65,27 @@ fn hash_with(module: &Module, basis: u64) -> u64 {
             w.en.hash(&mut h);
         }
     }
-    h.finish()
+    (u128::from(h.hi) << 64) | u128::from(h.lo)
 }
 
-/// Byte-oriented FNV-1a. Unlike `DefaultHasher` it has no per-process
+/// Two byte-oriented FNV-1a streams with different offset bases, fed the
+/// same bytes in one walk. Unlike `DefaultHasher` it has no per-process
 /// random seed, so hashes are reproducible run to run.
-struct Fnv1a {
-    state: u64,
+struct Fnv1aPair {
+    lo: u64,
+    hi: u64,
 }
 
-impl Hasher for Fnv1a {
+impl Hasher for Fnv1aPair {
     fn finish(&self) -> u64 {
-        self.state
+        self.lo
     }
 
     fn write(&mut self, bytes: &[u8]) {
+        const PRIME: u64 = 0x100_0000_01b3;
         for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(0x100_0000_01b3);
+            self.lo = (self.lo ^ u64::from(b)).wrapping_mul(PRIME);
+            self.hi = (self.hi ^ u64::from(b)).wrapping_mul(PRIME);
         }
     }
 }
@@ -139,6 +139,65 @@ mod tests {
         let s = renamed.binary(BinaryOp::Add, a, b, 8);
         renamed.output("y", s);
         assert_ne!(content_hash(&renamed), base);
+    }
+
+    /// Registers with enable and reset, a memory, names and mixed widths.
+    fn stateful() -> Module {
+        let mut m = Module::new("stateful");
+        let x = m.input("x", 12);
+        let en = m.input("en", 1);
+        let r = m.reg("acc", 24, Bits::from_i64(24, -3));
+        let q = m.reg_out(r);
+        let wide = m.sext(x, 24);
+        let sum = m.binary(BinaryOp::Add, q, wide, 24);
+        m.connect_reg(r, sum);
+        m.reg_en(r, en);
+        m.reg_reset(r, en);
+        let mem = m.mem("buf", 12, 16);
+        let addr = m.slice(q, 0, 4);
+        m.mem_write(mem, addr, x, en);
+        let rd = m.mem_read(mem, addr);
+        let pair = m.concat(rd, x);
+        m.name_node(pair, "pair");
+        m.output("y", pair);
+        m.output("acc", q);
+        m
+    }
+
+    /// Multi-word constants behind a select tree.
+    fn wide_consts() -> Module {
+        let mut m = Module::new("wide");
+        let sel = m.input("sel", 2);
+        let options: Vec<_> = (1..=3u64)
+            .map(|i| {
+                let mut v = Bits::zero(768);
+                v.deposit_u64(700, 64, 0x9e37_79b9_7f4a_7c15_u64.wrapping_mul(i));
+                v.deposit_u64(3, 64, i);
+                m.constant(v)
+            })
+            .collect();
+        let y = m.select(sel, &options);
+        m.output("y", y);
+        m
+    }
+
+    /// The persistent store keys records by these values, so they must not
+    /// drift between versions (recorded on a 64-bit host, where `usize`
+    /// lengths hash as eight bytes).
+    #[test]
+    fn hash_values_are_pinned() {
+        assert_eq!(
+            content_hash(&adder()),
+            0xd2c0_1db3_34aa_19f3_d713_36ff_5e4b_2a84
+        );
+        assert_eq!(
+            content_hash(&stateful()),
+            0x316b_1f95_a629_007a_97fd_14d5_09df_008d
+        );
+        assert_eq!(
+            content_hash(&wide_consts()),
+            0x4e24_ea18_4261_464d_8a23_6b51_4b30_9fd8
+        );
     }
 
     #[test]

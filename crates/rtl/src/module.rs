@@ -85,11 +85,12 @@ pub struct NodeData {
 #[derive(Clone, Debug, Default)]
 pub struct Module {
     name: String,
-    nodes: Vec<NodeData>,
-    inputs: Vec<Port>,
-    outputs: Vec<Output>,
-    regs: Vec<Reg>,
-    mems: Vec<Mem>,
+    // The rewriting passes edit the tables in place.
+    pub(crate) nodes: Vec<NodeData>,
+    pub(crate) inputs: Vec<Port>,
+    pub(crate) outputs: Vec<Output>,
+    pub(crate) regs: Vec<Reg>,
+    pub(crate) mems: Vec<Mem>,
 }
 
 impl Module {
@@ -412,22 +413,6 @@ impl Module {
         };
         m.validate()?;
         Ok(m)
-    }
-
-    /// Replaces the full node table (used by rewriting passes).
-    pub(crate) fn set_tables(
-        &mut self,
-        nodes: Vec<NodeData>,
-        inputs: Vec<Port>,
-        outputs: Vec<Output>,
-        regs: Vec<Reg>,
-        mems: Vec<Mem>,
-    ) {
-        self.nodes = nodes;
-        self.inputs = inputs;
-        self.outputs = outputs;
-        self.regs = regs;
-        self.mems = mems;
     }
 }
 

@@ -99,6 +99,32 @@ impl Node {
             },
         }
     }
+
+    /// Rewrites every operand through `map` in place, visiting them in
+    /// [`Node::for_each_operand`] order.
+    pub(crate) fn remap_operands(&mut self, mut map: impl FnMut(NodeId) -> NodeId) {
+        match self {
+            Node::Const(_) | Node::Input(_) | Node::RegOut(_) => {}
+            Node::Unary(_, a)
+            | Node::Slice { src: a, .. }
+            | Node::ZExt(a)
+            | Node::SExt(a)
+            | Node::MemRead { addr: a, .. } => *a = map(*a),
+            Node::Binary(_, a, b) | Node::Concat(a, b) => {
+                *a = map(*a);
+                *b = map(*b);
+            }
+            Node::Mux {
+                sel,
+                on_true,
+                on_false,
+            } => {
+                *sel = map(*sel);
+                *on_true = map(*on_true);
+                *on_false = map(*on_false);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

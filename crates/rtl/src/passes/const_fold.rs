@@ -1,5 +1,6 @@
 //! Constant folding and algebraic simplification.
 
+use crate::module::NodeData;
 use crate::passes::eval::eval_pure;
 use crate::{BinaryOp, Module, Node, NodeId};
 use hc_bits::Bits;
@@ -11,63 +12,68 @@ pub fn const_fold(module: &mut Module) {
     let n = module.nodes().len();
     // replace[i] = the node that should be used instead of node i.
     let mut replace: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-    let mut values: Vec<Option<Bits>> = vec![None; n];
+    // values[i] = the `Const` node holding node i's value, when it is known:
+    // one of the module's own constants or one this pass appended.
+    let mut values: Vec<Option<NodeId>> = vec![None; n];
+    let mut args: Vec<Bits> = Vec::new();
 
     for i in 0..n {
-        let data = module.node(NodeId::new(i)).clone();
-        let node = data.node.map_operands(|id| replace[id.index()]);
-
-        // Gather operand constant values.
-        let mut args = Vec::new();
-        let mut all_const = true;
-        node.for_each_operand(|id| match &values[id.index()] {
-            Some(v) => args.push(v.clone()),
-            None => all_const = false,
-        });
-
-        if all_const
-            && !matches!(
-                node,
-                Node::Input(_) | Node::RegOut(_) | Node::MemRead { .. }
-            )
-        {
-            if let Some(v) = eval_pure(&node, data.width, &args) {
-                if let Node::Const(existing) = &module.node(NodeId::new(i)).node {
-                    values[i] = Some(existing.clone());
-                    continue;
-                }
-                let new = module.constant(v.clone());
-                replace.push(new); // self-map for the appended node
-                values.push(Some(v.clone()));
-                replace[i] = new;
-                values[i] = Some(v);
+        let nd = &module.nodes()[i];
+        let node = match &nd.node {
+            Node::Const(_) => {
+                values[i] = Some(NodeId::new(i));
                 continue;
             }
-        }
+            // Ports and register outputs neither fold nor simplify.
+            Node::Input(_) | Node::RegOut(_) => continue,
+            other => other.map_operands(|id| replace[id.index()]),
+        };
+        let width = nd.width;
 
-        match identity(module, &node, data.width, &values) {
+        let mut all_const = true;
+        node.for_each_operand(|id| all_const &= values[id.index()].is_some());
+        let simplified = if all_const && !matches!(node, Node::MemRead { .. }) {
+            args.clear();
+            node.for_each_operand(|id| {
+                let held = values[id.index()].expect("operand is constant");
+                args.push(const_value(module, held).clone());
+            });
+            eval_pure(&node, width, &args).map(Simplified::Value)
+        } else {
+            identity(module, &node, width, &values)
+        };
+
+        match simplified {
             Some(Simplified::Alias(alias)) => {
                 replace[i] = replace[alias.index()];
-                values[i] = values[alias.index()].clone();
-                continue;
+                values[i] = values[alias.index()];
             }
             Some(Simplified::Value(v)) => {
-                let new = module.constant(v.clone());
-                replace.push(new);
-                values.push(Some(v.clone()));
+                let new = module.constant(v);
+                replace.push(new); // self-map for the appended node
+                values.push(Some(new));
                 replace[i] = new;
-                values[i] = Some(v);
-                continue;
+                values[i] = Some(new);
             }
             None => {}
-        }
-
-        if let Node::Const(v) = &node {
-            values[i] = Some(v.clone());
         }
     }
 
     apply_replacement(module, &replace);
+}
+
+/// The value of a `Const` node recorded in `const_fold`'s value table.
+fn const_value(module: &Module, id: NodeId) -> &Bits {
+    match &module.node(id).node {
+        Node::Const(v) => v,
+        other => unreachable!("known value held by {other:?}"),
+    }
+}
+
+/// True when every bit of `v` is set. `Bits` keeps the bits above its
+/// width clear, so this equals `*v == Bits::ones(v.width())`.
+fn is_ones(v: &Bits) -> bool {
+    v.count_ones() == v.width()
 }
 
 /// Result of an algebraic simplification: an existing equivalent node, or a
@@ -83,10 +89,10 @@ fn identity(
     module: &Module,
     node: &Node,
     width: u32,
-    values: &[Option<Bits>],
+    values: &[Option<NodeId>],
 ) -> Option<Simplified> {
     use Simplified::{Alias, Value};
-    let cval = |id: NodeId| values.get(id.index()).and_then(|v| v.clone());
+    let cval = |id: NodeId| values[id.index()].map(|held| const_value(module, held));
     match *node {
         Node::Binary(op, a, b) => {
             let (ca, cb) = (cval(a), cval(b));
@@ -98,16 +104,13 @@ fn identity(
                     if op == BinaryOp::Or && a == b {
                         return Some(Alias(a));
                     }
-                    if op == BinaryOp::Or
-                        && (ca.as_ref().is_some_and(|v| *v == Bits::ones(v.width()))
-                            || cb.as_ref().is_some_and(|v| *v == Bits::ones(v.width())))
-                    {
+                    if op == BinaryOp::Or && (ca.is_some_and(is_ones) || cb.is_some_and(is_ones)) {
                         return Some(Value(Bits::ones(width)));
                     }
-                    if op != BinaryOp::Sub && ca.as_ref().is_some_and(Bits::is_zero) {
+                    if op != BinaryOp::Sub && ca.is_some_and(Bits::is_zero) {
                         return Some(Alias(b));
                     }
-                    if cb.as_ref().is_some_and(Bits::is_zero) {
+                    if cb.is_some_and(Bits::is_zero) {
                         return Some(Alias(a));
                     }
                     None
@@ -116,38 +119,27 @@ fn identity(
                     if a == b {
                         return Some(Alias(a));
                     }
-                    if ca.as_ref().is_some_and(Bits::is_zero)
-                        || cb.as_ref().is_some_and(Bits::is_zero)
-                    {
+                    if ca.is_some_and(Bits::is_zero) || cb.is_some_and(Bits::is_zero) {
                         return Some(Value(Bits::zero(width)));
                     }
-                    if ca.as_ref().is_some_and(|v| *v == Bits::ones(v.width())) {
+                    if ca.is_some_and(is_ones) {
                         return Some(Alias(b));
                     }
-                    if cb.as_ref().is_some_and(|v| *v == Bits::ones(v.width())) {
+                    if cb.is_some_and(is_ones) {
                         return Some(Alias(a));
                     }
                     None
                 }
                 BinaryOp::MulS | BinaryOp::MulU => {
-                    if ca.as_ref().is_some_and(Bits::is_zero)
-                        || cb.as_ref().is_some_and(Bits::is_zero)
-                    {
+                    if ca.is_some_and(Bits::is_zero) || cb.is_some_and(Bits::is_zero) {
                         return Some(Value(Bits::zero(width)));
                     }
+                    let is_one = |v: &Bits| v.to_u64() == 1 && v.count_ones() == 1;
                     // x * 1 keeps the value when the result width covers x.
-                    if cb
-                        .as_ref()
-                        .is_some_and(|v| v.to_u64() == 1 && v.count_ones() == 1)
-                        && module.width(a) == width
-                    {
+                    if cb.is_some_and(is_one) && module.width(a) == width {
                         return Some(Alias(a));
                     }
-                    if ca
-                        .as_ref()
-                        .is_some_and(|v| v.to_u64() == 1 && v.count_ones() == 1)
-                        && module.width(b) == width
-                    {
+                    if ca.is_some_and(is_one) && module.width(b) == width {
                         return Some(Alias(b));
                     }
                     None
@@ -159,10 +151,10 @@ fn identity(
                     Some(Value(Bits::zero(width)))
                 }
                 BinaryOp::Shl | BinaryOp::ShrL | BinaryOp::ShrA => {
-                    if ca.as_ref().is_some_and(Bits::is_zero) {
+                    if ca.is_some_and(Bits::is_zero) {
                         return Some(Value(Bits::zero(width)));
                     }
-                    if cb.as_ref().is_some_and(Bits::is_zero) {
+                    if cb.is_some_and(Bits::is_zero) {
                         return Some(Alias(a));
                     }
                     None
@@ -186,84 +178,85 @@ fn identity(
     }
 }
 
-/// Rewrites every operand, output, register and memory reference through the
+/// Rewrites every operand, port, register and memory reference through the
 /// replacement table, then re-sorts the node list topologically (replacement
 /// may introduce forward references, e.g. to constants appended at the end).
+///
+/// Operands are rewritten in place. When every operand then points at an
+/// earlier node the order is kept as it is: the topological sort would
+/// return the identity permutation.
 pub(crate) fn apply_replacement(module: &mut Module, replace: &[NodeId]) {
-    // First rewrite through `replace`, then compose with a topological
-    // permutation of the rewritten graph.
-    let rewritten: Vec<Node> = module
-        .nodes()
-        .iter()
-        .map(|nd| nd.node.map_operands(|id| replace[id.index()]))
-        .collect();
-    let order = topo_order(&rewritten);
-    let mut position = vec![0usize; rewritten.len()];
-    for (pos, &old) in order.iter().enumerate() {
-        position[old] = pos;
+    let mut nodes = std::mem::take(&mut module.nodes);
+    let mut ordered = true;
+    for (i, nd) in nodes.iter_mut().enumerate() {
+        nd.node.remap_operands(|id| {
+            let to = replace[id.index()];
+            ordered &= to.index() < i;
+            to
+        });
     }
-    let map = |id: NodeId| NodeId::new(position[replace[id.index()].index()]);
-    let nodes = order
-        .iter()
-        .map(|&old| {
-            let nd = module.node(NodeId::new(old));
-            crate::module::NodeData {
-                node: rewritten[old].map_operands(|id| NodeId::new(position[id.index()])),
-                width: nd.width,
-                name: nd.name.clone(),
-            }
-        })
-        .collect();
-    let inputs = module.inputs().to_vec();
-    let outputs = module
-        .outputs()
-        .iter()
-        .map(|o| crate::Output {
-            name: o.name.clone(),
-            node: map(o.node),
-        })
-        .collect();
-    let regs = module
-        .regs()
-        .iter()
-        .map(|r| crate::Reg {
-            next: r.next.map(map),
-            en: r.en.map(map),
-            reset: r.reset.map(map),
-            ..r.clone()
-        })
-        .collect();
-    let mems = module
-        .mems()
-        .iter()
-        .map(|m| crate::Mem {
-            writes: m
-                .writes
-                .iter()
-                .map(|w| crate::MemWrite {
-                    addr: map(w.addr),
-                    data: map(w.data),
-                    en: map(w.en),
-                })
-                .collect(),
-            ..m.clone()
-        })
-        .collect();
-    module.set_tables(nodes, inputs, outputs, regs, mems);
+    // position[old] = the node's index after the re-sort, when one is needed.
+    let position = (!ordered).then(|| {
+        let order = topo_order(&nodes);
+        let mut position = vec![NodeId::new(0); nodes.len()];
+        for (pos, &old) in order.iter().enumerate() {
+            position[old] = NodeId::new(pos);
+        }
+        let vacated = || NodeData {
+            node: Node::Input(0),
+            width: 0,
+            name: None,
+        };
+        let mut sorted: Vec<NodeData> = order
+            .iter()
+            .map(|&old| std::mem::replace(&mut nodes[old], vacated()))
+            .collect();
+        for nd in &mut sorted {
+            nd.node.remap_operands(|id| position[id.index()]);
+        }
+        nodes = sorted;
+        position
+    });
+    module.nodes = nodes;
+
+    let map = |id: NodeId| {
+        let to = replace[id.index()];
+        position.as_ref().map_or(to, |p| p[to.index()])
+    };
+    for port in &mut module.inputs {
+        port.node = map(port.node);
+    }
+    for out in &mut module.outputs {
+        out.node = map(out.node);
+    }
+    for reg in &mut module.regs {
+        reg.next = reg.next.map(map);
+        reg.en = reg.en.map(map);
+        reg.reset = reg.reset.map(map);
+    }
+    for mem in &mut module.mems {
+        for w in &mut mem.writes {
+            w.addr = map(w.addr);
+            w.data = map(w.data);
+            w.en = map(w.en);
+        }
+    }
 }
 
 /// Topological order of an acyclic node graph (operands before users),
 /// computed with an iterative DFS so deep netlists cannot overflow the
-/// stack.
-fn topo_order(nodes: &[Node]) -> Vec<usize> {
+/// stack. Roots are taken in index order and operands are pushed in
+/// operand order, so the last operand's cone is emitted first.
+fn topo_order(nodes: &[NodeData]) -> Vec<usize> {
     let mut order = Vec::with_capacity(nodes.len());
     // 0 = unvisited, 1 = in progress, 2 = emitted.
     let mut mark = vec![0u8; nodes.len()];
+    let mut stack: Vec<(usize, bool)> = Vec::new();
     for root in 0..nodes.len() {
         if mark[root] != 0 {
             continue;
         }
-        let mut stack = vec![(root, false)];
+        stack.push((root, false));
         while let Some((i, expanded)) = stack.pop() {
             if expanded {
                 mark[i] = 2;
@@ -275,7 +268,7 @@ fn topo_order(nodes: &[Node]) -> Vec<usize> {
             }
             mark[i] = 1;
             stack.push((i, true));
-            nodes[i].for_each_operand(|op| {
+            nodes[i].node.for_each_operand(|op| {
                 if mark[op.index()] == 0 {
                     stack.push((op.index(), false));
                 }
@@ -328,6 +321,26 @@ mod tests {
         m.output("y", y);
         const_fold(&mut m);
         assert_eq!(m.outputs()[0].node, a);
+    }
+
+    #[test]
+    fn input_port_follows_its_node_through_the_resort() {
+        // `k` folds to a constant appended at the end; the re-sort moves
+        // it in front of `s` and shifts every later node, `a` included.
+        let mut m = Module::new("t");
+        let c1 = m.const_u(8, 3);
+        let c2 = m.const_u(8, 4);
+        let k = m.binary(BinaryOp::Add, c1, c2, 8);
+        let r = m.reg("r", 8, Bits::zero(8));
+        let q = m.reg_out(r);
+        let s = m.binary(BinaryOp::Add, q, k, 8);
+        let a = m.input("a", 8);
+        let y = m.binary(BinaryOp::Xor, s, a, 8);
+        m.connect_reg(r, y);
+        m.output("y", y);
+        const_fold(&mut m);
+        m.validate().unwrap();
+        assert_eq!(m.node(m.inputs()[0].node).node, Node::Input(0));
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Dead-code elimination with register and memory liveness.
 
-use crate::module::NodeData;
-use crate::{Mem, MemId, MemWrite, Module, Node, NodeId, Output, Port, Reg, RegId};
+use crate::{MemId, Module, Node, NodeId, RegId};
 
 /// Removes nodes, registers and memories that cannot influence any output.
 ///
 /// Liveness is a fixpoint: outputs are live; a live node's operands are
 /// live; a live `RegOut` makes its register (and the register's next/en/
 /// reset cones) live; a live `MemRead` makes the memory and all its write
-/// ports live. Everything else is dropped and the id spaces are compacted.
+/// ports live. Everything else is dropped and the id spaces are compacted
+/// in place; a module with nothing dead is left untouched.
 pub fn dce(module: &mut Module) {
     let n = module.nodes().len();
     let mut node_live = vec![false; n];
@@ -43,99 +43,81 @@ pub fn dce(module: &mut Module) {
     for port in module.inputs() {
         node_live[port.node.index()] = true;
     }
+    let all = |live: &[bool]| live.iter().all(|&l| l);
+    if all(&node_live) && all(&reg_live) && all(&mem_live) {
+        return;
+    }
 
-    // Compact the id spaces.
+    // Compact the id spaces. Operands precede their users, so a live
+    // node's operands are already renumbered when it is reached.
+    let reg_map = compact_ids(&reg_live, RegId::new);
+    let mem_map = compact_ids(&mem_live, MemId::new);
     let mut node_map = vec![NodeId::new(usize::MAX); n];
-    let mut reg_map = vec![RegId::new(usize::MAX); module.regs().len()];
-    let mut mem_map = vec![MemId::new(usize::MAX); module.mems().len()];
-    let mut next_reg = 0usize;
-    for (i, live) in reg_live.iter().enumerate() {
-        if *live {
-            reg_map[i] = RegId::new(next_reg);
-            next_reg += 1;
+    let mut next = 0;
+    let mut i = 0;
+    module.nodes.retain_mut(|nd| {
+        let live = node_live[i];
+        if live {
+            nd.node.remap_operands(|id| node_map[id.index()]);
+            match &mut nd.node {
+                Node::RegOut(r) => *r = reg_map[r.index()],
+                Node::MemRead { mem, .. } => *mem = mem_map[mem.index()],
+                _ => {}
+            }
+            node_map[i] = NodeId::new(next);
+            next += 1;
         }
-    }
-    let mut next_mem = 0usize;
-    for (i, live) in mem_live.iter().enumerate() {
-        if *live {
-            mem_map[i] = MemId::new(next_mem);
-            next_mem += 1;
-        }
-    }
-
-    let mut nodes: Vec<NodeData> = Vec::new();
-    for i in 0..n {
-        if !node_live[i] {
-            continue;
-        }
-        let nd = module.node(NodeId::new(i));
-        let mut node = nd.node.map_operands(|id| node_map[id.index()]);
-        node = match node {
-            Node::RegOut(r) => Node::RegOut(reg_map[r.index()]),
-            Node::MemRead { mem, addr } => Node::MemRead {
-                mem: mem_map[mem.index()],
-                addr,
-            },
-            other => other,
-        };
-        node_map[i] = NodeId::new(nodes.len());
-        nodes.push(NodeData {
-            node,
-            width: nd.width,
-            name: nd.name.clone(),
-        });
-    }
+        i += 1;
+        live
+    });
+    // Optimized modules are kept in the front-half cache: release the dead
+    // nodes' slots rather than carry them.
+    module.nodes.shrink_to_fit();
 
     let remap = |id: NodeId| node_map[id.index()];
-    let inputs: Vec<Port> = module
-        .inputs()
-        .iter()
-        .map(|p| Port {
-            name: p.name.clone(),
-            width: p.width,
-            node: remap(p.node),
-        })
-        .collect();
-    let outputs: Vec<Output> = module
-        .outputs()
-        .iter()
-        .map(|o| Output {
-            name: o.name.clone(),
-            node: remap(o.node),
-        })
-        .collect();
-    let regs: Vec<Reg> = module
-        .regs()
-        .iter()
-        .zip(&reg_live)
-        .filter(|(_, live)| **live)
-        .map(|(r, _)| Reg {
-            next: r.next.map(remap),
-            en: r.en.map(remap),
-            reset: r.reset.map(remap),
-            ..r.clone()
-        })
-        .collect();
-    let mems: Vec<Mem> = module
-        .mems()
-        .iter()
-        .zip(&mem_live)
-        .filter(|(_, live)| **live)
-        .map(|(m, _)| Mem {
-            writes: m
-                .writes
-                .iter()
-                .map(|w| MemWrite {
-                    addr: remap(w.addr),
-                    data: remap(w.data),
-                    en: remap(w.en),
-                })
-                .collect(),
-            ..m.clone()
-        })
-        .collect();
+    for port in &mut module.inputs {
+        port.node = remap(port.node);
+    }
+    for out in &mut module.outputs {
+        out.node = remap(out.node);
+    }
+    let mut r = 0;
+    module.regs.retain_mut(|reg| {
+        let live = reg_live[r];
+        r += 1;
+        if live {
+            reg.next = reg.next.map(remap);
+            reg.en = reg.en.map(remap);
+            reg.reset = reg.reset.map(remap);
+        }
+        live
+    });
+    let mut m = 0;
+    module.mems.retain_mut(|mem| {
+        let live = mem_live[m];
+        m += 1;
+        if live {
+            for w in &mut mem.writes {
+                w.addr = remap(w.addr);
+                w.data = remap(w.data);
+                w.en = remap(w.en);
+            }
+        }
+        live
+    });
+}
 
-    module.set_tables(nodes, inputs, outputs, regs, mems);
+/// Dense renumbering of the live entries of an id space (dead entries keep
+/// a sentinel that is never read).
+fn compact_ids<T: Copy>(live: &[bool], id: fn(usize) -> T) -> Vec<T> {
+    let mut next = 0;
+    live.iter()
+        .map(|&l| {
+            let new = id(if l { next } else { usize::MAX });
+            next += usize::from(l);
+            new
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -6,6 +6,13 @@
 //! property-based tests in `hc-sim` and design-level differential tests in
 //! `tests/opt_equivalence.rs`.
 //!
+//! The passes rewrite the module's tables in place. What they emit is
+//! pinned byte for byte against a `#[cfg(test)]` oracle (`passes::oracle`):
+//! the pipeline as it stood before the in-place rewrite. A proptest there
+//! requires both to give equal tables and reports on random modules, and
+//! `tests/opt_equivalence.rs` pins the content hash of every shipped
+//! design's optimized module.
+//!
 //! The standard pipeline is [`optimize`]; [`optimize_with`] takes an
 //! explicit [`PassConfig`] for debugging and ablation. Setting `HC_NO_OPT=1`
 //! in the environment disables every pass for all [`optimize`] callers —
@@ -15,6 +22,8 @@ mod const_fold;
 mod cse;
 mod dce;
 pub mod eval;
+#[cfg(test)]
+mod oracle;
 mod strength;
 
 pub use const_fold::const_fold;
@@ -180,7 +189,8 @@ pub fn optimize(module: &mut Module) -> OptReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BinaryOp;
+    use crate::{BinaryOp, Node};
+    use hc_bits::Bits;
 
     #[test]
     fn optimize_shrinks_redundant_logic() {
@@ -219,6 +229,50 @@ mod tests {
         assert_eq!(second.iterations, 1);
         let nodes2: Vec<_> = m.nodes().iter().map(|nd| nd.node.clone()).collect();
         assert_eq!(nodes, nodes2, "second run must not reorder nodes");
+    }
+
+    /// Constant logic, a register, then input `a` declared after it; `y`
+    /// reads `a` only when `use_a` is set.
+    fn late_input(use_a: bool) -> Module {
+        let mut m = Module::new("t");
+        let c1 = m.const_u(8, 3);
+        let c2 = m.const_u(8, 4);
+        let k = m.binary(BinaryOp::Add, c1, c2, 8);
+        let r = m.reg("r", 8, Bits::zero(8));
+        let q = m.reg_out(r);
+        let s = m.binary(BinaryOp::Add, q, k, 8);
+        let a = m.input("a", 8);
+        let y = if use_a {
+            m.binary(BinaryOp::Xor, s, a, 8)
+        } else {
+            s
+        };
+        m.connect_reg(r, y);
+        m.output("y", y);
+        m
+    }
+
+    #[test]
+    fn late_input_port_names_its_input_node_after_optimize() {
+        let mut m = late_input(true);
+        optimize(&mut m);
+        m.validate().unwrap();
+        assert_eq!(m.node(m.inputs()[0].node).node, Node::Input(0));
+    }
+
+    #[test]
+    fn unused_late_input_survives_optimize() {
+        let mut m = late_input(false);
+        optimize(&mut m);
+        m.validate().unwrap();
+        assert_eq!(m.inputs().len(), 1);
+        assert_eq!(m.node(m.inputs()[0].node).node, Node::Input(0));
+        let input_nodes = m
+            .nodes()
+            .iter()
+            .filter(|nd| matches!(nd.node, Node::Input(_)))
+            .count();
+        assert_eq!(input_nodes, 1);
     }
 
     #[test]

@@ -20,126 +20,126 @@ pub fn strength_reduce(module: &mut Module) {
     let mut replace: Vec<NodeId> = (0..n).map(NodeId::new).collect();
 
     for i in 0..n {
-        let data = module.node(NodeId::new(i)).clone();
-        let node = data.node.map_operands(|id| replace[id.index()]);
-        let w = data.width;
-
-        // The canonical node a (remapped) operand resolves to. Operands
-        // always canonicalize to earlier indices or appended nodes, both of
-        // which already exist in the table.
-        let resolved = |m: &Module, id: NodeId| m.node(id).node.clone();
-
-        let rewrite = match node {
-            // Chase the slice window through nested slices, concat halves and
-            // extensions until it lands on an opaque source. One visit thus
-            // resolves arbitrarily deep pack/unpack ladders.
-            Node::Slice { src, lo } => {
-                let (mut src, mut lo) = (src, lo);
-                let mut padding = false;
-                loop {
-                    match resolved(module, src) {
-                        // Slice of a slice: shift the window into the source.
-                        Node::Slice { src: inner, lo: l2 } => {
-                            src = inner;
-                            lo += l2;
-                        }
-                        // Slice entirely inside one half of a concat: read
-                        // the half. A seam-straddling window stops here.
-                        Node::Concat(hi, lo_half) => {
-                            let low_w = module.width(lo_half);
-                            if lo + w <= low_w {
-                                src = lo_half;
-                            } else if lo >= low_w {
-                                src = hi;
-                                lo -= low_w;
-                            } else {
-                                break;
-                            }
-                        }
-                        // Inside a zero-extension's source: read the source;
-                        // entirely in the zero padding: a constant.
-                        Node::ZExt(a) => {
-                            let aw = module.width(a);
-                            if lo + w <= aw {
-                                src = a;
-                            } else if lo >= aw {
-                                padding = true;
-                                break;
-                            } else {
-                                break;
-                            }
-                        }
-                        // Only the below-sign-bit span of a sign-extension is
-                        // a plain wire to the source.
-                        Node::SExt(a) => {
-                            let aw = module.width(a);
-                            if lo + w <= aw {
-                                src = a;
-                            } else {
-                                break;
-                            }
-                        }
-                        _ => break,
-                    }
-                }
-                if padding {
-                    Some(Rewrite::Const(Bits::zero(w)))
-                } else if let Node::Slice { src: s0, lo: l0 } = node {
-                    if src != s0 || lo != l0 {
-                        Some(Rewrite::Slice(src, lo, w))
-                    } else {
-                        None
-                    }
-                } else {
-                    unreachable!()
-                }
-            }
-            // Adjacent slices of one source re-concatenate into one slice.
-            Node::Concat(hi, lo_half) => match (resolved(module, hi), resolved(module, lo_half)) {
-                (Node::Slice { src: s1, lo: l1 }, Node::Slice { src: s2, lo: l2 })
-                    if s1 == s2 && l1 == l2 + module.width(lo_half) =>
-                {
-                    Some(Rewrite::Slice(s1, l2, w))
-                }
-                _ => None,
-            },
-            // Extension chains collapse when the middle stage kept all the
-            // source bits (zext∘zext and sext∘sext are then single steps).
-            Node::ZExt(a) => match resolved(module, a) {
-                Node::ZExt(inner) if module.width(a) >= module.width(inner) => {
-                    Some(Rewrite::ZExt(inner, w))
-                }
-                _ => None,
-            },
-            Node::SExt(a) => match resolved(module, a) {
-                Node::SExt(inner) if module.width(a) >= module.width(inner) => {
-                    Some(Rewrite::SExt(inner, w))
-                }
-                _ => None,
-            },
-            _ => None,
-        };
-
-        if let Some(rw) = rewrite {
-            let new = match rw {
-                // A full-width zero-offset slice is the source itself.
-                Rewrite::Slice(src, 0, width) if module.width(src) == width => src,
-                Rewrite::Slice(src, lo, width) => module.slice(src, lo, width),
-                Rewrite::ZExt(a, width) if module.width(a) == width => a,
-                Rewrite::ZExt(a, width) => module.zext(a, width),
-                Rewrite::SExt(a, width) if module.width(a) == width => a,
-                Rewrite::SExt(a, width) => module.sext(a, width),
-                Rewrite::Const(v) => module.constant(v),
-            };
-            // Appended nodes map to themselves.
-            while replace.len() < module.nodes().len() {
-                replace.push(NodeId::new(replace.len()));
-            }
-            replace[i] = replace[new.index()];
+        let nd = &module.nodes()[i];
+        if !matches!(
+            nd.node,
+            Node::Slice { .. } | Node::Concat(..) | Node::ZExt(_) | Node::SExt(_)
+        ) {
+            continue;
         }
+        let node = nd.node.map_operands(|id| replace[id.index()]);
+        let Some(rw) = plan(module, &node, nd.width) else {
+            continue;
+        };
+        let new = match rw {
+            // A full-width zero-offset slice is the source itself.
+            Rewrite::Slice(src, 0, width) if module.width(src) == width => src,
+            Rewrite::Slice(src, lo, width) => module.slice(src, lo, width),
+            Rewrite::ZExt(a, width) if module.width(a) == width => a,
+            Rewrite::ZExt(a, width) => module.zext(a, width),
+            Rewrite::SExt(a, width) if module.width(a) == width => a,
+            Rewrite::SExt(a, width) => module.sext(a, width),
+            Rewrite::Const(v) => module.constant(v),
+        };
+        // Appended nodes map to themselves.
+        while replace.len() < module.nodes().len() {
+            replace.push(NodeId::new(replace.len()));
+        }
+        replace[i] = replace[new.index()];
     }
 
     apply_replacement(module, &replace);
+}
+
+/// The rewrite for one (operand-remapped) node of width `w`, if any.
+///
+/// Operands always canonicalize to earlier indices or appended nodes, both
+/// of which already exist in the table, so the chase reads them in place.
+fn plan(module: &Module, node: &Node, w: u32) -> Option<Rewrite> {
+    let resolved = |id: NodeId| &module.node(id).node;
+    match *node {
+        // Chase the slice window through nested slices, concat halves and
+        // extensions until it lands on an opaque source. One visit thus
+        // resolves arbitrarily deep pack/unpack ladders.
+        Node::Slice { src: s0, lo: l0 } => {
+            let (mut src, mut lo) = (s0, l0);
+            let mut padding = false;
+            loop {
+                match *resolved(src) {
+                    // Slice of a slice: shift the window into the source.
+                    Node::Slice { src: inner, lo: l2 } => {
+                        src = inner;
+                        lo += l2;
+                    }
+                    // Slice entirely inside one half of a concat: read
+                    // the half. A seam-straddling window stops here.
+                    Node::Concat(hi, lo_half) => {
+                        let low_w = module.width(lo_half);
+                        if lo + w <= low_w {
+                            src = lo_half;
+                        } else if lo >= low_w {
+                            src = hi;
+                            lo -= low_w;
+                        } else {
+                            break;
+                        }
+                    }
+                    // Inside a zero-extension's source: read the source;
+                    // entirely in the zero padding: a constant.
+                    Node::ZExt(a) => {
+                        let aw = module.width(a);
+                        if lo + w <= aw {
+                            src = a;
+                        } else {
+                            padding = lo >= aw;
+                            break;
+                        }
+                    }
+                    // Only the below-sign-bit span of a sign-extension is
+                    // a plain wire to the source.
+                    Node::SExt(a) => {
+                        if lo + w <= module.width(a) {
+                            src = a;
+                        } else {
+                            break;
+                        }
+                    }
+                    _ => break,
+                }
+            }
+            if padding {
+                Some(Rewrite::Const(Bits::zero(w)))
+            } else if src != s0 || lo != l0 {
+                Some(Rewrite::Slice(src, lo, w))
+            } else {
+                None
+            }
+        }
+        // Adjacent slices of one source re-concatenate into one slice.
+        Node::Concat(hi, lo_half) => match (resolved(hi), resolved(lo_half)) {
+            (&Node::Slice { src: s1, lo: l1 }, &Node::Slice { src: s2, lo: l2 })
+                if s1 == s2 && l1 == l2 + module.width(lo_half) =>
+            {
+                Some(Rewrite::Slice(s1, l2, w))
+            }
+            _ => None,
+        },
+        // Extension chains collapse when the middle stage kept all the
+        // source bits (zext∘zext and sext∘sext are then single steps).
+        Node::ZExt(a) => match *resolved(a) {
+            Node::ZExt(inner) if module.width(a) >= module.width(inner) => {
+                Some(Rewrite::ZExt(inner, w))
+            }
+            _ => None,
+        },
+        Node::SExt(a) => match *resolved(a) {
+            Node::SExt(inner) if module.width(a) >= module.width(inner) => {
+                Some(Rewrite::SExt(inner, w))
+            }
+            _ => None,
+        },
+        _ => None,
+    }
 }
 
 /// A planned replacement for one node.

@@ -1,6 +1,6 @@
 //! Structural validation: width rules, topological ordering, connectivity.
 
-use crate::{BinaryOp, Module, Node, UnaryOp};
+use crate::{BinaryOp, Module, Node, NodeId, UnaryOp};
 use std::error::Error;
 use std::fmt;
 
@@ -28,10 +28,14 @@ impl Module {
     /// Checks structural invariants.
     ///
     /// Verified properties: every node references only earlier nodes (the
-    /// acyclicity guarantee the simulator relies on), operand widths obey
-    /// the rules of each [`Node`] kind, every register has a connected next
-    /// value with matching width, enables/resets/mux selects are one bit
-    /// wide, memory ports are consistent, and slices stay in range.
+    /// acyclicity guarantee the simulator relies on), every port, register
+    /// and memory reference names an existing node, input port `k` is
+    /// carried by a `Node::Input(k)` node of the port's width, operand
+    /// widths obey the rules of each [`Node`] kind, every register has a
+    /// connected next value with matching width, enables/resets/mux selects
+    /// are one bit wide, memory ports are consistent, and slices stay in
+    /// range. Ids are range-checked before use, so tables decoded from
+    /// outside the process fail here rather than panic.
     ///
     /// # Errors
     ///
@@ -39,6 +43,7 @@ impl Module {
     /// naming the offending node.
     pub fn validate(&self) -> Result<(), ValidateError> {
         let err = |msg: String| Err(ValidateError::new(format!("{}: {msg}", self.name())));
+        let exists = |id: NodeId| id.index() < self.nodes().len();
         for (i, nd) in self.nodes().iter().enumerate() {
             let mut ordered = true;
             nd.node.for_each_operand(|op| {
@@ -49,7 +54,7 @@ impl Module {
             if !ordered {
                 return err(format!("node n{i} references a later node (cycle)"));
             }
-            let w = |id: crate::NodeId| self.width(id);
+            let w = |id: NodeId| self.width(id);
             match &nd.node {
                 Node::Const(v) => {
                     if v.width() != nd.width {
@@ -150,10 +155,28 @@ impl Module {
                 }
             }
         }
+        for (k, port) in self.inputs().iter().enumerate() {
+            let carried = exists(port.node)
+                && matches!(self.node(port.node).node, Node::Input(idx) if idx == k)
+                && self.width(port.node) == port.width;
+            if !carried {
+                return err(format!(
+                    "input {:?} is not carried by its Input node ({:?})",
+                    port.name, port.node
+                ));
+            }
+        }
         for (i, reg) in self.regs().iter().enumerate() {
             let next = reg.next.ok_or_else(|| {
                 ValidateError::new(format!("register {:?} unconnected", reg.name))
             })?;
+            if let Some(id) = [Some(next), reg.en, reg.reset]
+                .into_iter()
+                .flatten()
+                .find(|&id| !exists(id))
+            {
+                return err(format!("reg r{i} references missing node {id:?}"));
+            }
             if self.width(next) != reg.width {
                 return err(format!("reg r{i} next width"));
             }
@@ -168,6 +191,12 @@ impl Module {
                 return err(format!("mem m{i} has zero depth"));
             }
             for wp in &mem.writes {
+                if let Some(id) = [wp.addr, wp.data, wp.en]
+                    .into_iter()
+                    .find(|&id| !exists(id))
+                {
+                    return err(format!("mem m{i} write references missing node {id:?}"));
+                }
                 if self.width(wp.data) != mem.width {
                     return err(format!("mem m{i} write data width"));
                 }
@@ -177,7 +206,7 @@ impl Module {
             }
         }
         for out in self.outputs() {
-            if out.node.index() >= self.nodes().len() {
+            if !exists(out.node) {
                 return err(format!("output {:?} dangling", out.name));
             }
         }
@@ -229,6 +258,110 @@ mod tests {
         let p = m.binary(BinaryOp::MulS, a, b, 9);
         m.output("p", p);
         assert!(m.validate().is_err());
+    }
+
+    /// Reassembles a small valid module (inputs `a` and `en` at n0 and n1,
+    /// a register output at n2, one memory write port) with
+    /// `Module::from_parts` after `patch` edits its tables.
+    fn patched(
+        patch: impl FnOnce(&mut Vec<crate::Port>, &mut Vec<crate::Reg>, &mut Vec<crate::Mem>),
+    ) -> Result<Module, ValidateError> {
+        let mut m = Module::new("t");
+        let a = m.input("a", 4);
+        let en = m.input("en", 1);
+        let r = m.reg("r", 4, Bits::zero(4));
+        let q = m.reg_out(r);
+        m.connect_reg(r, a);
+        let mem = m.mem("buf", 4, 16);
+        m.mem_write(mem, a, a, en);
+        m.output("q", q);
+        let mut inputs = m.inputs().to_vec();
+        let mut regs = m.regs().to_vec();
+        let mut mems = m.mems().to_vec();
+        patch(&mut inputs, &mut regs, &mut mems);
+        Module::from_parts(
+            "t",
+            m.nodes().to_vec(),
+            inputs,
+            m.outputs().to_vec(),
+            regs,
+            mems,
+        )
+    }
+
+    #[test]
+    fn from_parts_accepts_the_unpatched_tables() {
+        let mut m = patched(|_, _, _| {}).unwrap();
+        crate::passes::optimize(&mut m);
+        m.validate().unwrap();
+    }
+
+    #[test]
+    fn register_next_out_of_range_is_an_error() {
+        let e = patched(|_, regs, _| regs[0].next = Some(NodeId::new(99))).unwrap_err();
+        assert!(e.to_string().contains("missing node n99"), "{e}");
+    }
+
+    #[test]
+    fn register_controls_out_of_range_are_errors() {
+        for (en, reset) in [(Some(99), None), (None, Some(99))] {
+            let e = patched(|_, regs, _| {
+                regs[0].en = en.map(NodeId::new);
+                regs[0].reset = reset.map(NodeId::new);
+            })
+            .unwrap_err();
+            assert!(e.to_string().contains("missing node n99"), "{e}");
+        }
+    }
+
+    #[test]
+    fn mem_write_data_out_of_range_is_an_error() {
+        let e = patched(|_, _, mems| mems[0].writes[0].data = NodeId::new(99)).unwrap_err();
+        assert!(e.to_string().contains("missing node n99"), "{e}");
+    }
+
+    #[test]
+    fn mem_write_addr_out_of_range_is_an_error() {
+        let e = patched(|_, _, mems| mems[0].writes[0].addr = NodeId::new(99)).unwrap_err();
+        assert!(e.to_string().contains("missing node n99"), "{e}");
+    }
+
+    #[test]
+    fn mem_write_enable_out_of_range_is_an_error() {
+        let e = patched(|_, _, mems| mems[0].writes[0].en = NodeId::new(99)).unwrap_err();
+        assert!(e.to_string().contains("missing node n99"), "{e}");
+    }
+
+    #[test]
+    fn input_port_out_of_range_is_an_error() {
+        let e = patched(|inputs, _, _| inputs[0].node = NodeId::new(99)).unwrap_err();
+        assert!(e.to_string().contains("Input node"), "{e}");
+    }
+
+    #[test]
+    fn input_port_on_a_non_input_node_is_an_error() {
+        // n2 is the register output: it exists, but does not carry `a`.
+        let e = patched(|inputs, _, _| inputs[0].node = NodeId::new(2)).unwrap_err();
+        assert!(e.to_string().contains("Input node"), "{e}");
+    }
+
+    #[test]
+    fn input_port_on_a_const_node_is_an_error() {
+        let mut m = Module::new("t");
+        let a = m.input("a", 4);
+        let k = m.const_u(4, 5);
+        m.output("y", a);
+        let mut inputs = m.inputs().to_vec();
+        inputs[0].node = k;
+        let e = Module::from_parts("t", m.nodes().to_vec(), inputs, vec![], vec![], vec![])
+            .unwrap_err();
+        assert!(e.to_string().contains("Input node"), "{e}");
+    }
+
+    #[test]
+    fn input_port_width_must_match_its_node() {
+        let e = patched(|inputs, _, _| inputs[0].width = 5).unwrap_err();
+        assert!(e.to_string().contains("input"), "{e}");
     }
 
     #[test]

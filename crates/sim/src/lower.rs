@@ -510,10 +510,11 @@ pub(crate) struct MemWritePlan {
 /// Construction options shared by the compiled engines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineOptions {
-    /// Run the `hc_rtl::passes::optimize` pipeline (const-fold → CSE → DCE
-    /// to a size fixpoint) before lowering, so the engine replays a smaller
-    /// tape. Off by default: the unoptimized tape mirrors the module
-    /// node-for-node, which keeps `probe` indices stable for debugging.
+    /// Run the `hc_rtl::passes::optimize` pipeline (const-fold → strength
+    /// reduction → CSE → DCE to a size fixpoint) before lowering, so the
+    /// engine replays a smaller tape. Off by default: the unoptimized tape
+    /// mirrors the module node-for-node, which keeps `probe` indices stable
+    /// for debugging.
     pub optimize: bool,
     /// Run the tape backend optimizer after lowering: superinstruction
     /// fusion, copy forwarding, tape dead-code elimination, live-range slot

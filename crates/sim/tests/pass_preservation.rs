@@ -1,9 +1,12 @@
-//! Property: the optimization pipeline (const-fold, CSE, DCE) never changes
-//! a module's observable behaviour — outputs as a function of input history.
+//! Property: the optimization pipeline (const-fold, strength reduction,
+//! CSE, DCE) never changes a module's observable behaviour — outputs as a
+//! function of input history.
 //!
 //! Random module generation: a DAG of random nodes over a few inputs and
 //! registers, exercised with random stimulus for several cycles, before and
-//! after `optimize`.
+//! after `optimize`. Slice, concat and extension steps pass through other
+//! widths, so strength reduction's window chase, re-concatenation and
+//! extension collapse fire on random modules too.
 
 use hc_bits::Bits;
 use hc_rtl::passes::optimize;
@@ -21,6 +24,16 @@ enum Step {
     Binary(u8, usize, usize),
     Mux(usize, usize, usize),
     Widen(bool, usize),
+    /// A `w`-bit window of a value, extended back to WIDTH bits.
+    Slice(bool, usize, u32, u32),
+    /// Pack two values, then unpack one half or a window across the seam.
+    Pack(usize, usize, u32),
+    /// Split a value into adjacent slices and re-join them.
+    Split(usize, u32),
+    /// An extension chain through two wider widths, then a window of it.
+    ExtChain(bool, usize, u32, u32),
+    /// A binary operation on the low `w` bits, sign-extended back.
+    Narrow(u8, usize, usize, u32),
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -30,12 +43,20 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         (0u8..12, any::<usize>(), any::<usize>()).prop_map(|(op, a, b)| Step::Binary(op, a, b)),
         (any::<usize>(), any::<usize>(), any::<usize>()).prop_map(|(s, a, b)| Step::Mux(s, a, b)),
         (any::<bool>(), any::<usize>()).prop_map(|(z, a)| Step::Widen(z, a)),
+        (any::<bool>(), any::<usize>(), any::<u32>(), any::<u32>())
+            .prop_map(|(z, a, w, lo)| Step::Slice(z, a, w, lo)),
+        (any::<usize>(), any::<usize>(), any::<u32>()).prop_map(|(a, b, x)| Step::Pack(a, b, x)),
+        (any::<usize>(), any::<u32>()).prop_map(|(a, x)| Step::Split(a, x)),
+        (any::<bool>(), any::<usize>(), any::<u32>(), any::<u32>())
+            .prop_map(|(z, a, x, y)| Step::ExtChain(z, a, x, y)),
+        (0u8..4, any::<usize>(), any::<usize>(), any::<u32>())
+            .prop_map(|(op, a, b, w)| Step::Narrow(op, a, b, w)),
     ]
 }
 
 /// Builds a module with 3 inputs, 2 feedback registers and the given node
-/// recipe; every intermediate value is kept at WIDTH bits so recipes always
-/// type-check.
+/// recipe; every pool value is WIDTH bits wide (steps pass through other
+/// widths on the way) so recipes always type-check.
 fn build(steps: &[Step]) -> Module {
     let mut m = Module::new("random");
     let mut pool: Vec<NodeId> = vec![
@@ -117,6 +138,54 @@ fn build(steps: &[Step]) -> Module {
                     m.sext(a, WIDTH + 7)
                 };
                 m.slice(wide, 2, WIDTH)
+            }
+            Step::Slice(zero, a, w, lo) => {
+                let w = 1 + w % WIDTH;
+                let window = m.slice(pick(a), lo % (WIDTH - w + 1), w);
+                if zero {
+                    m.zext(window, WIDTH)
+                } else {
+                    m.sext(window, WIDTH)
+                }
+            }
+            Step::Pack(a, b, x) => {
+                let cat = m.concat(pick(a), pick(b));
+                let lo = match x % 3 {
+                    0 => 0,
+                    1 => WIDTH,
+                    _ => x % (WIDTH + 1),
+                };
+                m.slice(cat, lo, WIDTH)
+            }
+            Step::Split(a, x) => {
+                let a = pick(a);
+                let cut = 1 + x % (WIDTH - 1);
+                let hi = m.slice(a, cut, WIDTH - cut);
+                let lo = m.slice(a, 0, cut);
+                m.concat(hi, lo)
+            }
+            Step::ExtChain(zero, a, x, y) => {
+                let w1 = WIDTH + x % 20;
+                let w2 = w1 + y % 20;
+                let ext = |m: &mut Module, id, w| {
+                    if zero {
+                        m.zext(id, w)
+                    } else {
+                        m.sext(id, w)
+                    }
+                };
+                let once = ext(&mut m, pick(a), w1);
+                let twice = ext(&mut m, once, w2);
+                m.slice(twice, (x ^ y) % (w2 - WIDTH + 1), WIDTH)
+            }
+            Step::Narrow(op, a, b, w) => {
+                let w = 1 + w % (WIDTH - 1);
+                let a = m.slice(pick(a), 0, w);
+                let b = m.slice(pick(b), 0, w);
+                let op =
+                    [BinaryOp::Add, BinaryOp::Sub, BinaryOp::And, BinaryOp::Xor][op as usize % 4];
+                let r = m.binary(op, a, b, w);
+                m.sext(r, WIDTH)
             }
         };
         pool.push(node);

@@ -602,6 +602,56 @@ mod tests {
         );
     }
 
+    /// Encodes two valid modules that differ in one node id, and returns
+    /// the first record with that id overwritten by 99 (past the end of
+    /// its node table).
+    fn record_with_dangling_id(build: impl Fn(bool) -> Module) -> Vec<u8> {
+        let encode = |alt: bool| {
+            let mut e = Enc::new();
+            enc_module(&mut e, &build(alt));
+            e.into_bytes()
+        };
+        let (mut bytes, alt) = (encode(false), encode(true));
+        let diff: Vec<usize> = (0..bytes.len()).filter(|&i| bytes[i] != alt[i]).collect();
+        assert_eq!(diff.len(), 1, "the ids differ in their low byte only");
+        bytes[diff[0]] = 99;
+        bytes
+    }
+
+    #[test]
+    fn register_next_out_of_range_is_a_decode_error() {
+        let bytes = record_with_dangling_id(|alt| {
+            let mut m = Module::new("patch");
+            let a = m.input("a", 8);
+            let b = m.input("b", 8);
+            let r = m.reg("r", 8, Bits::zero(8));
+            let q = m.reg_out(r);
+            m.connect_reg(r, if alt { b } else { a });
+            m.output("q", q);
+            m
+        });
+        let err = dec_module(&mut Dec::new(&bytes)).unwrap_err();
+        assert!(err.0.contains("missing node n99"), "{err}");
+    }
+
+    #[test]
+    fn mem_write_data_out_of_range_is_a_decode_error() {
+        let bytes = record_with_dangling_id(|alt| {
+            let mut m = Module::new("patch");
+            let a = m.input("a", 8);
+            let b = m.input("b", 8);
+            let en = m.input("en", 1);
+            let mem = m.mem("buf", 8, 4);
+            let addr = m.slice(a, 0, 2);
+            m.mem_write(mem, addr, if alt { b } else { a }, en);
+            let q = m.mem_read(mem, addr);
+            m.output("q", q);
+            m
+        });
+        let err = dec_module(&mut Dec::new(&bytes)).unwrap_err();
+        assert!(err.0.contains("missing node n99"), "{err}");
+    }
+
     #[test]
     fn synth_and_opt_reports_round_trip() {
         let r = SynthReport {

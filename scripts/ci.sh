@@ -19,6 +19,12 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== pass pipeline byte-identity at depth (in-place passes vs the pre-rewrite oracle)"
+# The workspace run above samples the default 256 random modules; this
+# pass checks 4096 that the optimizer emits exactly the oracle's netlists.
+PROPTEST_CASES=4096 cargo test -q --release -p hc-rtl --lib \
+  passes::oracle::tests::in_place_pipeline_matches_the_oracle
+
 echo "== kernel x frontend matrix agreement suite (five backends, full registry)"
 # Release mode: the debug workspace run above covers dct8/idct4/fir32 but
 # skips the 16x16 IDCT (tens of minutes under the un-optimized

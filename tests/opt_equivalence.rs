@@ -6,11 +6,17 @@
 //! outputs and identical `T_L`/`T_P` after the full pass pipeline, the
 //! pipeline must be idempotent (a second run changes nothing), and the
 //! compiled-tape shrink the PR claims (≥ 20% on at least two Table II
-//! designs) is pinned here so it cannot silently regress.
+//! designs) is pinned here so it cannot silently regress. The optimized
+//! netlist of every shipped design (Table II, Fig. 1, kernel matrix) is
+//! pinned by content hash, so a pass change that moves synthesized area
+//! or Q shows up here first.
 
 use hls_vs_hc::axi::{BatchedStreamHarness, StreamHarness};
-use hls_vs_hc::core::entries::{all_tools, Design, DesignInterface};
+use hls_vs_hc::core::entries::{all_tools, dse_points, Design, DesignInterface};
+use hls_vs_hc::core::matrix::matrix_cells;
 use hls_vs_hc::idct::generator::BlockGen;
+use hls_vs_hc::kernels::kernels;
+use hls_vs_hc::rtl::hash::content_hash;
 use hls_vs_hc::rtl::passes::{optimize, optimize_with, PassConfig};
 use hls_vs_hc::sim::{CompiledSimulator, EngineOptions, SimBackend, Simulator};
 use proptest::prelude::*;
@@ -142,6 +148,202 @@ fn tape_shrinks_at_least_20_percent_on_two_designs() {
         big_shrinks.len() >= 2,
         "expected >= 2 Table II designs with >= 20% tape shrink, got {big_shrinks:?}"
     );
+}
+
+/// Optimized-module content hashes of every shipped design, recorded
+/// before the passes were rewritten to edit modules in place. Any change
+/// to what the pipeline emits (a node, its order, width or name, a port,
+/// register or memory) changes a hash. `content_hash` feeds `usize`
+/// lengths as eight bytes, so the values hold on 64-bit hosts.
+/// Table II designs: every tool's initial, then optimized design.
+const TABLE2_OPTIMIZED: [(&str, u128); 14] = [
+    ("initial", 0x7ee95d74dac75afd6014430a661a5b04),
+    ("opt(1row+1col)", 0xa93a6e7581ee4ce42cb2916b7ddb1259),
+    ("initial", 0x5e695f84e15fe6747af85fd5c730699d),
+    ("opt(1row+1col)", 0x3435bc2823ca5ac38114771f2cb48b1a),
+    ("initial(C translation)", 0x8c369e6eed5b2df04d44c8ccfd9aaa01),
+    ("opt(1row+1col)", 0xddff24c5a38aba170b91d3a6f7b05678),
+    ("stages=0(comb)", 0x464df769df8d0a112f4e69a3157c6a20),
+    ("stages=8", 0x165bba4600ff7b597868f6a70804bf4a),
+    ("matrix/cycle", 0xe857610c524e1361e38c3c05797e1d86),
+    ("row/cycle", 0x19b7587a1aa237bffc1bac0a2b25c4ba),
+    ("MEM_ACC_11+LSS", 0xe11b60cf7be18d08767ddb891ce06de5),
+    ("PERFORMANCE-MP+sdc", 0x9b4a1e1d1d682c9ddf703c78322fbc0c),
+    ("push-button", 0x3340edbcb35d919e1a0f0d1cbede533b),
+    (
+        "pipeline+partition+inline",
+        0x97e44ca0dda04ecf09c8c9fecd690be8,
+    ),
+];
+
+/// Fig. 1 design-space points, in sweep order.
+const FIG1_OPTIMIZED: [(&str, u128); 72] = [
+    ("8row+8col", 0x7ee95d74dac75afd6014430a661a5b04),
+    ("1row+8col", 0xfacd98d76dbcf2204820d24794691afb),
+    ("1row+1col", 0xa93a6e7581ee4ce42cb2916b7ddb1259),
+    ("8row+8col", 0x5e695f84e15fe6747af85fd5c730699d),
+    ("1row+1col", 0x3435bc2823ca5ac38114771f2cb48b1a),
+    ("seq,urgency0", 0x8c369e6eed5b2df04d44c8ccfd9aaa01),
+    ("seq,urgency1", 0x42f269eb18147e6049a6719678ded2fd),
+    ("seq,urgency2", 0xbde72ec2ffc03347e5fdac311672e696),
+    ("seq,urgency3", 0x4a478d3855455cba1567e790f432f00f),
+    ("seq,urgency4", 0x93ecac0eedb967dfd65037f0512c142e),
+    ("seq,urgency5", 0x1c588b60357a4286d45efe19cf22528b),
+    ("rowcol,urgency0", 0xddff24c5a38aba170b91d3a6f7b05678),
+    ("rowcol,urgency1", 0x15d87c080fca0038b7128bf58def7baf),
+    ("rowcol,urgency2", 0xa73d86a9c46879ab7811301f9fd348ac),
+    ("rowcol,urgency3", 0x7cc593f00885cb395a018971b18466b2),
+    ("rowcol,urgency4", 0xafe5d89492921d21de41e256691d09a6),
+    ("rowcol,urgency5", 0x436e66c4dcf7ae1335f0240f6c102430),
+    ("rowcol,urgency6", 0xf1e9fa1c277f52f6097b8f2193789cb5),
+    ("rowcol,urgency7", 0xe970299175618d681173f1957c046eab),
+    ("rowcol,urgency8", 0xc78df5ebe5341cd22d86e7ad3461fc61),
+    ("rowcol,urgency9", 0xf2fa044e07e75da1767b0ede627064a2),
+    ("rowcol,urgency10", 0x4893cee8fc29b5a79b1134b2b57d7104),
+    ("rowcol,urgency11", 0xfb82780e9549f295beabaa7fcf211dd6),
+    ("rowcol,urgency12", 0xdeb659692e553017f08b7326c934d860),
+    ("rowcol,urgency13", 0xd34e64fa92aeb4493104734101ed42ca),
+    ("rowcol,urgency14", 0xddff24c5a38aba170b91d3a6f7b05678),
+    ("rowcol,urgency15", 0x15d87c080fca0038b7128bf58def7baf),
+    ("rowcol,urgency16", 0xa73d86a9c46879ab7811301f9fd348ac),
+    ("rowcol,urgency17", 0x7cc593f00885cb395a018971b18466b2),
+    ("rowcol,urgency18", 0xafe5d89492921d21de41e256691d09a6),
+    ("rowcol,urgency19", 0x436e66c4dcf7ae1335f0240f6c102430),
+    ("stages=0", 0x464df769df8d0a112f4e69a3157c6a20),
+    ("stages=1", 0x0f20c9e714122ee4521bd37631a3852d),
+    ("stages=2", 0x874dd7aa74c3f783a2323b5db31692e2),
+    ("stages=3", 0x4baf985401d8afa63d6a877ed34e3e5f),
+    ("stages=4", 0x4326de5d5ffa3ad94f0267ab7b304090),
+    ("stages=5", 0xdac10e7bca9aafe0acde152e604ef6d3),
+    ("stages=6", 0xf260d93ae157bd988d603376184ee6ed),
+    ("stages=7", 0xc758ef54f36695a62eb75374fb64e879),
+    ("stages=8", 0x165bba4600ff7b597868f6a70804bf4a),
+    ("stages=9", 0xe839d909002d6d5e4d90c39a3b7ec985),
+    ("stages=10", 0x7cb692d750848139737fea5abb856334),
+    ("stages=11", 0x2d13abaa230b66f5bc2a58df43463d7c),
+    ("stages=12", 0x1ee10eaacabcfddcccf1d34534b09d33),
+    ("stages=13", 0x854655913cbe253f9bed8a492d282d64),
+    ("stages=14", 0xa8c59f4b12b3f1105401d5865820a7c9),
+    ("stages=15", 0x85c0e8bf254af4fa4d47c080f18e0dc7),
+    ("stages=16", 0x4db25cf5efba4abeddc3da58cfa43101),
+    ("stages=17", 0x5911dc336d9f4df419ef8e228c61c1f5),
+    ("stages=18", 0xd3d9bd0c11ff7e2083c0fadc37578997),
+    ("matrix/cycle", 0xe857610c524e1361e38c3c05797e1d86),
+    ("row/cycle", 0x19b7587a1aa237bffc1bac0a2b25c4ba),
+    ("Area", 0x72982b8c0f71bcb70b6b3af30fd7a0a6),
+    ("Area+lss", 0xe11b60cf7be18d08767ddb891ce06de5),
+    ("Area+sdc", 0x22d77dd1e226d3bcbbd82fea1f345ec1),
+    ("Area+sdc+lss", 0x707982596ce19aae511533bc94663985),
+    ("Balanced", 0x72982b8c0f71bcb70b6b3af30fd7a0a6),
+    ("Balanced+lss", 0xe11b60cf7be18d08767ddb891ce06de5),
+    ("Balanced+sdc", 0x22d77dd1e226d3bcbbd82fea1f345ec1),
+    ("Balanced+sdc+lss", 0x707982596ce19aae511533bc94663985),
+    ("PerformanceMp", 0xaa73e5f4d813ab840daf8cdcabdfc3a7),
+    ("PerformanceMp+lss", 0xbc6d4ec5e1901d819c1765a59a049fee),
+    ("PerformanceMp+sdc", 0xf1d58b9dcdfc8ad325a62f09bcf71d8c),
+    ("PerformanceMp+sdc+lss", 0x9b4a1e1d1d682c9ddf703c78322fbc0c),
+    ("pipe=0,part=0,inline=0", 0x3340edbcb35d919e1a0f0d1cbede533b),
+    ("pipe=0,part=0,inline=1", 0x3d66867dcc4b2be46e5adf9ea0a6be21),
+    ("pipe=0,part=1,inline=0", 0x4c4a9a15b8bfd1a08bd73304ea396a81),
+    ("pipe=0,part=1,inline=1", 0x78aecb11076698656fd712d78977a9c8),
+    ("pipe=1,part=0,inline=0", 0x3340edbcb35d919e1a0f0d1cbede533b),
+    ("pipe=1,part=0,inline=1", 0x3d66867dcc4b2be46e5adf9ea0a6be21),
+    ("pipe=1,part=1,inline=0", 0x4c4a9a15b8bfd1a08bd73304ea396a81),
+    ("pipe=1,part=1,inline=1", 0x97e44ca0dda04ecf09c8c9fecd690be8),
+];
+
+/// Kernel x frontend matrix cells, kernel by kernel.
+const MATRIX_OPTIMIZED: [(&str, u128); 28] = [
+    ("matrix.dct8.verilog", 0x9f6981d87cb3856837773e1e777cf4d3),
+    ("matrix.dct8.construct", 0x72f33f991aa61a4ce661d4dd3cdbc687),
+    ("matrix.dct8.rules", 0x05810b253b957cfbcc5772ad258c188a),
+    ("matrix.dct8.flow", 0x060789eae729ae7784f73dde638a8756),
+    ("matrix.dct8.dataflow", 0x3daa1a360a0badbc864e08dc0dbb6167),
+    ("matrix.dct8.hls_bambu", 0x58d40a013df1b6c7b0c9b8bdd3139cbc),
+    ("matrix.dct8.hls_vivado", 0x9688da662de6be383746e61fbdd2b17d),
+    ("matrix.fir32.verilog", 0xe46d247912211eb6ca3f9e3e5f93a8f3),
+    ("matrix.fir32.construct", 0x0cbc3b651f446a53b25314e6ac9f25de),
+    ("matrix.fir32.rules", 0x1d3b632b3ab521f77decbb6ef2719328),
+    ("matrix.fir32.flow", 0x1021a30b41ec08f3ad7ef5e4d9bd3266),
+    ("matrix.fir32.dataflow", 0x810f29c0016d8b36786e4f62d7cec4a7),
+    ("matrix.fir32.hls_bambu", 0x2fc2156fb6a032eafbfa5196091679e3),
+    (
+        "matrix.fir32.hls_vivado",
+        0x00ef375fefff808874feb95266f821db,
+    ),
+    ("matrix.idct4.verilog", 0x9f9dd3ef1a281151bad3e21c8416c004),
+    ("matrix.idct4.construct", 0x5141701023b20b7a12f0b86ff5bb9127),
+    ("matrix.idct4.rules", 0xbb15bd187dd400de37e9187947f6ac85),
+    ("matrix.idct4.flow", 0xcccf93535455125bff89418fefaa593c),
+    ("matrix.idct4.dataflow", 0xf7a8ade3644f4a59716cc9befda747c6),
+    ("matrix.idct4.hls_bambu", 0xf2b6962a5bad8d0a181ca3199784bcd3),
+    (
+        "matrix.idct4.hls_vivado",
+        0x55a406d8ffd16a2fdc069bb3ebfee056,
+    ),
+    ("matrix.idct16.verilog", 0x4aa1ec3658d3c56aa6979c4b08c670d5),
+    (
+        "matrix.idct16.construct",
+        0xfaaa8f5ce4505e05ce4801fc751dc292,
+    ),
+    ("matrix.idct16.rules", 0xe03944e55ced1ab406b8ef647caa866d),
+    ("matrix.idct16.flow", 0x855355ba520863039d4106097763d202),
+    ("matrix.idct16.dataflow", 0x439fa51b40660861505320795f2b665e),
+    (
+        "matrix.idct16.hls_bambu",
+        0xbd65039ae5ae94b0431c614a0e20e2ef,
+    ),
+    (
+        "matrix.idct16.hls_vivado",
+        0xaf84698cacbc54bb4306b284e46e96a4,
+    ),
+];
+
+fn assert_pinned(set: &str, designs: &[Design], pins: &[(&str, u128)]) {
+    assert_eq!(designs.len(), pins.len(), "{set}: design count changed");
+    let drift: Vec<String> = designs
+        .iter()
+        .zip(pins)
+        .filter_map(|(design, &(label, want))| {
+            assert_eq!(design.label, label, "{set}: design order changed");
+            let mut module = design.module.clone();
+            optimize_with(&mut module, &PassConfig::all());
+            let got = content_hash(&module);
+            (got != want).then(|| format!("{label}: {got:#034x} != {want:#034x}"))
+        })
+        .collect();
+    assert!(
+        drift.is_empty(),
+        "{set}: optimized netlists changed:\n{}",
+        drift.join("\n")
+    );
+}
+
+#[test]
+fn optimized_table2_modules_match_their_pinned_hashes() {
+    let designs: Vec<Design> = all_tools()
+        .into_iter()
+        .flat_map(|tool| [tool.initial, tool.optimized])
+        .collect();
+    assert_pinned("Table II", &designs, &TABLE2_OPTIMIZED);
+}
+
+#[test]
+fn optimized_fig1_modules_match_their_pinned_hashes() {
+    let designs: Vec<Design> = all_tools()
+        .iter()
+        .flat_map(|tool| dse_points(tool.info.id))
+        .collect();
+    assert_pinned("Fig. 1", &designs, &FIG1_OPTIMIZED);
+}
+
+#[test]
+fn optimized_matrix_modules_match_their_pinned_hashes() {
+    let designs: Vec<Design> = kernels()
+        .iter()
+        .flat_map(|spec| matrix_cells(spec).into_iter().map(|(_, design)| design))
+        .collect();
+    assert_pinned("matrix", &designs, &MATRIX_OPTIMIZED);
 }
 
 proptest! {
