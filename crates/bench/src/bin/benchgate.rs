@@ -15,7 +15,7 @@
 //! | `perfsnap` | one perfsnap run | engine speedups, tape optimizer, matrix, fig1 sweep |
 //! | `tracing` | untraced run, traced run | tracing overhead |
 //! | `warm-start` | cold run, warm run (same `HC_STORE_DIR`) | persistent-store warm start |
-//! | `serve` | a file holding `serve` and `serve_single_shard` loadgen results | hc-serve load |
+//! | `serve` | a file holding the `serve` loadgen result | hc-serve load |
 //! | `serve-store` | a file holding `serve_store_cold` and `serve_store_warm` | hc-serve store A/B |
 //!
 //! Prints one PASS/SKIP/FAIL line per gate and exits nonzero if any gate
@@ -25,9 +25,9 @@ use std::fmt;
 use std::process::ExitCode;
 
 use hc_obs::Json;
-use Figure::{Each, Len, Minus, Plus, Ratio, Value};
+use Figure::{Each, Len, Plus, Ratio, Value};
 use Need::{Above, AtLeast, AtMost, Exactly, True};
-use When::{Always, Avx2, Cpus, FigureAtLeast, X86_64};
+use When::{Always, Avx2, FigureAtLeast, X86_64};
 
 /// One figure's location: which of the set's files, and the key path in it.
 #[derive(Clone, Copy, Debug)]
@@ -53,8 +53,6 @@ enum Figure {
     Value(Key),
     /// `a / b`, both positive.
     Ratio(Key, Key),
-    /// `a - b`.
-    Minus(Key, Key),
     /// `a + b`.
     Plus(Key, Key),
     /// How many entries the object at the key holds.
@@ -82,8 +80,6 @@ enum When {
     X86_64,
     /// The host is x86-64 with AVX2.
     Avx2,
-    /// The host has at least this many CPUs.
-    Cpus(usize),
     /// The number at the key is at least this (a missing key fails).
     FigureAtLeast(Key, f64),
 }
@@ -150,25 +146,12 @@ const SETS: &[GateSet] = &[
                need: AtMost(0.5) },
     ] },
     GateSet { name: "serve", files: &["loadgen"], gates: &[
-        Gate { name: "single-mutex clients saw no errors", when: Always,
-               figure: Value(at(&["serve_single_shard", "errors"])), need: Exactly(0.0) },
-        Gate { name: "sharded clients saw no errors", when: Always,
+        Gate { name: "clients saw no errors", when: Always,
                figure: Value(at(&["serve", "errors"])), need: Exactly(0.0) },
-        Gate { name: "single-mutex run answered every request", when: Always,
-               figure: Value(at(&["serve_single_shard", "ok"])), need: Exactly(256.0) },
-        Gate { name: "sharded run answered every request", when: Always,
+        Gate { name: "answered every request", when: Always,
                figure: Value(at(&["serve", "ok"])), need: Exactly(256.0) },
-        Gate { name: "sharded p99 latency", when: Always,
+        Gate { name: "p99 latency", when: Always,
                figure: Value(at(&["serve", "p99_ms"])), need: AtMost(8000.0) },
-        Gate { name: "sharded hit rate within 0.05 of the single mutex", when: Always,
-               figure: Minus(at(&["serve", "hit_rate"]), at(&["serve_single_shard", "hit_rate"])),
-               need: AtLeast(-0.05) },
-        Gate { name: "sharded cache keeps 85% of single-mutex throughput", when: Always,
-               figure: Ratio(at(&["serve", "throughput_rps"]),
-                             at(&["serve_single_shard", "throughput_rps"])),
-               need: AtLeast(0.85) },
-        Gate { name: "sharded stress A/B does not lose to the single mutex", when: Cpus(2),
-               figure: Value(at(&["serve", "stress", "speedup"])), need: AtLeast(0.95) },
     ] },
     GateSet { name: "serve-store", files: &["loadgen"], gates: &[
         Gate { name: "cold-store clients saw no errors", when: Always,
@@ -189,7 +172,6 @@ const SETS: &[GateSet] = &[
 struct Host {
     x86_64: bool,
     avx2: bool,
-    cpus: usize,
 }
 
 impl Host {
@@ -201,7 +183,6 @@ impl Host {
         Host {
             x86_64: cfg!(target_arch = "x86_64"),
             avx2,
-            cpus: std::thread::available_parallelism().map_or(1, usize::from),
         }
     }
 }
@@ -264,7 +245,6 @@ impl Files<'_> {
                     pair(a, b, "/")
                 )),
             },
-            Minus(a, b) => one(self.num(a)? - self.num(b)?, pair(a, b, "-")),
             Plus(a, b) => one(self.num(a)? + self.num(b)?, pair(a, b, "+")),
             Len(k) => one(
                 entries(k)?.len() as f64,
@@ -316,13 +296,12 @@ fn check(gate: &Gate, files: &Files, host: Host) -> Verdict {
         Always => {}
         X86_64 if !host.x86_64 => return skip("host is not x86-64".into()),
         Avx2 if !(host.x86_64 && host.avx2) => return skip("host has no AVX2".into()),
-        Cpus(n) if host.cpus < n => return skip(format!("host has {} CPU(s)", host.cpus)),
         FigureAtLeast(k, t) => match files.num(k) {
             Err(e) => return Verdict::Fail(format!("{name}: {e}")),
             Ok(x) if x < t => return skip(format!("{} = {x} is below {t}", files.name(k))),
             Ok(_) => {}
         },
-        X86_64 | Avx2 | Cpus(_) => {}
+        X86_64 | Avx2 => {}
     }
     let values = match files.eval(gate.figure) {
         Ok(values) => values,
@@ -407,10 +386,9 @@ mod tests {
     const FULL_HOST: Host = Host {
         x86_64: true,
         avx2: true,
-        cpus: 2,
     };
 
-    /// A run that passes every gate: perfsnap's figures and all four
+    /// A run that passes every gate: perfsnap's figures and all three
     /// loadgen sections in one document.
     fn healthy_doc() -> Json {
         let mut doc = Json::parse(
@@ -428,9 +406,7 @@ mod tests {
               "fig1_speedup": 4.2,
               "matrix": {},
               "threads": 2,
-              "serve_single_shard": {"errors": 0, "ok": 256, "hit_rate": 0.9, "throughput_rps": 100},
-              "serve": {"errors": 0, "ok": 256, "p99_ms": 900, "hit_rate": 0.92,
-                        "throughput_rps": 110, "stress": {"speedup": 1.4}},
+              "serve": {"errors": 0, "ok": 256, "p99_ms": 900},
               "serve_store_cold": {"errors": 0, "store_enabled": true},
               "serve_store_warm": {"errors": 0, "store_enabled": true,
                                    "store_hits": 12, "store_front_hits": 3}
@@ -496,7 +472,7 @@ mod tests {
     fn keys(gate: &Gate) -> Vec<Key> {
         let mut keys = match gate.figure {
             Value(k) | Len(k) | Each(k, _) => vec![k],
-            Ratio(a, b) | Minus(a, b) | Plus(a, b) => vec![a, b],
+            Ratio(a, b) | Plus(a, b) => vec![a, b],
         };
         if let FigureAtLeast(k, _) = gate.when {
             keys.push(k);
@@ -526,7 +502,7 @@ mod tests {
                 put(b, Json::Num(1.0));
                 put(a, target.clone());
             }
-            Minus(a, b) | Plus(a, b) => {
+            Plus(a, b) => {
                 put(b, Json::Num(0.0));
                 put(a, target.clone());
             }
@@ -601,7 +577,6 @@ mod tests {
         let bare = Host {
             x86_64: false,
             avx2: false,
-            cpus: 1,
         };
         let mut skipped = 0;
         for (set, gate) in gates() {
@@ -621,8 +596,8 @@ mod tests {
                 "{msg}"
             );
         }
-        // x86-64, three AVX2 gates, the CPU-count gate and the threads gate.
-        assert_eq!(skipped, 6);
+        // x86-64, three AVX2 gates and the threads gate.
+        assert_eq!(skipped, 5);
         // An AVX2 gate is skipped on x86-64 without AVX2 too.
         let (set, gate) = gates()
             .find(|(_, g)| g.name == "vector JIT is active")

@@ -2,26 +2,20 @@
 //! against an in-process server and records latency, throughput and
 //! cache behavior into `BENCH_sim.json`.
 //!
-//! Two phases:
-//!
-//! 1. **Cache stress A/B** — a lock-dominated hit/miss storm against two
-//!    local `ShardedLru` instances (1 shard vs. the configured count),
-//!    isolating the sharding win from HTTP and synthesis noise.
-//! 2. **HTTP load** — `--clients` threads, each its own keep-alive
-//!    connection, replaying a fixed mix: cache-hot synth sweeps, cache-cold
-//!    distinct modules, measurements and DSE bursts. `429` backpressure is
-//!    retried (and counted); anything else non-2xx/4xx-expected is an error.
+//! `--clients` threads, each its own keep-alive connection, replay a
+//! fixed mix: cache-hot synth sweeps, cache-cold distinct modules,
+//! measurements and DSE bursts. `429` backpressure is retried (and
+//! counted); anything else non-2xx/4xx-expected is an error.
 //!
 //! Results merge into `BENCH_sim.json` under `--key` (default `"serve"`)
-//! without clobbering `perfsnap`'s fields, so `ci.sh` can gate on both a
-//! sharded run and an `HC_CACHE_SHARDS=1` baseline run side by side.
+//! without clobbering `perfsnap`'s fields, so `ci.sh` can gate on several
+//! runs side by side.
 
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use hc_bench::percentile;
-use hc_core::cache::{shard_count, ShardedLru};
 use hc_serve::client::{roundtrip, Conn};
 use hc_serve::server::Options;
 use hc_serve::Json;
@@ -32,8 +26,6 @@ struct Args {
     nblocks: usize,
     key: String,
     out: String,
-    skip_stress: bool,
-    stress_only: bool,
 }
 
 fn parse_args() -> Args {
@@ -43,8 +35,6 @@ fn parse_args() -> Args {
         nblocks: 2,
         key: "serve".to_owned(),
         out: "BENCH_sim.json".to_owned(),
-        skip_stress: false,
-        stress_only: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -60,8 +50,6 @@ fn parse_args() -> Args {
             "--nblocks" => args.nblocks = value("--nblocks").parse().expect("--nblocks"),
             "--key" => args.key = value("--key"),
             "--out" => args.out = value("--out"),
-            "--skip-stress" => args.skip_stress = true,
-            "--stress-only" => args.stress_only = true,
             other => {
                 eprintln!("loadgen: unknown flag {other}");
                 std::process::exit(2);
@@ -69,57 +57,6 @@ fn parse_args() -> Args {
         }
     }
     args
-}
-
-/// Best-of-`reps` interleaved A/B so machine noise hits both arms alike.
-fn run_stress(threads: usize, ops_per_thread: usize, reps: usize) -> (f64, f64) {
-    let sharded_n = shard_count().max(2);
-    let (mut single, mut sharded) = (0.0f64, 0.0f64);
-    for _ in 0..reps {
-        single = single.max(stress_arm_timed(1, threads, ops_per_thread));
-        sharded = sharded.max(stress_arm_timed(sharded_n, threads, ops_per_thread));
-    }
-    (single, sharded)
-}
-
-/// One arm of the cache stress: `threads` workers hammering a fresh
-/// `nshards`-way table with an 80/20 hot-get / cold-insert mix. Returns
-/// achieved ops per second.
-fn stress_arm_timed(nshards: usize, threads: usize, ops_per_thread: usize) -> f64 {
-    let lru: Arc<ShardedLru<u64, u64>> = Arc::new(ShardedLru::new(nshards, 512));
-    for k in 0..64u64 {
-        lru.insert(k, k);
-    }
-    let start_gate = Arc::new(Barrier::new(threads));
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let lru = Arc::clone(&lru);
-            let start_gate = Arc::clone(&start_gate);
-            scope.spawn(move || {
-                // Cheap per-thread LCG: deterministic, no shared state.
-                let mut x =
-                    0x9e37_79b9_7f4a_7c15u64 ^ (t as u64).wrapping_mul(0xa076_1d64_78bd_642f);
-                start_gate.wait();
-                for _ in 0..ops_per_thread {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let r = x >> 11;
-                    if r.is_multiple_of(5) {
-                        let k = 64 + (r >> 3) % 4096;
-                        lru.insert(k, k);
-                    } else {
-                        let k = r % 64;
-                        if lru.get(&k).is_none() {
-                            lru.insert(k, k);
-                        }
-                    }
-                }
-            });
-        }
-    });
-    (threads * ops_per_thread) as f64 / start.elapsed().as_secs_f64()
 }
 
 /// The cache-hot synth bodies every hot client cycles through.
@@ -264,130 +201,101 @@ fn cache_stats(addr: SocketAddr) -> ((u64, u64, u64), (bool, u64, u64)) {
 #[allow(clippy::cast_precision_loss, clippy::too_many_lines)]
 fn main() {
     let args = parse_args();
+    let opts = Options::from_config(&hc_core::obs::config());
+    let server = hc_serve::start(&opts).expect("bind an ephemeral port");
+    let addr = server.addr();
+    println!(
+        "loadgen: server on {addr} ({} workers, queue cap {})",
+        opts.workers, opts.queue_cap
+    );
+
+    // Warm the hot set so "hot" clients measure steady-state hits.
+    let hot = hot_bodies();
+    for b in &hot {
+        let r = roundtrip(addr, "POST", "/v1/synth", Some(b)).expect("warmup");
+        assert_eq!(r.status, 200, "warmup: {}", r.body);
+    }
+
+    let ((hits0, misses0, shits0), (store_on, sf0, sm0)) = cache_stats(addr);
+    let gate = Arc::new(Barrier::new(args.clients));
+    let totals = Arc::new(Mutex::new(Vec::<ClientStats>::new()));
+    let wall = Instant::now();
+    std::thread::scope(|scope| {
+        for idx in 0..args.clients {
+            let gate = Arc::clone(&gate);
+            let totals = Arc::clone(&totals);
+            let args = &args;
+            let hot = &hot;
+            scope.spawn(move || {
+                gate.wait();
+                let stats = run_client(addr, idx, args, hot);
+                totals.lock().expect("stats lock").push(stats);
+            });
+        }
+    });
+    let wall = wall.elapsed().as_secs_f64();
+    let ((hits1, misses1, shits1), (_, sf1, sm1)) = cache_stats(addr);
+
+    // Exercise the drain path the way a real operator would.
+    let r = roundtrip(addr, "POST", "/v1/shutdown", None).expect("shutdown endpoint");
+    assert_eq!(r.status, 200);
+    server.wait_for_shutdown_request();
+    server.shutdown();
+
+    let totals = totals.lock().expect("stats lock");
+    let mut latencies: Vec<f64> = Vec::new();
+    let (mut ok, mut rejected, mut errors) = (0u64, 0u64, 0u64);
+    for s in totals.iter() {
+        latencies.extend_from_slice(&s.latencies_ms);
+        ok += s.ok;
+        rejected += s.rejected;
+        errors += s.errors;
+    }
+    let dh = hits1 - hits0;
+    let dm = misses1 - misses0;
+    let ds = shits1 - shits0;
+    let hit_rate = if dh + dm + ds > 0 {
+        dh as f64 / (dh + dm + ds) as f64
+    } else {
+        0.0
+    };
+    let p50 = percentile(&latencies, 50.0);
+    let p99 = percentile(&latencies, 99.0);
+    let rps = ok as f64 / wall;
+    println!(
+        "loadgen: {} clients x {} reqs -> {ok} ok, {rejected} x 429, {errors} errors in {wall:.2}s",
+        args.clients, args.requests
+    );
+    println!(
+        "loadgen: p50 {p50:.1} ms, p99 {p99:.1} ms, {rps:.1} req/s, cache hit rate {:.3} ({dh} hits / {ds} store hits / {dm} misses)",
+        hit_rate
+    );
+    if store_on {
+        println!(
+            "loadgen: persistent store answered {ds} cache lookups ({} front + {} measure record hits)",
+            sf1 - sf0,
+            sm1 - sm0
+        );
+    }
+
     let mut record = Json::Obj(Vec::new());
-
-    // Phase 1: lock-contention A/B on local tables.
-    if !args.skip_stress {
-        let threads = 8;
-        let ops = 100_000;
-        let (single, sharded) = run_stress(threads, ops, 3);
-        let speedup = sharded / single;
-        println!(
-            "loadgen stress: single-mutex {:.2} Mops/s, {}-shard {:.2} Mops/s, speedup {speedup:.2}x",
-            single / 1e6,
-            shard_count().max(2),
-            sharded / 1e6
-        );
-        let mut stress = Json::Obj(Vec::new());
-        stress.set("threads", Json::from(threads));
-        stress.set("ops_per_thread", Json::from(ops));
-        stress.set("shards", Json::from(shard_count().max(2)));
-        stress.set("single_mutex_mops", Json::from(round3(single / 1e6)));
-        stress.set("sharded_mops", Json::from(round3(sharded / 1e6)));
-        stress.set("speedup", Json::from(round3(speedup)));
-        record.set("stress", stress);
-    }
-
-    // Phase 2: HTTP load against an in-process server.
-    if !args.stress_only {
-        let opts = Options::from_config(&hc_core::obs::config());
-        let server = hc_serve::start(&opts).expect("bind an ephemeral port");
-        let addr = server.addr();
-        println!(
-            "loadgen: server on {addr} ({} workers, queue cap {}, {} cache shards)",
-            opts.workers,
-            opts.queue_cap,
-            shard_count()
-        );
-
-        // Warm the hot set so "hot" clients measure steady-state hits.
-        let hot = hot_bodies();
-        for b in &hot {
-            let r = roundtrip(addr, "POST", "/v1/synth", Some(b)).expect("warmup");
-            assert_eq!(r.status, 200, "warmup: {}", r.body);
-        }
-
-        let ((hits0, misses0, shits0), (store_on, sf0, sm0)) = cache_stats(addr);
-        let gate = Arc::new(Barrier::new(args.clients));
-        let totals = Arc::new(Mutex::new(Vec::<ClientStats>::new()));
-        let wall = Instant::now();
-        std::thread::scope(|scope| {
-            for idx in 0..args.clients {
-                let gate = Arc::clone(&gate);
-                let totals = Arc::clone(&totals);
-                let args = &args;
-                let hot = &hot;
-                scope.spawn(move || {
-                    gate.wait();
-                    let stats = run_client(addr, idx, args, hot);
-                    totals.lock().expect("stats lock").push(stats);
-                });
-            }
-        });
-        let wall = wall.elapsed().as_secs_f64();
-        let ((hits1, misses1, shits1), (_, sf1, sm1)) = cache_stats(addr);
-
-        // Exercise the drain path the way a real operator would.
-        let r = roundtrip(addr, "POST", "/v1/shutdown", None).expect("shutdown endpoint");
-        assert_eq!(r.status, 200);
-        server.wait_for_shutdown_request();
-        server.shutdown();
-
-        let totals = totals.lock().expect("stats lock");
-        let mut latencies: Vec<f64> = Vec::new();
-        let (mut ok, mut rejected, mut errors) = (0u64, 0u64, 0u64);
-        for s in totals.iter() {
-            latencies.extend_from_slice(&s.latencies_ms);
-            ok += s.ok;
-            rejected += s.rejected;
-            errors += s.errors;
-        }
-        let dh = hits1 - hits0;
-        let dm = misses1 - misses0;
-        let ds = shits1 - shits0;
-        let hit_rate = if dh + dm + ds > 0 {
-            dh as f64 / (dh + dm + ds) as f64
-        } else {
-            0.0
-        };
-        let p50 = percentile(&latencies, 50.0);
-        let p99 = percentile(&latencies, 99.0);
-        let rps = ok as f64 / wall;
-        println!(
-            "loadgen: {} clients x {} reqs -> {ok} ok, {rejected} x 429, {errors} errors in {wall:.2}s",
-            args.clients, args.requests
-        );
-        println!(
-            "loadgen: p50 {p50:.1} ms, p99 {p99:.1} ms, {rps:.1} req/s, cache hit rate {:.3} ({dh} hits / {ds} store hits / {dm} misses)",
-            hit_rate
-        );
-        if store_on {
-            println!(
-                "loadgen: persistent store answered {ds} cache lookups ({} front + {} measure record hits)",
-                sf1 - sf0,
-                sm1 - sm0
-            );
-        }
-
-        record.set("clients", Json::from(args.clients));
-        record.set("requests_per_client", Json::from(args.requests));
-        record.set("workers", Json::from(opts.workers));
-        record.set("queue_cap", Json::from(opts.queue_cap));
-        record.set("cache_shards", Json::from(shard_count()));
-        record.set("ok", Json::from(ok));
-        record.set("rejected_429", Json::from(rejected));
-        record.set("errors", Json::from(errors));
-        record.set("p50_ms", Json::from(round3(p50)));
-        record.set("p99_ms", Json::from(round3(p99)));
-        record.set("throughput_rps", Json::from(round3(rps)));
-        record.set("cache_hits", Json::from(dh));
-        record.set("cache_misses", Json::from(dm));
-        record.set("hit_rate", Json::from(round3(hit_rate)));
-        record.set("store_enabled", Json::from(store_on));
-        record.set("store_hits", Json::from(ds));
-        record.set("store_front_hits", Json::from(sf1 - sf0));
-        record.set("store_measure_hits", Json::from(sm1 - sm0));
-    }
+    record.set("clients", Json::from(args.clients));
+    record.set("requests_per_client", Json::from(args.requests));
+    record.set("workers", Json::from(opts.workers));
+    record.set("queue_cap", Json::from(opts.queue_cap));
+    record.set("ok", Json::from(ok));
+    record.set("rejected_429", Json::from(rejected));
+    record.set("errors", Json::from(errors));
+    record.set("p50_ms", Json::from(round3(p50)));
+    record.set("p99_ms", Json::from(round3(p99)));
+    record.set("throughput_rps", Json::from(round3(rps)));
+    record.set("cache_hits", Json::from(dh));
+    record.set("cache_misses", Json::from(dm));
+    record.set("hit_rate", Json::from(round3(hit_rate)));
+    record.set("store_enabled", Json::from(store_on));
+    record.set("store_hits", Json::from(ds));
+    record.set("store_front_hits", Json::from(sf1 - sf0));
+    record.set("store_measure_hits", Json::from(sm1 - sm0));
 
     // Merge into BENCH_sim.json without disturbing perfsnap's fields.
     let mut doc = match std::fs::read_to_string(&args.out) {

@@ -8,8 +8,8 @@
 //!    initial design's AXI-Stream interface. Each figure is the best of
 //!    3 timed repetitions (min wall-clock per cycle), so scheduler noise
 //!    biases the record high-watermark rather than smearing it.
-//! 2. **Tape backend optimizer effect**: the same compiled run with
-//!    `HC_NO_TAPE_OPT`-equivalent options, the resulting `tapeopt_speedup`,
+//! 2. **Tape backend optimizer effect**: the same compiled run built with
+//!    [`EngineOptions::no_tape_opt`], the resulting `tapeopt_speedup`,
 //!    and the optimizer's [`TapeOptReport`](hc_sim::TapeOptReport)
 //!    (fused/forwarded/removed instruction counts, slot compaction, cone
 //!    count and the cones actually skipped during the measured run).

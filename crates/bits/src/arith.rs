@@ -44,38 +44,25 @@ impl Bits {
     ///
     /// # Panics
     ///
-    /// Panics if `out_width` is out of range (see [`Bits::zero`]), or if an
-    /// operand is wider than 128 bits (wider multipliers do not occur in the
-    /// modelled designs).
+    /// Panics if `out_width` is out of range (see [`Bits::zero`]).
     pub fn mul(&self, rhs: &Bits, out_width: u32) -> Bits {
-        assert!(
-            self.width() <= 128 && rhs.width() <= 128,
-            "mul operands wider than 128 bits"
-        );
-        // Schoolbook multiply on 32-bit limbs of the sign-extended operands,
-        // producing out_width bits.
-        let a = self.sext(256);
-        let b = rhs.sext(256);
-        let mut acc = [0u64; 8]; // 512 bits of accumulator, ample
-        for i in 0..4 {
-            for j in 0..4 {
-                if i + j >= 8 {
-                    continue;
-                }
-                let prod = (a.words()[i] as u128).wrapping_mul(b.words()[j] as u128);
-                let mut k = i + j;
-                let mut add = prod;
-                while add != 0 && k < 8 {
-                    let sum = (acc[k] as u128) + (add & 0xffff_ffff_ffff_ffff);
-                    acc[k] = sum as u64;
-                    add = (add >> 64) + (sum >> 64);
-                    k += 1;
-                }
+        // The low `out_width` bits of a product depend only on the low
+        // `out_width` bits of each operand, so sign-extend (or truncate)
+        // both and multiply word by word modulo 2^out_width.
+        let a = self.sext(out_width);
+        let b = rhs.sext(out_width);
+        let mut out = Bits::zero(out_width);
+        let n = out.words().len();
+        let acc = out.words_mut();
+        for (i, &x) in a.words().iter().enumerate() {
+            let mut carry = 0u128;
+            for (j, &y) in b.words()[..n - i].iter().enumerate() {
+                // x*y + acc + carry <= (2^64-1)^2 + 2*(2^64-1) < 2^128.
+                let t = u128::from(x) * u128::from(y) + u128::from(acc[i + j]) + carry;
+                acc[i + j] = t as u64;
+                carry = t >> 64;
             }
         }
-        let mut out = Bits::zero(out_width);
-        let n = out.words().len().min(acc.len());
-        out.words_mut()[..n].copy_from_slice(&acc[..n]);
         out.mask_top();
         out
     }
@@ -85,28 +72,65 @@ impl Bits {
     ///
     /// # Panics
     ///
-    /// Panics if the widths differ or exceed 64 bits.
+    /// Panics if the widths differ.
     pub fn div_u(&self, rhs: &Bits) -> Bits {
         self.check_width(rhs, "div_u");
-        assert!(self.width() <= 64, "div wider than 64 bits");
         if rhs.is_zero() {
             return Bits::ones(self.width());
         }
-        Bits::from_u64(self.width(), self.to_u64() / rhs.to_u64())
+        if self.width() <= 64 {
+            return Bits::from_u64(self.width(), self.to_u64() / rhs.to_u64());
+        }
+        self.long_div(rhs).0
     }
 
     /// Unsigned remainder; remainder by zero yields the dividend.
     ///
     /// # Panics
     ///
-    /// Panics if the widths differ or exceed 64 bits.
+    /// Panics if the widths differ.
     pub fn rem_u(&self, rhs: &Bits) -> Bits {
         self.check_width(rhs, "rem_u");
-        assert!(self.width() <= 64, "rem wider than 64 bits");
         if rhs.is_zero() {
             return self.clone();
         }
-        Bits::from_u64(self.width(), self.to_u64() % rhs.to_u64())
+        if self.width() <= 64 {
+            return Bits::from_u64(self.width(), self.to_u64() % rhs.to_u64());
+        }
+        self.long_div(rhs).1
+    }
+
+    /// Shift-subtract long division of two equal-width unsigned values,
+    /// `rhs` nonzero: `(quotient, remainder)`.
+    fn long_div(&self, rhs: &Bits) -> (Bits, Bits) {
+        let mut q = Bits::zero(self.width());
+        let mut r = Bits::zero(self.width());
+        for i in (0..self.width()).rev() {
+            // r = 2r + bit i. The bit shifted out of the top means r now
+            // exceeds the width, so it is certainly >= rhs; the wrapping
+            // subtraction below then still yields the exact remainder,
+            // which is below rhs.
+            let overflow = r.msb();
+            let mut carry = u64::from(self.bit(i));
+            for w in r.words_mut() {
+                let out = *w >> 63;
+                *w = *w << 1 | carry;
+                carry = out;
+            }
+            r.mask_top();
+            if overflow || r.cmp_u(rhs).is_ge() {
+                let mut borrow = false;
+                for (w, &d) in r.words_mut().iter_mut().zip(rhs.words()) {
+                    let (t, b1) = w.overflowing_sub(d);
+                    let (t, b2) = t.overflowing_sub(u64::from(borrow));
+                    *w = t;
+                    borrow = b1 || b2;
+                }
+                r.mask_top();
+                q.set_bit(i, true);
+            }
+        }
+        (q, r)
     }
 
     pub(crate) fn check_width(&self, rhs: &Bits, op: &str) {
@@ -164,6 +188,29 @@ mod tests {
     }
 
     #[test]
+    fn mul_sign_extends_past_256_bits() {
+        let minus_one = Bits::ones(8);
+        let one = Bits::from_u64(2, 1);
+        assert_eq!(minus_one.mul(&one, 300), Bits::ones(300));
+        let (a, b) = (Bits::from_u64(129, 3), Bits::from_u64(129, 5));
+        assert_eq!(a.mul(&b, 129), Bits::from_u64(129, 15));
+    }
+
+    #[test]
+    fn div_rem_wide() {
+        let a = Bits::ones(200);
+        let b = Bits::from_u64(200, 3);
+        let q = a.div_u(&b);
+        assert_eq!(q.mul(&b, 200), a, "2^200 - 1 is a multiple of 3");
+        assert!(a.rem_u(&b).is_zero());
+        let seven = Bits::from_u64(130, 7).shl(100);
+        let two = Bits::from_u64(130, 2).shl(100);
+        assert_eq!(seven.div_u(&two), Bits::from_u64(130, 3));
+        assert_eq!(seven.rem_u(&two), Bits::from_u64(130, 1).shl(100));
+        assert_eq!(a.div_u(&Bits::zero(200)), Bits::ones(200));
+    }
+
+    #[test]
     fn div_rem_basics() {
         let a = Bits::from_u64(16, 100);
         let b = Bits::from_u64(16, 7);
@@ -177,5 +224,87 @@ mod tests {
     #[should_panic(expected = "width mismatch")]
     fn mismatched_widths_rejected() {
         let _ = Bits::zero(8).add(&Bits::zero(9));
+    }
+
+    use proptest::prelude::*;
+
+    /// A value of width `w` from raw words: random, all-ones (-1), one, or a
+    /// single low word, so signs, carries and short operands all show up.
+    fn wide_value(max: u32) -> impl Strategy<Value = Bits> {
+        (1u32..=max).prop_flat_map(|w| {
+            let n = Bits::words_for(w);
+            (proptest::collection::vec(any::<u64>(), n), 0u8..5).prop_map(move |(words, kind)| {
+                match kind {
+                    0 => Bits::ones(w),
+                    1 => Bits::from_u64(w, 1),
+                    2 => Bits::from_u64(w, words[0]),
+                    _ => {
+                        let mut b = Bits::zero(w);
+                        b.copy_from_words(&words);
+                        b
+                    }
+                }
+            })
+        })
+    }
+
+    /// Shift-and-add multiply: the exact signed product at `w1 + w2` bits
+    /// (or `out` when wider), then the low `out` bits.
+    fn mul_reference(a: &Bits, b: &Bits, out: u32) -> Bits {
+        let full = (a.width() + b.width()).max(out);
+        let (a, b) = (a.sext(full), b.sext(full));
+        let mut acc = Bits::zero(full);
+        for i in 0..full {
+            if b.bit(i) {
+                acc = acc.add(&a.shl(i));
+            }
+        }
+        acc.slice(0, out)
+    }
+
+    /// Restoring shift-subtract division one bit wider than the operands, so
+    /// the running remainder never overflows: `(quotient, remainder)`.
+    fn div_reference(a: &Bits, b: &Bits) -> (Bits, Bits) {
+        let w = a.width();
+        let d = b.zext(w + 1);
+        let mut r = Bits::zero(w + 1);
+        let mut q = Bits::zero(w);
+        for i in (0..w).rev() {
+            r = r.shl(1);
+            r.set_bit(0, a.bit(i));
+            if !r.lt_u(&d).to_bool() {
+                r = r.sub(&d);
+                q.set_bit(i, true);
+            }
+        }
+        (q, r.slice(0, w))
+    }
+
+    proptest! {
+        #[test]
+        fn mul_matches_shift_and_add_at_any_width(
+            a in wide_value(300),
+            b in wide_value(300),
+            out in 1u32..=300,
+        ) {
+            prop_assert_eq!(a.mul(&b, out), mul_reference(&a, &b, out));
+        }
+
+        #[test]
+        fn div_rem_match_shift_subtract_at_any_width(
+            (a, b) in wide_value(300).prop_flat_map(|a| {
+                let w = a.width();
+                (Just(a), wide_value(w).prop_map(move |b| b.zext(w)))
+            }),
+        ) {
+            if b.is_zero() {
+                prop_assert_eq!(a.div_u(&b), Bits::ones(a.width()));
+                prop_assert_eq!(a.rem_u(&b), a);
+            } else {
+                let (q, r) = div_reference(&a, &b);
+                prop_assert_eq!(a.div_u(&b), q);
+                prop_assert_eq!(a.rem_u(&b), r);
+            }
+        }
     }
 }

@@ -276,7 +276,6 @@ mod tests {
 
     #[test]
     fn dct8_construct_cell_measures() {
-        let _lookups = crate::cache::counters_lock::lookups();
         let spec = hc_kernels::dct8();
         let design = cell_design(&spec, ToolId::Chisel);
         let m = measure_cell(&spec, &design, 2);
@@ -287,7 +286,6 @@ mod tests {
 
     #[test]
     fn fir32_dataflow_cell_measures_as_stream() {
-        let _lookups = crate::cache::counters_lock::lookups();
         let spec = hc_kernels::fir32();
         let design = cell_design(&spec, ToolId::Maxj);
         assert!(matches!(

@@ -150,13 +150,7 @@ pub enum MeasureError {
         got: i32,
     },
     /// The output stream broke an AXI-Stream stability rule.
-    Protocol {
-        /// The harness lane it happened on: 0, as every measurement drives
-        /// one stream.
-        lane: usize,
-        /// The violation.
-        error: ProtocolError,
-    },
+    Protocol(ProtocolError),
 }
 
 impl fmt::Display for MeasureError {
@@ -176,9 +170,7 @@ impl fmt::Display for MeasureError {
                 f,
                 "block {block} not bit-exact: element {element} is {got}, expected {expected}"
             ),
-            MeasureError::Protocol { lane, error } => {
-                write!(f, "protocol violation on lane {lane}: {error}")
-            }
+            MeasureError::Protocol(error) => write!(f, "protocol violation: {error}"),
         }
     }
 }
@@ -427,7 +419,7 @@ fn measure_back_half(
         }
     }
     if let Some(error) = protocol {
-        return Err(MeasureError::Protocol { lane: 0, error });
+        return Err(MeasureError::Protocol(error));
     }
     span.attach("latency", timing.latency);
     span.attach("periodicity", timing.periodicity);
@@ -598,13 +590,12 @@ mod tests {
             MeasureError::Validate(_) => "validate".to_owned(),
             MeasureError::LostBlocks { expected, got } => format!("lost {got} of {expected}"),
             MeasureError::Mismatch { block, .. } => format!("mismatch at block {block}"),
-            MeasureError::Protocol { lane, .. } => format!("protocol on lane {lane}"),
+            MeasureError::Protocol(_) => "protocol".to_owned(),
         }
     }
 
     #[test]
     fn try_measure_returns_typed_errors() {
-        let _lookups = crate::cache::counters_lock::lookups();
         let stream = {
             let mut m = Module::new("stream_100");
             m.input("rst", 1);
@@ -645,7 +636,6 @@ mod tests {
 
     #[test]
     fn try_measure_reports_bad_designs_instead_of_dying() {
-        let _lookups = crate::cache::counters_lock::lookups();
         // A module without the AXIS contract can't be driven: try_measure
         // names the first missing port.
         let mut m = Module::new("not_an_idct");
@@ -668,7 +658,6 @@ mod tests {
     /// batched harness, and `try_measure` must report those figures.
     #[test]
     fn scalar_route_matches_the_batched_harness_on_every_fig1_point() {
-        let _lookups = crate::cache::counters_lock::lookups();
         let mut points = 0;
         for tool in crate::matrix::MATRIX_TOOLS {
             for design in crate::entries::dse_points(tool) {
@@ -712,7 +701,6 @@ mod tests {
     /// lane-batched harness gives at that length.
     #[test]
     fn long_runs_match_the_batched_harness_on_every_table2_design() {
-        let _lookups = crate::cache::counters_lock::lookups();
         for nblocks in [6, 64] {
             for tool in crate::entries::all_tools() {
                 for design in [&tool.initial, &tool.optimized] {

@@ -6,8 +6,8 @@
 //!
 //! * [`KIND_FRONT`] — the front-half artifact (optimized module + both
 //!   synthesis reports), keyed by the *input* module's structural content
-//!   hash and the active pass-config byte: exactly the in-process memo
-//!   cache's key, so the tiers never disagree about identity.
+//!   hash: exactly the in-process memo cache's key, so the tiers never
+//!   disagree about identity.
 //! * [`KIND_MEASURE`] — one sweep point's [`Measurement`], keyed by the
 //!   front-half key plus everything else the result depends on: the
 //!   stimulus size, the interface/throughput model and the workload
@@ -62,13 +62,10 @@ pub fn store() -> Option<&'static Store> {
         .as_ref()
 }
 
-/// The store key of a front-half artifact: content hash + pass-config
-/// byte, little-endian — identical identity to the in-process cache.
-pub fn front_key(key: (u128, u8)) -> [u8; 17] {
-    let mut k = [0u8; 17];
-    k[..16].copy_from_slice(&key.0.to_le_bytes());
-    k[16] = key.1;
-    k
+/// The store key of a front-half artifact: the content hash,
+/// little-endian — identical identity to the in-process cache.
+pub fn front_key(key: u128) -> [u8; 16] {
+    key.to_le_bytes()
 }
 
 /// The store key of a measurement: the front-half key plus the stimulus
@@ -77,14 +74,13 @@ pub fn front_key(key: (u128, u8)) -> [u8; 17] {
 /// measurement path's effective minimum of 2 so equivalent requests share
 /// a record.
 pub fn measure_key(
-    key: (u128, u8),
+    key: u128,
     nblocks: usize,
     interface: &DesignInterface,
     workload: &Workload,
 ) -> Vec<u8> {
     let mut e = Enc::new();
-    e.u128(key.0);
-    e.u8(key.1);
+    e.u128(key);
     e.u32(nblocks.max(2) as u32);
     match interface {
         DesignInterface::Axis => e.u8(0),
@@ -122,7 +118,7 @@ pub fn save_front_in(store: &Store, front: &FrontHalf) {
 
 /// Reads a front-half artifact back, if present and intact. The decoded
 /// module is fully re-validated; any defect is a miss.
-pub fn load_front_in(store: &Store, key: (u128, u8)) -> Option<Arc<FrontHalf>> {
+pub fn load_front_in(store: &Store, key: u128) -> Option<Arc<FrontHalf>> {
     let bytes = store.get(KIND_FRONT, &front_key(key))?;
     let mut d = Dec::new(&bytes);
     let module = codec::dec_module(&mut d).ok()?;
@@ -179,13 +175,10 @@ pub fn load_measurement_in(store: &Store, key: &[u8]) -> Option<Measurement> {
 }
 
 /// The store key a [`measure`](crate::measure::measure) call for this
-/// design will use — content hash + active pass config + stimulus size +
-/// interface model + workload. Costs one structural hash of the module.
+/// design will use — content hash + stimulus size + interface model +
+/// workload. Costs one structural hash of the module.
 pub fn design_measure_key(design: &crate::entries::Design, nblocks: usize) -> Vec<u8> {
-    let key = (
-        hc_rtl::hash::content_hash(&design.module),
-        hc_rtl::passes::PassConfig::from_env().key(),
-    );
+    let key = hc_rtl::hash::content_hash(&design.module);
     measure_key(key, nblocks, &design.interface, &design.workload)
 }
 
@@ -245,7 +238,6 @@ mod tests {
 
     #[test]
     fn front_half_round_trips_through_a_store() {
-        let _lookups = crate::cache::counters_lock::lookups();
         let (store, dir) = temp_store("front");
         let design = verilog_design();
         let front = crate::cache::front_half(&design.module);
@@ -261,18 +253,17 @@ mod tests {
         assert_eq!(*back.nodsp, *front.nodsp);
         assert_eq!(back.opt, front.opt);
         // Unknown keys miss.
-        assert!(load_front_in(&store, (front.key.0 ^ 1, front.key.1)).is_none());
+        assert!(load_front_in(&store, front.key ^ 1).is_none());
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn measurement_round_trips_and_key_separates_configs() {
-        let _lookups = crate::cache::counters_lock::lookups();
         let (store, dir) = temp_store("meas");
         let design = verilog_design();
         let m = crate::measure::measure(&design, 2);
-        let key = (hc_rtl::hash::content_hash(&design.module), 0);
+        let key = hc_rtl::hash::content_hash(&design.module);
         let idct = Workload::Idct;
         let k_axis = measure_key(key, 2, &DesignInterface::Axis, &idct);
         let k_stream = measure_key(key, 2, &DesignInterface::Stream { bits_per_op: 768 }, &idct);
@@ -308,12 +299,10 @@ mod tests {
     #[test]
     fn corrupt_payloads_read_as_misses() {
         let (store, dir) = temp_store("corrupt");
-        store
-            .put(KIND_FRONT, &front_key((42, 0)), b"garbage")
-            .unwrap();
-        let key = measure_key((42, 0), 2, &DesignInterface::Axis, &Workload::Idct);
+        store.put(KIND_FRONT, &front_key(42), b"garbage").unwrap();
+        let key = measure_key(42, 2, &DesignInterface::Axis, &Workload::Idct);
         store.put(KIND_MEASURE, &key, b"junk").unwrap();
-        assert!(load_front_in(&store, (42, 0)).is_none());
+        assert!(load_front_in(&store, 42).is_none());
         assert!(load_measurement_in(&store, &key).is_none());
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();

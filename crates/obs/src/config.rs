@@ -1,14 +1,16 @@
 //! The single read of every `HC_*` environment variable.
 //!
 //! Before this module each knob was parsed at its point of use —
-//! `HC_THREADS` in `par`, `HC_NO_OPT` in the pass pipeline, `HC_NO_TAPE_OPT`
-//! in tape lowering, `HC_CACHE_CAP` in the memo cache — which meant the
-//! values could change mid-process and the only way for a test to exercise
-//! a knob was to mutate the global environment, racing every other test in
-//! the parallel harness. Now the environment is read **once** into a
-//! [`Config`] snapshot; tests and tools that need different settings use
-//! [`set_override`] (process-wide, explicit) or call the pure
-//! [`Config::from_vars`] parser directly — no `set_var` anywhere.
+//! `HC_THREADS` in `par`, `HC_CACHE_CAP` in the memo cache, `HC_NO_NATIVE`
+//! in the JIT tiers — which meant the values could change mid-process and
+//! the only way for a test to exercise a knob was to mutate the global
+//! environment, racing every other test in the parallel harness. Now the
+//! environment is read **once** into a [`Config`] snapshot; tests and
+//! tools that need different settings use [`set_override`] (process-wide,
+//! explicit) or call the pure [`Config::from_vars`] parser directly — no
+//! `set_var` anywhere. Debugging switches that only bisect a miscompare
+//! are API options, not variables: `PassConfig::none()` for the IR passes
+//! and `EngineOptions::no_tape_opt()` for the tape optimizer.
 
 use std::sync::{Arc, OnceLock, RwLock};
 
@@ -17,10 +19,6 @@ use std::sync::{Arc, OnceLock, RwLock};
 pub struct Config {
     /// `HC_THREADS`: worker-pool width override (`None` = autodetect).
     pub threads: Option<usize>,
-    /// `HC_NO_OPT`: disable the IR optimization pass pipeline.
-    pub no_opt: bool,
-    /// `HC_NO_TAPE_OPT`: disable the tape backend optimizer.
-    pub no_tape_opt: bool,
     /// `HC_CACHE_CAP`: front-half memo-cache capacity (`None` = default).
     pub cache_cap: Option<usize>,
     /// `HC_TRACE`: Chrome-trace output path; tracing is on iff set.
@@ -31,9 +29,6 @@ pub struct Config {
     /// scalar `NativeSimulator` codegen and the vector
     /// `NativeBatchedSimulator` codegen — forcing the interpreted paths.
     pub no_native: bool,
-    /// `HC_CACHE_SHARDS`: shard count of the front-half memo cache
-    /// (`None` = derived from the machine's parallelism).
-    pub cache_shards: Option<usize>,
     /// `HC_SERVE_THREADS`: hc-serve worker-pool width (`None` = derived
     /// from the machine's parallelism).
     pub serve_threads: Option<usize>,
@@ -53,8 +48,7 @@ pub struct Config {
     pub serve_rps: Option<usize>,
 }
 
-/// A flag variable is "set" when nonempty and not `"0"` — the convention
-/// `HC_NO_OPT` and `HC_NO_TAPE_OPT` already used.
+/// A flag variable is "set" when nonempty and not `"0"`.
 fn flag(v: Option<String>) -> bool {
     matches!(v, Some(v) if !v.is_empty() && v != "0")
 }
@@ -72,13 +66,10 @@ impl Config {
     pub fn from_vars<F: Fn(&str) -> Option<String>>(get: F) -> Self {
         Config {
             threads: positive(get("HC_THREADS")),
-            no_opt: flag(get("HC_NO_OPT")),
-            no_tape_opt: flag(get("HC_NO_TAPE_OPT")),
             cache_cap: positive(get("HC_CACHE_CAP")),
             trace: get("HC_TRACE").filter(|p| !p.is_empty()),
             profile: flag(get("HC_PROFILE")),
             no_native: flag(get("HC_NO_NATIVE")),
-            cache_shards: positive(get("HC_CACHE_SHARDS")),
             serve_threads: positive(get("HC_SERVE_THREADS")),
             serve_queue_cap: positive(get("HC_SERVE_QUEUE_CAP")),
             store_dir: get("HC_STORE_DIR").filter(|p| !p.is_empty()),
@@ -140,20 +131,20 @@ mod tests {
     fn empty_environment_is_all_defaults() {
         let cfg = fixture(&[]);
         assert_eq!(cfg, Config::default());
-        assert!(!cfg.no_opt && !cfg.no_tape_opt && !cfg.profile);
+        assert!(!cfg.profile && !cfg.no_native && !cfg.store_sync);
         assert_eq!(cfg.threads, None);
     }
 
     #[test]
     fn flags_follow_the_nonempty_nonzero_convention() {
-        assert!(fixture(&[("HC_NO_OPT", "1")]).no_opt);
-        assert!(fixture(&[("HC_NO_OPT", "yes")]).no_opt);
-        assert!(!fixture(&[("HC_NO_OPT", "0")]).no_opt);
-        assert!(!fixture(&[("HC_NO_OPT", "")]).no_opt);
-        assert!(fixture(&[("HC_NO_TAPE_OPT", "1")]).no_tape_opt);
         assert!(fixture(&[("HC_PROFILE", "1")]).profile);
+        assert!(fixture(&[("HC_PROFILE", "yes")]).profile);
+        assert!(!fixture(&[("HC_PROFILE", "0")]).profile);
+        assert!(!fixture(&[("HC_PROFILE", "")]).profile);
         assert!(fixture(&[("HC_NO_NATIVE", "1")]).no_native);
         assert!(!fixture(&[("HC_NO_NATIVE", "0")]).no_native);
+        assert!(fixture(&[("HC_STORE_SYNC", "on")]).store_sync);
+        assert!(!fixture(&[("HC_STORE_SYNC", "")]).store_sync);
     }
 
     #[test]
@@ -164,8 +155,6 @@ mod tests {
         assert_eq!(fixture(&[("HC_THREADS", "not-a-number")]).threads, None);
         assert_eq!(fixture(&[("HC_CACHE_CAP", "64")]).cache_cap, Some(64));
         assert_eq!(fixture(&[("HC_CACHE_CAP", "-1")]).cache_cap, None);
-        assert_eq!(fixture(&[("HC_CACHE_SHARDS", "8")]).cache_shards, Some(8));
-        assert_eq!(fixture(&[("HC_CACHE_SHARDS", "0")]).cache_shards, None);
         assert_eq!(fixture(&[("HC_SERVE_THREADS", "4")]).serve_threads, Some(4));
         assert_eq!(
             fixture(&[("HC_SERVE_QUEUE_CAP", "128")]).serve_queue_cap,

@@ -17,12 +17,9 @@
 //! | variable | effect |
 //! |---|---|
 //! | `HC_THREADS` | worker-pool width override for measurement sweeps |
-//! | `HC_NO_OPT` | disable the IR optimization pass pipeline |
-//! | `HC_NO_TAPE_OPT` | disable the tape backend optimizer |
 //! | `HC_CACHE_CAP` | LRU capacity of the front-half memo cache |
 //! | `HC_TRACE` | write a Chrome-trace JSON of pipeline spans to this path |
 //! | `HC_PROFILE` | enable per-opcode / per-cone simulator profiling |
-//! | `HC_CACHE_SHARDS` | shard count of the front-half memo cache |
 //! | `HC_SERVE_THREADS` | hc-serve worker-pool width |
 //! | `HC_SERVE_QUEUE_CAP` | hc-serve job-queue bound (beyond it: HTTP 429) |
 //! | `HC_STORE_DIR` | directory of the persistent result store (on iff set) |

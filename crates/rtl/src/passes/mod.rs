@@ -14,9 +14,9 @@
 //! design's optimized module.
 //!
 //! The standard pipeline is [`optimize`]; [`optimize_with`] takes an
-//! explicit [`PassConfig`] for debugging and ablation. Setting `HC_NO_OPT=1`
-//! in the environment disables every pass for all [`optimize`] callers —
-//! handy when a miscompare needs to be bisected down to "is it the passes?".
+//! explicit [`PassConfig`] for debugging and ablation. To bisect a
+//! miscompare down to "is it the passes?", run the module through
+//! `optimize_with(&mut module, &PassConfig::none())` (a no-op) and compare.
 
 mod const_fold;
 mod cse;
@@ -33,9 +33,7 @@ pub use strength::strength_reduce;
 
 use crate::Module;
 
-/// Which passes the pipeline runs. The default is everything; the memo
-/// caches key on [`PassConfig::key`] so artifacts produced under different
-/// configurations never alias.
+/// Which passes the pipeline runs. The default is everything.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PassConfig {
     /// Constant folding and algebraic identities ([`const_fold`]).
@@ -75,31 +73,9 @@ impl PassConfig {
         }
     }
 
-    /// The configuration selected by the environment: [`PassConfig::all`]
-    /// normally, [`PassConfig::none`] when `HC_NO_OPT` is set to anything
-    /// but `0` or the empty string. Reads the centralized
-    /// [`hc_obs::config`] snapshot, so a process-wide override set through
-    /// `hc_obs::config::set_override` is honored without touching the
-    /// environment.
-    pub fn from_env() -> Self {
-        if hc_obs::config().no_opt {
-            Self::none()
-        } else {
-            Self::all()
-        }
-    }
-
     /// True when at least one pass is enabled.
     pub fn any(&self) -> bool {
         self.const_fold || self.strength || self.cse || self.dce
-    }
-
-    /// A stable bit-packed key for memo caches (one bit per pass).
-    pub fn key(&self) -> u8 {
-        u8::from(self.const_fold)
-            | u8::from(self.strength) << 1
-            | u8::from(self.cse) << 2
-            | u8::from(self.dce) << 3
     }
 }
 
@@ -180,10 +156,9 @@ pub fn optimize_with(module: &mut Module, config: &PassConfig) -> OptReport {
     report
 }
 
-/// Runs the standard pass pipeline under the environment's [`PassConfig`]
-/// (everything, unless `HC_NO_OPT` is set).
+/// Runs the standard pass pipeline: every pass ([`PassConfig::all`]).
 pub fn optimize(module: &mut Module) -> OptReport {
-    optimize_with(module, &PassConfig::from_env())
+    optimize_with(module, &PassConfig::all())
 }
 
 #[cfg(test)]
@@ -287,26 +262,5 @@ mod tests {
         assert_eq!(m.nodes().len(), before);
         assert!(!report.changed());
         assert_eq!(report.iterations, 0);
-    }
-
-    #[test]
-    fn pass_config_keys_are_distinct() {
-        let mut keys = vec![
-            PassConfig::all().key(),
-            PassConfig::none().key(),
-            PassConfig {
-                strength: false,
-                ..PassConfig::all()
-            }
-            .key(),
-            PassConfig {
-                cse: false,
-                ..PassConfig::all()
-            }
-            .key(),
-        ];
-        keys.sort_unstable();
-        keys.dedup();
-        assert_eq!(keys.len(), 4);
     }
 }

@@ -691,8 +691,12 @@ mod tests {
     /// and multi-word values.
     const WIDTHS: [u32; 8] = [1, 3, 8, 12, 16, 31, 64, 96];
 
-    /// Upper bound on generated widths, so concatenations stay small.
+    /// Upper bound on concatenation widths, so they stay small.
     const MAX_W: u32 = 128;
+
+    /// Operand widths for wide products and quotients; a product takes up
+    /// to the sum of its operand widths, past 256 bits.
+    const WIDE_ARITH: [u32; 3] = [65, 129, 300];
 
     const BINARY_OPS: [BinaryOp; 18] = [
         BinaryOp::Add,
@@ -760,14 +764,14 @@ mod tests {
                 }
                 2 | 3 => {
                     let op = BINARY_OPS[x as usize % BINARY_OPS.len()];
-                    // `Bits` divides at most 64 bits wide and multiplies
-                    // at most 128 (an unsigned product widens each operand
-                    // by one bit), so those operands stay within 64.
-                    let (a, b) = if matches!(
+                    let arith = matches!(
                         op,
                         BinaryOp::DivU | BinaryOp::RemU | BinaryOp::MulS | BinaryOp::MulU
-                    ) {
-                        let (wa, wb) = (m.width(a).min(64), m.width(b).min(64));
+                    );
+                    // Half the products and quotients take operands past
+                    // the 64-bit divide and 128-bit multiply word paths.
+                    let (a, b) = if arith && c % 2 == 0 {
+                        let (wa, wb) = (WIDE_ARITH[c / 2 % 3], WIDE_ARITH[c / 6 % 3]);
                         (fit(&mut m, a, wa), fit(&mut m, b, wb))
                     } else {
                         (a, b)
@@ -777,8 +781,7 @@ mod tests {
                         let amount = fit(&mut m, b, 1 + x % 7);
                         m.binary(op, a, amount, wa)
                     } else if matches!(op, BinaryOp::MulS | BinaryOp::MulU) {
-                        let full = (wa + m.width(b)).min(MAX_W);
-                        m.binary(op, a, b, 1 + x % full)
+                        m.binary(op, a, b, 1 + x % (wa + m.width(b)))
                     } else {
                         let b = fit(&mut m, b, wa);
                         m.binary(op, a, b, if op.is_comparison() { 1 } else { wa })

@@ -1,6 +1,7 @@
 //! Structural validation: width rules, topological ordering, connectivity.
 
 use crate::{BinaryOp, Module, Node, NodeId, UnaryOp};
+use hc_bits::Bits;
 use std::error::Error;
 use std::fmt;
 
@@ -28,14 +29,16 @@ impl Module {
     /// Checks structural invariants.
     ///
     /// Verified properties: every node references only earlier nodes (the
-    /// acyclicity guarantee the simulator relies on), every port, register
-    /// and memory reference names an existing node, input port `k` is
-    /// carried by a `Node::Input(k)` node of the port's width, operand
-    /// widths obey the rules of each [`Node`] kind, every register has a
-    /// connected next value with matching width, enables/resets/mux selects
-    /// are one bit wide, memory ports are consistent, and slices stay in
-    /// range. Ids are range-checked before use, so tables decoded from
-    /// outside the process fail here rather than panic.
+    /// acyclicity guarantee the simulator relies on), every node and
+    /// memory word is 1 to [`Bits::MAX_WIDTH`] bits wide, every port,
+    /// register and memory reference names an existing node, input port
+    /// `k` is carried by a `Node::Input(k)` node of the port's width,
+    /// operand widths obey the rules of each [`Node`] kind, every register
+    /// has a connected next value and an initial value of its width,
+    /// enables/resets/mux selects are one bit wide, memory ports are
+    /// consistent, and slices stay in range. Ids are range-checked before
+    /// use, so tables decoded from outside the process fail here rather
+    /// than panic.
     ///
     /// # Errors
     ///
@@ -53,6 +56,9 @@ impl Module {
             });
             if !ordered {
                 return err(format!("node n{i} references a later node (cycle)"));
+            }
+            if !(1..=Bits::MAX_WIDTH).contains(&nd.width) {
+                return err(format!("n{i}: width {}", nd.width));
             }
             let w = |id: NodeId| self.width(id);
             match &nd.node {
@@ -125,7 +131,7 @@ impl Module {
                     }
                 }
                 Node::Slice { src, lo } => {
-                    if lo + nd.width > w(*src) {
+                    if lo.saturating_add(nd.width) > w(*src) {
                         return err(format!(
                             "n{i}: slice [{}+:{}] of {}-bit node",
                             lo,
@@ -180,6 +186,9 @@ impl Module {
             if self.width(next) != reg.width {
                 return err(format!("reg r{i} next width"));
             }
+            if reg.init.width() != reg.width {
+                return err(format!("reg r{i} init width"));
+            }
             for ctl in [reg.en, reg.reset].into_iter().flatten() {
                 if self.width(ctl) != 1 {
                     return err(format!("reg r{i} control is not 1 bit"));
@@ -187,8 +196,11 @@ impl Module {
             }
         }
         for (i, mem) in self.mems().iter().enumerate() {
-            if mem.depth == 0 {
-                return err(format!("mem m{i} has zero depth"));
+            if mem.depth == 0 || !(1..=Bits::MAX_WIDTH).contains(&mem.width) {
+                return err(format!(
+                    "mem m{i} is {} deep, {} wide",
+                    mem.depth, mem.width
+                ));
             }
             for wp in &mem.writes {
                 if let Some(id) = [wp.addr, wp.data, wp.en]
@@ -217,7 +229,7 @@ impl Module {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hc_bits::Bits;
+    use crate::NodeData;
 
     #[test]
     fn valid_module_passes() {
@@ -362,6 +374,64 @@ mod tests {
     fn input_port_width_must_match_its_node() {
         let e = patched(|inputs, _, _| inputs[0].width = 5).unwrap_err();
         assert!(e.to_string().contains("input"), "{e}");
+    }
+
+    /// A module `y = a[3:0]` over an 8-bit input, reassembled with
+    /// `Module::from_parts` after `patch` edits its node table.
+    fn with_nodes(patch: impl FnOnce(&mut Vec<NodeData>)) -> Result<Module, ValidateError> {
+        let mut m = Module::new("t");
+        let a = m.input("a", 8);
+        let y = m.slice(a, 0, 4);
+        m.output("y", y);
+        let mut nodes = m.nodes().to_vec();
+        patch(&mut nodes);
+        Module::from_parts(
+            "t",
+            nodes,
+            m.inputs().to_vec(),
+            m.outputs().to_vec(),
+            vec![],
+            vec![],
+        )
+    }
+
+    #[test]
+    fn node_widths_outside_the_bits_range_are_errors() {
+        assert!(with_nodes(|_| {}).is_ok());
+        for width in [0, Bits::MAX_WIDTH + 1] {
+            let e = with_nodes(|nodes| nodes[1].width = width).unwrap_err();
+            assert!(e.to_string().contains("width"), "{e}");
+        }
+    }
+
+    #[test]
+    fn slice_offset_near_u32_max_is_an_error() {
+        let e = with_nodes(|nodes| {
+            nodes[1].node = Node::Slice {
+                src: NodeId::from_index(0),
+                lo: u32::MAX - 1,
+            }
+        })
+        .unwrap_err();
+        assert!(e.to_string().contains("slice"), "{e}");
+    }
+
+    #[test]
+    fn memory_word_widths_outside_the_bits_range_are_errors() {
+        for width in [0, Bits::MAX_WIDTH + 1] {
+            let e = patched(|_, _, mems| {
+                mems[0].width = width;
+                mems[0].writes.clear();
+            })
+            .unwrap_err();
+            assert!(e.to_string().contains("wide"), "{e}");
+        }
+    }
+
+    #[test]
+    fn register_init_width_must_match() {
+        let e = patched(|_, regs, _| regs[0].init = Bits::zero(5)).unwrap_err();
+        assert!(e.to_string().contains("init"), "{e}");
     }
 
     #[test]

@@ -141,16 +141,12 @@ pub fn dse(body: &Json, worker: &Worker) -> Result<Json, ApiError> {
 /// `GET /v1/metrics`: queue/cache/store/counter snapshot.
 ///
 /// Cache lookups partition three ways — `hits` (in-memory), `store_hits`
-/// (answered by the persistent tier) and `misses` (recomputed) — at the
-/// aggregate level and per shard. The `store` object reports the
+/// (answered by the persistent tier) and `misses` (recomputed). The
+/// `store` object reports the
 /// persistent tier itself, or `{"enabled": false}` when `HC_STORE_DIR`
 /// is unset.
 pub fn metrics(pool: &JobPool) -> Json {
     let (hits, misses) = cache::stats();
-    let per_shard = cache::shard_stats()
-        .into_iter()
-        .map(|(h, m, s)| jobj! { "hits" => h, "misses" => m, "store_hits" => s })
-        .collect::<Vec<_>>();
     jobj! {
         "queue_depth" => pool.queue_depth(),
         "running_jobs" => pool.running(),
@@ -159,8 +155,6 @@ pub fn metrics(pool: &JobPool) -> Json {
             "hits" => hits,
             "misses" => misses,
             "store_hits" => cache::store_hits(),
-            "shards" => cache::shard_count(),
-            "per_shard" => per_shard,
         },
         "store" => store_json(),
         "counters" => obs::metrics::snapshot_json(),

@@ -52,11 +52,10 @@ fn main() {
         }
     };
     println!(
-        "hc-serve listening on http://{} ({} workers, queue cap {}, {} cache shards)",
+        "hc-serve listening on http://{} ({} workers, queue cap {})",
         server.addr(),
         opts.workers,
-        opts.queue_cap,
-        hc_core::cache::shard_count()
+        opts.queue_cap
     );
     if let Some(rps) = opts.rps {
         println!("hc-serve: per-client rate limit {rps} rps");

@@ -387,4 +387,109 @@ mod tests {
         );
         assert!(text.ends_with("\r\n0\r\n\r\n"), "{text}");
     }
+
+    use proptest::prelude::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Request lines, well-formed and not.
+    const LINES: [&str; 5] = [
+        "GET / HTTP/1.1",
+        "POST /v1/synth?x=1 HTTP/1.0",
+        "post /v1/dse http/1.1",
+        "GET /",
+        "",
+    ];
+
+    /// Header names the reader acts on, and others.
+    const NAMES: [&str; 6] = [
+        "Content-Length",
+        "content-length",
+        "Transfer-Encoding",
+        "Connection",
+        "Host",
+        "",
+    ];
+
+    /// Header values: lengths around [`MAX_BODY`] and `usize::MAX`, and
+    /// text.
+    const VALUES: [&str; 9] = [
+        "0",
+        "7",
+        "8388608",
+        "8388609",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-1",
+        " 12 ",
+        "chunked",
+    ];
+
+    /// Framing pieces, digits or a raw byte: noise between requests.
+    fn piece() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            (0..3usize).prop_map(|i| ["\r\n", "\n", ":"][i].as_bytes().to_vec()),
+            (0u32..100_000).prop_map(|n| n.to_string().into_bytes()),
+            any::<u8>().prop_map(|b| vec![b]),
+        ]
+    }
+
+    /// One header line: a name, usually a `:`, and a value.
+    fn header() -> impl Strategy<Value = String> {
+        (0..NAMES.len(), 0..VALUES.len(), 0u32..100_000, 0u8..8).prop_map(
+            |(name, value, digits, shape)| {
+                let value = match shape {
+                    0 => digits.to_string(),
+                    _ => VALUES[value].to_owned(),
+                };
+                let colon = if shape == 1 { "" } else { ":" };
+                format!("{}{colon} {value}", NAMES[name])
+            },
+        )
+    }
+
+    /// A request-shaped stretch: a request line, headers and a blank line,
+    /// each ended by CRLF or a bare LF, then body bytes and noise.
+    fn request() -> impl Strategy<Value = Vec<u8>> {
+        (
+            0..LINES.len(),
+            proptest::collection::vec(header(), 0..4),
+            any::<bool>(),
+            proptest::collection::vec(any::<u8>(), 0..16),
+            proptest::collection::vec(piece(), 0..3),
+        )
+            .prop_map(|(line, headers, bare_lf, body, noise)| {
+                let end = if bare_lf { "\n" } else { "\r\n" };
+                let mut raw = String::from(LINES[line]) + end;
+                for h in headers {
+                    raw += &h;
+                    raw += end;
+                }
+                raw += end;
+                let mut raw = raw.into_bytes();
+                raw.extend(body);
+                raw.extend(noise.concat());
+                raw
+            })
+    }
+
+    proptest! {
+        /// No byte stream makes the reader panic: every request on it
+        /// reads as `Ok(Some)`, `Ok(None)` or `Err`, until the stream
+        /// ends or errors.
+        #[test]
+        fn read_request_never_panics(
+            stream in proptest::collection::vec(prop_oneof![request(), piece()], 0..8),
+        ) {
+            let raw = stream.concat();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let mut reader = BufReader::new(&raw[..]);
+                while let Ok(Some(_)) = read_request(&mut reader) {}
+            }));
+            prop_assert!(
+                result.is_ok(),
+                "read_request panicked on {:?}",
+                String::from_utf8_lossy(&raw)
+            );
+        }
+    }
 }

@@ -4,8 +4,8 @@
 //! The paper's flow is batch-shaped — one process, one sweep, one report.
 //! This crate turns it into the shape the roadmap's north star wants:
 //! many concurrent clients submitting designs in any of the seven
-//! frontends, sharing one process-wide front-half cache (now sharded, see
-//! `hc_core::cache`) and one work-stealing [`pool`].
+//! frontends, sharing one process-wide front-half cache
+//! (`hc_core::cache`) and one work-stealing [`pool`].
 //!
 //! Everything is hand-rolled on `std` — the workspace builds offline, so
 //! the HTTP framing ([`http`]) and the pool ([`pool`]) carry no
@@ -17,7 +17,7 @@
 //! | route | meaning |
 //! |---|---|
 //! | `GET /healthz` | liveness (answers even when the queue is full) |
-//! | `GET /v1/metrics` | queue depth, cache hit/miss/shards, all counters |
+//! | `GET /v1/metrics` | queue depth, cache hits/store hits/misses, all counters |
 //! | `GET /v1/tools` | the seven frontends and their parameters |
 //! | `POST /v1/synth` | optimize + synthesize a design (memoized front half) |
 //! | `POST /v1/measure` | full §III-C measurement of one design point |

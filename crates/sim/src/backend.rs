@@ -110,8 +110,8 @@ pub trait SimBackend {
 
     /// The tape backend optimizer's report, for engines that replay an
     /// optimized instruction tape (`None` for interpreting engines or when
-    /// the optimizer is disabled via `HC_NO_TAPE_OPT` /
-    /// [`EngineOptions`](crate::EngineOptions)).
+    /// the optimizer is disabled via
+    /// [`EngineOptions::no_tape_opt`](crate::EngineOptions::no_tape_opt)).
     fn tape_opt_report(&self) -> Option<crate::TapeOptReport> {
         None
     }

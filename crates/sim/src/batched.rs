@@ -491,7 +491,7 @@ impl BatchedSimulator {
     }
 
     /// The tape backend optimizer's report (`None` when it was disabled via
-    /// [`EngineOptions`] or `HC_NO_TAPE_OPT`), with the runtime
+    /// [`EngineOptions::no_tape_opt`]), with the runtime
     /// cones-skipped counter filled in.
     pub fn tape_opt_report(&self) -> Option<crate::TapeOptReport> {
         self.low.tape_opt.map(|mut r| {

@@ -69,8 +69,8 @@
 //! All compiled engines run the **tape backend optimizer** by default
 //! (see [`TapeOptReport`]): superinstruction fusion, copy forwarding, tape
 //! dead-code elimination, live-range slot reallocation, and combinational
-//! cone partitioning with activity gating. Set `HC_NO_TAPE_OPT=1` (or use
-//! [`EngineOptions::no_tape_opt`]) to replay the raw lowered tape instead.
+//! cone partitioning with activity gating. Build with
+//! [`EngineOptions::no_tape_opt`] to replay the raw lowered tape instead.
 
 mod backend;
 mod batched;

@@ -519,9 +519,9 @@ pub struct EngineOptions {
     /// Run the tape backend optimizer after lowering: superinstruction
     /// fusion, copy forwarding, tape dead-code elimination, live-range slot
     /// reallocation, and cone partitioning for activity-gated evaluation.
-    /// On by default; `HC_NO_TAPE_OPT=1` in the environment turns it off
-    /// (mirroring `HC_NO_OPT` for the IR pass pipeline). Note that `probe`
-    /// of a node the optimizer eliminated reads a zero scratch slot.
+    /// On by default; [`EngineOptions::no_tape_opt`] turns it off to
+    /// bisect a miscompare or A/B the optimizer. Note that `probe` of a
+    /// node the optimizer eliminated reads a zero scratch slot.
     pub tape_opt: bool,
 }
 
@@ -529,16 +529,9 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             optimize: false,
-            tape_opt: tape_opt_from_env(),
+            tape_opt: true,
         }
     }
-}
-
-/// The tape optimizer runs unless `HC_NO_TAPE_OPT` is set to something
-/// other than `""`/`"0"` (read through the centralized [`hc_obs::config`]
-/// snapshot, so process-wide overrides are honored).
-fn tape_opt_from_env() -> bool {
-    !hc_obs::config().no_tape_opt
 }
 
 impl EngineOptions {

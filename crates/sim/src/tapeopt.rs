@@ -33,9 +33,9 @@
 //! every instruction's destination slot index is strictly greater than all
 //! its operand slot indices in the same store.
 //!
-//! `HC_NO_TAPE_OPT=1` (or [`EngineOptions::no_tape_opt`]) disables the whole
-//! stage; the raw lowered tape is then replayed unconditionally, exactly as
-//! before this module existed.
+//! [`EngineOptions::no_tape_opt`] disables the whole stage; the raw
+//! lowered tape is then replayed unconditionally, exactly as before this
+//! module existed.
 //!
 //! [`EngineOptions::no_tape_opt`]: crate::EngineOptions::no_tape_opt
 

@@ -1040,4 +1040,80 @@ mod tests {
         drop(store);
         cleanup(&dir);
     }
+
+    use proptest::prelude::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A record body: arbitrary bytes, or a kind and a small key length
+    /// followed by arbitrary bytes, so the length is sometimes in range.
+    fn body() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..40),
+            (
+                any::<u8>(),
+                0u16..48,
+                proptest::collection::vec(any::<u8>(), 0..40)
+            )
+                .prop_map(|(kind, key_len, rest)| {
+                    let mut b = vec![kind];
+                    b.extend_from_slice(&key_len.to_le_bytes());
+                    b.extend(rest);
+                    b
+                }),
+        ]
+    }
+
+    /// One stretch of a segment after its header: raw bytes, or a record
+    /// frame whose CRC matches its body under a length field that may lie.
+    fn stretch() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..24),
+            (body(), 0u8..4).prop_map(|(body, lie)| {
+                let len = match lie {
+                    0 => u32::MAX,
+                    1 => body.len() as u32 + 1,
+                    _ => body.len() as u32,
+                };
+                let mut rec = len.to_le_bytes().to_vec();
+                rec.extend_from_slice(&crc32(&body).to_le_bytes());
+                rec.extend(body);
+                rec
+            }),
+        ]
+    }
+
+    proptest! {
+        /// Every body splits into parts that tile it, or is rejected.
+        #[test]
+        fn split_body_never_panics(body in body()) {
+            let split = catch_unwind(|| split_body(&body).map(|(_, k, v)| (k.len(), v.len())));
+            let split = split.unwrap_or_else(|_| panic!("split_body panicked on {body:?}"));
+            if let Some((key, value)) = split {
+                prop_assert_eq!(3 + key + value, body.len());
+            }
+        }
+
+        /// A segment with a valid header and arbitrary bytes after it
+        /// scans without panicking, and its intact prefix stays in bounds.
+        #[test]
+        fn scan_segment_never_panics(stretches in proptest::collection::vec(stretch(), 0..12)) {
+            let dir = temp_dir("scan");
+            fs::create_dir_all(&dir).unwrap();
+            let path = seg_path(&dir, 0);
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&STORE_VERSION.to_le_bytes());
+            bytes.extend(stretches.concat());
+            fs::write(&path, &bytes).unwrap();
+            let scan = catch_unwind(AssertUnwindSafe(|| scan_segment(&path)));
+            cleanup(&dir);
+            let scan = scan
+                .unwrap_or_else(|_| panic!("scan_segment panicked on {bytes:?}"))
+                .unwrap();
+            prop_assert!(!scan.bad_header);
+            prop_assert!(scan.clean_len <= bytes.len() as u64);
+            prop_assert_eq!(scan.corrupt, scan.clean_len < bytes.len() as u64);
+            let tiled: u64 = scan.records.iter().map(|r| r.total).sum();
+            prop_assert_eq!(SEG_HEADER + tiled, scan.clean_len);
+        }
+    }
 }

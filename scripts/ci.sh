@@ -70,13 +70,9 @@ rm -f trace.json
 ./target/release/benchgate tracing BENCH_sim.json BENCH_sim_traced.json
 rm -f BENCH_sim_traced.json
 
-echo "== hc-serve load test (A/B: sharded front-half cache vs single mutex)"
-# Two separate processes because the shard count is pinned at first cache
-# touch: a baseline run forced to one shard, then the sharded default.
-# Both replay 64 concurrent mixed clients (cache-hot sweeps, cache-cold
-# modules, DSE bursts) and must finish error-free.
-HC_SERVE_THREADS=4 HC_CACHE_SHARDS=1 ./target/release/loadgen \
-  --clients 64 --requests 4 --key serve_single_shard --skip-stress
+echo "== hc-serve load test"
+# 64 concurrent mixed clients (cache-hot sweeps, cache-cold modules, DSE
+# bursts) must finish error-free.
 HC_SERVE_THREADS=4 ./target/release/loadgen \
   --clients 64 --requests 4 --key serve
 ./target/release/benchgate serve BENCH_sim.json
@@ -103,9 +99,9 @@ echo "== hc-serve persistent store A/B (cold vs warm across two processes)"
 # still pass a CRC sweep after concurrent writes.
 serve_store="$(mktemp -d)"
 HC_SERVE_THREADS=4 HC_STORE_DIR="$serve_store" ./target/release/loadgen \
-  --clients 16 --requests 4 --key serve_store_cold --skip-stress
+  --clients 16 --requests 4 --key serve_store_cold
 HC_SERVE_THREADS=4 HC_STORE_DIR="$serve_store" ./target/release/loadgen \
-  --clients 16 --requests 4 --key serve_store_warm --skip-stress
+  --clients 16 --requests 4 --key serve_store_warm
 ./target/release/storecheck "$serve_store"
 rm -rf "$serve_store"
 ./target/release/benchgate serve-store BENCH_sim.json
