@@ -134,13 +134,14 @@ fn round(x: f64, decimals: i32) -> Json {
 }
 
 /// The *static* half of a [`TapeOptReport`] — everything the optimizer
-/// decided at construction. The runtime `cones_skipped` counter is
-/// deliberately excluded: it measures how many cone evaluations activity
-/// gating elided *during whatever run the engine happened to do*, so
-/// folding it in made the top-level report (observed over the timed
-/// streaming run) disagree with the per-design `tape[]` entries (engines
-/// that never stepped, always 0). The main run's figure is recorded
-/// separately as `cones_skipped_runtime`.
+/// decided at construction. The runtime counters (`parts_skipped`,
+/// `regs_committed`, `cones_skipped`) are deliberately excluded: they
+/// measure what activity gating elided *during whatever run the engine
+/// happened to do*, so folding them in made the top-level report
+/// (observed over the timed streaming run) disagree with the per-design
+/// `tape[]` entries (engines that never stepped, always 0). The main
+/// run's figures are recorded separately as `parts_skipped_runtime` and
+/// `regs_committed_runtime`.
 fn tapeopt_json(r: &TapeOptReport) -> Json {
     jobj! {
         "instrs_pre" => r.instrs_pre,
@@ -155,6 +156,7 @@ fn tapeopt_json(r: &TapeOptReport) -> Json {
         "wide_slots_pre" => r.wide_slots_pre,
         "wide_slots_post" => r.wide_slots_post,
         "cones" => r.cones,
+        "parts" => r.parts,
     }
 }
 
@@ -230,8 +232,9 @@ fn main() {
     // the share of the engine's rate the AXI harness delivers (benchgate
     // gates it on AVX2 hosts).
     let harness_engine_ratio = bhz / ebhz;
-    // The measured design's optimizer report, with the cones-skipped
-    // counter observed over the whole timed streaming run above.
+    // The measured design's optimizer report, with the parts-skipped and
+    // registers-committed counters observed over the whole timed
+    // streaming run above.
     let main_report = ch
         .simulator_mut()
         .tape_opt_report()
@@ -450,7 +453,8 @@ fn main() {
         "tapeopt_speedup" => round(tapeopt_speedup, 2),
         "tapeopt_fused_min" => tapeopt_fused_min,
         "tapeopt" => tapeopt_json(&main_report),
-        "cones_skipped_runtime" => main_report.cones_skipped,
+        "parts_skipped_runtime" => main_report.parts_skipped,
+        "regs_committed_runtime" => main_report.regs_committed,
         "sim_speedup" => round(chz / ihz, 2),
         "native_cycles_per_sec" => round(nhz, 0),
         "native_off_cycles_per_sec" => round(nhz_off, 0),

@@ -101,3 +101,21 @@ proptest! {
         }
     }
 }
+
+/// A store record naming a 2^32-deep memory used to validate, and the
+/// engines then tried to allocate one word per entry. Validation now
+/// bounds memory storage, so the decoder answers with an error before any
+/// engine is built.
+#[test]
+fn a_huge_memory_is_rejected_by_the_decoder() {
+    let mut m = hc_rtl::Module::new("huge");
+    let addr = m.input("addr", 32);
+    let mem = m.mem("buf", 8, u32::MAX);
+    let q = m.mem_read(mem, addr);
+    m.output("q", q);
+    let mut e = Enc::new();
+    enc_module(&mut e, &m);
+    let bytes = e.into_bytes();
+    let err = dec_module(&mut Dec::new(&bytes)).expect_err("a 2^32-deep memory must not validate");
+    assert!(err.to_string().contains("budget"), "{err}");
+}

@@ -46,4 +46,4 @@ pub use module::{Mem, MemWrite, Module, NodeData, Output, Port, Reg};
 pub use node::Node;
 pub use op::{BinaryOp, UnaryOp};
 pub use stats::ModuleStats;
-pub use validate::ValidateError;
+pub use validate::{ValidateError, MEM_BUDGET_BYTES};

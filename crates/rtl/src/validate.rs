@@ -25,6 +25,19 @@ impl fmt::Display for ValidateError {
 
 impl Error for ValidateError {}
 
+/// Largest total memory storage, in bytes, a valid module may ask the
+/// simulation engines for. The shipped designs need a few KiB (the largest
+/// memory is 256 words of 18 bits); the bound keeps a hostile module (a
+/// store record or `/v1/measure` body naming a 2^32-deep memory) from
+/// aborting the process on allocation.
+pub const MEM_BUDGET_BYTES: u64 = 32 << 20;
+
+/// Engine storage per memory word: one `u64` for a word of at most 64
+/// bits, the `Bits` words otherwise.
+fn mem_word_bytes(width: u32) -> u64 {
+    8 * u64::from(width.div_ceil(64))
+}
+
 impl Module {
     /// Checks structural invariants.
     ///
@@ -36,7 +49,8 @@ impl Module {
     /// operand widths obey the rules of each [`Node`] kind, every register
     /// has a connected next value and an initial value of its width,
     /// enables/resets/mux selects are one bit wide, memory ports are
-    /// consistent, and slices stay in range. Ids are range-checked before
+    /// consistent, all memories together fit [`MEM_BUDGET_BYTES`] of
+    /// engine storage, and slices stay in range. Ids are range-checked before
     /// use, so tables decoded from outside the process fail here rather
     /// than panic.
     ///
@@ -195,10 +209,19 @@ impl Module {
                 }
             }
         }
+        let mut mem_bytes = 0u64;
         for (i, mem) in self.mems().iter().enumerate() {
             if mem.depth == 0 || !(1..=Bits::MAX_WIDTH).contains(&mem.width) {
                 return err(format!(
                     "mem m{i} is {} deep, {} wide",
+                    mem.depth, mem.width
+                ));
+            }
+            mem_bytes += u64::from(mem.depth) * mem_word_bytes(mem.width);
+            if mem_bytes > MEM_BUDGET_BYTES {
+                return err(format!(
+                    "mem m{i} ({} deep, {} wide) takes the memories past the \
+                     {MEM_BUDGET_BYTES}-byte simulation budget",
                     mem.depth, mem.width
                 ));
             }

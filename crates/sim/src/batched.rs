@@ -299,16 +299,16 @@ pub struct BatchedSimulator {
     active: Vec<bool>,
     pub(crate) cycles: Vec<u64>,
     pub(crate) evaluated: bool,
-    /// One dirty bit per tape segment (see [`crate::tapeopt`]); a clean
-    /// segment's instructions are skipped on [`eval`](Self::eval).
+    /// One dirty bit per component (see [`crate::tapeopt`]); a clean
+    /// component's instructions are skipped on [`eval`](Self::eval).
     pub(crate) dirty: Vec<bool>,
-    /// Running count of segment evaluations skipped by activity gating.
+    /// Running count of component evaluations skipped by activity gating.
     pub(crate) cones_skipped: u64,
     /// Execution histograms, allocated iff `HC_PROFILE` was on at
     /// construction (see `crate::profile`). Opcode counts are per tape
     /// replay, not per lane. The lane loops dispatch per tape
     /// instruction, so the re-walk attribution stays accurate — only
-    /// cones that run as JIT machine code (see
+    /// parts that run as JIT machine code (see
     /// [`crate::NativeSimulator`]) need the separate `native` bucket.
     pub(crate) prof: Option<Box<crate::profile::ProfileState>>,
 }
@@ -446,7 +446,7 @@ impl BatchedSimulator {
             soff += wd.div_ceil(64) as usize * lanes;
         }
         let wreg_shadow = vec![0u64; soff];
-        let dirty = vec![true; low.segments.len()];
+        let dirty = vec![true; low.comps.len()];
         let prof = crate::profile::ProfileState::from_config(&low);
         Ok(BatchedSimulator {
             low,
@@ -515,8 +515,8 @@ impl BatchedSimulator {
     fn touch_input(&mut self, idx: usize, changed: bool) {
         if self.low.gate {
             if changed {
-                for &k in &self.low.input_cones[idx] {
-                    self.dirty[k as usize] = true;
+                for &k in self.low.input_parts.row(idx) {
+                    self.dirty[self.low.part_comp[k as usize] as usize] = true;
                 }
                 self.evaluated = false;
             }
@@ -786,19 +786,19 @@ impl BatchedSimulator {
             return;
         }
         if self.low.gate {
-            // Activity gating: only segments whose inputs (ports, register
+            // Activity gating: only components whose inputs (ports, register
             // outputs, memory contents) changed since they last settled are
-            // replayed; quiescent cones keep their slot values.
-            for k in 0..self.low.segments.len() {
-                if !self.dirty[k] {
+            // replayed; quiescent components keep their slot values.
+            for c in 0..self.low.comps.len() {
+                if !self.dirty[c] {
                     self.cones_skipped += 1;
                     continue;
                 }
-                self.dirty[k] = false;
-                let seg = self.low.segments[k];
-                self.eval_range(seg.start as usize, seg.end as usize);
+                self.dirty[c] = false;
+                let (start, end) = self.low.comp_range(c);
+                self.eval_range(start, end);
                 if let Some(p) = self.prof.as_deref_mut() {
-                    p.record_range(&self.low, k, seg.start as usize, seg.end as usize);
+                    p.record_comp(&self.low, c);
                 }
             }
         } else {
@@ -1473,8 +1473,8 @@ impl BatchedSimulator {
             if changed {
                 state_changed = true;
                 if gate {
-                    for &k in &self.low.nmem_cones[w.mem as usize] {
-                        self.dirty[k as usize] = true;
+                    for &k in self.low.mem_parts.row(w.mem as usize) {
+                        self.dirty[self.low.part_comp[k as usize] as usize] = true;
                     }
                 }
             }
@@ -1505,8 +1505,9 @@ impl BatchedSimulator {
             if changed {
                 state_changed = true;
                 if gate {
-                    for &k in &self.low.wmem_cones[w.mem as usize] {
-                        self.dirty[k as usize] = true;
+                    let row = self.low.nmem_depths.len() + w.mem as usize;
+                    for &k in self.low.mem_parts.row(row) {
+                        self.dirty[self.low.part_comp[k as usize] as usize] = true;
                     }
                 }
             }
@@ -1538,8 +1539,8 @@ impl BatchedSimulator {
             if changed {
                 state_changed = true;
                 if gate {
-                    for &k in &self.low.nreg_cones[ri] {
-                        self.dirty[k as usize] = true;
+                    for &k in self.low.reg_parts.row(ri) {
+                        self.dirty[self.low.part_comp[k as usize] as usize] = true;
                     }
                 }
             }
@@ -1574,8 +1575,8 @@ impl BatchedSimulator {
             if changed {
                 state_changed = true;
                 if gate {
-                    for &k in &self.low.wreg_cones[ri] {
-                        self.dirty[k as usize] = true;
+                    for &k in self.low.reg_parts.row(self.low.nregs.len() + ri) {
+                        self.dirty[self.low.part_comp[k as usize] as usize] = true;
                     }
                 }
             }

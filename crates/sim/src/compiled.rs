@@ -62,15 +62,85 @@ pub struct CompiledSimulator {
     /// cycle's gathered next-values (the native engine fills it from its
     /// flat store) and skips the gather. Cleared by the `step`.
     pub(crate) wreg_shadow_ready: bool,
-    /// One dirty bit per cone segment (see `crate::tapeopt`); all-true when
-    /// gating is off.
-    pub(crate) dirty: Vec<bool>,
-    pub(crate) cones_skipped: u64,
+    /// Activity state (see [`ActLayout`]). A part's dirty bit is set when
+    /// an input of the part changed since it last ran. A register is
+    /// pending when its `next`, `en` or `reset` slot may have changed
+    /// since its last commit; only pending registers can change at the
+    /// next commit, since a register whose three commit inputs are
+    /// unchanged reloads `init` under reset, `next` under enable, and
+    /// holds otherwise, exactly as last time.
+    pub(crate) act: Vec<u64>,
+    pub(crate) lay: ActLayout,
+    /// The pending bitset as the commit in progress found it.
+    pend_cur: Vec<u64>,
+    /// The running part's boundary values from before it ran.
+    before: Vec<u64>,
+    /// The wide registers (by `wregs` index) the last commit changed.
+    pub(crate) wide_changed: Vec<u32>,
+    pub(crate) parts_skipped: u64,
+    pub(crate) regs_committed: u64,
     /// Execution histograms, allocated iff `HC_PROFILE` was on at
     /// construction (see `crate::profile`).
     pub(crate) prof: Option<Box<crate::profile::ProfileState>>,
     pub(crate) evaluated: bool,
     pub(crate) cycle: u64,
+}
+
+/// Sets bit `k` of a bitset.
+pub(crate) fn set_bit(words: &mut [u64], k: usize) {
+    words[k >> 6] |= 1 << (k & 63);
+}
+
+/// Calls `f` on every set bit of a bitset, in increasing order.
+pub(crate) fn for_each_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &bits) in words.iter().enumerate() {
+        let mut b = bits;
+        while b != 0 {
+            f(w * 64 + b.trailing_zeros() as usize);
+            b &= b - 1;
+        }
+    }
+}
+
+/// Bits `0..n` of a bitset set, the rest clear.
+fn set_first(words: &mut [u64], n: usize) {
+    words.fill(0);
+    words[..n / 64].fill(u64::MAX);
+    if !n.is_multiple_of(64) {
+        words[n / 64] = crate::lower::mask(n as u32 % 64);
+    }
+}
+
+/// What a part runner did with the dirty part it was handed (see
+/// [`CompiledSimulator::eval_parts`]).
+pub(crate) enum Ran {
+    /// Ran that one part, with its bookkeeping.
+    Part,
+    /// Handled every part below this one: ran the dirty ones with their
+    /// bookkeeping, cleared their dirty bits and counted them in the run
+    /// counter (the native engine's generated code).
+    Through(usize),
+}
+
+/// Layout of the activity array the engines share with generated code:
+/// the dirty bitset over parts, the pending bitset over registers, and a
+/// counter of the parts generated code ran.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ActLayout {
+    /// First word of the pending bitset.
+    pub pend_at: usize,
+    /// The run counter's word, just past the pending bitset.
+    pub ran_at: usize,
+}
+
+impl ActLayout {
+    fn new(parts: usize, regs: usize) -> ActLayout {
+        let pend_at = parts.div_ceil(64);
+        ActLayout {
+            pend_at,
+            ran_at: pend_at + regs.div_ceil(64),
+        }
+    }
 }
 
 /// `dst.clone_from(src)` over two distinct indices of one slice.
@@ -127,7 +197,12 @@ impl CompiledSimulator {
             .collect();
         let nreg_shadow = vec![0u64; low.nregs.len()];
         let wreg_shadow: Vec<Bits> = low.wregs.iter().map(|p| p.init.clone()).collect();
-        let dirty = vec![true; low.segments.len()];
+        let lay = ActLayout::new(low.parts.len(), low.nregs_total());
+        let mut act = vec![0; lay.ran_at + 1];
+        set_first(&mut act[..lay.pend_at], low.parts.len());
+        set_first(&mut act[lay.pend_at..lay.ran_at], low.nregs_total());
+        let pend_cur = vec![0; lay.ran_at - lay.pend_at];
+        let before = vec![0; low.bound.widest()];
         let prof = crate::profile::ProfileState::from_config(&low);
         Ok(CompiledSimulator {
             low,
@@ -138,8 +213,13 @@ impl CompiledSimulator {
             nreg_shadow,
             wreg_shadow,
             wreg_shadow_ready: false,
-            dirty,
-            cones_skipped: 0,
+            act,
+            lay,
+            pend_cur,
+            before,
+            wide_changed: Vec::new(),
+            parts_skipped: 0,
+            regs_committed: 0,
             prof,
             evaluated: false,
             cycle: 0,
@@ -174,11 +254,12 @@ impl CompiledSimulator {
     }
 
     /// Accounting from the tape backend optimizer (`None` when
-    /// [`EngineOptions::tape_opt`] was off), with the live count of cone
-    /// evaluations skipped by activity gating so far.
+    /// [`EngineOptions::tape_opt`] was off), with the live counts of part
+    /// evaluations skipped and registers committed so far.
     pub fn tape_opt_report(&self) -> Option<crate::TapeOptReport> {
         self.low.tape_opt.map(|mut r| {
-            r.cones_skipped = self.cones_skipped;
+            r.parts_skipped = self.parts_skipped;
+            r.regs_committed = self.regs_committed;
             r
         })
     }
@@ -191,13 +272,17 @@ impl CompiledSimulator {
             .map(crate::profile::ProfileState::report)
     }
 
-    /// Marks the cones reading input `idx` dirty after a value change, or
-    /// falls back to full invalidation when gating is off.
+    /// After a value change of input `idx`, marks the parts reading it
+    /// dirty and the registers it feeds pending, or falls back to full
+    /// invalidation when gating is off.
     fn touch_input(&mut self, idx: usize, changed: bool) {
         if self.low.gate {
             if changed {
-                for &k in &self.low.input_cones[idx] {
-                    self.dirty[k as usize] = true;
+                for &k in self.low.input_parts.row(idx) {
+                    set_bit(&mut self.act, k as usize);
+                }
+                for &r in self.low.input_regs.row(idx) {
+                    set_bit(&mut self.act, self.lay.pend_at * 64 + r as usize);
                 }
                 self.evaluated = false;
             }
@@ -252,7 +337,7 @@ impl CompiledSimulator {
             }
             Loc::W(s) => {
                 // Conservatively treated as a change (wide inputs are rare
-                // on this path and an extra cone eval is always sound).
+                // on this path and an extra part eval is always sound).
                 let slot = &mut self.wide[s as usize];
                 slot.clear();
                 slot.deposit_u64(0, 64, value);
@@ -267,35 +352,99 @@ impl CompiledSimulator {
     /// [`get`](CompiledSimulator::get) and [`step`](CompiledSimulator::step)
     /// when needed.
     pub fn eval(&mut self) {
+        self.eval_parts(|sim, k| {
+            sim.run_part(k, |sim| {
+                let seg = sim.low.parts[k];
+                sim.eval_range(seg.start as usize, seg.end as usize);
+                if let Some(p) = sim.prof.as_deref_mut() {
+                    p.record_range(&sim.low, k, seg.start as usize, seg.end as usize);
+                }
+            });
+            Ran::Part
+        });
+    }
+
+    /// The part loop both scalar engines share: hands every dirty part
+    /// `k` to `run(self, k)` in layout order, walking the dirty bitset
+    /// with `trailing_zeros`. A part's reader parts come later in the
+    /// layout, so when the run marks them dirty the walk reaches them in
+    /// this same pass. The runner does the part's bookkeeping through
+    /// [`run_part`](Self::run_part); or the native engine's generated
+    /// code takes a whole run of parts and does it inline
+    /// ([`Ran::Through`]). With gating off every part runs.
+    pub(crate) fn eval_parts(&mut self, mut run: impl FnMut(&mut CompiledSimulator, usize) -> Ran) {
         if self.evaluated {
             return;
         }
-        if self.low.gate {
-            // Activity-gated: replay only the cone segments whose sources
-            // changed since they last ran.
-            for k in 0..self.low.segments.len() {
-                if !self.dirty[k] {
-                    self.cones_skipped += 1;
-                    continue;
-                }
-                self.dirty[k] = false;
-                let seg = self.low.segments[k];
-                self.eval_range(seg.start as usize, seg.end as usize);
-                if let Some(p) = self.prof.as_deref_mut() {
-                    p.record_range(&self.low, k, seg.start as usize, seg.end as usize);
-                }
+        let nparts = self.low.parts.len();
+        if !self.low.gate {
+            let mut k = 0;
+            while k < nparts {
+                k = match run(self, k) {
+                    Ran::Part => k + 1,
+                    Ran::Through(end) => end,
+                };
             }
-        } else {
-            self.eval_range(0, self.low.tape.len());
-            if let Some(p) = self.prof.as_deref_mut() {
-                p.record_range(&self.low, 0, 0, self.low.tape.len());
+            self.evaluated = true;
+            return;
+        }
+        let mut ran = 0u64;
+        let mut w = 0;
+        while w < self.lay.pend_at {
+            let bits = self.act[w];
+            if bits == 0 {
+                w += 1;
+                continue;
+            }
+            let k = w * 64 + bits.trailing_zeros() as usize;
+            match run(self, k) {
+                // Part `k` cannot mark itself: its readers come later.
+                Ran::Part => {
+                    self.act[w] &= !(1 << (k % 64));
+                    ran += 1;
+                }
+                // Every part below `end` is clean now.
+                Ran::Through(end) => w = end / 64,
             }
         }
+        ran += std::mem::take(&mut self.act[self.lay.ran_at]);
+        self.parts_skipped += nparts as u64 - ran;
         self.evaluated = true;
     }
 
-    /// Replays `tape[start..end]`. Also the per-cone interpreter fallback
-    /// for [`crate::NativeSimulator`] segments the assembler doesn't cover.
+    /// Runs `body` as part `k` with the part loop's bookkeeping: compares
+    /// the part's boundary slots with their values before the run, marks
+    /// the parts reading a changed one dirty, and marks the registers the
+    /// part feeds pending. With gating off it only runs `body`.
+    pub(crate) fn run_part(&mut self, k: usize, body: impl FnOnce(&mut CompiledSimulator)) {
+        if !self.low.gate {
+            body(self);
+            return;
+        }
+        let span = self.low.bound.span(k);
+        for (b, &s) in self
+            .before
+            .iter_mut()
+            .zip(&self.low.bound.items()[span.clone()])
+        {
+            *b = self.narrow[s as usize];
+        }
+        body(self);
+        for (j, &b) in span.zip(&self.before) {
+            if self.narrow[self.low.bound.items()[j] as usize] != b {
+                for &r in self.low.readers.row(j) {
+                    set_bit(&mut self.act, r as usize);
+                }
+            }
+        }
+        let pend = self.lay.pend_at * 64;
+        for &r in self.low.part_regs.row(k) {
+            set_bit(&mut self.act, pend + r as usize);
+        }
+    }
+
+    /// Replays `tape[start..end]`. Also the per-chunk interpreter fallback
+    /// for [`crate::NativeSimulator`] parts the assembler doesn't cover.
     #[allow(clippy::too_many_lines)]
     pub(crate) fn eval_range(&mut self, start: usize, end: usize) {
         let narrow = &mut self.narrow;
@@ -694,26 +843,38 @@ impl CompiledSimulator {
     /// The commit is double-buffered: next values are gathered into shadow
     /// storage while every register still holds its old value, memory writes
     /// sample the settled combinational state, and only then do the shadows
-    /// swap in.
+    /// swap in. It visits only the pending registers (see `act`):
+    /// every register on the first cycle, after [`reset`](Self::reset) and
+    /// with gating off, and afterwards those fed by a part that ran, an
+    /// input that changed or a register that changed at the previous
+    /// commit.
     pub fn step(&mut self) {
         self.eval();
+        let gate = self.low.gate;
+        let nregs = self.low.nregs.len();
+        let pend = self.lay.pend_at..self.lay.ran_at;
+        let mut regs = std::mem::take(&mut self.pend_cur);
+        regs.copy_from_slice(&self.act[pend.clone()]);
+        self.act[pend].fill(0);
         // Phase 1: gather next values while all register slots still hold
         // their pre-edge values (registers may feed each other).
-        for (i, p) in self.low.nregs.iter().enumerate() {
-            let reset = p.reset.is_some_and(|r| self.narrow[r as usize] != 0);
-            self.nreg_shadow[i] = if reset {
-                p.init
-            } else if p.en.is_none_or(|e| self.narrow[e as usize] != 0) {
-                self.narrow[p.next as usize]
-            } else {
-                self.narrow[p.slot as usize]
-            };
-        }
-        if self.wreg_shadow_ready {
-            self.wreg_shadow_ready = false;
-        } else {
-            for (i, p) in self.low.wregs.iter().enumerate() {
-                let reset = p.reset.is_some_and(|r| self.narrow[r as usize] != 0);
+        let gather_wide = !std::mem::take(&mut self.wreg_shadow_ready);
+        self.wide_changed.clear();
+        for_each_bit(&regs, |r| {
+            if r < nregs {
+                let p = &self.low.nregs[r];
+                let reset = p.reset.is_some_and(|x| self.narrow[x as usize] != 0);
+                self.nreg_shadow[r] = if reset {
+                    p.init
+                } else if p.en.is_none_or(|e| self.narrow[e as usize] != 0) {
+                    self.narrow[p.next as usize]
+                } else {
+                    self.narrow[p.slot as usize]
+                };
+            } else if gather_wide {
+                let i = r - nregs;
+                let p = &self.low.wregs[i];
+                let reset = p.reset.is_some_and(|x| self.narrow[x as usize] != 0);
                 let src = if reset {
                     &p.init
                 } else if p.en.is_none_or(|e| self.narrow[e as usize] != 0) {
@@ -723,12 +884,12 @@ impl CompiledSimulator {
                 };
                 self.wreg_shadow[i].clone_from(src);
             }
-        }
+        });
         // Phase 2: memory writes sample the settled combinational values
         // (which include pre-edge register outputs) in port order. With
-        // gating on, a write that changes a stored word marks the cones
+        // gating on, a write that changes a stored word marks the parts
         // holding that memory's read ports dirty.
-        let gate = self.low.gate;
+        let nmems = self.low.nmem_depths.len();
         let mut state_changed = false;
         for w in &self.low.nmem_writes {
             if self.narrow[w.en as usize] != 0 {
@@ -740,8 +901,8 @@ impl CompiledSimulator {
                 let v = self.narrow[w.data as usize];
                 if std::mem::replace(&mut m.words[a as usize], v) != v && gate {
                     state_changed = true;
-                    for &k in &self.low.nmem_cones[w.mem as usize] {
-                        self.dirty[k as usize] = true;
+                    for &k in self.low.mem_parts.row(w.mem as usize) {
+                        set_bit(&mut self.act, k as usize);
                     }
                 }
             }
@@ -758,36 +919,48 @@ impl CompiledSimulator {
                     word.clone_from(&self.wide[w.data as usize]);
                     if gate {
                         state_changed = true;
-                        for &k in &self.low.wmem_cones[w.mem as usize] {
-                            self.dirty[k as usize] = true;
+                        for &k in self.low.mem_parts.row(nmems + w.mem as usize) {
+                            set_bit(&mut self.act, k as usize);
                         }
                     }
                 }
             }
         }
         // Phase 3: the simultaneous commit. A register whose value did not
-        // change leaves its reader cones clean; if nothing changed at all,
-        // the settled combinational state is still valid and the next eval
-        // is free.
-        for (i, p) in self.low.nregs.iter().enumerate() {
-            let v = self.nreg_shadow[i];
-            if std::mem::replace(&mut self.narrow[p.slot as usize], v) != v && gate {
+        // change leaves its reader parts clean; one that changed marks
+        // them dirty and the registers it feeds pending. If nothing
+        // changed at all, the settled combinational state is still valid
+        // and the next eval is free.
+        let pend = self.lay.pend_at * 64;
+        for_each_bit(&regs, |ri| {
+            let changed = if ri < nregs {
+                let v = self.nreg_shadow[ri];
+                std::mem::replace(&mut self.narrow[self.low.nregs[ri].slot as usize], v) != v
+            } else {
+                let i = ri - nregs;
+                let slot = self.low.wregs[i].slot as usize;
+                let changed = self.wide[slot] != self.wreg_shadow[i];
+                if changed {
+                    std::mem::swap(&mut self.wide[slot], &mut self.wreg_shadow[i]);
+                    self.wide_changed.push(i as u32);
+                }
+                changed
+            };
+            if changed && gate {
                 state_changed = true;
-                for &k in &self.low.nreg_cones[i] {
-                    self.dirty[k as usize] = true;
+                for &k in self.low.reg_parts.row(ri) {
+                    set_bit(&mut self.act, k as usize);
+                }
+                for &q in self.low.reg_regs.row(ri) {
+                    set_bit(&mut self.act, pend + q as usize);
                 }
             }
-        }
-        for (i, p) in self.low.wregs.iter().enumerate() {
-            if self.wide[p.slot as usize] != self.wreg_shadow[i] {
-                std::mem::swap(&mut self.wide[p.slot as usize], &mut self.wreg_shadow[i]);
-                if gate {
-                    state_changed = true;
-                    for &k in &self.low.wreg_cones[i] {
-                        self.dirty[k as usize] = true;
-                    }
-                }
-            }
+        });
+        self.regs_committed += regs.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+        self.pend_cur = regs;
+        if !gate {
+            let n = self.low.nregs_total();
+            set_first(&mut self.act[self.lay.pend_at..self.lay.ran_at], n);
         }
         if !gate || state_changed {
             self.evaluated = false;
@@ -817,7 +990,12 @@ impl CompiledSimulator {
         for m in &mut self.wmems {
             m.words.iter_mut().for_each(Bits::clear);
         }
-        self.dirty.iter_mut().for_each(|d| *d = true);
+        let lay = self.lay;
+        set_first(&mut self.act[..lay.pend_at], self.low.parts.len());
+        set_first(
+            &mut self.act[lay.pend_at..lay.ran_at],
+            self.low.nregs_total(),
+        );
         self.wreg_shadow_ready = false;
         self.cycle = 0;
         self.evaluated = false;
@@ -832,8 +1010,11 @@ impl Drop for CompiledSimulator {
         if self.cycle > 0 {
             hc_obs::metrics::counter("sim.compiled.cycles").add(self.cycle);
         }
-        if self.cones_skipped > 0 {
-            hc_obs::metrics::counter("sim.compiled.cones_skipped").add(self.cones_skipped);
+        if self.parts_skipped > 0 {
+            hc_obs::metrics::counter("sim.compiled.parts_skipped").add(self.parts_skipped);
+        }
+        if self.regs_committed > 0 {
+            hc_obs::metrics::counter("sim.compiled.regs_committed").add(self.regs_committed);
         }
         if let Some(p) = self.prof.as_deref() {
             p.flush_to_metrics("sim.compiled");

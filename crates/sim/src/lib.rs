@@ -51,14 +51,15 @@
 //!   many independent stimulus streams (e.g. IEEE-1180 blocks) go through
 //!   one design.
 //!
-//! - [`NativeSimulator`] JIT-compiles each combinational cone of the tape
-//!   into straight-line x86-64 machine code over the same word-packed slot
-//!   store, falling back per cone to the tape interpreter for wide ops,
-//!   memories, and division. Fastest single-stream engine on x86-64 Linux;
+//! - [`NativeSimulator`] JIT-compiles the tape's parts into straight-line
+//!   x86-64 machine code over the same word-packed slot store, falling
+//!   back per part to the tape interpreter for memories, division and
+//!   generic ops. Fastest single-stream engine on x86-64 Linux;
 //!   elsewhere (or under `HC_NO_NATIVE=1`) it degrades to exactly the
 //!   tape interpreter.
 //!
-//! - [`NativeBatchedSimulator`] fuses the last two tiers: each cone is
+//! - [`NativeBatchedSimulator`] fuses the last two tiers: each
+//!   combinational component is
 //!   JIT-compiled into straight-line AVX2 vector code operating directly
 //!   on the batched engine's SoA lane store (four lanes per 256-bit
 //!   register, unrolled to the lane count, masked ragged tails), with
@@ -68,8 +69,11 @@
 //!
 //! All compiled engines run the **tape backend optimizer** by default
 //! (see [`TapeOptReport`]): superinstruction fusion, copy forwarding, tape
-//! dead-code elimination, live-range slot reallocation, and combinational
-//! cone partitioning with activity gating. Build with
+//! dead-code elimination, live-range slot reallocation, and a partition
+//! into parts and components for change-driven evaluation: the scalar
+//! engines re-run only the parts whose inputs changed and commit only the
+//! registers whose inputs changed; the batched engines re-run only the
+//! components whose inputs changed. Build with
 //! [`EngineOptions::no_tape_opt`] to replay the raw lowered tape instead.
 
 mod backend;

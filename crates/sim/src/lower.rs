@@ -460,13 +460,105 @@ pub(crate) enum CmpKind {
     LeS,
 }
 
-/// A contiguous run of tape instructions forming one combinational cone
-/// (see `crate::tapeopt`). With activity gating enabled, eval skips clean
-/// segments.
+/// A contiguous half-open range `start..end`: a *part*'s run of tape
+/// instructions, or a *component*'s run of parts (see `crate::tapeopt`).
+/// A part is the unit the scalar engines re-run when one of its inputs
+/// changed; a component (a connected combinational cone) is the unit the
+/// batched engines re-run.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Segment {
     pub start: u32,
     pub end: u32,
+}
+
+/// Flat lists of `u32`: row `i` is `items[off[i]..off[i + 1]]`.
+#[derive(Clone, Debug)]
+pub(crate) struct Lists {
+    off: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Default for Lists {
+    fn default() -> Self {
+        Lists {
+            off: vec![0],
+            items: Vec::new(),
+        }
+    }
+}
+
+impl Lists {
+    /// `rows` rows from `(row, item)` pairs, in linear time: a counting
+    /// sort by row that keeps pair order within a row and drops repeated
+    /// items. Every item must be below `item_bound`.
+    pub fn from_pairs(rows: usize, item_bound: usize, pairs: &[(u32, u32)]) -> Lists {
+        let mut off = vec![0u32; rows + 1];
+        for &(r, _) in pairs {
+            off[r as usize + 1] += 1;
+        }
+        for r in 0..rows {
+            off[r + 1] += off[r];
+        }
+        let mut cursor = off.clone();
+        let mut items = vec![0u32; pairs.len()];
+        for &(r, x) in pairs {
+            items[cursor[r as usize] as usize] = x;
+            cursor[r as usize] += 1;
+        }
+        // Drop repeats in place; `seen[x]` holds the last row that kept x.
+        let mut seen = vec![u32::MAX; item_bound];
+        let mut out = 0usize;
+        let mut start = 0usize;
+        for r in 0..rows {
+            let end = off[r + 1] as usize;
+            for k in start..end {
+                let x = items[k];
+                if seen[x as usize] != r as u32 {
+                    seen[x as usize] = r as u32;
+                    items[out] = x;
+                    out += 1;
+                }
+            }
+            start = end;
+            off[r + 1] = out as u32;
+        }
+        items.truncate(out);
+        Lists { off, items }
+    }
+
+    /// Row `i`.
+    pub fn row(&self, i: usize) -> &[u32] {
+        &self.items[self.span(i)]
+    }
+
+    /// Positions of row `i`'s items among [`items`](Lists::items).
+    pub fn span(&self, i: usize) -> std::ops::Range<usize> {
+        self.off[i] as usize..self.off[i + 1] as usize
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// Length of the longest row.
+    pub fn widest(&self) -> usize {
+        self.off
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Every item, row after row (for renumbering in place).
+    pub fn items_mut(&mut self) -> &mut [u32] {
+        &mut self.items
+    }
+
+    /// Every item, row after row.
+    pub fn items(&self) -> &[u32] {
+        &self.items
+    }
 }
 
 /// Fallback operation state for [`Instr::Generic`].
@@ -518,7 +610,7 @@ pub struct EngineOptions {
     pub optimize: bool,
     /// Run the tape backend optimizer after lowering: superinstruction
     /// fusion, copy forwarding, tape dead-code elimination, live-range slot
-    /// reallocation, and cone partitioning for activity-gated evaluation.
+    /// reallocation, and the part partition for change-driven evaluation.
     /// On by default; [`EngineOptions::no_tape_opt`] turns it off to
     /// bisect a miscompare or A/B the optimizer. Note that `probe` of a
     /// node the optimizer eliminated reads a zero scratch slot.
@@ -589,22 +681,40 @@ pub(crate) struct Lowered {
     /// (what `tape_stats` reports, so pre/post IR-pass comparisons stay
     /// meaningful).
     pub lowered_stats: (usize, usize),
-    /// Contiguous cone segments covering the tape (a single full-range
-    /// segment when the tape optimizer was off).
-    pub segments: Vec<Segment>,
-    /// Whether eval may skip clean segments (activity gating). When false
-    /// the engines replay the whole tape on every evaluation, exactly as
-    /// before the optimizer existed.
+    /// Tape ranges of the parts, in layout order (one part covering the
+    /// tape when the tape optimizer was off). See `crate::tapeopt`.
+    pub parts: Vec<Segment>,
+    /// Part ranges of the components (connected combinational cones), in
+    /// layout order; every component is a run of whole parts.
+    pub comps: Vec<Segment>,
+    /// The component of each part.
+    pub part_comp: Vec<u32>,
+    /// Whether the engines may skip clean parts or components and commit
+    /// only the registers whose inputs may have changed (activity gating).
+    /// When false they replay the whole tape and commit every register on
+    /// every cycle, exactly as before the optimizer existed.
     pub gate: bool,
-    /// Per input index: the segments whose instructions read that input.
-    pub input_cones: Vec<Vec<u32>>,
-    /// Per narrow/wide register plan index: the segments reading that
-    /// register's slot.
-    pub nreg_cones: Vec<Vec<u32>>,
-    pub wreg_cones: Vec<Vec<u32>>,
-    /// Per narrow/wide memory index: the segments containing a read port.
-    pub nmem_cones: Vec<Vec<u32>>,
-    pub wmem_cones: Vec<Vec<u32>>,
+    /// Per part: its boundary slots, the narrow slots it defines that a
+    /// later part reads. Each has one def and a physical slot of its own.
+    pub bound: Lists,
+    /// Per boundary slot, in `bound.items()` order: the later parts
+    /// reading it.
+    pub readers: Lists,
+    /// Per part: the registers whose `next`, `en` or `reset` slot it
+    /// defines. Registers are numbered narrow first, then
+    /// `nregs.len() + i` for wide register `i`.
+    pub part_regs: Lists,
+    /// Per input index: the parts reading that input.
+    pub input_parts: Lists,
+    /// Per input index: the registers whose `next`/`en`/`reset` is it.
+    pub input_regs: Lists,
+    /// Per register (numbered as in `part_regs`): the parts reading it.
+    pub reg_parts: Lists,
+    /// Per register: the registers whose `next`/`en`/`reset` is it.
+    pub reg_regs: Lists,
+    /// Per memory (narrow first, then `nmem_depths.len() + i` for wide
+    /// memory `i`): the parts holding one of its read ports.
+    pub mem_parts: Lists,
 }
 
 /// Allocates a slot for a `width`-bit value.
@@ -827,13 +937,18 @@ impl Lowered {
             reg_index,
             tape_opt: None,
             lowered_stats,
-            segments: Vec::new(),
+            parts: Vec::new(),
+            comps: Vec::new(),
+            part_comp: Vec::new(),
             gate: false,
-            input_cones: Vec::new(),
-            nreg_cones: Vec::new(),
-            wreg_cones: Vec::new(),
-            nmem_cones: Vec::new(),
-            wmem_cones: Vec::new(),
+            bound: Lists::default(),
+            readers: Lists::default(),
+            part_regs: Lists::default(),
+            input_parts: Lists::default(),
+            input_regs: Lists::default(),
+            reg_parts: Lists::default(),
+            reg_regs: Lists::default(),
+            mem_parts: Lists::default(),
         };
         span.attach("tape_instrs", low.lowered_stats.0);
         span.attach("generic_fallbacks", low.lowered_stats.1);
@@ -842,12 +957,29 @@ impl Lowered {
             let report = crate::tapeopt::optimize(&mut low);
             low.tape_opt = Some(report);
         } else {
-            low.segments = vec![Segment {
+            low.parts = vec![Segment {
                 start: 0,
                 end: low.tape.len() as u32,
             }];
+            low.comps = vec![Segment { start: 0, end: 1 }];
+            low.part_comp = vec![0];
         }
         Ok(low)
+    }
+
+    /// Number of registers, narrow and wide (the row count of the
+    /// register-indexed gating lists).
+    pub fn nregs_total(&self) -> usize {
+        self.nregs.len() + self.wregs.len()
+    }
+
+    /// Tape range of component `c`.
+    pub fn comp_range(&self, c: usize) -> (usize, usize) {
+        let Segment { start, end } = self.comps[c];
+        (
+            self.parts[start as usize].start as usize,
+            self.parts[end as usize - 1].end as usize,
+        )
     }
 
     /// Index of the input port named `name`.

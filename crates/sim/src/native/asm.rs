@@ -35,6 +35,12 @@ pub(crate) enum Reg {
     Rdi = 7,
     R8 = 8,
     R9 = 9,
+    /// The activity-array base in generated part functions (copied from
+    /// the third sysv64 argument); never written by instruction bodies.
+    R10 = 10,
+    /// Scratch for a part's boundary compare; never used by instruction
+    /// bodies.
+    R11 = 11,
 }
 
 /// A 256-bit AVX register by hardware number (0–15). The vector code
@@ -377,6 +383,89 @@ impl Asm {
         self.buf.push(0xc3);
     }
 
+    /// `jmp target` as a rel32 (`E9 cd`) to an earlier position.
+    pub fn jmp_back(&mut self, target: usize) {
+        debug_assert!(target <= self.buf.len());
+        self.buf.push(0xe9);
+        let next = self.buf.len() + 4;
+        self.buf
+            .extend_from_slice(&((target as i64 - next as i64) as i32).to_le_bytes());
+    }
+
+    /// `cmp r, qword [base + disp]` (`REX.W 3B /r`).
+    pub fn cmp_r_mem(&mut self, r: Reg, base: Reg, disp: i32) {
+        self.rex(true, r as u8, base as u8);
+        self.buf.push(0x3b);
+        self.mem(base, r as u8, disp);
+    }
+
+    /// `bt`/`btr qword [base + disp], bit` (`REX.W 0F BA /op ib`): CF
+    /// takes the bit's old value; `btr` also clears it.
+    fn bit_mem(&mut self, op: u8, base: Reg, disp: i32, bit: u32) {
+        debug_assert!(bit < 64);
+        self.rex(true, 0, base as u8);
+        self.buf.extend_from_slice(&[0x0f, 0xba]);
+        self.mem(base, op, disp);
+        self.buf.push(bit as u8);
+    }
+
+    /// `bt qword [base + disp], bit`.
+    pub fn bt_mem(&mut self, base: Reg, disp: i32, bit: u32) {
+        self.bit_mem(4, base, disp, bit);
+    }
+
+    /// `btr qword [base + disp], bit`.
+    pub fn btr_mem(&mut self, base: Reg, disp: i32, bit: u32) {
+        self.bit_mem(6, base, disp, bit);
+    }
+
+    /// `cmp qword [base + disp], imm8` (`REX.W 83 /7 ib`, sign-extended).
+    pub fn cmp_mem_imm8(&mut self, base: Reg, disp: i32, imm: i8) {
+        self.rex(true, 0, base as u8);
+        self.buf.push(0x83);
+        self.mem(base, 7, disp);
+        self.buf.push(imm as u8);
+    }
+
+    /// `add qword [base + disp], imm8` (`REX.W 83 /0 ib`, sign-extended).
+    pub fn add_mem_imm8(&mut self, base: Reg, disp: i32, imm: i8) {
+        self.rex(true, 0, base as u8);
+        self.buf.push(0x83);
+        self.mem(base, 0, disp);
+        self.buf.push(imm as u8);
+    }
+
+    /// `or qword [base + disp], imm32` (`REX.W 81 /1 id`, sign-extended).
+    pub fn or_mem_imm32(&mut self, base: Reg, disp: i32, imm: i32) {
+        self.rex(true, 0, base as u8);
+        self.buf.push(0x81);
+        self.mem(base, 1, disp);
+        self.buf.extend_from_slice(&imm.to_le_bytes());
+    }
+
+    /// `or qword [base + disp], src` (`REX.W 09 /r`).
+    pub fn or_mem_r(&mut self, base: Reg, disp: i32, src: Reg) {
+        self.rex(true, src as u8, base as u8);
+        self.buf.push(0x09);
+        self.mem(base, src as u8, disp);
+    }
+
+    /// `jcc rel32` to a later position (`0F 8x cd`); returns the position
+    /// of the displacement for [`patch_jump`](Asm::patch_jump).
+    pub fn jcc_forward(&mut self, cc: Cc) -> usize {
+        self.buf.extend_from_slice(&[0x0f, 0x80 | cc as u8]);
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&[0; 4]);
+        at
+    }
+
+    /// Points the forward jump whose displacement sits at `at` to the
+    /// current end of the buffer.
+    pub fn patch_jump(&mut self, at: usize) {
+        let rel = i32::try_from(self.buf.len() - (at + 4)).expect("jump within 2 GiB");
+        self.buf[at..at + 4].copy_from_slice(&rel.to_le_bytes());
+    }
+
     // ---- VEX-encoded AVX2 tier (vector code generator) ----
 
     /// VEX prefix. `map` is the opcode map (1 = 0F, 2 = 0F38, 3 = 0F3A),
@@ -611,6 +700,51 @@ mod tests {
         let mut a = Asm::new();
         f(&mut a);
         a.buf
+    }
+
+    /// The part-bookkeeping forms: the activity base `r10` and the
+    /// boundary scratch `r11` need REX bits in both ModRM fields.
+    #[test]
+    fn part_bookkeeping_encodings() {
+        assert_eq!(emit(|a| a.mov_rr(Reg::R10, Reg::Rdx)), [0x49, 0x89, 0xd2]);
+        assert_eq!(emit(|a| a.load(Reg::R11, 0x10)), [0x4c, 0x8b, 0x5f, 0x10]);
+        assert_eq!(
+            emit(|a| a.cmp_r_mem(Reg::R11, Reg::Rdi, 0x10)),
+            [0x4c, 0x3b, 0x5f, 0x10]
+        );
+        assert_eq!(
+            emit(|a| a.or_mem_imm32(Reg::R10, 0x18, 0x7f)),
+            [0x49, 0x81, 0x4a, 0x18, 0x7f, 0x00, 0x00, 0x00]
+        );
+        assert_eq!(
+            emit(|a| a.or_mem_r(Reg::R10, 0x18, Reg::R11)),
+            [0x4d, 0x09, 0x5a, 0x18]
+        );
+        assert_eq!(
+            emit(|a| a.bt_mem(Reg::R10, 8, 3)),
+            [0x49, 0x0f, 0xba, 0x62, 0x08, 0x03]
+        );
+        assert_eq!(
+            emit(|a| a.btr_mem(Reg::R10, 8, 3)),
+            [0x49, 0x0f, 0xba, 0x72, 0x08, 0x03]
+        );
+        assert_eq!(
+            emit(|a| a.cmp_mem_imm8(Reg::R10, 0x10, 0)),
+            [0x49, 0x83, 0x7a, 0x10, 0x00]
+        );
+        assert_eq!(
+            emit(|a| a.add_mem_imm8(Reg::R10, 0x10, 1)),
+            [0x49, 0x83, 0x42, 0x10, 0x01]
+        );
+        let mut a = Asm::new();
+        a.ret();
+        a.jmp_back(0);
+        assert_eq!(a.buf, [0xc3, 0xe9, 0xfa, 0xff, 0xff, 0xff]);
+        let mut a = Asm::new();
+        let at = a.jcc_forward(Cc::E);
+        a.ret();
+        a.patch_jump(at);
+        assert_eq!(a.buf, [0x0f, 0x84, 0x01, 0x00, 0x00, 0x00, 0xc3]);
     }
 
     /// Spot-check encodings against hand-assembled references.

@@ -9,7 +9,10 @@
 //! memory reads (they index a separate backing store), and the generic
 //! `eval_pure` fallback.
 //!
-//! A cone that mixes both worlds is split into **chunks**: maximal
+//! Runs of parts (see `crate::tapeopt`) the emitter covers entirely compile
+//! into one function that also does the part loop's work inline
+//! ([`compile_run`]). A part that mixes both worlds is split into
+//! **chunks**: maximal
 //! supported runs become straight-line native functions, interposed
 //! unsupported runs interpret, and each interpreted chunk carries the wide
 //! slots it reads and writes so the driver can keep the flat store and the
@@ -35,6 +38,7 @@
 use hc_bits::Bits;
 
 use super::asm::{Asm, Cc, Reg};
+use crate::compiled::ActLayout;
 use crate::lower::{mask, CmpKind, GenericOp, Instr, Loc, Lowered};
 
 /// Word layout of the flat wide store: each wide slot owns
@@ -106,7 +110,7 @@ impl WideLayout {
     }
 }
 
-/// One chunk of a cone's execution plan.
+/// One chunk of a part's execution plan.
 #[derive(Debug)]
 pub(crate) enum StepPlan {
     /// Native code at byte offset `off` in the assembler buffer, covering
@@ -123,17 +127,156 @@ pub(crate) enum StepPlan {
     },
 }
 
-/// Execution plan for one cone segment.
+/// Execution plan for one part.
 #[derive(Debug)]
 pub(crate) struct SegmentPlan {
     pub steps: Vec<StepPlan>,
-    /// Deduplicated wide slots written by this segment's native chunks
+    /// Deduplicated wide slots written by this part's native chunks
     /// (their `Bits` mirrors go stale until the driver syncs).
     pub jit_writes: Vec<u32>,
 }
 
+/// What generated part code needs to do the part loop's bookkeeping
+/// inline (see `CompiledSimulator::run_part`).
+pub(crate) struct PartBooks<'a> {
+    pub low: &'a Lowered,
+    /// Where the activity array keeps the pending bitset and the run
+    /// counter.
+    pub act: ActLayout,
+    /// Per narrow slot: its index among `low.bound.items()`, or
+    /// `u32::MAX` for a slot no later part reads.
+    pub bound_at: Vec<u32>,
+}
+
+impl PartBooks<'_> {
+    pub fn new(low: &Lowered, act: ActLayout) -> PartBooks<'_> {
+        let mut bound_at = vec![u32::MAX; low.narrow_init.len()];
+        for (j, &s) in low.bound.items().iter().enumerate() {
+            bound_at[s as usize] = j as u32;
+        }
+        PartBooks { low, act, bound_at }
+    }
+
+    /// Whether the emitter covers every instruction of part `k`.
+    pub fn native(&self, k: usize) -> bool {
+        let seg = self.low.parts[k];
+        let body = &self.low.tape[seg.start as usize..seg.end as usize];
+        !body.is_empty() && body.iter().all(supported)
+    }
+}
+
+/// Byte displacement of word `w` of the activity array from `r10`.
+fn act_disp(w: usize) -> i32 {
+    i32::try_from(w * 8).expect("activity offset exceeds disp32")
+}
+
+/// `or`s bits `base + b` for each `b` into the bitset at `r10`: one
+/// `or` per touched word (an `imm32` when the mask sign-extends, through
+/// `r11` otherwise).
+fn mark_bits(a: &mut Asm, base: usize, bits: &[u32]) {
+    let mut at: Vec<usize> = bits.iter().map(|&b| base + b as usize).collect();
+    at.sort_unstable();
+    let mut i = 0;
+    while i < at.len() {
+        let word = at[i] / 64;
+        let mut m = 0u64;
+        while i < at.len() && at[i] / 64 == word {
+            m |= 1 << (at[i] % 64);
+            i += 1;
+        }
+        if m < 1 << 31 {
+            a.or_mem_imm32(Reg::R10, act_disp(word), m as i32);
+        } else {
+            a.mov_imm(Reg::R11, m);
+            a.or_mem_r(Reg::R10, act_disp(word), Reg::R11);
+        }
+    }
+}
+
+/// Emits parts `first..end`, every one covered by the emitter (see
+/// [`PartBooks::native`]), as one function with an entry (a
+/// [`super::exec::PartEntry`]) per part, so the part loop enters the run
+/// at its first dirty part. The code does the part loop's work inline:
+/// a part runs only when its dirty bit is set (a whole word of clean
+/// parts costs one compare), clears the bit and counts itself; each
+/// boundary slot's old value is kept in `r11` across its defining
+/// instruction, and when it changed the parts reading it are marked dirty
+/// (base of the activity array in `r10`); the registers the part feeds
+/// are marked pending at its end. Straight-line code per part replaces
+/// the interpreter-side loop's indirect call and variable-length
+/// bookkeeping loops, whose mispredicted branches dominate a small part's
+/// cost. Returns each part's entry offset; wide slots the parts write
+/// are appended to `jit_writes`.
+pub(crate) fn compile_run(
+    a: &mut Asm,
+    lay: &WideLayout,
+    books: &PartBooks,
+    first: usize,
+    end: usize,
+    jit_writes: &mut Vec<u32>,
+) -> Vec<usize> {
+    let low = books.low;
+    let mut starts = Vec::with_capacity(end - first);
+    let mut k = first;
+    while k < end {
+        let word = k / 64;
+        let word_end = end.min((word + 1) * 64);
+        // Entering mid-word skips this test: the entry's own bit is set.
+        let word_test = a.len();
+        a.cmp_mem_imm8(Reg::R10, act_disp(word), 0);
+        let clean_word = a.jcc_forward(Cc::E);
+        for k in k..word_end {
+            starts.push(if k == first || k % 64 == 0 {
+                word_test
+            } else {
+                a.len()
+            });
+            a.bt_mem(Reg::R10, act_disp(word), (k % 64) as u32);
+            let clean = a.jcc_forward(Cc::Ae);
+            a.btr_mem(Reg::R10, act_disp(word), (k % 64) as u32);
+            a.add_mem_imm8(Reg::R10, act_disp(books.act.ran_at), 1);
+            let seg = low.parts[k];
+            let mut st = EmitState::new();
+            for instr in &low.tape[seg.start as usize..seg.end as usize] {
+                let watch = match crate::tapeopt::dst_loc(instr, &low.generic) {
+                    Loc::N(slot) if books.bound_at[slot as usize] != u32::MAX => {
+                        Some((slot, books.bound_at[slot as usize] as usize))
+                    }
+                    _ => None,
+                };
+                if let Some((slot, _)) = watch {
+                    a.load(Reg::R11, d(slot));
+                }
+                emit(a, lay, instr, &mut st);
+                wide_writes(instr, &low.generic, jit_writes);
+                if let Some((slot, j)) = watch {
+                    a.cmp_r_mem(Reg::R11, Reg::Rdi, d(slot));
+                    let same = a.jcc_forward(Cc::E);
+                    mark_bits(a, 0, low.readers.row(j));
+                    a.patch_jump(same);
+                }
+            }
+            mark_bits(a, books.act.pend_at * 64, low.part_regs.row(k));
+            a.patch_jump(clean);
+        }
+        a.patch_jump(clean_word);
+        k = word_end;
+    }
+    a.ret();
+    // The entries: load the activity base, then join the run.
+    starts
+        .into_iter()
+        .map(|start| {
+            let entry = a.len();
+            a.mov_rr(Reg::R10, Reg::Rdx);
+            a.jmp_back(start);
+            entry
+        })
+        .collect()
+}
+
 /// Minimum length of a supported run worth its own native chunk when the
-/// cone also has unsupported instructions.
+/// part also has unsupported instructions.
 const MIN_JIT_RUN: usize = 4;
 
 /// Whether the emitter covers this instruction.
@@ -1118,7 +1261,7 @@ pub(crate) fn compile_segment(
             _ => runs.push((s, i, i + 1)),
         }
     }
-    // In mixed cones, short native runs cost more in call + boundary sync
+    // In mixed parts, short native runs cost more in call + boundary sync
     // than they save: fold them into their interpreted neighbors.
     if runs.len() > 1 {
         for r in &mut runs {

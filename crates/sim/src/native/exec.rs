@@ -63,6 +63,10 @@ unsafe fn sys_munmap(addr: *mut u8, len: usize) {
 /// wide-word base in `rsi`.
 pub(crate) type Entry = unsafe extern "sysv64" fn(*mut u64, *mut u64);
 
+/// Signature of a scalar part function: [`Entry`]'s two stores plus the
+/// activity array (dirty and pending bitsets) in `rdx`.
+pub(crate) type PartEntry = unsafe extern "sysv64" fn(*mut u64, *mut u64, *mut u64);
+
 const PROT_READ: usize = 1;
 const PROT_WRITE: usize = 2;
 const PROT_EXEC: usize = 4;
@@ -113,6 +117,18 @@ impl ExecMemory {
     pub unsafe fn entry(&self, off: usize) -> Entry {
         debug_assert!(off < self.len);
         std::mem::transmute::<*const u8, Entry>(self.base.add(off))
+    }
+
+    /// [`entry`](ExecMemory::entry) for a part function, which also takes
+    /// the activity array (`rdx`).
+    ///
+    /// # Safety
+    ///
+    /// As for [`entry`](ExecMemory::entry), and the function must have
+    /// been emitted as a part function.
+    pub unsafe fn part_entry(&self, off: usize) -> PartEntry {
+        debug_assert!(off < self.len);
+        std::mem::transmute::<*const u8, PartEntry>(self.base.add(off))
     }
 }
 

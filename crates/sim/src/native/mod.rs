@@ -1,14 +1,15 @@
 //! The native-code (JIT) simulation backend.
 //!
 //! [`NativeSimulator`] wraps the scalar [`CompiledSimulator`] state — the
-//! same word-packed `u64` slot store, tape, cone partition, dirty bits, and
-//! register/memory commit plans — and compiles each combinational cone into
-//! straight-line x86-64 machine code at construction. Narrow instructions
+//! same word-packed `u64` slot store, tape, part partition, dirty bits, and
+//! register/memory commit plans — and compiles each part (see
+//! `crate::tapeopt`) into straight-line x86-64 machine code at
+//! construction. Narrow instructions
 //! work directly on the shared narrow slot store; wide (> 64-bit) values
 //! get a second, flat array of storage words (one contiguous run per wide
 //! slot, base pointer in `rsi`) so slices, concats, muxes, extensions, and
 //! equality over wide values compile too. Only division, memory reads, and
-//! the generic `eval_pure` fallback interpret; a cone that contains them is
+//! the generic `eval_pure` fallback interpret; a part that contains them is
 //! split into chunks and only those instructions run interpreted.
 //!
 //! Coherence between the flat word store and the interpreter's `Bits`
@@ -17,8 +18,9 @@
 //! their wide reads in and writes out, and the wide slots the step/commit
 //! logic or the output map consumes sync back after each evaluation.
 //! Arbitrary [`probe`](NativeSimulator::probe)s force a full resync first.
-//! Evaluation otherwise walks the cone segments exactly as the tape engine
-//! does, activity gating included.
+//! Evaluation runs the tape engine's own part loop
+//! (`CompiledSimulator::eval_parts`), so only the parts whose inputs
+//! changed run, and the commit is the tape engine's gated commit.
 //!
 //! On non-x86-64/non-Linux targets, under `HC_NO_NATIVE=1`, or when the
 //! kernel refuses executable pages, no code is generated and the engine
@@ -41,10 +43,12 @@ pub use vector::{NativeBatchedReport, NativeBatchedSimulator};
 use hc_bits::Bits;
 use hc_rtl::{Module, NodeId, ValidateError};
 
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+use crate::compiled::{ActLayout, Ran};
 use crate::lower::EngineOptions;
 use crate::{CompiledSimulator, SimBackend};
 
-/// One chunk of a cone's runtime plan: call into the executable mapping,
+/// One chunk of a part's runtime plan: call into the executable mapping,
 /// or interpret a tape range with flat↔`Bits` syncs at its edges.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[derive(Debug)]
@@ -61,26 +65,33 @@ enum Step {
     },
 }
 
+/// How one part runs.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[derive(Debug)]
-struct SegPlan {
-    steps: Box<[Step]>,
+enum PartPlan {
+    /// One of a run of parts compiled into one function with the part
+    /// loop's work inline (`codegen::compile_run`): `f` enters the run at
+    /// this part and handles every part from there up to `end`.
+    Run { f: exec::PartEntry, end: u32 },
+    /// Chunks for a part the emitter covers only in part (or for every
+    /// part when gating or the JIT's inline bookkeeping is off); the part
+    /// loop does its bookkeeping (`CompiledSimulator::run_part`).
+    Chunks(Box<[Step]>),
 }
 
 /// Everything the JIT tier owns: the executable mapping (which must
-/// outlive every resolved entry), the per-cone plans, the flat wide-store
+/// outlive every resolved entry), the per-part plans, the flat wide-store
 /// layout, and the precomputed boundary sync lists.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[derive(Debug)]
 struct Jit {
     _mem: exec::ExecMemory,
-    plans: Box<[SegPlan]>,
+    plans: Box<[PartPlan]>,
+    /// The flat store's layout. Wide register value slots sync `Bits` →
+    /// flat once per step, for the registers the commit changed. Together
+    /// with the write-through in `set`/`set_u64` (wide input ports) this
+    /// keeps the flat store current without any per-eval pre-sync pass.
     lay: codegen::WideLayout,
-    /// Wide register value slots: `Bits` → flat once per step, right
-    /// after the commit refreshes them. Together with the write-through in
-    /// `set`/`set_u64` (wide input ports) this keeps the flat store
-    /// current without any per-eval pre-sync pass.
-    reg_sync: Box<[u32]>,
     /// JIT-written wide slots the commit's memory-write phase reads from
     /// the `Bits` store (write addresses and data): flat → `Bits` once per
     /// step, right before the commit. Output reads sync their single slot
@@ -101,16 +112,17 @@ struct Jit {
 }
 
 /// Construction-time accounting for one engine instance (also folded into
-/// the `sim.native.*` metrics).
+/// the `sim.native.*` metrics). The unit of compilation is the part (see
+/// `crate::tapeopt`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NativeReport {
-    /// Cones whose every instruction executes natively.
+    /// Parts whose every instruction executes natively.
     pub cones_compiled: usize,
-    /// Cones with at least one interpreted chunk.
+    /// Parts with at least one interpreted chunk.
     pub cones_fallback: usize,
     /// Machine-code bytes emitted across all compiled chunks.
     pub code_bytes: usize,
-    /// Cone evaluations that executed (at least partly) natively so far
+    /// Part evaluations that executed (at least partly) natively so far
     /// (runtime counter).
     pub native_cone_evals: u64,
 }
@@ -126,11 +138,11 @@ struct Compiled {
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 impl Compiled {
-    fn none(segments: usize) -> Compiled {
+    fn none(parts: usize) -> Compiled {
         Compiled {
             jit: None,
             compiled: 0,
-            fallback: segments,
+            fallback: parts,
             bytes: 0,
         }
     }
@@ -155,89 +167,114 @@ fn flat_to_bits(wide: &mut [Bits], wwords: &[u64], lay: &codegen::WideLayout, sl
     b.copy_from_words(&wwords[base..base + n]);
 }
 
+/// Compiles every part. With gating on and profiling off, maximal runs
+/// of parts the emitter covers become one function each, doing the part
+/// loop's work inline; every other part gets chunk plans. Profiling keeps
+/// chunk plans throughout so its per-part histogram sees every part.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-fn compile(low: &crate::lower::Lowered) -> Compiled {
+fn compile(low: &crate::lower::Lowered, act: ActLayout, profile: bool) -> Compiled {
     use crate::lower::Loc;
+
+    /// A part's code before the mapping exists.
+    enum Code {
+        Run { off: usize, end: u32 },
+        Chunks(Vec<codegen::StepPlan>),
+    }
 
     let mut span = hc_obs::span("native_compile").with("module", low.module.name());
     let lay = codegen::WideLayout::new(&low.wide_init);
+    let books = codegen::PartBooks::new(low, act);
+    let fuse = low.gate && !profile;
     let mut asm = asm::Asm::new();
-    let mut plans = Vec::with_capacity(low.segments.len());
-    for seg in &low.segments {
-        plans.push(codegen::compile_segment(
-            &mut asm,
-            &lay,
-            low,
-            seg.start as usize,
-            seg.end as usize,
-        ));
+    let mut jit_written: Vec<u32> = Vec::new();
+    let mut codes = Vec::with_capacity(low.parts.len());
+    let mut k = 0;
+    while k < low.parts.len() {
+        if fuse && books.native(k) {
+            let end = (k..low.parts.len())
+                .find(|&e| !books.native(e))
+                .unwrap_or(low.parts.len());
+            let entries = codegen::compile_run(&mut asm, &lay, &books, k, end, &mut jit_written);
+            codes.extend(entries.into_iter().map(|off| Code::Run {
+                off,
+                end: end as u32,
+            }));
+            k = end;
+        } else {
+            let seg = low.parts[k];
+            let plan =
+                codegen::compile_segment(&mut asm, &lay, low, seg.start as usize, seg.end as usize);
+            jit_written.extend_from_slice(&plan.jit_writes);
+            codes.push(Code::Chunks(plan.steps));
+            k += 1;
+        }
     }
     let bytes = asm.len();
-    let fully = plans
-        .iter()
-        .filter(|p| {
-            !p.steps.is_empty()
-                && p.steps
+    let native = |c: &Code| match c {
+        Code::Run { .. } => true,
+        Code::Chunks(steps) => {
+            !steps.is_empty()
+                && steps
                     .iter()
                     .all(|s| matches!(s, codegen::StepPlan::Jit { .. }))
-        })
-        .count();
-    let any_native = plans.iter().any(|p| {
-        p.steps
+        }
+    };
+    let fully = codes.iter().filter(|c| native(c)).count();
+    let any_native = codes.iter().any(|c| match c {
+        Code::Run { .. } => true,
+        Code::Chunks(steps) => steps
             .iter()
-            .any(|s| matches!(s, codegen::StepPlan::Jit { .. }))
+            .any(|s| matches!(s, codegen::StepPlan::Jit { .. })),
     });
     span.attach("cones_compiled", fully);
-    span.attach("fallback_cones", low.segments.len() - fully);
+    span.attach("fallback_cones", low.parts.len() - fully);
     span.attach("bytes_emitted", bytes);
     if !any_native {
-        return Compiled::none(low.segments.len());
+        return Compiled::none(low.parts.len());
     }
     let Some(mem) = exec::ExecMemory::new(asm.bytes()) else {
         // The kernel refused executable pages; interpret everything.
-        return Compiled::none(low.segments.len());
+        return Compiled::none(low.parts.len());
     };
-    let seg_plans: Box<[SegPlan]> = plans
-        .iter()
-        .map(|p| SegPlan {
-            steps: p
-                .steps
-                .iter()
-                .map(|s| match s {
-                    // Offsets came from this very buffer, so resolving
-                    // them is sound by construction.
-                    codegen::StepPlan::Jit { off, instrs } => Step::Native {
-                        f: unsafe { mem.entry(*off) },
-                        instrs: *instrs,
-                    },
-                    codegen::StepPlan::Interp {
-                        start,
-                        end,
-                        pre,
-                        post,
-                    } => Step::Interp {
-                        start: *start,
-                        end: *end,
-                        pre: pre.clone().into_boxed_slice(),
-                        post: post.clone().into_boxed_slice(),
-                    },
-                })
-                .collect(),
+    // Offsets came from this very buffer, so resolving them is sound by
+    // construction.
+    let plans: Box<[PartPlan]> = codes
+        .into_iter()
+        .map(|c| match c {
+            Code::Run { off, end } => PartPlan::Run {
+                f: unsafe { mem.part_entry(off) },
+                end,
+            },
+            Code::Chunks(steps) => PartPlan::Chunks(
+                steps
+                    .into_iter()
+                    .map(|s| match s {
+                        codegen::StepPlan::Jit { off, instrs } => Step::Native {
+                            f: unsafe { mem.entry(off) },
+                            instrs,
+                        },
+                        codegen::StepPlan::Interp {
+                            start,
+                            end,
+                            pre,
+                            post,
+                        } => Step::Interp {
+                            start,
+                            end,
+                            pre: pre.into_boxed_slice(),
+                            post: post.into_boxed_slice(),
+                        },
+                    })
+                    .collect(),
+            ),
         })
         .collect();
 
-    let mut jit_written: Vec<u32> = plans
-        .iter()
-        .flat_map(|p| p.jit_writes.iter().copied())
-        .collect();
     jit_written.sort_unstable();
     jit_written.dedup();
 
     // Wide register value slots, refreshed by the per-step commit; wide
     // input ports write through at set time instead.
-    let mut reg_sync: Vec<u32> = low.wregs.iter().map(|r| r.slot).collect();
-    reg_sync.sort_unstable();
-    reg_sync.dedup();
 
     let mut wide_inputs: Vec<(Box<str>, u32)> = low
         .input_index
@@ -275,21 +312,20 @@ fn compile(low: &crate::lower::Lowered) -> Compiled {
     Compiled {
         jit: Some(Jit {
             _mem: mem,
-            plans: seg_plans,
+            plans,
             lay,
-            reg_sync: reg_sync.into_boxed_slice(),
             step_sync: step_sync.into_boxed_slice(),
             full_sync: jit_written.into_boxed_slice(),
             wide_inputs: wide_inputs.into_boxed_slice(),
             wreg_from_flat: wreg_from_flat.into_boxed_slice(),
         }),
         compiled: fully,
-        fallback: low.segments.len() - fully,
+        fallback: low.parts.len() - fully,
         bytes,
     }
 }
 
-/// A cycle-accurate simulator that executes combinational cones as
+/// A cycle-accurate simulator that executes the tape's parts as
 /// generated x86-64 machine code, falling back per chunk to the tape
 /// interpreter for anything the assembler doesn't cover. Observable
 /// behavior is bit-identical to [`Simulator`](crate::Simulator) and
@@ -312,7 +348,7 @@ pub struct NativeSimulator {
 impl NativeSimulator {
     /// Lowers, validates, and JIT-compiles the module (per chunk, where
     /// covered). Under `HC_NO_NATIVE=1` or on unsupported targets no code
-    /// is generated and every cone interprets.
+    /// is generated and every part interprets.
     ///
     /// # Errors
     ///
@@ -332,9 +368,9 @@ impl NativeSimulator {
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         {
             let c = if hc_obs::config().no_native {
-                Compiled::none(sim.low.segments.len())
+                Compiled::none(sim.low.parts.len())
             } else {
-                compile(&sim.low)
+                compile(&sim.low, sim.lay, sim.prof.is_some())
             };
             hc_obs::metrics::counter("sim.native.cones_compiled").add(c.compiled as u64);
             hc_obs::metrics::counter("sim.native.fallback_cones").add(c.fallback as u64);
@@ -365,7 +401,7 @@ impl NativeSimulator {
         }
         #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
         {
-            let fallback = sim.low.segments.len();
+            let fallback = sim.low.parts.len();
             hc_obs::metrics::counter("sim.native.cones_compiled").add(0);
             hc_obs::metrics::counter("sim.native.fallback_cones").add(fallback as u64);
             hc_obs::metrics::counter("sim.native.bytes_emitted").add(0);
@@ -442,7 +478,7 @@ impl NativeSimulator {
         }
     }
 
-    /// Settles combinational logic: dirty cones execute their chunk plans
+    /// Settles combinational logic: dirty parts execute their chunk plans
     /// (native code where compiled, interpreter elsewhere).
     pub fn eval(&mut self) {
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -455,69 +491,83 @@ impl NativeSimulator {
 
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     fn eval_jit(&mut self) {
-        if self.sim.evaluated {
-            return;
-        }
         // The flat store is already current: construction/reset seed it,
         // wide input sets write through, and `step` re-syncs committed
         // register values.
-        let jit = self.jit.as_ref().expect("eval_jit requires compiled code");
-        let gate = self.sim.low.gate;
+        let NativeSimulator {
+            sim,
+            jit,
+            wwords,
+            flat_ahead,
+            report,
+        } = self;
+        let jit = jit.as_ref().expect("eval_jit requires compiled code");
         let mut any_native = false;
-        for k in 0..jit.plans.len() {
-            if gate {
-                if !self.sim.dirty[k] {
-                    self.sim.cones_skipped += 1;
-                    continue;
-                }
-                self.sim.dirty[k] = false;
-            }
-            let mut native_instrs = 0u64;
-            for step in &*jit.plans[k].steps {
-                match step {
-                    // The tape invariants (operand slots in range and
-                    // below their destination; the layout sized from the
-                    // same `wide_init`) make every generated load and
-                    // store in-bounds for the two stores.
-                    Step::Native { f, instrs } => {
-                        unsafe { f(self.sim.narrow.as_mut_ptr(), self.wwords.as_mut_ptr()) };
-                        native_instrs += u64::from(*instrs);
-                    }
-                    Step::Interp {
-                        start,
-                        end,
-                        pre,
-                        post,
-                    } => {
-                        for &s in &**pre {
-                            flat_to_bits(&mut self.sim.wide, &self.wwords, &jit.lay, s);
-                        }
-                        self.sim.eval_range(*start as usize, *end as usize);
-                        for &s in &**post {
-                            bits_to_flat(&self.sim.wide, &mut self.wwords, &jit.lay, s);
-                        }
-                        if let Some(p) = self.sim.prof.as_deref_mut() {
-                            p.record_ops(&self.sim.low, *start as usize, *end as usize);
-                        }
-                    }
-                }
-            }
-            if native_instrs > 0 {
-                self.report.native_cone_evals += 1;
+        sim.eval_parts(|sim, k| match &jit.plans[k] {
+            // The tape invariants (operand slots in range and below their
+            // destination; the layout sized from the same `wide_init`;
+            // part, reader and register numbers below the bitset sizes
+            // the activity array was allocated with) make every generated
+            // load and store in-bounds for the three arrays.
+            PartPlan::Run { f, end } => {
+                let ran = sim.act[sim.lay.ran_at];
+                unsafe {
+                    f(
+                        sim.narrow.as_mut_ptr(),
+                        wwords.as_mut_ptr(),
+                        sim.act.as_mut_ptr(),
+                    );
+                };
+                report.native_cone_evals += sim.act[sim.lay.ran_at] - ran;
                 any_native = true;
+                Ran::Through(*end as usize)
             }
-            if let Some(p) = self.sim.prof.as_deref_mut() {
-                p.record_cone(k);
-                p.record_native_ops(native_instrs);
+            PartPlan::Chunks(steps) => {
+                sim.run_part(k, |sim| {
+                    let mut native_instrs = 0u64;
+                    for step in &**steps {
+                        match step {
+                            Step::Native { f, instrs } => {
+                                unsafe { f(sim.narrow.as_mut_ptr(), wwords.as_mut_ptr()) };
+                                native_instrs += u64::from(*instrs);
+                            }
+                            Step::Interp {
+                                start,
+                                end,
+                                pre,
+                                post,
+                            } => {
+                                for &s in &**pre {
+                                    flat_to_bits(&mut sim.wide, wwords, &jit.lay, s);
+                                }
+                                sim.eval_range(*start as usize, *end as usize);
+                                for &s in &**post {
+                                    bits_to_flat(&sim.wide, wwords, &jit.lay, s);
+                                }
+                                if let Some(p) = sim.prof.as_deref_mut() {
+                                    p.record_ops(&sim.low, *start as usize, *end as usize);
+                                }
+                            }
+                        }
+                    }
+                    if native_instrs > 0 {
+                        report.native_cone_evals += 1;
+                        any_native = true;
+                    }
+                    if let Some(p) = sim.prof.as_deref_mut() {
+                        p.record_part(k);
+                        p.record_native_ops(native_instrs);
+                    }
+                });
+                Ran::Part
             }
-        }
+        });
         if any_native {
             // `Bits` mirrors of JIT-written slots are now stale; they catch
             // up lazily — per output slot in `get`, for the step-hot set
             // right before the commit, and in full before a probe.
-            self.flat_ahead = true;
+            *flat_ahead = true;
         }
-        self.sim.evaluated = true;
     }
 
     /// Syncs one output port's wide slot flat → `Bits` if the JIT wrote it
@@ -616,10 +666,17 @@ impl NativeSimulator {
                 for &s in &*jit.step_sync {
                     flat_to_bits(&mut self.sim.wide, &self.wwords, &jit.lay, s);
                 }
-                // Gather the wide-register commit shadows here (phase 1 of
-                // the commit), reading next-values straight from the flat
-                // store where the JIT produced them.
-                for (i, p) in self.sim.low.wregs.iter().enumerate() {
+                // Gather the pending wide registers' commit shadows here
+                // (phase 1 of the commit), reading next-values straight
+                // from the flat store where the JIT produced them.
+                let nregs = self.sim.low.nregs.len();
+                let lay = self.sim.lay;
+                let pending = &self.sim.act[lay.pend_at + nregs / 64..lay.ran_at];
+                crate::compiled::for_each_bit(pending, |r| {
+                    let Some(i) = (nregs / 64 * 64 + r).checked_sub(nregs) else {
+                        return;
+                    };
+                    let p = &self.sim.low.wregs[i];
                     let reset = p.reset.is_some_and(|r| self.sim.narrow[r as usize] != 0);
                     let shadow = &mut self.sim.wreg_shadow[i];
                     if reset {
@@ -635,16 +692,17 @@ impl NativeSimulator {
                     } else {
                         shadow.clone_from(&self.sim.wide[p.slot as usize]);
                     }
-                }
+                });
                 self.sim.wreg_shadow_ready = true;
             }
         }
         self.sim.step();
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         if let Some(jit) = self.jit.as_ref() {
-            // The commit refreshed register `Bits` values; write them
-            // through to the flat store.
-            for &s in &*jit.reg_sync {
+            // The commit refreshed the changed wide registers' `Bits`
+            // values; write them through to the flat store.
+            for &i in &self.sim.wide_changed {
+                let s = self.sim.low.wregs[i as usize].slot;
                 bits_to_flat(&self.sim.wide, &mut self.wwords, &jit.lay, s);
             }
         }
@@ -663,7 +721,7 @@ impl NativeSimulator {
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         if let Some(jit) = self.jit.as_ref() {
             // Re-seed the whole flat store; temps are equally stale in
-            // both images and every cone is dirty, so the first eval
+            // both images and every part is dirty, so the first eval
             // rebuilds them in order.
             for s in 0..self.sim.wide.len() as u32 {
                 bits_to_flat(&self.sim.wide, &mut self.wwords, &jit.lay, s);
@@ -681,8 +739,11 @@ impl Drop for NativeSimulator {
         if self.sim.cycle > 0 {
             hc_obs::metrics::counter("sim.native.cycles").add(self.sim.cycle);
         }
-        if self.sim.cones_skipped > 0 {
-            hc_obs::metrics::counter("sim.native.cones_skipped").add(self.sim.cones_skipped);
+        if self.sim.parts_skipped > 0 {
+            hc_obs::metrics::counter("sim.native.parts_skipped").add(self.sim.parts_skipped);
+        }
+        if self.sim.regs_committed > 0 {
+            hc_obs::metrics::counter("sim.native.regs_committed").add(self.sim.regs_committed);
         }
         if self.report.native_cone_evals > 0 {
             hc_obs::metrics::counter("sim.native.cone_evals").add(self.report.native_cone_evals);
@@ -691,7 +752,8 @@ impl Drop for NativeSimulator {
             p.flush_to_metrics("sim.native");
         }
         self.sim.cycle = 0;
-        self.sim.cones_skipped = 0;
+        self.sim.parts_skipped = 0;
+        self.sim.regs_committed = 0;
     }
 }
 
@@ -746,7 +808,7 @@ mod tests {
     use hc_rtl::BinaryOp;
 
     fn mac_module() -> Module {
-        // Narrow arithmetic only: every cone should compile on x86-64.
+        // Narrow arithmetic only: every part should compile on x86-64.
         let mut m = Module::new("mac");
         let x = m.input("x", 12);
         let y = m.input("y", 12);

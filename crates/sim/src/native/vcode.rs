@@ -401,7 +401,7 @@ pub(crate) fn compile(sim: &crate::BatchedSimulator) -> VCompiled {
         > i32::MAX as usize
         || sim.wide.len().saturating_mul(8) > i32::MAX as usize
     {
-        return VCompiled::none(low.segments.len());
+        return VCompiled::none(low.comps.len());
     }
     let wlay = WideLayout {
         wbase: &sim.wbase,
@@ -412,17 +412,11 @@ pub(crate) fn compile(sim: &crate::BatchedSimulator) -> VCompiled {
     let ext = ext_live(low);
     let mut asm = Asm::new();
     let mut pool = Pool::default();
-    let mut plans = Vec::with_capacity(low.segments.len());
-    for seg in &low.segments {
+    let mut plans = Vec::with_capacity(low.comps.len());
+    for c in 0..low.comps.len() {
+        let (start, end) = low.comp_range(c);
         plans.push(compile_segment(
-            &mut asm,
-            &mut pool,
-            low,
-            lanes,
-            wlay,
-            &ext,
-            seg.start as usize,
-            seg.end as usize,
+            &mut asm, &mut pool, low, lanes, wlay, &ext, start, end,
         ));
     }
     pool.finish(&mut asm);
@@ -435,14 +429,14 @@ pub(crate) fn compile(sim: &crate::BatchedSimulator) -> VCompiled {
         .iter()
         .any(|p| p.iter().any(|s| matches!(s, PStep::Jit { .. })));
     span.attach("cones_compiled", fully);
-    span.attach("fallback_cones", low.segments.len() - fully);
+    span.attach("fallback_cones", low.comps.len() - fully);
     span.attach("bytes_emitted", bytes);
     span.attach("lanes", lanes);
     if !any_native {
-        return VCompiled::none(low.segments.len());
+        return VCompiled::none(low.comps.len());
     }
     let Some(mem) = exec::ExecMemory::new(asm.bytes()) else {
-        return VCompiled::none(low.segments.len());
+        return VCompiled::none(low.comps.len());
     };
     let seg_plans: Box<[VSegPlan]> = plans
         .iter()
@@ -469,7 +463,7 @@ pub(crate) fn compile(sim: &crate::BatchedSimulator) -> VCompiled {
             plans: seg_plans,
         }),
         compiled: fully,
-        fallback: low.segments.len() - fully,
+        fallback: low.comps.len() - fully,
         bytes,
     }
 }

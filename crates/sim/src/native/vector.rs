@@ -106,7 +106,7 @@ impl NativeBatchedSimulator {
             let c = if engaged {
                 vcode::compile(&sim)
             } else {
-                vcode::VCompiled::none(sim.low.segments.len())
+                vcode::VCompiled::none(sim.low.comps.len())
             };
             hc_obs::metrics::counter("sim.native_batched.cones_compiled").add(c.compiled as u64);
             hc_obs::metrics::counter("sim.native_batched.fallback_cones").add(c.fallback as u64);
@@ -124,7 +124,7 @@ impl NativeBatchedSimulator {
         }
         #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
         {
-            let fallback = sim.low.segments.len();
+            let fallback = sim.low.comps.len();
             hc_obs::metrics::counter("sim.native_batched.cones_compiled").add(0);
             hc_obs::metrics::counter("sim.native_batched.fallback_cones").add(fallback as u64);
             hc_obs::metrics::counter("sim.native_batched.bytes_emitted").add(0);

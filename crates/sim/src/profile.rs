@@ -6,10 +6,12 @@
 //! * **per-opcode execution counts** — how many times each tape opcode ran
 //!   over the simulation so far, answering "where do the cycles go" for a
 //!   design without a sampling profiler;
-//! * **per-cone activity counts** — how many times each combinational cone
-//!   segment was actually evaluated, the complement of the optimizer's
-//!   `cones_skipped` figure (a cone with high activity is the hot path;
-//!   one with zero evals after warmup is gating fuel).
+//! * **per-part activity counts** — how many times each part (see
+//!   `crate::tapeopt`) was actually evaluated, the complement of the scalar
+//!   engines' `parts_skipped` figure (a part with high activity is the hot
+//!   path; one with zero evals after warmup is gating fuel). The batched
+//!   engines re-run whole components, so they count an evaluation for
+//!   every part of the component.
 //!
 //! The accounting pass walks the just-evaluated tape range once more and
 //! only classifies opcodes — it never touches the value store — so even
@@ -26,7 +28,7 @@ use crate::lower::Lowered;
 #[derive(Debug, Default)]
 pub(crate) struct ProfileState {
     opcodes: HashMap<&'static str, u64>,
-    cone_evals: Vec<u64>,
+    part_evals: Vec<u64>,
 }
 
 impl ProfileState {
@@ -35,22 +37,33 @@ impl ProfileState {
         hc_obs::config().profile.then(|| {
             Box::new(ProfileState {
                 opcodes: HashMap::new(),
-                cone_evals: vec![0; low.segments.len()],
+                part_evals: vec![0; low.parts.len()],
             })
         })
     }
 
-    /// Accounts one evaluation of `tape[start..end]` as cone `seg`.
-    pub fn record_range(&mut self, low: &Lowered, seg: usize, start: usize, end: usize) {
-        self.record_cone(seg);
+    /// Accounts one evaluation of `tape[start..end]` as part `part`.
+    pub fn record_range(&mut self, low: &Lowered, part: usize, start: usize, end: usize) {
+        self.record_part(part);
         self.record_ops(low, start, end);
     }
 
-    /// Accounts one evaluation of cone `seg` (the cone histogram only; the
-    /// native engine pairs this with [`Self::record_ops`] /
-    /// [`Self::record_native_ops`] per chunk of the cone).
-    pub fn record_cone(&mut self, seg: usize) {
-        if let Some(c) = self.cone_evals.get_mut(seg) {
+    /// Accounts one evaluation of component `comp`: every part of it, and
+    /// its tape range.
+    pub fn record_comp(&mut self, low: &Lowered, comp: usize) {
+        let parts = low.comps[comp];
+        for k in parts.start..parts.end {
+            self.record_part(k as usize);
+        }
+        let (start, end) = low.comp_range(comp);
+        self.record_ops(low, start, end);
+    }
+
+    /// Accounts one evaluation of part `part` (the part histogram only;
+    /// the native engine pairs this with [`Self::record_ops`] /
+    /// [`Self::record_native_ops`] per chunk of the part).
+    pub fn record_part(&mut self, part: usize) {
+        if let Some(c) = self.part_evals.get_mut(part) {
             *c += 1;
         }
     }
@@ -84,9 +97,9 @@ impl ProfileState {
                 hc_obs::metrics::counter_named(&format!("{engine}.profile.op.{op}")).add(*n);
             }
         }
-        let evals: u64 = self.cone_evals.iter().sum();
+        let evals: u64 = self.part_evals.iter().sum();
         if evals > 0 {
-            hc_obs::metrics::counter_named(&format!("{engine}.profile.cone_evals")).add(evals);
+            hc_obs::metrics::counter_named(&format!("{engine}.profile.part_evals")).add(evals);
         }
     }
 
@@ -100,7 +113,7 @@ impl ProfileState {
         opcodes.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
         ProfileReport {
             opcodes,
-            cone_evals: self.cone_evals.clone(),
+            part_evals: self.part_evals.clone(),
         }
     }
 }
@@ -112,8 +125,8 @@ impl ProfileState {
 pub struct ProfileReport {
     /// `(opcode, executions)` pairs, hottest first.
     pub opcodes: Vec<(&'static str, u64)>,
-    /// Evaluation count per combinational cone segment.
-    pub cone_evals: Vec<u64>,
+    /// Evaluation count per part.
+    pub part_evals: Vec<u64>,
 }
 
 impl ProfileReport {
@@ -122,23 +135,23 @@ impl ProfileReport {
         self.opcodes.iter().map(|(_, n)| n).sum()
     }
 
-    /// Total combinational cone evaluations.
-    pub fn total_cone_evals(&self) -> u64 {
-        self.cone_evals.iter().sum()
+    /// Total part evaluations.
+    pub fn total_part_evals(&self) -> u64 {
+        self.part_evals.iter().sum()
     }
 
     /// Whether the profile is entirely empty (engine never stepped).
     pub fn is_empty(&self) -> bool {
-        self.total_instrs() == 0 && self.total_cone_evals() == 0
+        self.total_instrs() == 0 && self.total_part_evals() == 0
     }
 
     /// The histograms as a JSON object: `{"opcodes": {name: count, ...},
-    /// "cone_evals": [...]}`.
+    /// "part_evals": [...]}`.
     pub fn to_json(&self) -> Json {
         let opcodes = self.opcodes.iter();
         hc_obs::jobj! {
             "opcodes" => Json::Obj(opcodes.map(|(name, n)| ((*name).to_owned(), Json::from(*n))).collect()),
-            "cone_evals" => self.cone_evals.iter().map(|&n| Json::from(n)).collect::<Vec<_>>(),
+            "part_evals" => self.part_evals.iter().map(|&n| Json::from(n)).collect::<Vec<_>>(),
         }
     }
 }
@@ -189,8 +202,8 @@ mod tests {
         sim.run(10);
         let report = sim.profile_report().unwrap();
         assert!(!report.is_empty());
-        assert!(report.total_cone_evals() >= 10, "{report:?}");
-        assert!(report.total_instrs() >= report.total_cone_evals());
+        assert!(report.total_part_evals() >= 10, "{report:?}");
+        assert!(report.total_instrs() >= report.total_part_evals());
         // Hottest-first ordering with deterministic ties.
         for pair in report.opcodes.windows(2) {
             assert!(pair[0].1 >= pair[1].1, "{report:?}");
@@ -202,11 +215,11 @@ mod tests {
             opcodes.get(name).and_then(hc_obs::Json::as_u64),
             Some(count)
         );
-        let cones = json
-            .get("cone_evals")
+        let parts = json
+            .get("part_evals")
             .and_then(hc_obs::Json::as_arr)
             .unwrap();
-        assert_eq!(cones.len(), report.cone_evals.len());
+        assert_eq!(parts.len(), report.part_evals.len());
     }
 
     /// With profiling off (the default), engines carry no profiling state.

@@ -23,15 +23,32 @@
 //!    unreachable from any register plan, memory write, or output port are
 //!    dropped.
 //!
-//! Afterwards the tape is **partitioned into combinational cones** (connected
-//! components of the temp-slot dataflow graph) laid out as contiguous
-//! segments, so the engines can keep a dirty bit per cone and skip quiescent
-//! cones whose sources (inputs, registers, memories) did not change — and
-//! the narrow slot store is **reallocated by live range** so dead and fused
-//! slots are reclaimed and temps share a dense, cache-resident working set.
-//! Reallocation preserves the structural invariant the engines rely on:
-//! every instruction's destination slot index is strictly greater than all
-//! its operand slot indices in the same store.
+//! Afterwards the tape is **partitioned** (see [`partition`]) into
+//! *components* — connected combinational cones, joined only through temp
+//! slots — and each component into *parts*: an instruction whose result has
+//! one tape reader joins that reader's part, so a part is roughly a maximal
+//! fanout-free cone. The tape is laid out part by part, components as runs
+//! of parts in topological order. Each part records its *boundary slots*
+//! (the narrow slots later parts read), the parts reading each, and the
+//! registers whose commit inputs it defines. That lets the engines work
+//! change-driven:
+//!
+//! * The scalar engines ([`crate::CompiledSimulator`] and the
+//!   [`crate::NativeSimulator`] JIT) keep a dirty bit per part. A part runs
+//!   only when a source (input, register, memory) or a boundary slot it
+//!   reads changed; after it runs, a boundary slot whose value changed marks
+//!   its readers dirty. Their commit visits only the registers whose
+//!   `next`/`en`/`reset` may have changed since their last commit.
+//! * The batched engines keep a dirty bit per component, reading the same
+//!   source → part lists through the part → component map.
+//!
+//! Then the narrow slot store is **reallocated by live range** so dead and
+//! fused slots are reclaimed and temps share a dense, cache-resident working
+//! set; a slot read outside its part (boundary slots, and slots register and
+//! memory plans or ports read) keeps a physical slot of its own. Reallocation
+//! preserves the structural invariant the engines rely on: every
+//! instruction's destination slot index is strictly greater than all its
+//! operand slot indices in the same store.
 //!
 //! [`EngineOptions::no_tape_opt`] disables the whole stage; the raw
 //! lowered tape is then replayed unconditionally, exactly as before this
@@ -41,7 +58,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use crate::lower::{mask, CmpKind, GenericOp, Instr, Loc, Lowered, Segment};
+use crate::lower::{mask, CmpKind, GenericOp, Instr, Lists, Loc, Lowered, Segment};
 
 /// Accounting from the tape backend optimizer, mirroring the IR pipeline's
 /// `OptReport`. `cones_skipped` is a *runtime* counter filled in by the
@@ -72,11 +89,23 @@ pub struct TapeOptReport {
     pub wide_slots_pre: usize,
     /// Wide slot count after compaction.
     pub wide_slots_post: usize,
-    /// Number of combinational cone segments the tape was partitioned into.
+    /// Number of combinational components (connected cones) the tape was
+    /// partitioned into: the batched engines' unit of re-evaluation.
     pub cones: usize,
-    /// Segment evaluations skipped because the cone was quiescent
-    /// (runtime counter; see the engines' `tape_opt_report`).
+    /// Number of parts the components were refined into: the scalar
+    /// engines' unit of re-evaluation.
+    pub parts: usize,
+    /// Component evaluations the batched engines skipped because no input
+    /// of the component changed (runtime counter; see the engines'
+    /// `tape_opt_report`).
     pub cones_skipped: u64,
+    /// Part evaluations the scalar engines skipped because no input of the
+    /// part changed (runtime counter).
+    pub parts_skipped: u64,
+    /// Registers the scalar engines' commits visited (runtime counter):
+    /// only those whose `next`/`en`/`reset` may have changed since their
+    /// last commit.
+    pub regs_committed: u64,
 }
 
 /// Facts about narrow slots that hold for the whole optimization run,
@@ -86,6 +115,13 @@ struct SlotFacts {
     /// Slot holds a lowering-time constant: never written by the tape, not
     /// an input, not a register. Its value is `narrow_init[slot]`.
     n_const: Vec<bool>,
+    /// Per narrow slot: the lowest constant slot holding the same value for
+    /// a constant slot, the slot itself otherwise. Lowering gives every
+    /// literal its own constant slot, which hides repeats of the same
+    /// expression behind distinct-but-equal operands (an IDCT reuses each
+    /// cosine coefficient across all eight row sums); CSE keys operands
+    /// through this map.
+    canon: Vec<u32>,
     /// Word width of each narrow memory, in `nmem` index order.
     nmem_width: Vec<u32>,
 }
@@ -111,8 +147,18 @@ impl SlotFacts {
                 has_def[d as usize] = true;
             }
         }
-        let n_const = (0..n)
+        let n_const: Vec<bool> = (0..n)
             .map(|s| !has_def[s] && !n_input[s] && !n_reg[s])
+            .collect();
+        let mut first: HashMap<u64, u32> = HashMap::new();
+        let canon = (0..n)
+            .map(|s| {
+                if n_const[s] {
+                    *first.entry(low.narrow_init[s]).or_insert(s as u32)
+                } else {
+                    s as u32
+                }
+            })
             .collect();
         let nmem_width = low
             .module
@@ -123,6 +169,7 @@ impl SlotFacts {
             .collect();
         SlotFacts {
             n_const,
+            canon,
             nmem_width,
         }
     }
@@ -155,12 +202,14 @@ pub(crate) fn optimize(low: &mut Lowered) -> TapeOptReport {
     report.instrs_post = low.tape.len();
     report.narrow_slots_post = low.narrow_init.len();
     report.wide_slots_post = low.wide_init.len();
-    report.cones = low.segments.len();
+    report.cones = low.comps.len();
+    report.parts = low.parts.len();
     span.attach("instrs_pre", report.instrs_pre);
     span.attach("instrs_post", report.instrs_post);
     span.attach("fused", report.fused);
     span.attach("dead_removed", report.dead_removed);
     span.attach("cones", report.cones);
+    span.attach("parts", report.parts);
     let m = hc_obs::metrics::counter;
     m("tapeopt.runs").inc();
     m("tapeopt.fused").add(report.fused as u64);
@@ -1005,20 +1054,10 @@ fn cse_pass(
             Loc::W(d) => defs_w[d as usize] += 1,
         }
     }
-    // Lowering gives every literal its own constant slot, which hides
-    // repeats of the same expression behind distinct-but-equal operands
-    // (an IDCT reuses each cosine coefficient across all eight row sums).
-    // Canonicalize every constant operand to the lowest slot holding that
-    // value before keying.
-    let mut canon: HashMap<u64, u32> = HashMap::new();
-    for (s, &v) in low.narrow_init.iter().enumerate() {
-        if facts.n_const[s] {
-            canon.entry(v).or_insert(s as u32);
-        }
-    }
-    let mut seen: HashMap<Instr, Loc> = HashMap::new();
+    // Constant operands are keyed by their canonical slot (see
+    // `SlotFacts::canon`).
+    let mut seen: HashMap<CseKey, Loc> = HashMap::with_capacity(tape.len());
     let mut changed = false;
-    let narrow_init = &low.narrow_init;
     let generic = &mut low.generic;
     for slot in tape.iter_mut() {
         let Some(instr) = slot else { continue };
@@ -1026,11 +1065,7 @@ fn cse_pass(
             visit_srcs(
                 instr,
                 generic,
-                &mut |s| {
-                    if facts.n_const[*s as usize] {
-                        *s = canon[&narrow_init[*s as usize]];
-                    }
-                },
+                &mut |s| *s = facts.canon[*s as usize],
                 &mut |_| {},
             );
         }
@@ -1058,6 +1093,7 @@ fn cse_pass(
         }
         let mut key = *instr;
         visit_dst(&mut key, generic, &mut |d| *d = 0, &mut |d| *d = 0);
+        let key = CseKey(key);
         match (seen.get(&key).copied(), dst_loc(instr, generic)) {
             (Some(Loc::N(p)), Loc::N(dst)) => {
                 // The source value is the identical instruction's result, so
@@ -1091,6 +1127,53 @@ fn cse_pass(
         }
     }
     changed
+}
+
+/// A CSE table key: the instruction with its destination zeroed. Its hash
+/// gathers the derived field-by-field encoding into one buffer and feeds
+/// that to the map's keyed hasher in a single write, instead of one
+/// hasher call per field. The map keeps std's `RandomState`, since
+/// `/v1/measure` lowers untrusted Verilog.
+#[derive(PartialEq, Eq)]
+struct CseKey(Instr);
+
+impl std::hash::Hash for CseKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let mut bytes = Gather::default();
+        self.0.hash(&mut bytes);
+        state.write(&bytes.buf[..bytes.len]);
+    }
+}
+
+/// A `Hasher` that only records the bytes written to it. Every [`Instr`]
+/// encodes in well under the buffer size; were one ever longer, the tail
+/// would be dropped, which costs collisions but never correctness (the
+/// map still compares whole keys).
+struct Gather {
+    buf: [u8; 96],
+    len: usize,
+}
+
+impl Default for Gather {
+    fn default() -> Self {
+        Gather {
+            buf: [0; 96],
+            len: 0,
+        }
+    }
+}
+
+impl std::hash::Hasher for Gather {
+    fn write(&mut self, bytes: &[u8]) {
+        let n = bytes.len().min(self.buf.len() - self.len);
+        self.buf[self.len..self.len + n].copy_from_slice(&bytes[..n]);
+        self.len += n;
+    }
+
+    /// Never consulted: [`CseKey`] hands the gathered bytes on instead.
+    fn finish(&self) -> u64 {
+        0
+    }
 }
 
 fn dce_pass(low: &mut Lowered, tape: &mut [Option<Instr>], report: &mut TapeOptReport) -> bool {
@@ -1179,164 +1262,442 @@ fn uf_union(parent: &mut [u32], a: u32, b: u32) {
     }
 }
 
-/// Partitions the compacted tape into combinational cones: connected
-/// components of the dataflow graph joined **only through temp slots**
-/// (slots written by tape instructions). Inputs, registers, constants and
-/// memories do not merge cones — a register or input fanning out to many
-/// cones marks each of them dirty instead. Instructions are stably
-/// reordered so each cone is one contiguous [`Segment`], and the per-source
-/// cone lists the engines use for dirty marking are rebuilt.
+/// Marker for "no instruction / part / index".
+const NONE: u32 = u32::MAX;
+
+/// Parts of fewer instructions than this merge into their sole consumer
+/// part. Chosen by measurement (EXPERIMENTS, "Change-driven evaluation"):
+/// a tiny part costs its boundary compare and, under the JIT, a call,
+/// which outweighs re-running a few instructions its consumer's other
+/// inputs would not have needed.
+const MERGE_FLOOR: usize = 16;
+
+/// Pushes the narrow and wide source slots of `instr` (cleared first).
+fn srcs_of(instr: Instr, generic: &mut [GenericOp], n: &mut Vec<u32>, w: &mut Vec<u32>) {
+    n.clear();
+    w.clear();
+    let mut c = instr;
+    visit_srcs(&mut c, generic, &mut |s| n.push(*s), &mut |s| w.push(*s));
+}
+
+/// Narrow slots read outside the tape: register plans, memory-write
+/// plans and output ports.
+fn read_outside(low: &Lowered) -> Vec<bool> {
+    let mut ext = vec![false; low.narrow_init.len()];
+    let mut mark = |s: u32| ext[s as usize] = true;
+    for p in &low.nregs {
+        mark(p.next);
+        p.en.into_iter().chain(p.reset).for_each(&mut mark);
+    }
+    for p in &low.wregs {
+        p.en.into_iter().chain(p.reset).for_each(&mut mark);
+    }
+    for p in &low.nmem_writes {
+        mark(p.en);
+        mark(p.data);
+        if let Loc::N(s) = p.addr {
+            mark(s);
+        }
+    }
+    for p in &low.wmem_writes {
+        mark(p.en);
+        if let Loc::N(s) = p.addr {
+            mark(s);
+        }
+    }
+    for &(loc, _) in low.output_index.values() {
+        if let Loc::N(s) = loc {
+            mark(s);
+        }
+    }
+    ext
+}
+
+/// Strongly connected components of a graph (iterative Tarjan). Returns
+/// each node's component and the component count; components are
+/// numbered in reverse topological order (a sink first).
+fn sccs(succ: &Lists) -> (Vec<u32>, usize) {
+    let n = succ.rows();
+    let mut index = vec![NONE; n];
+    let mut lowlink = vec![0u32; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<u32> = Vec::new();
+    let mut call: Vec<(u32, u32)> = Vec::new();
+    let mut comp = vec![NONE; n];
+    let mut next = 0u32;
+    let mut ncomp = 0u32;
+    for root in 0..n as u32 {
+        if index[root as usize] != NONE {
+            continue;
+        }
+        index[root as usize] = next;
+        lowlink[root as usize] = next;
+        next += 1;
+        stack.push(root);
+        on_stack[root as usize] = true;
+        call.push((root, 0));
+        while let Some(&(v, e)) = call.last() {
+            let row = succ.row(v as usize);
+            if let Some(&w) = row.get(e as usize) {
+                call.last_mut().expect("frame").1 += 1;
+                if index[w as usize] == NONE {
+                    index[w as usize] = next;
+                    lowlink[w as usize] = next;
+                    next += 1;
+                    stack.push(w);
+                    on_stack[w as usize] = true;
+                    call.push((w, 0));
+                } else if on_stack[w as usize] {
+                    lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
+                }
+                continue;
+            }
+            call.pop();
+            if let Some(&(u, _)) = call.last() {
+                lowlink[u as usize] = lowlink[u as usize].min(lowlink[v as usize]);
+            }
+            if lowlink[v as usize] == index[v as usize] {
+                while let Some(w) = stack.pop() {
+                    on_stack[w as usize] = false;
+                    comp[w as usize] = ncomp;
+                    if w == v {
+                        break;
+                    }
+                }
+                ncomp += 1;
+            }
+        }
+    }
+    (comp, ncomp as usize)
+}
+
+/// Partitions the compacted tape into **parts** inside **components**,
+/// lays the tape out part by part, and records what the engines need to
+/// re-run only the parts whose inputs changed. Every step is linear in
+/// the tape (union-find is near-linear), since `/v1/measure` lowers
+/// untrusted Verilog.
+///
+/// * A component is a connected combinational cone: instructions joined
+///   through temp slots (slots a tape instruction writes). Inputs,
+///   registers, constants and memories join nothing.
+/// * An instruction whose narrow result has exactly one tape reader and
+///   no register, memory or port reader joins its reader's part. All defs
+///   and readers of a wide temp slot share a part, and so do all defs and
+///   readers of a multi-def narrow slot, so every slot another part reads
+///   is narrow with one def.
+/// * The part graph (def part → reader part) is condensed by strongly
+///   connected components, and a part below [`MERGE_FLOOR`] instructions
+///   whose boundary slots one part alone reads merges into that part.
+/// * Components are laid out in order of first appearance, each as a run
+///   of its parts in topological order; a part keeps its instructions in
+///   tape order, so the layout is a valid evaluation order.
+///
+/// Afterwards each part knows its boundary slots (narrow slots another
+/// part reads) and, per boundary slot, the parts reading it, and the
+/// registers whose commit inputs it defines; each input, register and memory knows the parts reading it
+/// and each input and register the registers it feeds directly.
+#[allow(clippy::too_many_lines)]
 fn partition(low: &mut Lowered) {
     let n = low.tape.len();
     let nslots = low.narrow_init.len();
     let wslots = low.wide_init.len();
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    let mut def_n = vec![u32::MAX; nslots];
-    let mut def_w = vec![u32::MAX; wslots];
-    for (i, instr) in low.tape.iter().enumerate() {
-        match dst_loc(instr, &low.generic) {
-            Loc::N(d) => def_n[d as usize] = i as u32,
-            Loc::W(d) => def_w[d as usize] = i as u32,
-        }
-    }
-    let mut edges_n: Vec<u32> = Vec::new();
-    let mut edges_w: Vec<u32> = Vec::new();
+    let (mut srcs_n, mut srcs_w) = (Vec::new(), Vec::new());
+
+    // Slot facts: first def, def count, distinct tape readers.
+    let mut def_n = vec![NONE; nslots];
+    let mut ndefs_n = vec![0u32; nslots];
+    let mut def_w = vec![NONE; wslots];
+    let mut nread = vec![0u32; nslots];
+    let mut last_reader = vec![NONE; nslots];
     for i in 0..n {
-        edges_n.clear();
-        edges_w.clear();
-        let mut c = low.tape[i];
-        visit_srcs(
-            &mut c,
-            &mut low.generic,
-            &mut |s| edges_n.push(*s),
-            &mut |s| edges_w.push(*s),
-        );
-        for &s in &edges_n {
-            let d = def_n[s as usize];
-            if d != u32::MAX {
-                uf_union(&mut parent, i as u32, d);
+        match dst_loc(&low.tape[i], &low.generic) {
+            Loc::N(d) => {
+                if def_n[d as usize] == NONE {
+                    def_n[d as usize] = i as u32;
+                }
+                ndefs_n[d as usize] += 1;
+            }
+            Loc::W(d) => {
+                if def_w[d as usize] == NONE {
+                    def_w[d as usize] = i as u32;
+                }
             }
         }
-        for &s in &edges_w {
-            let d = def_w[s as usize];
-            if d != u32::MAX {
-                uf_union(&mut parent, i as u32, d);
+        srcs_of(low.tape[i], &mut low.generic, &mut srcs_n, &mut srcs_w);
+        for &s in &srcs_n {
+            if last_reader[s as usize] != i as u32 {
+                last_reader[s as usize] = i as u32;
+                nread[s as usize] += 1;
+            }
+        }
+    }
+    let ext = read_outside(low);
+
+    // Instructions → parts.
+    let mut parent: Vec<u32> = (0..n as u32).collect();
+    for i in 0..n {
+        let iu = i as u32;
+        match dst_loc(&low.tape[i], &low.generic) {
+            Loc::N(d) if ndefs_n[d as usize] > 1 => uf_union(&mut parent, iu, def_n[d as usize]),
+            Loc::W(d) => uf_union(&mut parent, iu, def_w[d as usize]),
+            Loc::N(_) => {}
+        }
+        srcs_of(low.tape[i], &mut low.generic, &mut srcs_n, &mut srcs_w);
+        for &s in &srcs_n {
+            let (d, su) = (def_n[s as usize], s as usize);
+            if d != NONE && (ndefs_n[su] > 1 || (nread[su] == 1 && !ext[su])) {
+                uf_union(&mut parent, iu, d);
+            }
+        }
+        for &s in &srcs_w {
+            if def_w[s as usize] != NONE {
+                uf_union(&mut parent, iu, def_w[s as usize]);
+            }
+        }
+    }
+    let mut part_of = vec![0u32; n];
+    let mut id_of = vec![NONE; n];
+    let mut np = 0u32;
+    for (i, part) in part_of.iter_mut().enumerate() {
+        let r = uf_find(&mut parent, i as u32) as usize;
+        if id_of[r] == NONE {
+            id_of[r] = np;
+            np += 1;
+        }
+        *part = id_of[r];
+    }
+
+    // The part graph, condensed.
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for i in 0..n {
+        srcs_of(low.tape[i], &mut low.generic, &mut srcs_n, &mut srcs_w);
+        for &s in &srcs_n {
+            let d = def_n[s as usize];
+            if d != NONE && part_of[d as usize] != part_of[i] {
+                edges.push((part_of[d as usize], part_of[i]));
+            }
+        }
+    }
+    let (scc, ncond) = sccs(&Lists::from_pairs(np as usize, np as usize, &edges));
+    for e in &mut edges {
+        *e = (scc[e.0 as usize], scc[e.1 as usize]);
+    }
+    edges.retain(|e| e.0 != e.1);
+    let succ = Lists::from_pairs(ncond, ncond, &edges);
+    let cond_of = |i: usize| scc[part_of[i] as usize] as usize;
+
+    // Small parts merge into their sole consumer, visited in topological
+    // order (descending SCC number) so a merged part's size counts the
+    // parts merged into it before it is itself considered.
+    let mut size = vec![0usize; ncond];
+    for i in 0..n {
+        size[cond_of(i)] += 1;
+    }
+    let mut into: Vec<u32> = (0..ncond as u32).collect();
+    for c in (0..ncond).rev() {
+        if let &[only] = succ.row(c) {
+            if size[c] < MERGE_FLOOR {
+                into[c] = only;
+                size[only as usize] += size[c];
             }
         }
     }
 
-    // Components become segments in first-appearance order, which keeps the
-    // overall layout close to the original topological order.
-    let mut comp_seg = vec![u32::MAX; n];
-    let mut seg_of = vec![0u32; n];
-    let mut nsegs = 0u32;
-    for (i, seg) in seg_of.iter_mut().enumerate() {
-        let r = uf_find(&mut parent, i as u32) as usize;
-        if comp_seg[r] == u32::MAX {
-            comp_seg[r] = nsegs;
-            nsegs += 1;
+    // Components: weakly connected over the condensed graph.
+    let mut wcc: Vec<u32> = (0..ncond as u32).collect();
+    for &(a, b) in &edges {
+        uf_union(&mut wcc, a, b);
+    }
+    let mut comp_order = vec![NONE; ncond];
+    let mut ncomps = 0u32;
+    for i in 0..n {
+        let r = uf_find(&mut wcc, cond_of(i) as u32) as usize;
+        if comp_order[r] == NONE {
+            comp_order[r] = ncomps;
+            ncomps += 1;
         }
-        *seg = comp_seg[r];
     }
-    let mut counts = vec![0u32; nsegs as usize];
-    for &s in &seg_of {
-        counts[s as usize] += 1;
+
+    // Final parts (merge roots), numbered by component, then topological
+    // order inside it.
+    let mut per_comp = vec![0u32; ncomps as usize + 1];
+    let mut roots: Vec<(u32, u32)> = Vec::new();
+    for c in (0..ncond as u32).rev() {
+        if uf_find(&mut into, c) == c {
+            let k = comp_order[uf_find(&mut wcc, c) as usize];
+            per_comp[k as usize + 1] += 1;
+            roots.push((c, k));
+        }
     }
-    let mut starts = vec![0u32; nsegs as usize];
-    let mut acc = 0u32;
-    for (k, &c) in counts.iter().enumerate() {
-        starts[k] = acc;
-        acc += c;
+    for k in 0..ncomps as usize {
+        per_comp[k + 1] += per_comp[k];
     }
-    let segments: Vec<Segment> = (0..nsegs as usize)
+    let mut cursor = per_comp.clone();
+    let mut final_of = vec![NONE; ncond];
+    for &(c, k) in &roots {
+        final_of[c as usize] = cursor[k as usize];
+        cursor[k as usize] += 1;
+    }
+    let nparts = roots.len();
+    let mut fpart = vec![0u32; n];
+    for (i, f) in fpart.iter_mut().enumerate() {
+        *f = final_of[uf_find(&mut into, cond_of(i) as u32) as usize];
+    }
+    let mut part_comp = vec![0u32; nparts];
+    for &(c, k) in &roots {
+        part_comp[final_of[c as usize] as usize] = k;
+    }
+
+    // Lay the tape out part by part (a stable counting sort).
+    let mut counts = vec![0u32; nparts + 1];
+    for &f in &fpart {
+        counts[f as usize + 1] += 1;
+    }
+    for k in 0..nparts {
+        counts[k + 1] += counts[k];
+    }
+    low.parts = (0..nparts)
         .map(|k| Segment {
-            start: starts[k],
-            end: starts[k] + counts[k],
+            start: counts[k],
+            end: counts[k + 1],
         })
         .collect();
     let mut new_tape = vec![Instr::Generic(0); n];
-    let mut cursor = starts;
     for (i, instr) in low.tape.iter().enumerate() {
-        let s = seg_of[i] as usize;
-        new_tape[cursor[s] as usize] = *instr;
-        cursor[s] += 1;
+        let f = fpart[i] as usize;
+        new_tape[counts[f] as usize] = *instr;
+        counts[f] += 1;
     }
     low.tape = new_tape;
-    low.segments = segments;
+    low.comps = (0..ncomps as usize)
+        .map(|k| Segment {
+            start: per_comp[k],
+            end: per_comp[k + 1],
+        })
+        .collect();
+    low.part_comp = part_comp;
 
-    // Source → cone lists for dirty marking.
-    let mut in_of_n = vec![u32::MAX; nslots];
-    let mut in_of_w = vec![u32::MAX; wslots];
+    // Per-part and per-source lists over the laid-out tape.
+    let mut dpart_n = vec![NONE; nslots];
+    let mut dpart_w = vec![NONE; wslots];
+    for (k, seg) in low.parts.iter().enumerate() {
+        for instr in &low.tape[seg.start as usize..seg.end as usize] {
+            match dst_loc(instr, &low.generic) {
+                Loc::N(d) => dpart_n[d as usize] = k as u32,
+                Loc::W(d) => dpart_w[d as usize] = k as u32,
+            }
+        }
+    }
+    let mut input_of_n = vec![NONE; nslots];
+    let mut input_of_w = vec![NONE; wslots];
     for (idx, &(loc, _)) in low.input_locs.iter().enumerate() {
         match loc {
-            Loc::N(s) => in_of_n[s as usize] = idx as u32,
-            Loc::W(s) => in_of_w[s as usize] = idx as u32,
+            Loc::N(s) => input_of_n[s as usize] = idx as u32,
+            Loc::W(s) => input_of_w[s as usize] = idx as u32,
         }
     }
-    let mut nreg_of = vec![u32::MAX; nslots];
+    let nregs = low.nregs.len();
+    let mut reg_of_n = vec![NONE; nslots];
     for (i, p) in low.nregs.iter().enumerate() {
-        nreg_of[p.slot as usize] = i as u32;
+        reg_of_n[p.slot as usize] = i as u32;
     }
-    let mut wreg_of = vec![u32::MAX; wslots];
+    let mut reg_of_w = vec![NONE; wslots];
     for (i, p) in low.wregs.iter().enumerate() {
-        wreg_of[p.slot as usize] = i as u32;
+        reg_of_w[p.slot as usize] = (nregs + i) as u32;
     }
-    let mut input_cones = vec![Vec::new(); low.input_locs.len()];
-    let mut nreg_cones = vec![Vec::new(); low.nregs.len()];
-    let mut wreg_cones = vec![Vec::new(); low.wregs.len()];
-    let mut nmem_cones = vec![Vec::new(); low.nmem_depths.len()];
-    let mut wmem_cones = vec![Vec::new(); low.wmem_dims.len()];
-    for k in 0..low.segments.len() {
-        let seg = low.segments[k];
-        for p in seg.start..seg.end {
-            let instr = low.tape[p as usize];
-            match instr {
-                Instr::MemReadN { mem, .. } => nmem_cones[mem as usize].push(k as u32),
-                Instr::MemReadW { mem, .. } => wmem_cones[mem as usize].push(k as u32),
+    let nmems = low.nmem_depths.len();
+    let (mut bound, mut readers) = (Vec::new(), Vec::new());
+    let (mut input_parts, mut reg_parts, mut mem_parts) = (Vec::new(), Vec::new(), Vec::new());
+    for k in 0..nparts {
+        let seg = low.parts[k];
+        let q = k as u32;
+        for pos in seg.start as usize..seg.end as usize {
+            match low.tape[pos] {
+                Instr::MemReadN { mem, .. } => mem_parts.push((mem, q)),
+                Instr::MemReadW { mem, .. } => mem_parts.push((nmems as u32 + mem, q)),
                 _ => {}
             }
-            edges_n.clear();
-            edges_w.clear();
-            let mut c = instr;
-            visit_srcs(
-                &mut c,
-                &mut low.generic,
-                &mut |s| edges_n.push(*s),
-                &mut |s| edges_w.push(*s),
-            );
-            for &s in &edges_n {
-                if in_of_n[s as usize] != u32::MAX {
-                    input_cones[in_of_n[s as usize] as usize].push(k as u32);
+            srcs_of(low.tape[pos], &mut low.generic, &mut srcs_n, &mut srcs_w);
+            for &s in &srcs_n {
+                let p = dpart_n[s as usize];
+                if p != NONE && p != q {
+                    bound.push((p, s));
+                    readers.push((s, q));
                 }
-                if nreg_of[s as usize] != u32::MAX {
-                    nreg_cones[nreg_of[s as usize] as usize].push(k as u32);
+                if input_of_n[s as usize] != NONE {
+                    input_parts.push((input_of_n[s as usize], q));
+                }
+                if reg_of_n[s as usize] != NONE {
+                    reg_parts.push((reg_of_n[s as usize], q));
                 }
             }
-            for &s in &edges_w {
-                if in_of_w[s as usize] != u32::MAX {
-                    input_cones[in_of_w[s as usize] as usize].push(k as u32);
+            for &s in &srcs_w {
+                if input_of_w[s as usize] != NONE {
+                    input_parts.push((input_of_w[s as usize], q));
                 }
-                if wreg_of[s as usize] != u32::MAX {
-                    wreg_cones[wreg_of[s as usize] as usize].push(k as u32);
+                if reg_of_w[s as usize] != NONE {
+                    reg_parts.push((reg_of_w[s as usize], q));
                 }
             }
         }
     }
-    for list in input_cones
-        .iter_mut()
-        .chain(nreg_cones.iter_mut())
-        .chain(wreg_cones.iter_mut())
-        .chain(nmem_cones.iter_mut())
-        .chain(wmem_cones.iter_mut())
+
+    // Registers fed by each part, input and register (commit gating).
+    let (mut part_regs, mut input_regs, mut reg_regs) = (Vec::new(), Vec::new(), Vec::new());
     {
-        list.sort_unstable();
-        list.dedup();
+        let mut feed = |loc: Loc, r: u32| {
+            let (dpart, input, reg) = match loc {
+                Loc::N(s) => (
+                    dpart_n[s as usize],
+                    input_of_n[s as usize],
+                    reg_of_n[s as usize],
+                ),
+                Loc::W(s) => (
+                    dpart_w[s as usize],
+                    input_of_w[s as usize],
+                    reg_of_w[s as usize],
+                ),
+            };
+            if dpart != NONE {
+                part_regs.push((dpart, r));
+            }
+            if input != NONE {
+                input_regs.push((input, r));
+            }
+            if reg != NONE {
+                reg_regs.push((reg, r));
+            }
+        };
+        for (i, p) in low.nregs.iter().enumerate() {
+            for s in [Some(p.next), p.en, p.reset].into_iter().flatten() {
+                feed(Loc::N(s), i as u32);
+            }
+        }
+        for (i, p) in low.wregs.iter().enumerate() {
+            let r = (nregs + i) as u32;
+            feed(Loc::W(p.next), r);
+            for s in p.en.into_iter().chain(p.reset) {
+                feed(Loc::N(s), r);
+            }
+        }
     }
-    low.input_cones = input_cones;
-    low.nreg_cones = nreg_cones;
-    low.wreg_cones = wreg_cones;
-    low.nmem_cones = nmem_cones;
-    low.wmem_cones = wmem_cones;
+    let nregs_total = low.nregs_total();
+    let ninputs = low.input_locs.len();
+    low.bound = Lists::from_pairs(nparts, nslots, &bound);
+    let mut bound_at = vec![NONE; nslots];
+    for (j, &s) in low.bound.items().iter().enumerate() {
+        bound_at[s as usize] = j as u32;
+    }
+    for r in &mut readers {
+        r.0 = bound_at[r.0 as usize];
+    }
+    low.readers = Lists::from_pairs(low.bound.items().len(), nparts, &readers);
+    low.part_regs = Lists::from_pairs(nparts, nregs_total, &part_regs);
+    low.input_parts = Lists::from_pairs(ninputs, nparts, &input_parts);
+    low.input_regs = Lists::from_pairs(ninputs, nregs_total, &input_regs);
+    low.reg_parts = Lists::from_pairs(nregs_total, nparts, &reg_parts);
+    low.reg_regs = Lists::from_pairs(nregs_total, nregs_total, &reg_regs);
+    low.mem_parts = Lists::from_pairs(nmems + low.wmem_dims.len(), nparts, &mem_parts);
 }
 
 /// Live-range slot reallocation. Pinned slots (inputs, registers, and
@@ -1495,6 +1856,11 @@ fn reallocate(low: &mut Lowered) {
                 protect(s);
             }
         }
+        // A boundary slot keeps its value between runs of its part for the
+        // readers in later parts, so it is never recycled either.
+        for &s in low.bound.items() {
+            protect(s);
+        }
     }
     for s in 0..nslots {
         if pin[s] {
@@ -1548,10 +1914,10 @@ fn reallocate(low: &mut Lowered) {
             &mut low.generic,
             &mut |d| {
                 // A protected slot (read outside the tape: outputs, register
-                // and memory plans) must be the *only* def of its physical
-                // slot — under activity gating another segment's def of a
-                // shared slot could clobber the externally visible value
-                // between settles — so it never takes a recycled id.
+                // and memory plans; or read by a later part) must be the
+                // *only* def of its physical slot — under activity gating
+                // another part's def of a shared slot could clobber the
+                // value between settles — so it never takes a recycled id.
                 let recycled = if last_use[*d as usize] == usize::MAX {
                     None
                 } else {
@@ -1644,6 +2010,9 @@ fn reallocate(low: &mut Lowered) {
     }
     for loc in &mut low.node_loc {
         *loc = map_loc(*loc, &map_n, &map_w).unwrap_or(Loc::N(scratch));
+    }
+    for s in low.bound.items_mut() {
+        *s = map_n[*s as usize];
     }
     low.narrow_init = new_init;
     low.wide_init = new_wide;
@@ -1815,13 +2184,238 @@ mod tests {
         assert!(low.tape.len() <= 1, "window tape: {:?}", low.tape);
     }
 
+    /// The part structure the engines rely on: parts tile the tape and
+    /// components tile the parts; every narrow slot a part reads from
+    /// another part is a boundary slot of its defining part, which comes
+    /// earlier in the same component; every boundary slot has exactly one
+    /// def and is no input, register or constant (so it was never
+    /// recycled); and the per-source lists name real parts.
+    fn check_parts(low: &Lowered) {
+        let n = low.tape.len();
+        let np = low.parts.len();
+        let mut at = 0;
+        for seg in &low.parts {
+            assert_eq!(seg.start, at, "parts tile the tape");
+            assert!(seg.end > seg.start, "no empty part");
+            at = seg.end;
+        }
+        assert_eq!(at as usize, n);
+        let mut at = 0;
+        for (c, comp) in low.comps.iter().enumerate() {
+            assert_eq!(comp.start, at, "components tile the parts");
+            assert!(comp.end > comp.start, "no empty component");
+            for k in comp.start..comp.end {
+                assert_eq!(low.part_comp[k as usize] as usize, c);
+            }
+            at = comp.end;
+        }
+        assert_eq!(at as usize, np);
+
+        let mut part_of = vec![0u32; n];
+        for (k, seg) in low.parts.iter().enumerate() {
+            part_of[seg.start as usize..seg.end as usize].fill(k as u32);
+        }
+        let mut defs = vec![0u32; low.narrow_init.len()];
+        let mut def_part = vec![NONE; low.narrow_init.len()];
+        for (i, instr) in low.tape.iter().enumerate() {
+            if let Loc::N(d) = dst_loc(instr, &low.generic) {
+                defs[d as usize] += 1;
+                def_part[d as usize] = part_of[i];
+            }
+        }
+        // A slot a part reads before writing it comes from outside the
+        // part: a source, or a boundary slot of an earlier part. (After
+        // reallocation a physical slot may hold several parts' internal
+        // temps, one after another.)
+        let mut generic = low.generic.clone();
+        let mut written_in = vec![NONE; low.narrow_init.len()];
+        for (i, instr) in low.tape.iter().enumerate() {
+            let q = part_of[i];
+            let mut srcs = Vec::new();
+            let mut c = *instr;
+            visit_srcs(&mut c, &mut generic, &mut |s| srcs.push(*s), &mut |_| {});
+            for s in srcs {
+                if written_in[s as usize] == q || defs[s as usize] == 0 {
+                    continue;
+                }
+                assert_eq!(defs[s as usize], 1, "part {q} reads shared slot {s}");
+                let p = def_part[s as usize];
+                assert!(p < q, "part {q} reads slot {s} of later part {p}");
+                assert_eq!(low.part_comp[p as usize], low.part_comp[q as usize]);
+                let j = low
+                    .bound
+                    .span(p as usize)
+                    .find(|&j| low.bound.items()[j] == s)
+                    .unwrap_or_else(|| panic!("slot {s} of part {p}, read by {q}, is no boundary"));
+                assert!(
+                    low.readers.row(j).contains(&q),
+                    "part {q} missing as reader of {s}"
+                );
+            }
+            if let Loc::N(d) = dst_loc(instr, &low.generic) {
+                written_in[d as usize] = q;
+            }
+        }
+        let mut sources = vec![false; low.narrow_init.len()];
+        for &(loc, _) in &low.input_locs {
+            if let Loc::N(s) = loc {
+                sources[s as usize] = true;
+            }
+        }
+        for p in &low.nregs {
+            sources[p.slot as usize] = true;
+        }
+        for k in 0..np {
+            for j in low.bound.span(k) {
+                let s = low.bound.items()[j] as usize;
+                assert_eq!(defs[s], 1, "boundary slot {s} has {} defs", defs[s]);
+                assert_eq!(def_part[s] as usize, k);
+                assert!(!sources[s], "boundary slot {s} is an input or register");
+                for &r in low.readers.row(j) {
+                    assert!(r as usize > k && (r as usize) < np);
+                }
+            }
+        }
+        for lists in [
+            &low.input_parts,
+            &low.reg_parts,
+            &low.mem_parts,
+            &low.part_regs,
+        ] {
+            assert!(lists
+                .items()
+                .iter()
+                .all(|&x| (x as usize) < np.max(low.nregs_total())));
+        }
+    }
+
+    /// A pseudo-random module over narrow and wide values with registers
+    /// (enable, reset, register-fed) and a memory, from a 64-bit seed.
+    fn random_module(seed: u64) -> Module {
+        let mut x = seed | 1;
+        let mut next = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        let mut m = Module::new("random");
+        let mut narrow = vec![m.input("a", 12), m.input("b", 12)];
+        let en = m.input("en", 1);
+        let wi = m.input("wi", 80);
+        let r0 = m.reg("r0", 12, Bits::from_u64(12, 5));
+        let r1 = m.reg("r1", 12, Bits::zero(12));
+        let wr = m.reg("wr", 80, Bits::zero(80));
+        narrow.push(m.reg_out(r0));
+        narrow.push(m.reg_out(r1));
+        let mut wide = vec![wi, m.reg_out(wr)];
+        let mem = m.mem("mem", 12, 8);
+        for _ in 0..60 {
+            let (a, b) = (narrow[next(narrow.len())], narrow[next(narrow.len())]);
+            let node = match next(7) {
+                0 => m.binary(BinaryOp::Add, a, b, 12),
+                1 => m.binary(BinaryOp::Xor, a, b, 12),
+                2 => m.binary(BinaryOp::MulU, a, b, 12),
+                3 => {
+                    let s = m.slice(a, 0, 1);
+                    m.mux(s, a, b)
+                }
+                4 => {
+                    let w = wide[next(wide.len())];
+                    let z = m.zext(a, 80);
+                    wide.push(m.binary(BinaryOp::Add, w, z, 80));
+                    m.slice(*wide.last().unwrap(), 8, 12)
+                }
+                5 => {
+                    let addr = m.slice(a, 0, 3);
+                    m.mem_read(mem, addr)
+                }
+                _ => m.binary(BinaryOp::Sub, a, b, 12),
+            };
+            narrow.push(node);
+        }
+        let last = *narrow.last().unwrap();
+        let mid = narrow[narrow.len() / 2];
+        let waddr = m.slice(mid, 0, 3);
+        m.mem_write(mem, waddr, last, en);
+        m.connect_reg(r0, last);
+        m.reg_en(r0, en);
+        let q0 = m.reg_out(r0);
+        m.connect_reg(r1, q0);
+        m.connect_reg(wr, *wide.last().unwrap());
+        m.output("y", last);
+        m.output("z", mid);
+        m.output("w", *wide.last().unwrap());
+        m
+    }
+
+    #[test]
+    fn parts_keep_their_invariants() {
+        for m in [mac_module(), select_module(), window_module()] {
+            check_parts(&lowered(m));
+        }
+        for seed in 1..=64 {
+            let low = lowered(random_module(seed * 0x9e37_79b9));
+            check_parts(&low);
+            assert!(low.parts.len() >= low.comps.len());
+            assert_eq!(low.tape_opt.unwrap().parts, low.parts.len());
+        }
+    }
+
+    /// A 100k-instruction dependency chain and a module whose one shared
+    /// value fans out to 20k parts that fan back into one: every build
+    /// step must stay linear (union-find aside), since `/v1/measure`
+    /// lowers untrusted Verilog.
+    #[test]
+    fn long_chains_and_wide_fan_in_partition_in_linear_time() {
+        let t = std::time::Instant::now();
+        let mut m = Module::new("chain");
+        let x = m.input("x", 16);
+        let one = m.const_u(16, 1);
+        let mut v = x;
+        for i in 0..100_000 {
+            v = if i % 2 == 0 {
+                m.binary(BinaryOp::Add, v, one, 16)
+            } else {
+                m.binary(BinaryOp::Xor, v, x, 16)
+            };
+        }
+        m.output("y", v);
+        let low = lowered(m);
+        check_parts(&low);
+        assert_eq!(low.parts.len(), 1, "a single-reader chain is one part");
+
+        // Each y_i has two consumer parts (z_i and the OR chain), so none
+        // merges away.
+        let mut m = Module::new("fan");
+        let a = m.input("a", 16);
+        let b = m.input("b", 16);
+        let shared = m.binary(BinaryOp::Add, a, b, 16);
+        let mut acc = shared;
+        for i in 0..20_000u64 {
+            let c = m.const_u(16, i);
+            let y = m.binary(BinaryOp::Xor, shared, c, 16);
+            let z = m.binary(BinaryOp::Add, y, a, 16);
+            m.output(format!("z{i}"), z);
+            acc = m.binary(BinaryOp::Or, acc, y, 16);
+        }
+        m.output("acc", acc);
+        let low = lowered(m);
+        check_parts(&low);
+        assert!(low.parts.len() > 20_000, "{} parts", low.parts.len());
+        assert!(low.readers.items().len() > 20_000);
+        // Generous: both build in well under a second in release; a
+        // quadratic step would take hours.
+        assert!(t.elapsed().as_secs() < 60, "{:?}", t.elapsed());
+    }
+
     #[test]
     fn gating_metadata_covers_the_tape() {
         let low = lowered(mac_module());
         assert!(low.gate);
-        let total: u32 = low.segments.iter().map(|s| s.end - s.start).sum();
+        let total: u32 = low.parts.iter().map(|s| s.end - s.start).sum();
         assert_eq!(total as usize, low.tape.len());
-        assert_eq!(low.input_cones.len(), 2);
-        assert_eq!(low.nreg_cones.len(), 1);
+        assert_eq!(low.input_parts.rows(), 2);
+        assert_eq!(low.reg_parts.rows(), 1);
     }
 }

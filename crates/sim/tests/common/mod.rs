@@ -235,3 +235,40 @@ pub fn drive<B: SimBackend>(sim: &mut B, stimulus: &[Stim]) -> Vec<(Bits, Bits, 
     }
     trace
 }
+
+/// One stimulus step held for several cycles: the inputs of a [`Stim`]
+/// plus a hold count of 1–64 cycles. Fresh random stimulus every cycle
+/// changes nearly every input each cycle, so activity gating rarely skips
+/// anything; held inputs leave most of a design quiescent, which is what
+/// the change-driven engines exploit.
+pub type Held = (Stim, u32);
+
+pub fn held_strategy() -> impl Strategy<Value = Held> {
+    (
+        (
+            0u64..4096,
+            0u64..4096,
+            0u64..4096,
+            any::<u64>(),
+            0u64..(1 << 16),
+            any::<bool>(),
+        ),
+        1u32..=64,
+    )
+}
+
+/// Drives held stimulus: each step's inputs are set once and then held
+/// while the engine steps `hold` cycles; the outputs are read on every
+/// cycle.
+pub fn drive_held<B: SimBackend>(sim: &mut B, stimulus: &[Held]) -> Vec<(Bits, Bits, Bits)> {
+    let mut trace = Vec::new();
+    for &(stim, hold) in stimulus {
+        let mut once = drive(sim, &[stim]);
+        trace.append(&mut once);
+        for _ in 1..hold {
+            trace.push((sim.get("y0"), sim.get("y1"), sim.get("yw")));
+            sim.step();
+        }
+    }
+    trace
+}

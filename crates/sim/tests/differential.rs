@@ -7,12 +7,39 @@
 //! and a memory with multiple write ports. Both engines run the same
 //! random stimulus; per-cycle outputs, final register state and cycle
 //! counts must agree exactly.
+//!
+//! The held-input cases hold each stimulus step for 1–64 cycles, so most
+//! of a design goes quiet and the change-driven engines skip most parts
+//! and commit few registers; they run the tape engine and the scalar JIT.
 
 mod common;
 
-use common::{drive, step_strategy};
-use hc_sim::{CompiledSimulator, SimBackend, Simulator};
+use common::{drive, drive_held, held_strategy, step_strategy, Held};
+use hc_sim::{CompiledSimulator, NativeSimulator, SimBackend, Simulator};
 use proptest::prelude::*;
+
+/// Runs `stimulus` held on the interpreter and on `engine`, requiring
+/// identical outputs on every cycle, cycle counts and final registers.
+fn held_matches<B: SimBackend>(
+    module: &hc_rtl::Module,
+    engine: &mut B,
+    stimulus: &[Held],
+) -> Result<(), TestCaseError> {
+    let mut reference = Simulator::new(module.clone()).expect("interpreter accepts");
+    let expected = drive_held(&mut reference, stimulus);
+    let actual = drive_held(engine, stimulus);
+    prop_assert_eq!(expected, actual);
+    prop_assert_eq!(reference.cycle(), engine.cycle());
+    for reg in ["r0", "wr"] {
+        prop_assert_eq!(
+            SimBackend::peek_reg(&reference, reg),
+            engine.peek_reg(reg),
+            "register {} diverged",
+            reg
+        );
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -42,5 +69,30 @@ proptest! {
                 "register {} diverged", reg
             );
         }
+    }
+
+}
+
+// The held-input suites take the default case count (256), which
+// `PROPTEST_CASES` overrides; CI reruns them at 4096 in release.
+proptest! {
+    #[test]
+    fn compiled_backend_matches_interpreter_on_held_inputs(
+        steps in proptest::collection::vec(step_strategy(), 1..50),
+        stimulus in proptest::collection::vec(held_strategy(), 1..8),
+    ) {
+        let module = common::build(&steps);
+        let mut compiled = CompiledSimulator::new(module.clone()).expect("compiler accepts");
+        held_matches(&module, &mut compiled, &stimulus)?;
+    }
+
+    #[test]
+    fn scalar_jit_matches_interpreter_on_held_inputs(
+        steps in proptest::collection::vec(step_strategy(), 1..50),
+        stimulus in proptest::collection::vec(held_strategy(), 1..8),
+    ) {
+        let module = common::build(&steps);
+        let mut native = NativeSimulator::new(module.clone()).expect("compiler accepts");
+        held_matches(&module, &mut native, &stimulus)?;
     }
 }

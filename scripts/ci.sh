@@ -25,6 +25,11 @@ echo "== pass pipeline byte-identity at depth (in-place passes vs the pre-rewrit
 PROPTEST_CASES=4096 cargo test -q --release -p hc-rtl --lib \
   passes::oracle::tests::in_place_pipeline_matches_the_oracle
 
+echo "== held-input differential suites at depth (change-driven tape engine and scalar JIT)"
+# Inputs held for 1-64 cycles leave most parts clean and most registers
+# uncommitted; 4096 random modules per engine against the interpreter.
+PROPTEST_CASES=4096 cargo test -q --release -p hc-sim --test differential -- held_inputs
+
 echo "== kernel x frontend matrix agreement suite (five backends, full registry)"
 # Release mode: the debug workspace run above covers dct8/idct4/fir32 but
 # skips the 16x16 IDCT (tens of minutes under the un-optimized
@@ -49,6 +54,8 @@ if [ "$(uname -m)" = "x86_64" ]; then
   # interpreter's outputs and T_L/T_P.
   HC_NO_NATIVE=1 cargo test -q -p hc-core --lib \
     measure::tests::scalar_route_matches_the_batched_harness_on_every_fig1_point
+  echo "== forced-fallback twin of the held-input suites (scalar JIT's tape fallback)"
+  HC_NO_NATIVE=1 cargo test -q -p hc-sim --test differential -- held_inputs
 fi
 
 if [ "$(uname -m)" = "x86_64" ] && grep -q avx2 /proc/cpuinfo; then
