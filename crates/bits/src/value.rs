@@ -318,18 +318,7 @@ impl Bits {
         }
     }
 
-    /// Sets every bit to `bit` in place (no reallocation).
-    pub fn fill(&mut self, bit: bool) {
-        let v = if bit { u64::MAX } else { 0 };
-        for w in &mut self.words {
-            *w = v;
-        }
-        self.mask_top();
-    }
-
-    /// Extracts bits `lo..lo + width` as a `u64` without allocating — the
-    /// word-level fast path behind the compiled simulator's wide-to-narrow
-    /// slices.
+    /// Extracts bits `lo..lo + width` as a `u64` without allocating.
     ///
     /// # Panics
     ///
@@ -357,8 +346,7 @@ impl Bits {
     }
 
     /// Overwrites bits `lo..lo + width` from the low bits of `value`
-    /// without allocating — the word-level fast path behind the compiled
-    /// simulator's narrow-into-wide concatenations.
+    /// without allocating.
     ///
     /// # Panics
     ///
@@ -392,59 +380,9 @@ impl Bits {
         }
     }
 
-    /// Overwrites bits `lo..lo + src.width()` with `src` without
-    /// allocating — the word-level fast path behind the compiled
-    /// simulator's wide-into-wide concatenations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range does not fit in `self`.
-    pub fn deposit_bits(&mut self, lo: u32, src: &Bits) {
-        assert!(
-            lo + src.width <= self.width,
-            "deposit [{}+:{}] of {}-bit value",
-            lo,
-            src.width,
-            self.width
-        );
-        let mut off = lo;
-        let mut left = src.width;
-        for &w in &src.words {
-            let chunk = left.min(64);
-            self.deposit_u64(off, chunk, w);
-            off += chunk;
-            left -= chunk;
-        }
-    }
-
-    /// Fills `dst` with bits `lo..lo + dst.width()` of `self` without
-    /// allocating — the word-level fast path behind the compiled
-    /// simulator's wide-to-wide slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range does not fit in `self`.
-    pub fn extract_into(&self, lo: u32, dst: &mut Bits) {
-        assert!(
-            lo + dst.width <= self.width,
-            "extract [{}+:{}] of {}-bit value",
-            lo,
-            dst.width,
-            self.width
-        );
-        let mut off = lo;
-        let mut left = dst.width;
-        for w in &mut dst.words {
-            let chunk = left.min(64);
-            *w = self.extract_u64(off, chunk);
-            off += chunk;
-            left -= chunk;
-        }
-    }
-
     /// The value's little-endian 64-bit storage words (bits above `width`
-    /// are always zero). Word-level view behind the native simulator's
-    /// flat wide store.
+    /// are always zero). Word-level view behind the simulators' flat wide
+    /// stores.
     pub fn as_words(&self) -> &[u64] {
         &self.words
     }
@@ -618,45 +556,6 @@ mod tests {
     #[should_panic(expected = "extract")]
     fn extract_oob_rejected() {
         let _ = Bits::zero(32).extract_u64(20, 20);
-    }
-
-    #[test]
-    fn deposit_bits_matches_concat() {
-        // {hi, lo} assembled by two deposits equals the reference concat,
-        // across word-misaligned offsets.
-        for (hw, lw) in [(12, 84), (96, 96), (64, 65), (7, 190)] {
-            let mut hi = Bits::zero(hw);
-            let mut lo = Bits::zero(lw);
-            for i in (0..hw).step_by(3) {
-                hi.set_bit(i, true);
-            }
-            for i in (0..lw).step_by(5) {
-                lo.set_bit(i, true);
-            }
-            let mut out = Bits::ones(hw + lw);
-            out.deposit_bits(0, &lo);
-            out.deposit_bits(lw, &hi);
-            assert_eq!(out, hi.concat(&lo), "{{{hw}, {lw}}}");
-        }
-    }
-
-    #[test]
-    fn extract_into_matches_slice() {
-        let mut b = Bits::zero(768);
-        for i in (0..768).step_by(7) {
-            b.set_bit(i, true);
-        }
-        for (lo, w) in [(0, 96), (96, 96), (672, 96), (1, 129), (60, 700)] {
-            let mut out = Bits::ones(w);
-            b.extract_into(lo, &mut out);
-            assert_eq!(out, b.slice(lo, w), "[{lo}+:{w}]");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "deposit")]
-    fn deposit_bits_oob_rejected() {
-        Bits::zero(32).deposit_bits(20, &Bits::zero(20));
     }
 
     #[test]

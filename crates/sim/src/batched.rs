@@ -8,9 +8,10 @@
 //! becomes a tight loop over lanes with no bounds checks in the way of
 //! auto-vectorization — the per-instruction dispatch cost (the `match` on
 //! the opcode, operand decode) is paid once per instruction instead of once
-//! per instruction *per stimulus*. Wide (> 64-bit) values are flat too:
-//! slot `s` occupies `wide[wbase[s] ..]`, word-major then lane-minor
-//! (`wbase[s] + w*L + lane`), so wide operations are per-word loops across
+//! per instruction *per stimulus*. Wide (> 64-bit) values are flat too,
+//! laid out by the scalar engines' [`WideLayout`] scaled to `L` lanes:
+//! slot `s` occupies `wide[base(s) ..]`, word-major then lane-minor
+//! (`base(s) + w*L + lane`), so wide operations are per-word loops across
 //! contiguous lanes instead of per-lane big-integer calls. The top storage
 //! word of every wide slot keeps its bits above the slot width zero, the
 //! same invariant [`Bits`] maintains.
@@ -36,7 +37,7 @@ use hc_bits::Bits;
 use hc_rtl::passes::eval::eval_pure;
 use hc_rtl::{Module, ValidateError};
 
-use crate::lower::{mask, sxt, CmpKind, EngineOptions, Instr, Loc, Lowered};
+use crate::lower::{mask, sxt, CmpKind, EngineOptions, Instr, Loc, Lowered, WideLayout};
 
 /// A narrow memory with `depth` words per lane (`words[lane*depth + addr]`).
 #[derive(Clone, Debug)]
@@ -278,14 +279,9 @@ pub struct BatchedSimulator {
     lanes: usize,
     /// `slot * lanes + lane`.
     pub(crate) narrow: LaneStore,
-    /// Flat wide store: slot `s` at `wbase[s] + word*lanes + lane`.
+    /// Flat wide store: slot `s` at `wlay.base(s) + word*lanes + lane`.
     pub(crate) wide: LaneStore,
-    /// Word offset (already × lanes) of each wide slot in `wide`.
-    pub(crate) wbase: Vec<usize>,
-    /// Storage words per wide slot.
-    pub(crate) wwords: Vec<usize>,
-    /// Bit width of each wide slot.
-    pub(crate) wwidth: Vec<u32>,
+    pub(crate) wlay: WideLayout,
     nmems: Vec<BNMem>,
     wmems: Vec<BWMem>,
     /// `reg * lanes + lane` — double-buffer for the commit.
@@ -293,9 +289,6 @@ pub struct BatchedSimulator {
     /// Flat wide shadow: reg `r` at `wreg_shadow_base[r] + word*lanes + lane`.
     wreg_shadow: Vec<u64>,
     wreg_shadow_base: Vec<usize>,
-    /// Each wide register's init value as words, at `wreg_init_off[r]`.
-    wreg_init_words: Vec<u64>,
-    wreg_init_off: Vec<usize>,
     active: Vec<bool>,
     pub(crate) cycles: Vec<u64>,
     pub(crate) evaluated: bool,
@@ -393,26 +386,8 @@ impl BatchedSimulator {
             narrow.extend(std::iter::repeat_n(v, lanes));
         }
         let narrow = LaneStore::from_vec(narrow);
-        let mut wbase = Vec::with_capacity(low.wide_init.len());
-        let mut wwords = Vec::with_capacity(low.wide_init.len());
-        let mut wwidth = Vec::with_capacity(low.wide_init.len());
-        let mut off = 0usize;
-        for v in &low.wide_init {
-            wbase.push(off);
-            let wn = v.width().div_ceil(64) as usize;
-            wwords.push(wn);
-            wwidth.push(v.width());
-            off += wn * lanes;
-        }
-        let mut wide = vec![0u64; off];
-        for (s, v) in low.wide_init.iter().enumerate() {
-            if v.is_zero() {
-                continue;
-            }
-            for lane in 0..lanes {
-                scatter_bits(&mut wide[wbase[s]..], lanes, lane, v);
-            }
-        }
+        let wlay = WideLayout::new(&low.wide_init, lanes);
+        let wide = LaneStore::from_vec(wlay.image(&low.wide_init));
         let nmems = low
             .nmem_depths
             .iter()
@@ -421,7 +396,6 @@ impl BatchedSimulator {
                 depth,
             })
             .collect();
-        let wide = LaneStore::from_vec(wide);
         let wmems = low
             .wmem_dims
             .iter()
@@ -432,18 +406,10 @@ impl BatchedSimulator {
             .collect();
         let nreg_shadow = vec![0u64; low.nregs.len() * lanes];
         let mut wreg_shadow_base = Vec::with_capacity(low.wregs.len());
-        let mut wreg_init_off = Vec::with_capacity(low.wregs.len());
-        let mut wreg_init_words = Vec::new();
         let mut soff = 0usize;
         for p in &low.wregs {
             wreg_shadow_base.push(soff);
-            wreg_init_off.push(wreg_init_words.len());
-            let wd = p.init.width();
-            for w in 0..wd.div_ceil(64) {
-                let chunk = (wd - w * 64).min(64);
-                wreg_init_words.push(p.init.extract_u64(w * 64, chunk));
-            }
-            soff += wd.div_ceil(64) as usize * lanes;
+            soff += wlay.words(p.slot).len();
         }
         let wreg_shadow = vec![0u64; soff];
         let dirty = vec![true; low.comps.len()];
@@ -453,16 +419,12 @@ impl BatchedSimulator {
             lanes,
             narrow,
             wide,
-            wbase,
-            wwords,
-            wwidth,
+            wlay,
             nmems,
             wmems,
             nreg_shadow,
             wreg_shadow,
             wreg_shadow_base,
-            wreg_init_words,
-            wreg_init_off,
             active: vec![true; lanes],
             cycles: vec![0; lanes],
             evaluated: false,
@@ -569,12 +531,7 @@ impl BatchedSimulator {
     fn read_loc(&self, lane: usize, loc: Loc, width: u32) -> Bits {
         match loc {
             Loc::N(s) => Bits::from_u64(width, self.narrow[s as usize * self.lanes + lane]),
-            Loc::W(s) => gather_bits(
-                &self.wide[self.wbase[s as usize]..],
-                self.lanes,
-                lane,
-                width,
-            ),
+            Loc::W(s) => gather_bits(&self.wide[self.wlay.base(s)..], self.lanes, lane, width),
         }
     }
 
@@ -592,9 +549,8 @@ impl BatchedSimulator {
                 std::mem::replace(&mut self.narrow[s as usize * l + lane], v) != v
             }
             Loc::W(s) => {
-                let s = s as usize;
-                let n = self.wwords[s];
-                let base = self.wbase[s] + lane;
+                let n = self.wlay.nwords(s) as usize;
+                let base = self.wlay.base(s) + lane;
                 let mut changed = false;
                 for w in 0..n {
                     let mut v = words.get(w).copied().unwrap_or(0);
@@ -720,7 +676,7 @@ impl BatchedSimulator {
         match port.loc {
             Loc::N(s) => out[0] = self.narrow[s as usize * l + lane],
             Loc::W(s) => {
-                let base = self.wbase[s as usize] + lane;
+                let base = self.wlay.base(s) + lane;
                 for (w, o) in out.iter_mut().enumerate() {
                     *o = self.wide[base + w * l];
                 }
@@ -835,9 +791,8 @@ impl BatchedSimulator {
         let l = if L == 0 { self.lanes } else { L };
         let narrow = &mut self.narrow[..];
         let wide = &mut self.wide[..];
-        let wbase = &self.wbase;
-        let wwords = &self.wwords;
-        let wwidth = &self.wwidth;
+        let lay = &self.wlay;
+        let nwords = |s: u32| lay.nwords(s) as usize;
         for instr in &self.low.tape[start..end] {
             match *instr {
                 Instr::CopyMask { a, dst, mask } => {
@@ -977,8 +932,7 @@ impl BatchedSimulator {
                     lo,
                     width,
                 } => {
-                    let s = src as usize;
-                    let region = &wide[wbase[s]..][..wwords[s] * l];
+                    let region = &wide[lay.words(src)];
                     let sw = (lo / 64) as usize;
                     let sh = lo % 64;
                     let m = mask(width);
@@ -988,7 +942,7 @@ impl BatchedSimulator {
                         for (d, &a) in d.iter_mut().zip(a) {
                             *d = a & m;
                         }
-                    } else if sw + 1 < wwords[s] {
+                    } else if sw + 1 < nwords(src) {
                         let b = &region[(sw + 1) * l..][..l];
                         for (i, d) in d.iter_mut().enumerate() {
                             *d = ((a[i] >> sh) | (b[i] << (64 - sh))) & m;
@@ -1006,25 +960,22 @@ impl BatchedSimulator {
                     hi_w,
                     lo_w,
                 } => {
-                    let d = dst as usize;
-                    let region = &mut wide[wbase[d]..][..wwords[d] * l];
+                    let region = &mut wide[lay.words(dst)];
                     wdeposit_n(region, &narrow[lo as usize * l..][..l], l, 0, lo_w);
                     wdeposit_n(region, &narrow[hi as usize * l..][..l], l, lo_w, hi_w);
                 }
                 Instr::SliceWW { src, dst, lo } => {
                     // Tape invariant: dst slot > operand slots, and the flat
                     // offsets are monotonic in slot index.
-                    let (head, rest) = wide.split_at_mut(wbase[dst as usize]);
-                    let s = src as usize;
-                    let d = dst as usize;
-                    let region = &head[wbase[s]..][..wwords[s] * l];
-                    let dd = &mut rest[..wwords[d] * l];
-                    for w in 0..wwords[d] {
+                    let (head, rest) = wide.split_at_mut(lay.base(dst));
+                    let region = &head[lay.words(src)];
+                    let dd = &mut rest[..nwords(dst) * l];
+                    for w in 0..nwords(dst) {
                         let off = lo + w as u32 * 64;
                         let sw = (off / 64) as usize;
                         let sh = off % 64;
-                        let m = if w + 1 == wwords[d] {
-                            top_mask(wwidth[d])
+                        let m = if w + 1 == nwords(dst) {
+                            lay.tail_mask(dst)
                         } else {
                             u64::MAX
                         };
@@ -1034,7 +985,7 @@ impl BatchedSimulator {
                             for (d, &a) in dw.iter_mut().zip(a) {
                                 *d = a & m;
                             }
-                        } else if sw + 1 < wwords[s] {
+                        } else if sw + 1 < nwords(src) {
                             let b = &region[(sw + 1) * l..][..l];
                             for (i, d) in dw.iter_mut().enumerate() {
                                 *d = ((a[i] >> sh) | (b[i] << (64 - sh))) & m;
@@ -1047,41 +998,18 @@ impl BatchedSimulator {
                     }
                 }
                 Instr::ConcatWWW { hi, lo, dst, lo_w } => {
-                    let (head, rest) = wide.split_at_mut(wbase[dst as usize]);
-                    let d = dst as usize;
-                    let (h, lo_s) = (hi as usize, lo as usize);
-                    let dd = &mut rest[..wwords[d] * l];
-                    wdeposit_w(
-                        dd,
-                        &head[wbase[lo_s]..][..wwords[lo_s] * l],
-                        l,
-                        0,
-                        lo_w,
-                        wwidth[d],
-                    );
-                    wdeposit_w(
-                        dd,
-                        &head[wbase[h]..][..wwords[h] * l],
-                        l,
-                        lo_w,
-                        wwidth[h],
-                        wwidth[d],
-                    );
+                    let (head, rest) = wide.split_at_mut(lay.base(dst));
+                    let dd = &mut rest[..nwords(dst) * l];
+                    let dw = lay.width(dst);
+                    wdeposit_w(dd, &head[lay.words(lo)], l, 0, lo_w, dw);
+                    wdeposit_w(dd, &head[lay.words(hi)], l, lo_w, lay.width(hi), dw);
                 }
                 Instr::ConcatWWN { hi, lo, dst, lo_w } => {
-                    let (head, rest) = wide.split_at_mut(wbase[dst as usize]);
-                    let d = dst as usize;
-                    let h = hi as usize;
-                    let dd = &mut rest[..wwords[d] * l];
+                    let (head, rest) = wide.split_at_mut(lay.base(dst));
+                    let dd = &mut rest[..nwords(dst) * l];
+                    let dw = lay.width(dst);
                     wdeposit_n(dd, &narrow[lo as usize * l..][..l], l, 0, lo_w);
-                    wdeposit_w(
-                        dd,
-                        &head[wbase[h]..][..wwords[h] * l],
-                        l,
-                        lo_w,
-                        wwidth[h],
-                        wwidth[d],
-                    );
+                    wdeposit_w(dd, &head[lay.words(hi)], l, lo_w, lay.width(hi), dw);
                 }
                 Instr::ConcatWNW {
                     hi,
@@ -1090,44 +1018,29 @@ impl BatchedSimulator {
                     hi_w,
                     lo_w,
                 } => {
-                    let (head, rest) = wide.split_at_mut(wbase[dst as usize]);
-                    let d = dst as usize;
-                    let lo_s = lo as usize;
-                    let dd = &mut rest[..wwords[d] * l];
-                    wdeposit_w(
-                        dd,
-                        &head[wbase[lo_s]..][..wwords[lo_s] * l],
-                        l,
-                        0,
-                        lo_w,
-                        wwidth[d],
-                    );
+                    let (head, rest) = wide.split_at_mut(lay.base(dst));
+                    let dd = &mut rest[..nwords(dst) * l];
+                    wdeposit_w(dd, &head[lay.words(lo)], l, 0, lo_w, lay.width(dst));
                     wdeposit_n(dd, &narrow[hi as usize * l..][..l], l, lo_w, hi_w);
                 }
                 Instr::ZExtWN { a, dst, a_w } => {
                     let _ = a_w; // narrow values are already masked
-                    let d = dst as usize;
-                    let b = wbase[d];
-                    let s = &narrow[a as usize * l..][..l];
-                    wide[b..b + l].copy_from_slice(s);
-                    wide[b + l..b + wwords[d] * l]
-                        .iter_mut()
-                        .for_each(|w| *w = 0);
+                    let (w0, hi) = wide[lay.words(dst)].split_at_mut(l);
+                    w0.copy_from_slice(&narrow[a as usize * l..][..l]);
+                    hi.fill(0);
                 }
                 Instr::SExtWN { a, dst, a_w } => {
-                    let d = dst as usize;
-                    let b = wbase[d];
                     let ext = !mask(a_w);
                     let s = &narrow[a as usize * l..][..l];
-                    let (w0, hi) = wide[b..b + wwords[d] * l].split_at_mut(l);
+                    let (w0, hi) = wide[lay.words(dst)].split_at_mut(l);
                     for (d, &v) in w0.iter_mut().zip(s) {
                         let fill = ((v >> (a_w - 1)) & 1).wrapping_neg();
                         *d = v | (fill & ext);
                     }
-                    let words = wwords[d];
+                    let words = nwords(dst);
                     for w in 1..words {
                         let m = if w + 1 == words {
-                            top_mask(wwidth[d])
+                            lay.tail_mask(dst)
                         } else {
                             u64::MAX
                         };
@@ -1138,12 +1051,11 @@ impl BatchedSimulator {
                     }
                 }
                 Instr::MuxW { sel, t, f, dst } => {
-                    let (head, rest) = wide.split_at_mut(wbase[dst as usize]);
-                    let d = dst as usize;
-                    let (tb, fb) = (wbase[t as usize], wbase[f as usize]);
+                    let (head, rest) = wide.split_at_mut(lay.base(dst));
+                    let (tb, fb) = (lay.base(t), lay.base(f));
                     let sel = &narrow[sel as usize * l..][..l];
-                    let dd = &mut rest[..wwords[d] * l];
-                    for w in 0..wwords[d] {
+                    let dd = &mut rest[..nwords(dst) * l];
+                    for w in 0..nwords(dst) {
                         let t = &head[tb + w * l..][..l];
                         let f = &head[fb + w * l..][..l];
                         let dw = &mut dd[w * l..][..l];
@@ -1153,11 +1065,10 @@ impl BatchedSimulator {
                     }
                 }
                 Instr::EqW { a, b, dst } => {
-                    let (ab, bb) = (wbase[a as usize], wbase[b as usize]);
-                    let words = wwords[a as usize];
+                    let (ab, bb) = (lay.base(a), lay.base(b));
                     let d = &mut narrow[dst as usize * l..][..l];
                     d.iter_mut().for_each(|d| *d = 1);
-                    for w in 0..words {
+                    for w in 0..nwords(a) {
                         let x = &wide[ab + w * l..][..l];
                         let y = &wide[bb + w * l..][..l];
                         for (i, d) in d.iter_mut().enumerate() {
@@ -1166,11 +1077,10 @@ impl BatchedSimulator {
                     }
                 }
                 Instr::NeW { a, b, dst } => {
-                    let (ab, bb) = (wbase[a as usize], wbase[b as usize]);
-                    let words = wwords[a as usize];
+                    let (ab, bb) = (lay.base(a), lay.base(b));
                     let d = &mut narrow[dst as usize * l..][..l];
                     d.iter_mut().for_each(|d| *d = 0);
-                    for w in 0..words {
+                    for w in 0..nwords(a) {
                         let x = &wide[ab + w * l..][..l];
                         let y = &wide[bb + w * l..][..l];
                         for (i, d) in d.iter_mut().enumerate() {
@@ -1179,9 +1089,8 @@ impl BatchedSimulator {
                     }
                 }
                 Instr::CopyW { a, dst } => {
-                    let (head, rest) = wide.split_at_mut(wbase[dst as usize]);
-                    let n = wwords[dst as usize] * l;
-                    rest[..n].copy_from_slice(&head[wbase[a as usize]..][..n]);
+                    let (head, rest) = wide.split_at_mut(lay.base(dst));
+                    rest[..nwords(dst) * l].copy_from_slice(&head[lay.words(a)]);
                 }
                 Instr::MemReadN { mem, addr, dst } => {
                     let m = &self.nmems[mem as usize];
@@ -1197,7 +1106,7 @@ impl BatchedSimulator {
                         }
                         Loc::W(s) => {
                             // The address is the wide value's low word.
-                            let a = &wide[wbase[s as usize]..][..l];
+                            let a = &wide[lay.base(s)..][..l];
                             for (i, d) in d.iter_mut().enumerate() {
                                 *d = m.words[i * depth as usize + (a[i] % depth) as usize];
                             }
@@ -1207,13 +1116,13 @@ impl BatchedSimulator {
                 Instr::MemReadW { mem, addr, dst } => {
                     let m = &self.wmems[mem as usize];
                     let depth = m.depth as usize;
-                    let d = dst as usize;
+                    let d = lay.base(dst);
                     for lane in 0..l {
                         let a = (match addr {
                             Loc::N(s) => narrow[s as usize * l + lane],
-                            Loc::W(s) => wide[wbase[s as usize] + lane],
+                            Loc::W(s) => wide[lay.base(s) + lane],
                         } % m.depth) as usize;
-                        scatter_bits(&mut wide[wbase[d]..], l, lane, &m.words[lane * depth + a]);
+                        scatter_bits(&mut wide[d..], l, lane, &m.words[lane * depth + a]);
                     }
                 }
                 Instr::Generic(gi) => {
@@ -1223,14 +1132,14 @@ impl BatchedSimulator {
                         for &(loc, w) in &g.args {
                             args.push(match loc {
                                 Loc::N(s) => Bits::from_u64(w, narrow[s as usize * l + lane]),
-                                Loc::W(s) => gather_bits(&wide[wbase[s as usize]..], l, lane, w),
+                                Loc::W(s) => gather_bits(&wide[lay.base(s)..], l, lane, w),
                             });
                         }
                         let v = eval_pure(&g.node, g.width, &args).expect("pure node");
                         match g.dst {
                             Loc::N(s) => narrow[s as usize * l + lane] = v.to_u64(),
                             Loc::W(s) => {
-                                scatter_bits(&mut wide[wbase[s as usize]..], l, lane, &v);
+                                scatter_bits(&mut wide[lay.base(s)..], l, lane, &v);
                             }
                         }
                     }
@@ -1375,11 +1284,11 @@ impl BatchedSimulator {
             }
         }
         for (ri, p) in self.low.wregs.iter().enumerate() {
-            let words = self.wwords[p.slot as usize];
+            let words = self.wlay.nwords(p.slot) as usize;
             let sb = self.wreg_shadow_base[ri];
-            let slot_b = self.wbase[p.slot as usize];
-            let next_b = self.wbase[p.next as usize];
-            let init_o = self.wreg_init_off[ri];
+            let slot_b = self.wlay.base(p.slot);
+            let next_b = self.wlay.base(p.next);
+            let init = p.init.as_words();
             // Same hoisting for wide registers: the word-major, lane-minor
             // layout makes a whole register row (`words * l`) contiguous.
             if all_active {
@@ -1402,8 +1311,7 @@ impl BatchedSimulator {
                     }
                     (Some(r), None) => {
                         let rst = &self.narrow[r as usize * l..][..l];
-                        for w in 0..words {
-                            let iw = self.wreg_init_words[init_o + w];
+                        for (w, &iw) in init.iter().enumerate() {
                             let sh = &mut self.wreg_shadow[sb + w * l..][..l];
                             let next = &self.wide[next_b + w * l..][..l];
                             for k in 0..l {
@@ -1414,8 +1322,7 @@ impl BatchedSimulator {
                     (Some(r), Some(e)) => {
                         let rst = &self.narrow[r as usize * l..][..l];
                         let en = &self.narrow[e as usize * l..][..l];
-                        for w in 0..words {
-                            let iw = self.wreg_init_words[init_o + w];
+                        for (w, &iw) in init.iter().enumerate() {
                             let sh = &mut self.wreg_shadow[sb + w * l..][..l];
                             let next = &self.wide[next_b + w * l..][..l];
                             let cur = &self.wide[slot_b + w * l..][..l];
@@ -1433,8 +1340,7 @@ impl BatchedSimulator {
                 }
                 continue;
             }
-            for w in 0..words {
-                let iw = self.wreg_init_words[init_o + w];
+            for (w, &iw) in init.iter().enumerate() {
                 for lane in 0..l {
                     if !self.active[lane] {
                         continue;
@@ -1462,7 +1368,7 @@ impl BatchedSimulator {
                 }
                 let a = match w.addr {
                     Loc::N(s) => self.narrow[s as usize * l + lane],
-                    Loc::W(s) => self.wide[self.wbase[s as usize] + lane],
+                    Loc::W(s) => self.wide[self.wlay.base(s) + lane],
                 } % self.nmems[w.mem as usize].depth;
                 let v = self.narrow[w.data as usize * l + lane];
                 let m = &mut self.nmems[w.mem as usize];
@@ -1487,13 +1393,13 @@ impl BatchedSimulator {
                 }
                 let a = match w.addr {
                     Loc::N(s) => self.narrow[s as usize * l + lane],
-                    Loc::W(s) => self.wide[self.wbase[s as usize] + lane],
+                    Loc::W(s) => self.wide[self.wlay.base(s) + lane],
                 } % self.wmems[w.mem as usize].depth;
                 let data = gather_bits(
-                    &self.wide[self.wbase[w.data as usize]..],
+                    &self.wide[self.wlay.base(w.data)..],
                     l,
                     lane,
-                    self.wwidth[w.data as usize],
+                    self.wlay.width(w.data),
                 );
                 let m = &mut self.wmems[w.mem as usize];
                 let slot = &mut m.words[lane * m.depth as usize + a as usize];
@@ -1546,9 +1452,9 @@ impl BatchedSimulator {
             }
         }
         for (ri, p) in self.low.wregs.iter().enumerate() {
-            let words = self.wwords[p.slot as usize];
+            let words = self.wlay.nwords(p.slot) as usize;
             let sb = self.wreg_shadow_base[ri];
-            let slot_b = self.wbase[p.slot as usize];
+            let slot_b = self.wlay.base(p.slot);
             let changed = if all_active {
                 let sh = &self.wreg_shadow[sb..sb + words * l];
                 let row = &mut self.wide[slot_b..slot_b + words * l];
@@ -1608,15 +1514,10 @@ impl BatchedSimulator {
                 self.narrow[p.slot as usize * l + lane] = p.init;
             }
         }
-        for (ri, p) in self.low.wregs.iter().enumerate() {
-            let words = self.wwords[p.slot as usize];
-            let slot_b = self.wbase[p.slot as usize];
-            let init_o = self.wreg_init_off[ri];
-            for w in 0..words {
-                let iw = self.wreg_init_words[init_o + w];
-                self.wide[slot_b + w * l..][..l]
-                    .iter_mut()
-                    .for_each(|d| *d = iw);
+        for p in &self.low.wregs {
+            let slot_b = self.wlay.base(p.slot);
+            for (w, &iw) in p.init.as_words().iter().enumerate() {
+                self.wide[slot_b + w * l..][..l].fill(iw);
             }
         }
         for m in &mut self.nmems {

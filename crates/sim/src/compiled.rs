@@ -4,17 +4,19 @@
 //! instruction tape (see [`crate::lower`]) with pre-resolved operand slot
 //! indices, then replays that tape every cycle. The value store is
 //! word-packed: nodes of width ≤ 64 live inline in a `u64` slot array with
-//! masks precomputed at lowering time, so the combinational sweep performs
-//! no heap allocation; wider nodes fall back to a side table of [`Bits`].
-//! Register commit is double-buffered (values are gathered into a shadow
-//! array, then written back), and all name lookups go through maps built at
-//! construction.
+//! masks precomputed at lowering time, and wider nodes live as flat
+//! little-endian words laid out by [`WideLayout`], so the combinational
+//! sweep performs no heap allocation outside the generic fallback. Values
+//! become [`Bits`] only at the public API, in `Generic` operations and in
+//! wide memory contents. Register commit is double-buffered (values are
+//! gathered into a shadow array, then written back), and all name lookups
+//! go through maps built at construction.
 //!
 //! The tape preserves the module's topological node order, and every
 //! instruction reproduces the interpreter's semantics exactly — shared
 //! corner cases (division by zero, oversized shift amounts, unsigned
 //! multiply at narrow widths) follow `eval_pure`, which also serves as the
-//! fallback for operations on wide values. The interpreted
+//! fallback for the remaining operations on wide values. The interpreted
 //! [`Simulator`](crate::Simulator) is the reference oracle; the differential
 //! test suite drives both engines with identical stimulus and demands
 //! identical outputs, register state, and cycle counts.
@@ -23,7 +25,7 @@ use hc_bits::Bits;
 use hc_rtl::passes::eval::eval_pure;
 use hc_rtl::{Module, NodeId, ValidateError};
 
-use crate::lower::{EngineOptions, Instr, Loc, Lowered};
+use crate::lower::{mask, EngineOptions, Instr, Loc, Lowered, WideLayout};
 use crate::SimBackend;
 
 /// A memory whose word width fits a `u64`.
@@ -43,25 +45,24 @@ struct WMem {
 /// A cycle-accurate compiled simulator for one [`Module`].
 ///
 /// Construction lowers the module into an instruction tape; afterwards the
-/// per-cycle cost is one linear pass over the tape with no allocation for
-/// narrow (≤ 64-bit) values. Observable behavior is bit-identical to the
-/// interpreted [`Simulator`](crate::Simulator).
+/// per-cycle cost is one linear pass over the tape with no allocation
+/// outside the generic fallback. Observable behavior is bit-identical to
+/// the interpreted [`Simulator`](crate::Simulator).
 /// Fields are `pub(crate)` so [`crate::NativeSimulator`] can wrap an
-/// instance, drive the same slot store from generated machine code, and
-/// reuse the commit/reset logic unchanged.
+/// instance, drive the same narrow and wide stores from generated machine
+/// code, and reuse the commit/reset logic unchanged.
 #[derive(Debug)]
 pub struct CompiledSimulator {
     pub(crate) low: Lowered,
     pub(crate) narrow: Vec<u64>,
-    pub(crate) wide: Vec<Bits>,
+    /// Every wide slot's words, laid out by `wlay` (padding word included).
+    pub(crate) wide: Vec<u64>,
+    pub(crate) wlay: WideLayout,
     nmems: Vec<NMem>,
     wmems: Vec<WMem>,
     nreg_shadow: Vec<u64>,
-    pub(crate) wreg_shadow: Vec<Bits>,
-    /// When true, `step` trusts `wreg_shadow` as already holding this
-    /// cycle's gathered next-values (the native engine fills it from its
-    /// flat store) and skips the gather. Cleared by the `step`.
-    pub(crate) wreg_shadow_ready: bool,
+    /// The pending wide registers' next words, gathered in commit order.
+    wreg_shadow: Vec<u64>,
     /// Activity state (see [`ActLayout`]). A part's dirty bit is set when
     /// an input of the part changed since it last ran. A register is
     /// pending when its `next`, `en` or `reset` slot may have changed
@@ -75,8 +76,6 @@ pub struct CompiledSimulator {
     pend_cur: Vec<u64>,
     /// The running part's boundary values from before it ran.
     before: Vec<u64>,
-    /// The wide registers (by `wregs` index) the last commit changed.
-    pub(crate) wide_changed: Vec<u32>,
     pub(crate) parts_skipped: u64,
     pub(crate) regs_committed: u64,
     /// Execution histograms, allocated iff `HC_PROFILE` was on at
@@ -143,17 +142,28 @@ impl ActLayout {
     }
 }
 
-/// `dst.clone_from(src)` over two distinct indices of one slice.
-fn copy_wide(wide: &mut [Bits], src: usize, dst: usize) {
-    debug_assert_ne!(src, dst, "wide copy onto itself");
-    let (s, d) = if src < dst {
-        let (head, tail) = wide.split_at_mut(dst);
-        (&head[src], &mut tail[0])
-    } else {
-        let (head, tail) = wide.split_at_mut(src);
-        (&tail[0], &mut head[dst])
-    };
-    d.clone_from(s);
+/// Bits `lo..lo + width` (`width <= 64`) of a wide value's words.
+fn field(words: &[u64], lo: u32, width: u32) -> u64 {
+    let (w, sh) = ((lo / 64) as usize, lo % 64);
+    let mut v = words[w] >> sh;
+    if sh != 0 && w + 1 < words.len() {
+        v |= words[w + 1] << (64 - sh);
+    }
+    v & mask(width)
+}
+
+/// `dst = hi ++ lo` over words: `lo` is `lo_w` bits wide, both values
+/// are zero above their widths, and the widths add up to `dst`'s.
+fn concat(dst: &mut [u64], hi: &[u64], lo: &[u64], lo_w: u32) {
+    dst.fill(0);
+    dst[..lo.len()].copy_from_slice(lo);
+    let (w, sh) = ((lo_w / 64) as usize, lo_w % 64);
+    for (i, &x) in hi.iter().enumerate() {
+        dst[w + i] |= x << sh;
+        if sh != 0 && w + i + 1 < dst.len() {
+            dst[w + i + 1] |= x >> (64 - sh);
+        }
+    }
 }
 
 impl CompiledSimulator {
@@ -178,7 +188,8 @@ impl CompiledSimulator {
     pub fn with_options(module: Module, options: EngineOptions) -> Result<Self, ValidateError> {
         let low = Lowered::new(module, options)?;
         let narrow = low.narrow_init.clone();
-        let wide = low.wide_init.clone();
+        let wlay = WideLayout::new(&low.wide_init, 1);
+        let wide = wlay.image(&low.wide_init);
         let nmems = low
             .nmem_depths
             .iter()
@@ -196,7 +207,6 @@ impl CompiledSimulator {
             })
             .collect();
         let nreg_shadow = vec![0u64; low.nregs.len()];
-        let wreg_shadow: Vec<Bits> = low.wregs.iter().map(|p| p.init.clone()).collect();
         let lay = ActLayout::new(low.parts.len(), low.nregs_total());
         let mut act = vec![0; lay.ran_at + 1];
         set_first(&mut act[..lay.pend_at], low.parts.len());
@@ -208,16 +218,15 @@ impl CompiledSimulator {
             low,
             narrow,
             wide,
+            wlay,
             nmems,
             wmems,
             nreg_shadow,
-            wreg_shadow,
-            wreg_shadow_ready: false,
+            wreg_shadow: Vec::new(),
             act,
             lay,
             pend_cur,
             before,
-            wide_changed: Vec::new(),
             parts_skipped: 0,
             regs_committed: 0,
             prof,
@@ -294,7 +303,15 @@ impl CompiledSimulator {
     fn read_loc(&self, loc: Loc, width: u32) -> Bits {
         match loc {
             Loc::N(s) => Bits::from_u64(width, self.narrow[s as usize]),
-            Loc::W(s) => self.wide[s as usize].clone(),
+            Loc::W(s) => self.wlay.read(&self.wide, s),
+        }
+    }
+
+    /// The low word of a value (a wide value's first storage word).
+    fn low_word(&self, loc: Loc) -> u64 {
+        match loc {
+            Loc::N(s) => self.narrow[s as usize],
+            Loc::W(s) => self.wide[self.wlay.base(s)],
         }
     }
 
@@ -313,9 +330,9 @@ impl CompiledSimulator {
                 std::mem::replace(&mut self.narrow[s as usize], v) != v
             }
             Loc::W(s) => {
-                let slot = &mut self.wide[s as usize];
-                let changed = *slot != value;
-                *slot = value;
+                let slot = &mut self.wide[self.wlay.words(s)];
+                let changed = slot != value.as_words();
+                slot.copy_from_slice(value.as_words());
                 changed
             }
         };
@@ -336,12 +353,12 @@ impl CompiledSimulator {
                 std::mem::replace(&mut self.narrow[s as usize], v) != v
             }
             Loc::W(s) => {
-                // Conservatively treated as a change (wide inputs are rare
-                // on this path and an extra part eval is always sound).
-                let slot = &mut self.wide[s as usize];
-                slot.clear();
-                slot.deposit_u64(0, 64, value);
-                true
+                // A wide port holds any `u64` whole in its first word.
+                let slot = &mut self.wide[self.wlay.words(s)];
+                let changed = slot[0] != value || slot[1..].iter().any(|&w| w != 0);
+                slot[0] = value;
+                slot[1..].fill(0);
+                changed
             }
         };
         self.touch_input(idx, changed);
@@ -449,6 +466,7 @@ impl CompiledSimulator {
     pub(crate) fn eval_range(&mut self, start: usize, end: usize) {
         let narrow = &mut self.narrow;
         let wide = &mut self.wide;
+        let lay = &self.wlay;
         for instr in &self.low.tape[start..end] {
             match *instr {
                 Instr::CopyMask { a, dst, mask } => {
@@ -601,77 +619,82 @@ impl CompiledSimulator {
                     lo,
                     width,
                 } => {
-                    narrow[dst as usize] = wide[src as usize].extract_u64(lo, width);
+                    narrow[dst as usize] = field(&wide[lay.words(src)], lo, width);
                 }
                 Instr::ConcatWNN {
                     hi,
                     lo,
                     dst,
-                    hi_w,
+                    hi_w: _,
                     lo_w,
                 } => {
-                    let d = &mut wide[dst as usize];
-                    d.deposit_u64(0, lo_w, narrow[lo as usize]);
-                    d.deposit_u64(lo_w, hi_w, narrow[hi as usize]);
+                    let (h, l) = (narrow[hi as usize], narrow[lo as usize]);
+                    concat(&mut wide[lay.words(dst)], &[h], &[l], lo_w);
                 }
                 Instr::SliceWW { src, dst, lo } => {
                     // Tape invariant: dst slot > operand slots.
-                    let (head, tail) = wide.split_at_mut(dst as usize);
-                    head[src as usize].extract_into(lo, &mut tail[0]);
+                    let (head, tail) = wide.split_at_mut(lay.base(dst));
+                    let s = &head[lay.words(src)];
+                    let width = lay.width(dst);
+                    for (j, d) in tail[..lay.nwords(dst) as usize].iter_mut().enumerate() {
+                        let at = 64 * j as u32;
+                        *d = field(s, lo + at, (width - at).min(64));
+                    }
                 }
                 Instr::ConcatWWW { hi, lo, dst, lo_w } => {
-                    let (head, tail) = wide.split_at_mut(dst as usize);
-                    let d = &mut tail[0];
-                    d.deposit_bits(0, &head[lo as usize]);
-                    d.deposit_bits(lo_w, &head[hi as usize]);
+                    let (head, tail) = wide.split_at_mut(lay.base(dst));
+                    let d = &mut tail[..lay.nwords(dst) as usize];
+                    concat(d, &head[lay.words(hi)], &head[lay.words(lo)], lo_w);
                 }
                 Instr::ConcatWWN { hi, lo, dst, lo_w } => {
-                    let (head, tail) = wide.split_at_mut(dst as usize);
-                    let d = &mut tail[0];
-                    d.deposit_u64(0, lo_w, narrow[lo as usize]);
-                    d.deposit_bits(lo_w, &head[hi as usize]);
+                    let (head, tail) = wide.split_at_mut(lay.base(dst));
+                    let d = &mut tail[..lay.nwords(dst) as usize];
+                    concat(d, &head[lay.words(hi)], &[narrow[lo as usize]], lo_w);
                 }
                 Instr::ConcatWNW {
                     hi,
                     lo,
                     dst,
-                    hi_w,
+                    hi_w: _,
                     lo_w,
                 } => {
-                    let (head, tail) = wide.split_at_mut(dst as usize);
-                    let d = &mut tail[0];
-                    d.deposit_bits(0, &head[lo as usize]);
-                    d.deposit_u64(lo_w, hi_w, narrow[hi as usize]);
+                    let (head, tail) = wide.split_at_mut(lay.base(dst));
+                    let d = &mut tail[..lay.nwords(dst) as usize];
+                    concat(d, &[narrow[hi as usize]], &head[lay.words(lo)], lo_w);
                 }
-                Instr::ZExtWN { a, dst, a_w } => {
-                    let d = &mut wide[dst as usize];
-                    d.clear();
-                    d.deposit_u64(0, a_w, narrow[a as usize]);
+                Instr::ZExtWN { a, dst, a_w: _ } => {
+                    let d = &mut wide[lay.words(dst)];
+                    d.fill(0);
+                    d[0] = narrow[a as usize];
                 }
                 Instr::SExtWN { a, dst, a_w } => {
                     let v = narrow[a as usize];
-                    let d = &mut wide[dst as usize];
-                    d.fill(v >> (a_w - 1) & 1 == 1);
-                    d.deposit_u64(0, a_w, v);
+                    let fill = (v >> (a_w - 1) & 1).wrapping_neg();
+                    let d = &mut wide[lay.words(dst)];
+                    d.fill(fill);
+                    d[0] = v | (fill & !mask(a_w));
+                    *d.last_mut().expect("wide slot") &= lay.tail_mask(dst);
                 }
                 Instr::MuxW { sel, t, f, dst } => {
                     let src = if narrow[sel as usize] != 0 { t } else { f };
-                    copy_wide(wide, src as usize, dst as usize);
+                    let (head, tail) = wide.split_at_mut(lay.base(dst));
+                    tail[..lay.nwords(dst) as usize].copy_from_slice(&head[lay.words(src)]);
                 }
                 Instr::EqW { a, b, dst } => {
-                    narrow[dst as usize] = (wide[a as usize] == wide[b as usize]) as u64;
+                    narrow[dst as usize] = (wide[lay.words(a)] == wide[lay.words(b)]) as u64;
                 }
                 Instr::NeW { a, b, dst } => {
-                    narrow[dst as usize] = (wide[a as usize] != wide[b as usize]) as u64;
+                    narrow[dst as usize] = (wide[lay.words(a)] != wide[lay.words(b)]) as u64;
                 }
                 Instr::CopyW { a, dst } => {
-                    copy_wide(wide, a as usize, dst as usize);
+                    let (head, tail) = wide.split_at_mut(lay.base(dst));
+                    tail[..lay.nwords(dst) as usize].copy_from_slice(&head[lay.words(a)]);
                 }
                 Instr::MemReadN { mem, addr, dst } => {
                     let m = &self.nmems[mem as usize];
                     let a = match addr {
                         Loc::N(s) => narrow[s as usize],
-                        Loc::W(s) => wide[s as usize].to_u64(),
+                        Loc::W(s) => wide[lay.base(s)],
                     } % m.depth;
                     narrow[dst as usize] = m.words[a as usize];
                 }
@@ -679,9 +702,9 @@ impl CompiledSimulator {
                     let m = &self.wmems[mem as usize];
                     let a = match addr {
                         Loc::N(s) => narrow[s as usize],
-                        Loc::W(s) => wide[s as usize].to_u64(),
+                        Loc::W(s) => wide[lay.base(s)],
                     } % m.depth;
-                    wide[dst as usize].clone_from(&m.words[a as usize]);
+                    wide[lay.words(dst)].copy_from_slice(m.words[a as usize].as_words());
                 }
                 Instr::Generic(gi) => {
                     let g = &self.low.generic[gi as usize];
@@ -689,13 +712,13 @@ impl CompiledSimulator {
                     for &(loc, w) in &g.args {
                         args.push(match loc {
                             Loc::N(s) => Bits::from_u64(w, narrow[s as usize]),
-                            Loc::W(s) => wide[s as usize].clone(),
+                            Loc::W(s) => lay.read(wide, s),
                         });
                     }
                     let v = eval_pure(&g.node, g.width, &args).expect("pure node");
                     match g.dst {
                         Loc::N(s) => narrow[s as usize] = v.to_u64(),
-                        Loc::W(s) => wide[s as usize] = v,
+                        Loc::W(s) => wide[lay.words(s)].copy_from_slice(v.as_words()),
                     }
                 }
                 Instr::MacS {
@@ -786,10 +809,7 @@ impl CompiledSimulator {
     /// Panics if no output named `name` exists.
     pub fn get_u64(&mut self, name: &str) -> u64 {
         self.eval();
-        match self.low.output_loc(name).0 {
-            Loc::N(s) => self.narrow[s as usize],
-            Loc::W(s) => self.wide[s as usize].to_u64(),
-        }
+        self.low_word(self.low.output_loc(name).0)
     }
 
     /// Reads back the value currently driving an input port.
@@ -810,11 +830,7 @@ impl CompiledSimulator {
     ///
     /// Panics if no input named `name` exists.
     pub fn input_value_u64(&self, name: &str) -> u64 {
-        let idx = self.low.input_idx(name);
-        match self.low.input_locs[idx].0 {
-            Loc::N(s) => self.narrow[s as usize],
-            Loc::W(s) => self.wide[s as usize].to_u64(),
-        }
+        self.low_word(self.low.input_locs[self.low.input_idx(name)].0)
     }
 
     /// Reads the settled value of an arbitrary node (for probing).
@@ -858,8 +874,7 @@ impl CompiledSimulator {
         self.act[pend].fill(0);
         // Phase 1: gather next values while all register slots still hold
         // their pre-edge values (registers may feed each other).
-        let gather_wide = !std::mem::take(&mut self.wreg_shadow_ready);
-        self.wide_changed.clear();
+        self.wreg_shadow.clear();
         for_each_bit(&regs, |r| {
             if r < nregs {
                 let p = &self.low.nregs[r];
@@ -871,18 +886,17 @@ impl CompiledSimulator {
                 } else {
                     self.narrow[p.slot as usize]
                 };
-            } else if gather_wide {
-                let i = r - nregs;
-                let p = &self.low.wregs[i];
+            } else {
+                let p = &self.low.wregs[r - nregs];
                 let reset = p.reset.is_some_and(|x| self.narrow[x as usize] != 0);
                 let src = if reset {
-                    &p.init
+                    p.init.as_words()
                 } else if p.en.is_none_or(|e| self.narrow[e as usize] != 0) {
-                    &self.wide[p.next as usize]
+                    &self.wide[self.wlay.words(p.next)]
                 } else {
-                    &self.wide[p.slot as usize]
+                    &self.wide[self.wlay.words(p.slot)]
                 };
-                self.wreg_shadow[i].clone_from(src);
+                self.wreg_shadow.extend_from_slice(src);
             }
         });
         // Phase 2: memory writes sample the settled combinational values
@@ -893,12 +907,9 @@ impl CompiledSimulator {
         let mut state_changed = false;
         for w in &self.low.nmem_writes {
             if self.narrow[w.en as usize] != 0 {
-                let m = &mut self.nmems[w.mem as usize];
-                let a = match w.addr {
-                    Loc::N(s) => self.narrow[s as usize],
-                    Loc::W(s) => self.wide[s as usize].to_u64(),
-                } % m.depth;
+                let a = self.low_word(w.addr) % self.nmems[w.mem as usize].depth;
                 let v = self.narrow[w.data as usize];
+                let m = &mut self.nmems[w.mem as usize];
                 if std::mem::replace(&mut m.words[a as usize], v) != v && gate {
                     state_changed = true;
                     for &k in self.low.mem_parts.row(w.mem as usize) {
@@ -909,14 +920,11 @@ impl CompiledSimulator {
         }
         for w in &self.low.wmem_writes {
             if self.narrow[w.en as usize] != 0 {
-                let a = match w.addr {
-                    Loc::N(s) => self.narrow[s as usize],
-                    Loc::W(s) => self.wide[s as usize].to_u64(),
-                } % self.wmems[w.mem as usize].depth;
-                let m = &mut self.wmems[w.mem as usize];
-                let word = &mut m.words[a as usize];
-                if *word != self.wide[w.data as usize] {
-                    word.clone_from(&self.wide[w.data as usize]);
+                let a = self.low_word(w.addr) % self.wmems[w.mem as usize].depth;
+                let data = &self.wide[self.wlay.words(w.data)];
+                let word = &mut self.wmems[w.mem as usize].words[a as usize];
+                if word.as_words() != data {
+                    word.copy_from_words(data);
                     if gate {
                         state_changed = true;
                         for &k in self.low.mem_parts.row(nmems + w.mem as usize) {
@@ -932,18 +940,17 @@ impl CompiledSimulator {
         // changed at all, the settled combinational state is still valid
         // and the next eval is free.
         let pend = self.lay.pend_at * 64;
+        let mut gathered = 0;
         for_each_bit(&regs, |ri| {
             let changed = if ri < nregs {
                 let v = self.nreg_shadow[ri];
                 std::mem::replace(&mut self.narrow[self.low.nregs[ri].slot as usize], v) != v
             } else {
-                let i = ri - nregs;
-                let slot = self.low.wregs[i].slot as usize;
-                let changed = self.wide[slot] != self.wreg_shadow[i];
-                if changed {
-                    std::mem::swap(&mut self.wide[slot], &mut self.wreg_shadow[i]);
-                    self.wide_changed.push(i as u32);
-                }
+                let slot = &mut self.wide[self.wlay.words(self.low.wregs[ri - nregs].slot)];
+                let next = &self.wreg_shadow[gathered..gathered + slot.len()];
+                gathered += slot.len();
+                let changed = *slot != *next;
+                slot.copy_from_slice(next);
                 changed
             };
             if changed && gate {
@@ -982,7 +989,7 @@ impl CompiledSimulator {
             self.narrow[p.slot as usize] = p.init;
         }
         for p in &self.low.wregs {
-            self.wide[p.slot as usize].clone_from(&p.init);
+            self.wide[self.wlay.words(p.slot)].copy_from_slice(p.init.as_words());
         }
         for m in &mut self.nmems {
             m.words.iter_mut().for_each(|w| *w = 0);
@@ -996,7 +1003,6 @@ impl CompiledSimulator {
             &mut self.act[lay.pend_at..lay.ran_at],
             self.low.nregs_total(),
         );
-        self.wreg_shadow_ready = false;
         self.cycle = 0;
         self.evaluated = false;
     }

@@ -56,13 +56,13 @@ impl std::hash::Hasher for Fnv {
 /// A `HashMap` keyed by port/register name, FNV-hashed (see [`Fnv`]).
 pub type NameMap<V> = HashMap<String, V, std::hash::BuildHasherDefault<Fnv>>;
 
-/// Where a value lives: inline in the `u64` slot array, or in the `Bits`
-/// side table for widths above 64.
+/// Where a value lives: inline in the `u64` slot array, or in the wide
+/// store (see [`WideLayout`]) for widths above 64.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum Loc {
     /// Index into the narrow (`u64`) slot array.
     N(u32),
-    /// Index into the wide (`Bits`) side table.
+    /// Slot number in the wide store.
     W(u32),
 }
 
@@ -558,6 +558,95 @@ impl Lists {
     /// Every item, row after row.
     pub fn items(&self) -> &[u32] {
         &self.items
+    }
+}
+
+/// The word layout of a flat wide store, the one format every engine
+/// keeps wide (> 64-bit) values in: slot `s` owns
+/// [`nwords(s)`](WideLayout::nwords) little-endian storage words per
+/// lane, word-major and lane-minor from [`base(s)`](WideLayout::base)
+/// (word `w` of lane `k` at `base(s) + w * lanes + k`; with one lane,
+/// simply `base(s) + w`). The bits of a slot's top word above its width
+/// stay zero, the invariant [`Bits`] keeps, so equal values have equal
+/// words. Bases grow with the slot number, so the lowering invariant (a
+/// destination slot above its operand slots) lets one `split_at_mut` at
+/// the destination's base separate the reads from the write.
+#[derive(Debug)]
+pub(crate) struct WideLayout {
+    base: Vec<usize>,
+    width: Vec<u32>,
+    lanes: usize,
+    total: usize,
+}
+
+impl WideLayout {
+    /// The layout of `lanes` copies of wide slots shaped like `wide_init`.
+    pub fn new(wide_init: &[Bits], lanes: usize) -> WideLayout {
+        let mut base = Vec::with_capacity(wide_init.len());
+        let mut total = 0;
+        for b in wide_init {
+            base.push(total);
+            total += b.width().div_ceil(64) as usize * lanes;
+        }
+        let width = wide_init.iter().map(Bits::width).collect();
+        WideLayout {
+            base,
+            width,
+            lanes,
+            total,
+        }
+    }
+
+    /// Storage words of slot `slot`, per lane.
+    pub fn nwords(&self, slot: u32) -> u32 {
+        self.width[slot as usize].div_ceil(64)
+    }
+
+    /// First store word of slot `slot`.
+    pub fn base(&self, slot: u32) -> usize {
+        self.base[slot as usize]
+    }
+
+    /// Declared bit width of slot `slot`.
+    pub fn width(&self, slot: u32) -> u32 {
+        self.width[slot as usize]
+    }
+
+    /// The store words of slot `slot`, every lane.
+    pub fn words(&self, slot: u32) -> std::ops::Range<usize> {
+        let base = self.base(slot);
+        base..base + self.nwords(slot) as usize * self.lanes
+    }
+
+    /// Mask for the top storage word of slot `slot` (all-ones when the
+    /// width is word-aligned).
+    pub fn tail_mask(&self, slot: u32) -> u64 {
+        mask((self.width(slot) + 63) % 64 + 1)
+    }
+
+    /// Length the store is allocated with: every slot's words plus one
+    /// zeroed padding word, so the scalar JIT's byte-aligned 8-byte loads
+    /// may over-read past the last slot.
+    pub fn store_len(&self) -> usize {
+        self.total + 1
+    }
+
+    /// A store holding `values[s]` in every lane of slot `s`.
+    pub fn image(&self, values: &[Bits]) -> Vec<u64> {
+        let mut store = vec![0; self.store_len()];
+        for (s, v) in values.iter().enumerate() {
+            for (w, &x) in v.as_words().iter().enumerate() {
+                store[self.base[s] + w * self.lanes..][..self.lanes].fill(x);
+            }
+        }
+        store
+    }
+
+    /// Slot `slot`'s value in a one-lane store.
+    pub fn read(&self, store: &[u64], slot: u32) -> Bits {
+        let mut b = Bits::zero(self.width(slot));
+        b.copy_from_words(&store[self.words(slot)]);
+        b
     }
 }
 

@@ -3,23 +3,20 @@
 //! Every narrow (≤ 64-bit) tape instruction maps to a short, fixed
 //! register-allocation sequence over the word-packed slot store behind
 //! `rdi`, and every wide bit-manipulation instruction (slices, concats,
-//! muxes, extensions, equality) unrolls into word loads and stores over a
-//! flat wide-word store behind `rsi` (see [`WideLayout`]). The only
-//! instructions left to the tape interpreter are division (microcoded),
-//! memory reads (they index a separate backing store), and the generic
-//! `eval_pure` fallback.
+//! muxes, extensions, equality) unrolls into word loads and stores over
+//! the engine's flat wide store behind `rsi` (see [`WideLayout`]). The
+//! only instructions left to the tape interpreter are division
+//! (microcoded), memory reads (they index a separate backing store), and
+//! the generic `eval_pure` fallback.
 //!
 //! Runs of parts (see `crate::tapeopt`) the emitter covers entirely compile
 //! into one function that also does the part loop's work inline
 //! ([`compile_run`]). A part that mixes both worlds is split into
-//! **chunks**: maximal
-//! supported runs become straight-line native functions, interposed
-//! unsupported runs interpret, and each interpreted chunk carries the wide
-//! slots it reads and writes so the driver can keep the flat store and the
-//! interpreter's `Bits` store coherent at chunk boundaries (jit-supported
-//! runs shorter than [`MIN_JIT_RUN`] are folded into their interpreted
-//! neighbors — a call plus boundary sync costs more than interpreting a
-//! couple of instructions).
+//! **chunks**: maximal supported runs become straight-line native
+//! functions and interposed unsupported runs interpret, both over the same
+//! two stores (jit-supported runs shorter than [`MIN_JIT_RUN`] are folded
+//! into their interpreted neighbors — a call costs more than interpreting
+//! a couple of instructions).
 //!
 //! The generated code reproduces `CompiledSimulator::eval_range` bit for
 //! bit, including the shared corner cases: shift amounts at or beyond the
@@ -35,78 +32,24 @@
 //! optimizer produces (`Mac` chains especially) otherwise pay a load per
 //! link.
 
-use hc_bits::Bits;
-
 use super::asm::{Asm, Cc, Reg};
 use crate::compiled::ActLayout;
-use crate::lower::{mask, CmpKind, GenericOp, Instr, Loc, Lowered};
+use crate::lower::{mask, CmpKind, Instr, Loc, Lowered, WideLayout};
 
-/// Word layout of the flat wide store: each wide slot owns
-/// `width.div_ceil(64)` consecutive little-endian words.
-#[derive(Debug)]
-pub(crate) struct WideLayout {
-    base: Vec<u32>,
-    width: Vec<u32>,
-    total: u32,
-}
-
+/// The emitter's addressing of a one-lane wide store, base pointer in
+/// `rsi`.
 impl WideLayout {
-    pub fn new(wide_init: &[Bits]) -> WideLayout {
-        let mut base = Vec::with_capacity(wide_init.len());
-        let mut width = Vec::with_capacity(wide_init.len());
-        let mut total = 0u32;
-        for b in wide_init {
-            base.push(total);
-            width.push(b.width());
-            total += b.width().div_ceil(64);
-        }
-        WideLayout { base, width, total }
-    }
-
-    /// Storage words of slot `slot`.
-    pub fn nwords(&self, slot: u32) -> u32 {
-        self.width[slot as usize].div_ceil(64)
-    }
-
-    /// First flat-store word index of slot `slot`.
-    pub fn base(&self, slot: u32) -> usize {
-        self.base[slot as usize] as usize
-    }
-
-    /// Length the flat store must be allocated with: every slot's words
-    /// plus one zeroed padding word, so the byte-aligned 8-byte loads
-    /// [`src_bits`] emits may safely over-read past the last slot.
-    pub fn store_len(&self) -> usize {
-        self.total as usize + 1
-    }
-
-    /// Declared bit-width of slot `slot`.
-    fn width(&self, slot: u32) -> u32 {
-        self.width[slot as usize]
-    }
-
     /// Byte displacement of word `word` of slot `slot` from `rsi`.
     fn disp(&self, slot: u32, word: u32) -> i32 {
-        let off = (i64::from(self.base[slot as usize]) + i64::from(word)) * 8;
+        let off = (self.base(slot) as i64 + i64::from(word)) * 8;
         i32::try_from(off).expect("wide word offset exceeds disp32")
     }
 
     /// Byte displacement of the byte containing bit `bit` of slot `slot`
     /// from `rsi` (the bit offset floored to its byte).
     fn byte_disp(&self, slot: u32, bit: u32) -> i32 {
-        let off = i64::from(self.base[slot as usize]) * 8 + i64::from(bit / 8);
+        let off = self.base(slot) as i64 * 8 + i64::from(bit / 8);
         i32::try_from(off).expect("wide byte offset exceeds disp32")
-    }
-
-    /// Mask for the top storage word of slot `slot` (all-ones when the
-    /// width is word-aligned).
-    fn tail_mask(&self, slot: u32) -> u64 {
-        let rem = self.width[slot as usize] % 64;
-        if rem == 0 {
-            u64::MAX
-        } else {
-            mask(rem)
-        }
     }
 }
 
@@ -116,24 +59,8 @@ pub(crate) enum StepPlan {
     /// Native code at byte offset `off` in the assembler buffer, covering
     /// `instrs` tape instructions.
     Jit { off: usize, instrs: u32 },
-    /// Interpret `tape[start..end]`; `pre` are the wide slots the run
-    /// reads (flat → `Bits` first), `post` the wide slots it writes
-    /// (`Bits` → flat after).
-    Interp {
-        start: u32,
-        end: u32,
-        pre: Vec<u32>,
-        post: Vec<u32>,
-    },
-}
-
-/// Execution plan for one part.
-#[derive(Debug)]
-pub(crate) struct SegmentPlan {
-    pub steps: Vec<StepPlan>,
-    /// Deduplicated wide slots written by this part's native chunks
-    /// (their `Bits` mirrors go stale until the driver syncs).
-    pub jit_writes: Vec<u32>,
+    /// Interpret `tape[start..end]`.
+    Interp { start: u32, end: u32 },
 }
 
 /// What generated part code needs to do the part loop's bookkeeping
@@ -205,15 +132,13 @@ fn mark_bits(a: &mut Asm, base: usize, bits: &[u32]) {
 /// are marked pending at its end. Straight-line code per part replaces
 /// the interpreter-side loop's indirect call and variable-length
 /// bookkeeping loops, whose mispredicted branches dominate a small part's
-/// cost. Returns each part's entry offset; wide slots the parts write
-/// are appended to `jit_writes`.
+/// cost. Returns each part's entry offset.
 pub(crate) fn compile_run(
     a: &mut Asm,
     lay: &WideLayout,
     books: &PartBooks,
     first: usize,
     end: usize,
-    jit_writes: &mut Vec<u32>,
 ) -> Vec<usize> {
     let low = books.low;
     let mut starts = Vec::with_capacity(end - first);
@@ -248,7 +173,6 @@ pub(crate) fn compile_run(
                     a.load(Reg::R11, d(slot));
                 }
                 emit(a, lay, instr, &mut st);
-                wide_writes(instr, &low.generic, jit_writes);
                 if let Some((slot, j)) = watch {
                     a.cmp_r_mem(Reg::R11, Reg::Rdi, d(slot));
                     let same = a.jcc_forward(Cc::E);
@@ -289,64 +213,6 @@ fn supported(instr: &Instr) -> bool {
             | Instr::MemReadW { .. }
             | Instr::Generic(_)
     )
-}
-
-/// Appends the wide slots `instr` reads to `out`.
-fn wide_reads(instr: &Instr, generic: &[GenericOp], out: &mut Vec<u32>) {
-    match *instr {
-        Instr::SliceW { src, .. } | Instr::SliceWW { src, .. } => out.push(src),
-        Instr::ConcatWWW { hi, lo, .. } => {
-            out.push(hi);
-            out.push(lo);
-        }
-        Instr::ConcatWWN { hi, .. } => out.push(hi),
-        Instr::ConcatWNW { lo, .. } => out.push(lo),
-        Instr::MuxW { t, f, .. } => {
-            out.push(t);
-            out.push(f);
-        }
-        Instr::EqW { a, b, .. } | Instr::NeW { a, b, .. } => {
-            out.push(a);
-            out.push(b);
-        }
-        Instr::CopyW { a, .. } => out.push(a),
-        Instr::MemReadN {
-            addr: Loc::W(s), ..
-        }
-        | Instr::MemReadW {
-            addr: Loc::W(s), ..
-        } => out.push(s),
-        Instr::Generic(g) => {
-            for (loc, _) in &generic[g as usize].args {
-                if let Loc::W(s) = loc {
-                    out.push(*s);
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Appends the wide slots `instr` writes to `out`.
-fn wide_writes(instr: &Instr, generic: &[GenericOp], out: &mut Vec<u32>) {
-    match *instr {
-        Instr::ConcatWNN { dst, .. }
-        | Instr::SliceWW { dst, .. }
-        | Instr::ConcatWWW { dst, .. }
-        | Instr::ConcatWWN { dst, .. }
-        | Instr::ConcatWNW { dst, .. }
-        | Instr::ZExtWN { dst, .. }
-        | Instr::SExtWN { dst, .. }
-        | Instr::MuxW { dst, .. }
-        | Instr::CopyW { dst, .. }
-        | Instr::MemReadW { dst, .. } => out.push(dst),
-        Instr::Generic(g) => {
-            if let Loc::W(s) = generic[g as usize].dst {
-                out.push(s);
-            }
-        }
-        _ => {}
-    }
 }
 
 /// Byte displacement of a narrow slot from the store base in `rdi`.
@@ -1244,14 +1110,14 @@ fn wide_cmp(a: &mut Asm, lay: &WideLayout, x: u32, y: u32, dst: u32, cc: Cc) {
 
 /// Plans `tape[start..end]`: supported runs compile to native chunks (one
 /// `ret`-terminated function each), unsupported runs become interpreter
-/// chunks annotated with their wide boundary slots.
+/// chunks.
 pub(crate) fn compile_segment(
     a: &mut Asm,
     lay: &WideLayout,
     low: &Lowered,
     start: usize,
     end: usize,
-) -> SegmentPlan {
+) -> Vec<StepPlan> {
     // Classify into maximal same-kind runs.
     let mut runs: Vec<(bool, usize, usize)> = Vec::new();
     for i in start..end {
@@ -1261,8 +1127,8 @@ pub(crate) fn compile_segment(
             _ => runs.push((s, i, i + 1)),
         }
     }
-    // In mixed parts, short native runs cost more in call + boundary sync
-    // than they save: fold them into their interpreted neighbors.
+    // In mixed parts, short native runs cost more in call overhead than
+    // they save: fold them into their interpreted neighbors.
     if runs.len() > 1 {
         for r in &mut runs {
             if r.0 && r.2 - r.1 < MIN_JIT_RUN {
@@ -1279,14 +1145,12 @@ pub(crate) fn compile_segment(
         runs = merged;
     }
     let mut steps = Vec::with_capacity(runs.len());
-    let mut jit_writes = Vec::new();
     for (native, s, e) in runs {
         if native {
             let off = a.len();
             let mut st = EmitState::new();
             for instr in &low.tape[s..e] {
                 emit(a, lay, instr, &mut st);
-                wide_writes(instr, &low.generic, &mut jit_writes);
             }
             a.ret();
             steps.push(StepPlan::Jit {
@@ -1294,25 +1158,11 @@ pub(crate) fn compile_segment(
                 instrs: (e - s) as u32,
             });
         } else {
-            let mut pre = Vec::new();
-            let mut post = Vec::new();
-            for instr in &low.tape[s..e] {
-                wide_reads(instr, &low.generic, &mut pre);
-                wide_writes(instr, &low.generic, &mut post);
-            }
-            pre.sort_unstable();
-            pre.dedup();
-            post.sort_unstable();
-            post.dedup();
             steps.push(StepPlan::Interp {
                 start: s as u32,
                 end: e as u32,
-                pre,
-                post,
             });
         }
     }
-    jit_writes.sort_unstable();
-    jit_writes.dedup();
-    SegmentPlan { steps, jit_writes }
+    steps
 }

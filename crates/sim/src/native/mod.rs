@@ -4,23 +4,17 @@
 //! same word-packed `u64` slot store, tape, part partition, dirty bits, and
 //! register/memory commit plans — and compiles each part (see
 //! `crate::tapeopt`) into straight-line x86-64 machine code at
-//! construction. Narrow instructions
-//! work directly on the shared narrow slot store; wide (> 64-bit) values
-//! get a second, flat array of storage words (one contiguous run per wide
-//! slot, base pointer in `rsi`) so slices, concats, muxes, extensions, and
-//! equality over wide values compile too. Only division, memory reads, and
+//! construction. Generated code works directly on the engine's own two
+//! stores: narrow instructions on the narrow slot store (base pointer in
+//! `rdi`), and slices, concats, muxes, extensions, and equality over wide
+//! (> 64-bit) values on its flat wide store (base pointer in `rsi`, laid
+//! out by `crate::lower::WideLayout`). Only division, memory reads, and
 //! the generic `eval_pure` fallback interpret; a part that contains them is
-//! split into chunks and only those instructions run interpreted.
-//!
-//! Coherence between the flat word store and the interpreter's `Bits`
-//! store is maintained at static boundaries: wide inputs and registers sync
-//! into the flat store before each evaluation, interpreted chunks sync
-//! their wide reads in and writes out, and the wide slots the step/commit
-//! logic or the output map consumes sync back after each evaluation.
-//! Arbitrary [`probe`](NativeSimulator::probe)s force a full resync first.
-//! Evaluation runs the tape engine's own part loop
-//! (`CompiledSimulator::eval_parts`), so only the parts whose inputs
-//! changed run, and the commit is the tape engine's gated commit.
+//! split into chunks and only those instructions run interpreted, on the
+//! same stores, so nothing is copied between the two tiers. Evaluation runs
+//! the tape engine's own part loop (`CompiledSimulator::eval_parts`), so
+//! only the parts whose inputs changed run, and the commit is the tape
+//! engine's gated commit.
 //!
 //! On non-x86-64/non-Linux targets, under `HC_NO_NATIVE=1`, or when the
 //! kernel refuses executable pages, no code is generated and the engine
@@ -49,20 +43,12 @@ use crate::lower::EngineOptions;
 use crate::{CompiledSimulator, SimBackend};
 
 /// One chunk of a part's runtime plan: call into the executable mapping,
-/// or interpret a tape range with flat↔`Bits` syncs at its edges.
+/// or interpret a tape range.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[derive(Debug)]
 enum Step {
-    Native {
-        f: exec::Entry,
-        instrs: u32,
-    },
-    Interp {
-        start: u32,
-        end: u32,
-        pre: Box<[u32]>,
-        post: Box<[u32]>,
-    },
+    Native { f: exec::Entry, instrs: u32 },
+    Interp { start: u32, end: u32 },
 }
 
 /// How one part runs.
@@ -80,35 +66,12 @@ enum PartPlan {
 }
 
 /// Everything the JIT tier owns: the executable mapping (which must
-/// outlive every resolved entry), the per-part plans, the flat wide-store
-/// layout, and the precomputed boundary sync lists.
+/// outlive every resolved entry) and the per-part plans.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[derive(Debug)]
 struct Jit {
     _mem: exec::ExecMemory,
     plans: Box<[PartPlan]>,
-    /// The flat store's layout. Wide register value slots sync `Bits` →
-    /// flat once per step, for the registers the commit changed. Together
-    /// with the write-through in `set`/`set_u64` (wide input ports) this
-    /// keeps the flat store current without any per-eval pre-sync pass.
-    lay: codegen::WideLayout,
-    /// JIT-written wide slots the commit's memory-write phase reads from
-    /// the `Bits` store (write addresses and data): flat → `Bits` once per
-    /// step, right before the commit. Output reads sync their single slot
-    /// lazily in `get`; register next-values are gathered straight from
-    /// the flat store (`wreg_from_flat`).
-    step_sync: Box<[u32]>,
-    /// Per wide register: whether its next-value slot is JIT-written, i.e.
-    /// fresh in the flat store after an eval. Such registers gather their
-    /// commit shadow from flat words, sparing the `Bits` round-trip.
-    wreg_from_flat: Box<[bool]>,
-    /// Every JIT-written wide slot: flat → `Bits` before an arbitrary
-    /// probe.
-    full_sync: Box<[u32]>,
-    /// `(port name, wide slot)` for each wide input port — the write-through
-    /// targets for `set`/`set_u64`. A module has at most a handful, so a
-    /// linear name scan beats hashing on the per-cycle stimulus path.
-    wide_inputs: Box<[(Box<str>, u32)]>,
 }
 
 /// Construction-time accounting for one engine instance (also folded into
@@ -148,33 +111,17 @@ impl Compiled {
     }
 }
 
-/// Copies one wide slot's `Bits` words into the flat store.
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-fn bits_to_flat(wide: &[Bits], wwords: &mut [u64], lay: &codegen::WideLayout, slot: u32) {
-    let b = &wide[slot as usize];
-    let base = lay.base(slot);
-    wwords[base..base + b.as_words().len()].copy_from_slice(b.as_words());
-}
-
-/// Copies one wide slot's flat words back into its `Bits` mirror. The JIT
-/// maintains the zero-top invariant, so the masking in `copy_from_words`
-/// is a no-op safety net.
-#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-fn flat_to_bits(wide: &mut [Bits], wwords: &[u64], lay: &codegen::WideLayout, slot: u32) {
-    let b = &mut wide[slot as usize];
-    let base = lay.base(slot);
-    let n = b.as_words().len();
-    b.copy_from_words(&wwords[base..base + n]);
-}
-
 /// Compiles every part. With gating on and profiling off, maximal runs
 /// of parts the emitter covers become one function each, doing the part
 /// loop's work inline; every other part gets chunk plans. Profiling keeps
 /// chunk plans throughout so its per-part histogram sees every part.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-fn compile(low: &crate::lower::Lowered, act: ActLayout, profile: bool) -> Compiled {
-    use crate::lower::Loc;
-
+fn compile(
+    low: &crate::lower::Lowered,
+    lay: &crate::lower::WideLayout,
+    act: ActLayout,
+    profile: bool,
+) -> Compiled {
     /// A part's code before the mapping exists.
     enum Code {
         Run { off: usize, end: u32 },
@@ -182,11 +129,9 @@ fn compile(low: &crate::lower::Lowered, act: ActLayout, profile: bool) -> Compil
     }
 
     let mut span = hc_obs::span("native_compile").with("module", low.module.name());
-    let lay = codegen::WideLayout::new(&low.wide_init);
     let books = codegen::PartBooks::new(low, act);
     let fuse = low.gate && !profile;
     let mut asm = asm::Asm::new();
-    let mut jit_written: Vec<u32> = Vec::new();
     let mut codes = Vec::with_capacity(low.parts.len());
     let mut k = 0;
     while k < low.parts.len() {
@@ -194,7 +139,7 @@ fn compile(low: &crate::lower::Lowered, act: ActLayout, profile: bool) -> Compil
             let end = (k..low.parts.len())
                 .find(|&e| !books.native(e))
                 .unwrap_or(low.parts.len());
-            let entries = codegen::compile_run(&mut asm, &lay, &books, k, end, &mut jit_written);
+            let entries = codegen::compile_run(&mut asm, lay, &books, k, end);
             codes.extend(entries.into_iter().map(|off| Code::Run {
                 off,
                 end: end as u32,
@@ -202,10 +147,9 @@ fn compile(low: &crate::lower::Lowered, act: ActLayout, profile: bool) -> Compil
             k = end;
         } else {
             let seg = low.parts[k];
-            let plan =
-                codegen::compile_segment(&mut asm, &lay, low, seg.start as usize, seg.end as usize);
-            jit_written.extend_from_slice(&plan.jit_writes);
-            codes.push(Code::Chunks(plan.steps));
+            let steps =
+                codegen::compile_segment(&mut asm, lay, low, seg.start as usize, seg.end as usize);
+            codes.push(Code::Chunks(steps));
             k += 1;
         }
     }
@@ -253,72 +197,15 @@ fn compile(low: &crate::lower::Lowered, act: ActLayout, profile: bool) -> Compil
                             f: unsafe { mem.entry(off) },
                             instrs,
                         },
-                        codegen::StepPlan::Interp {
-                            start,
-                            end,
-                            pre,
-                            post,
-                        } => Step::Interp {
-                            start,
-                            end,
-                            pre: pre.into_boxed_slice(),
-                            post: post.into_boxed_slice(),
-                        },
+                        codegen::StepPlan::Interp { start, end } => Step::Interp { start, end },
                     })
                     .collect(),
             ),
         })
         .collect();
 
-    jit_written.sort_unstable();
-    jit_written.dedup();
-
-    // Wide register value slots, refreshed by the per-step commit; wide
-    // input ports write through at set time instead.
-
-    let mut wide_inputs: Vec<(Box<str>, u32)> = low
-        .input_index
-        .iter()
-        .filter_map(|(name, &i)| match low.input_locs[i].0 {
-            Loc::W(s) => Some((name.clone().into_boxed_str(), s)),
-            Loc::N(_) => None,
-        })
-        .collect();
-    wide_inputs.sort();
-
-    // Wide slots the commit's memory-write phase reads from the `Bits`
-    // store: write addresses and data. Register next-values gather from
-    // flat words directly, and output reads sync lazily in `get`.
-    let mut hot: Vec<u32> = Vec::new();
-    for w in low.nmem_writes.iter().chain(&low.wmem_writes) {
-        if let Loc::W(s) = w.addr {
-            hot.push(s);
-        }
-    }
-    hot.extend(low.wmem_writes.iter().map(|w| w.data));
-    hot.sort_unstable();
-    hot.dedup();
-    let step_sync: Vec<u32> = jit_written
-        .iter()
-        .copied()
-        .filter(|s| hot.binary_search(s).is_ok())
-        .collect();
-    let wreg_from_flat: Vec<bool> = low
-        .wregs
-        .iter()
-        .map(|r| jit_written.binary_search(&r.next).is_ok())
-        .collect();
-
     Compiled {
-        jit: Some(Jit {
-            _mem: mem,
-            plans,
-            lay,
-            step_sync: step_sync.into_boxed_slice(),
-            full_sync: jit_written.into_boxed_slice(),
-            wide_inputs: wide_inputs.into_boxed_slice(),
-            wreg_from_flat: wreg_from_flat.into_boxed_slice(),
-        }),
+        jit: Some(Jit { _mem: mem, plans }),
         compiled: fully,
         fallback: low.parts.len() - fully,
         bytes,
@@ -335,13 +222,6 @@ pub struct NativeSimulator {
     sim: CompiledSimulator,
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     jit: Option<Jit>,
-    /// Flat word image of every wide slot (empty when no code was
-    /// generated).
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-    wwords: Vec<u64>,
-    /// Whether JIT-written wide slots are ahead of their `Bits` mirrors.
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-    flat_ahead: bool,
     report: NativeReport,
 }
 
@@ -370,34 +250,21 @@ impl NativeSimulator {
             let c = if hc_obs::config().no_native {
                 Compiled::none(sim.low.parts.len())
             } else {
-                compile(&sim.low, sim.lay, sim.prof.is_some())
+                compile(&sim.low, &sim.wlay, sim.lay, sim.prof.is_some())
             };
             hc_obs::metrics::counter("sim.native.cones_compiled").add(c.compiled as u64);
             hc_obs::metrics::counter("sim.native.fallback_cones").add(c.fallback as u64);
             hc_obs::metrics::counter("sim.native.bytes_emitted").add(c.bytes as u64);
-            let mut this = NativeSimulator {
+            Ok(NativeSimulator {
                 sim,
                 jit: c.jit,
-                wwords: Vec::new(),
-                flat_ahead: false,
                 report: NativeReport {
                     cones_compiled: c.compiled,
                     cones_fallback: c.fallback,
                     code_bytes: c.bytes,
                     native_cone_evals: 0,
                 },
-            };
-            if let Some(jit) = this.jit.as_ref() {
-                // Seed the flat store from the full Bits image (constants
-                // and register initial values included). `store_len` adds a
-                // zeroed padding word so the generated code's byte-aligned
-                // loads may over-read past the last slot.
-                this.wwords = vec![0u64; jit.lay.store_len()];
-                for s in 0..this.sim.wide.len() as u32 {
-                    bits_to_flat(&this.sim.wide, &mut this.wwords, &jit.lay, s);
-                }
-            }
-            Ok(this)
+            })
         }
         #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
         {
@@ -450,8 +317,6 @@ impl NativeSimulator {
     /// Panics if no input named `name` exists or the width differs.
     pub fn set(&mut self, name: &str, value: Bits) {
         self.sim.set(name, value);
-        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-        self.sync_wide_input(name);
     }
 
     /// Drives an input port from a `u64` (truncated to the port width).
@@ -461,21 +326,6 @@ impl NativeSimulator {
     /// Panics if no input named `name` exists.
     pub fn set_u64(&mut self, name: &str, value: u64) {
         self.sim.set_u64(name, value);
-        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-        self.sync_wide_input(name);
-    }
-
-    /// Write-through for a wide input port: mirrors its fresh `Bits` value
-    /// into the flat store at set time, so evaluation needs no per-eval
-    /// input sync. Narrow ports live in the shared narrow store and need
-    /// nothing.
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-    fn sync_wide_input(&mut self, name: &str) {
-        if let Some(jit) = self.jit.as_ref() {
-            if let Some(&(_, s)) = jit.wide_inputs.iter().find(|(n, _)| &**n == name) {
-                bits_to_flat(&self.sim.wide, &mut self.wwords, &jit.lay, s);
-            }
-        }
     }
 
     /// Settles combinational logic: dirty parts execute their chunk plans
@@ -491,35 +341,28 @@ impl NativeSimulator {
 
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     fn eval_jit(&mut self) {
-        // The flat store is already current: construction/reset seed it,
-        // wide input sets write through, and `step` re-syncs committed
-        // register values.
-        let NativeSimulator {
-            sim,
-            jit,
-            wwords,
-            flat_ahead,
-            report,
-        } = self;
+        let NativeSimulator { sim, jit, report } = self;
         let jit = jit.as_ref().expect("eval_jit requires compiled code");
-        let mut any_native = false;
         sim.eval_parts(|sim, k| match &jit.plans[k] {
-            // The tape invariants (operand slots in range and below their
-            // destination; the layout sized from the same `wide_init`;
-            // part, reader and register numbers below the bitset sizes
-            // the activity array was allocated with) make every generated
-            // load and store in-bounds for the three arrays.
             PartPlan::Run { f, end } => {
                 let ran = sim.act[sim.lay.ran_at];
+                // SAFETY: the code was emitted from this engine's tape
+                // against its own `wlay`, and the tape invariants (operand
+                // slots in range and below their destination; part, reader
+                // and register numbers below the bitset sizes the activity
+                // array was allocated with) keep every generated load and
+                // store inside the three arrays. The wide store is
+                // allocated once, by `wlay.image`, with `wlay.store_len()`
+                // words (the padding word the byte-aligned loads may
+                // over-read included), and never resized.
                 unsafe {
                     f(
                         sim.narrow.as_mut_ptr(),
-                        wwords.as_mut_ptr(),
+                        sim.wide.as_mut_ptr(),
                         sim.act.as_mut_ptr(),
                     );
                 };
                 report.native_cone_evals += sim.act[sim.lay.ran_at] - ran;
-                any_native = true;
                 Ran::Through(*end as usize)
             }
             PartPlan::Chunks(steps) => {
@@ -528,22 +371,13 @@ impl NativeSimulator {
                     for step in &**steps {
                         match step {
                             Step::Native { f, instrs } => {
-                                unsafe { f(sim.narrow.as_mut_ptr(), wwords.as_mut_ptr()) };
+                                // SAFETY: as for `PartPlan::Run`, without the
+                                // activity array.
+                                unsafe { f(sim.narrow.as_mut_ptr(), sim.wide.as_mut_ptr()) };
                                 native_instrs += u64::from(*instrs);
                             }
-                            Step::Interp {
-                                start,
-                                end,
-                                pre,
-                                post,
-                            } => {
-                                for &s in &**pre {
-                                    flat_to_bits(&mut sim.wide, wwords, &jit.lay, s);
-                                }
+                            Step::Interp { start, end } => {
                                 sim.eval_range(*start as usize, *end as usize);
-                                for &s in &**post {
-                                    bits_to_flat(&sim.wide, wwords, &jit.lay, s);
-                                }
                                 if let Some(p) = sim.prof.as_deref_mut() {
                                     p.record_ops(&sim.low, *start as usize, *end as usize);
                                 }
@@ -552,7 +386,6 @@ impl NativeSimulator {
                     }
                     if native_instrs > 0 {
                         report.native_cone_evals += 1;
-                        any_native = true;
                     }
                     if let Some(p) = sim.prof.as_deref_mut() {
                         p.record_part(k);
@@ -562,28 +395,6 @@ impl NativeSimulator {
                 Ran::Part
             }
         });
-        if any_native {
-            // `Bits` mirrors of JIT-written slots are now stale; they catch
-            // up lazily — per output slot in `get`, for the step-hot set
-            // right before the commit, and in full before a probe.
-            *flat_ahead = true;
-        }
-    }
-
-    /// Syncs one output port's wide slot flat → `Bits` if the JIT wrote it
-    /// since the mirrors were last refreshed. Narrow outputs live in the
-    /// shared narrow store and are always current.
-    #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-    fn sync_wide_output(&mut self, name: &str) {
-        if self.flat_ahead {
-            if let Some(jit) = self.jit.as_ref() {
-                if let (crate::lower::Loc::W(s), _) = self.sim.low.output_loc(name) {
-                    if jit.full_sync.binary_search(&s).is_ok() {
-                        flat_to_bits(&mut self.sim.wide, &self.wwords, &jit.lay, s);
-                    }
-                }
-            }
-        }
     }
 
     /// Reads an output port (evaluating first if necessary).
@@ -593,8 +404,6 @@ impl NativeSimulator {
     /// Panics if no output named `name` exists.
     pub fn get(&mut self, name: &str) -> Bits {
         self.eval();
-        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-        self.sync_wide_output(name);
         self.sim.get(name)
     }
 
@@ -606,8 +415,6 @@ impl NativeSimulator {
     /// Panics if no output named `name` exists.
     pub fn get_u64(&mut self, name: &str) -> u64 {
         self.eval();
-        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-        self.sync_wide_output(name);
         self.sim.get_u64(name)
     }
 
@@ -633,15 +440,6 @@ impl NativeSimulator {
     /// Reads the settled value of an arbitrary node (for probing).
     pub fn probe(&mut self, node: NodeId) -> Bits {
         self.eval();
-        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-        if self.flat_ahead {
-            if let Some(jit) = self.jit.as_ref() {
-                for &s in &*jit.full_sync {
-                    flat_to_bits(&mut self.sim.wide, &self.wwords, &jit.lay, s);
-                }
-            }
-            self.flat_ahead = false;
-        }
         self.sim.probe(node)
     }
 
@@ -658,54 +456,7 @@ impl NativeSimulator {
     /// engine's double-buffered commit).
     pub fn step(&mut self) {
         self.eval();
-        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-        if let Some(jit) = self.jit.as_ref() {
-            if self.flat_ahead {
-                // The commit's memory-write phase reads addresses/data
-                // from the `Bits` store; refresh the JIT-written ones.
-                for &s in &*jit.step_sync {
-                    flat_to_bits(&mut self.sim.wide, &self.wwords, &jit.lay, s);
-                }
-                // Gather the pending wide registers' commit shadows here
-                // (phase 1 of the commit), reading next-values straight
-                // from the flat store where the JIT produced them.
-                let nregs = self.sim.low.nregs.len();
-                let lay = self.sim.lay;
-                let pending = &self.sim.act[lay.pend_at + nregs / 64..lay.ran_at];
-                crate::compiled::for_each_bit(pending, |r| {
-                    let Some(i) = (nregs / 64 * 64 + r).checked_sub(nregs) else {
-                        return;
-                    };
-                    let p = &self.sim.low.wregs[i];
-                    let reset = p.reset.is_some_and(|r| self.sim.narrow[r as usize] != 0);
-                    let shadow = &mut self.sim.wreg_shadow[i];
-                    if reset {
-                        shadow.clone_from(&p.init);
-                    } else if p.en.is_none_or(|e| self.sim.narrow[e as usize] != 0) {
-                        if jit.wreg_from_flat[i] {
-                            let base = jit.lay.base(p.next);
-                            let n = shadow.as_words().len();
-                            shadow.copy_from_words(&self.wwords[base..base + n]);
-                        } else {
-                            shadow.clone_from(&self.sim.wide[p.next as usize]);
-                        }
-                    } else {
-                        shadow.clone_from(&self.sim.wide[p.slot as usize]);
-                    }
-                });
-                self.sim.wreg_shadow_ready = true;
-            }
-        }
         self.sim.step();
-        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-        if let Some(jit) = self.jit.as_ref() {
-            // The commit refreshed the changed wide registers' `Bits`
-            // values; write them through to the flat store.
-            for &i in &self.sim.wide_changed {
-                let s = self.sim.low.wregs[i as usize].slot;
-                bits_to_flat(&self.sim.wide, &mut self.wwords, &jit.lay, s);
-            }
-        }
     }
 
     /// Runs `n` clock cycles with the current inputs held.
@@ -718,16 +469,6 @@ impl NativeSimulator {
     /// Hard power-on reset (see [`CompiledSimulator::reset`]).
     pub fn reset(&mut self) {
         self.sim.reset();
-        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-        if let Some(jit) = self.jit.as_ref() {
-            // Re-seed the whole flat store; temps are equally stale in
-            // both images and every part is dirty, so the first eval
-            // rebuilds them in order.
-            for s in 0..self.sim.wide.len() as u32 {
-                bits_to_flat(&self.sim.wide, &mut self.wwords, &jit.lay, s);
-            }
-            self.flat_ahead = false;
-        }
     }
 }
 
@@ -928,6 +669,98 @@ mod tests {
             }
             assert_eq!(native.get("q1"), oracle.get("q1"), "({a},{v},{w})");
         }
+    }
+
+    /// An interpreted wide memory read whose readers (wide slices, wide
+    /// concats of every shape, a wide mux) compile natively. A wide temp's
+    /// readers share its part, so this part runs as an interpreted chunk
+    /// and a native chunk over one wide store. Returns the module and the
+    /// wide-to-wide slice `mid`, a JIT-written node that no port exposes.
+    fn mixed_wide_module() -> (Module, NodeId) {
+        let mut m = Module::new("mixed_wide");
+        let row = m.input("row", 96);
+        let addr = m.input("addr", 2);
+        let we = m.input("we", 1);
+        let buf = m.mem("buf", 96, 4);
+        m.mem_write(buf, addr, row, we);
+        let q = m.mem_read(buf, addr);
+        let lo = m.slice(q, 0, 40);
+        let hi = m.slice(q, 40, 56);
+        let swapped = m.concat(lo, hi);
+        let both = m.concat(q, row);
+        let mid = m.slice(both, 52, 96);
+        let r = m.reg("acc", 96, Bits::from_u64(96, 0x5a5a));
+        let acc = m.reg_out(r);
+        let next = m.mux(we, mid, swapped);
+        m.connect_reg(r, next);
+        let tag = m.slice(acc, 90, 6);
+        let tagged = m.concat(tag, q);
+        let low = m.slice(row, 0, 8);
+        let padded = m.concat(acc, low);
+        m.output("swapped", swapped);
+        m.output("tagged", tagged);
+        m.output("padded", padded);
+        m.output("acc", acc);
+        (m, mid)
+    }
+
+    /// The points where the scalar JIT once had to copy wide values
+    /// between its code's store and the interpreter's: a probe of a
+    /// JIT-written node between steps, a wide output read with no step in
+    /// between, a wide input held across cycles, and a hard reset mid-run.
+    #[test]
+    fn mixed_wide_part_matches_interpreter_at_every_read() {
+        let (module, mid) = mixed_wide_module();
+        let mut native = NativeSimulator::new(module.clone()).unwrap();
+        let mut oracle = crate::Simulator::new(module).unwrap();
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        if !hc_obs::config().no_native {
+            let plans = &native.jit.as_ref().expect("code generated").plans;
+            let mixed = plans.iter().any(|p| match p {
+                PartPlan::Chunks(steps) => {
+                    steps.iter().any(|s| matches!(s, Step::Interp { .. }))
+                        && steps.iter().any(|s| matches!(s, Step::Native { .. }))
+                }
+                PartPlan::Run { .. } => false,
+            });
+            assert!(mixed, "no part mixes interpreted and native chunks");
+        }
+        let outs = ["swapped", "tagged", "padded", "acc"];
+        let check = |native: &mut NativeSimulator, oracle: &mut crate::Simulator, at: &str| {
+            for out in outs {
+                assert_eq!(native.get(out), oracle.get(out), "{out} {at}");
+            }
+            assert_eq!(native.probe(mid), oracle.probe(mid), "mid {at}");
+            assert_eq!(native.peek_reg("acc"), oracle.peek_reg("acc"), "acc {at}");
+        };
+        let mut t = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut row = Bits::zero(96);
+        for cycle in 0..48u64 {
+            // A fresh row every fourth cycle; held in between.
+            if cycle % 4 == 0 {
+                t = t.wrapping_mul(6364136223846793005).wrapping_add(1);
+                row.deposit_u64(0, 64, t);
+                row.deposit_u64(64, 32, t >> 17);
+                native.set("row", row.clone());
+                oracle.set("row", row.clone());
+            }
+            for s in [&mut native as &mut dyn SimBackend, &mut oracle] {
+                s.set_u64("addr", cycle % 3);
+                s.set_u64("we", u64::from(cycle % 5 != 2));
+            }
+            // Probe and read before the step, with no step since the sets.
+            assert_eq!(native.probe(mid), oracle.probe(mid), "mid before {cycle}");
+            check(&mut native, &mut oracle, &format!("before step {cycle}"));
+            native.step();
+            oracle.step();
+            check(&mut native, &mut oracle, &format!("after step {cycle}"));
+            if cycle == 29 {
+                native.reset();
+                oracle.reset();
+                check(&mut native, &mut oracle, "after reset");
+            }
+        }
+        assert_eq!(native.cycle(), oracle.cycle());
     }
 
     /// `HC_NO_NATIVE=1` at construction must disable codegen entirely.

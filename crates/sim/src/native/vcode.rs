@@ -19,12 +19,12 @@
 //! its slot at that point.
 //!
 //! Wide slots (> 64 bits) vectorize too: the wide store is word-major,
-//! lane-minor (`wbase[s] + w*lanes + lane`), so each storage word of a
-//! wide slot is its own lane vector and the slice/concat/mux family
-//! compiles to per-word funnel shifts with instruction-constant counts
-//! (the wide base pointer arrives in `rsi`). Wide-destination recipes
-//! store every destination word themselves and leave the narrow
-//! forwarding register untouched.
+//! lane-minor (`base(s) + w*lanes + lane`, see `crate::lower::WideLayout`),
+//! so each storage word of a wide slot is its own lane vector and the
+//! slice/concat/mux family compiles to per-word funnel shifts with
+//! instruction-constant counts (the wide base pointer arrives in `rsi`).
+//! Wide-destination recipes store every destination word themselves and
+//! leave the narrow forwarding register untouched.
 //!
 //! Three conventions keep the generated code self-contained:
 //!
@@ -52,7 +52,7 @@ use std::collections::HashMap;
 
 use super::asm::{Asm, Reg, Ymm};
 use super::exec;
-use crate::lower::{CmpKind, Instr, Lowered};
+use crate::lower::{CmpKind, Instr, Lowered, WideLayout};
 
 /// Shortest vectorizable run compiled as native code mid-cone; shorter
 /// runs between fallbacks stay interpreted (call overhead parity with the
@@ -231,21 +231,6 @@ fn nmask(width: u32) -> u64 {
     }
 }
 
-/// Top-word mask for a wide width (`u64::MAX` when the width fills the
-/// word) — the invariant-zero bits above a wide slot's width.
-fn top_mask(width: u32) -> u64 {
-    nmask(((width + 63) % 64) + 1)
-}
-
-/// The wide store's layout, borrowed from the engine: flat word offset
-/// (already × lanes), storage words, and bit width per wide slot.
-#[derive(Clone, Copy)]
-struct WideLayout<'a> {
-    wbase: &'a [usize],
-    wwords: &'a [usize],
-    wwidth: &'a [u32],
-}
-
 /// What the engine can read of the narrow store, per slot: whether any
 /// non-tape reader exists (`live` — output ports, inputs, register
 /// current values, commit-plan operands, memory-write plans) and how many
@@ -403,11 +388,7 @@ pub(crate) fn compile(sim: &crate::BatchedSimulator) -> VCompiled {
     {
         return VCompiled::none(low.comps.len());
     }
-    let wlay = WideLayout {
-        wbase: &sim.wbase,
-        wwords: &sim.wwords,
-        wwidth: &sim.wwidth,
-    };
+    let wlay = &sim.wlay;
     let mut span = hc_obs::span("native_batched_compile").with("module", low.module.name());
     let ext = ext_live(low);
     let mut asm = Asm::new();
@@ -475,7 +456,7 @@ fn compile_segment(
     pool: &mut Pool,
     low: &Lowered,
     lanes: usize,
-    wlay: WideLayout<'_>,
+    wlay: &WideLayout,
     ext: &ExtLive,
     start: usize,
     end: usize,
@@ -549,7 +530,7 @@ struct Ctx<'a> {
     asm: &'a mut Asm,
     pool: &'a mut Pool,
     lanes: usize,
-    wlay: WideLayout<'a>,
+    wlay: &'a WideLayout,
     cregs: [Option<u64>; 4],
     next: usize,
     /// Bank-register bindings (reset per lane group — the values are
@@ -582,7 +563,7 @@ impl Ctx<'_> {
     /// Byte displacement of wide slot `slot`'s storage word `word`, lane
     /// group starting at `base` (the wide base pointer arrives in `rsi`).
     fn wdisp(&self, slot: u32, word: usize, base: usize) -> i32 {
-        ((self.wlay.wbase[slot as usize] + word * self.lanes + base) * 8) as i32
+        ((self.wlay.base(slot) + word * self.lanes + base) * 8) as i32
     }
 
     /// Loads one storage word's lane group of a wide slot.
@@ -609,8 +590,8 @@ impl Ctx<'_> {
     }
 
     /// Storage words of wide slot `s`.
-    fn wwords(&self, s: u32) -> usize {
-        self.wlay.wwords[s as usize]
+    fn nwords(&self, s: u32) -> usize {
+        self.wlay.nwords(s) as usize
     }
 
     /// One destination word of a wide funnel read: bits `[off, off + 64)`
@@ -622,7 +603,7 @@ impl Ctx<'_> {
         self.wload(S0, src, sw, base);
         let v = if sh == 0 {
             S0
-        } else if sw + 1 < self.wwords(src) {
+        } else if sw + 1 < self.nwords(src) {
             self.wload(S1, src, sw + 1, base);
             self.asm.vpsrlq_imm(T0, S0, sh);
             self.asm.vpsllq_imm(T1, S1, 64 - sh);
@@ -836,7 +817,7 @@ impl Ctx<'_> {
                 // Lane-consistent byte mask: all-ones where sel == 0,
                 // picking `f`; persists in T2 across the word loop.
                 self.asm.vpcmpeqq(T2, selv, z);
-                for w in 0..self.wwords(dst) {
+                for w in 0..self.nwords(dst) {
                     self.wload(S0, t, w, base);
                     self.wload(S1, f, w, base);
                     self.asm.vpblendvb(T1, S0, S1, T2);
@@ -844,12 +825,12 @@ impl Ctx<'_> {
                 }
             }
             Instr::SliceWW { src, dst, lo } => {
-                let dwords = self.wwords(dst);
+                let dwords = self.nwords(dst);
                 for w in 0..dwords {
                     // Only the top word needs the invariant-zero mask; the
                     // funnel read can drag in source bits above the slice.
                     let m = if w + 1 == dwords {
-                        top_mask(self.wlay.wwidth[dst as usize])
+                        self.wlay.tail_mask(dst)
                     } else {
                         u64::MAX
                     };
@@ -901,10 +882,10 @@ impl Ctx<'_> {
         let base_w = (lo_w / 64) as usize;
         let sh = lo_w % 64;
         let swords = match hi {
-            WSrc::Wide(s) => self.wwords(s),
+            WSrc::Wide(s) => self.nwords(s),
             WSrc::Narrow(_) => 1,
         };
-        for w in 0..self.wwords(dst) {
+        for w in 0..self.nwords(dst) {
             // Accumulate this word's terms in T0.
             let mut have = false;
             match lo {
@@ -917,7 +898,7 @@ impl Ctx<'_> {
                     }
                 }
                 WSrc::Wide(s) => {
-                    if w < self.wwords(s) {
+                    if w < self.nwords(s) {
                         self.wload(T0, s, w, base);
                         have = true;
                     }
@@ -1421,7 +1402,7 @@ fn emit_chunk(
     pool: &mut Pool,
     instrs: &[Instr],
     lanes: usize,
-    wlay: WideLayout<'_>,
+    wlay: &WideLayout,
     ext: &ExtLive,
 ) -> usize {
     let off = asm.len();

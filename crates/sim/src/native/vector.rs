@@ -4,12 +4,12 @@
 //! construction, compiles each combinational cone into straight-line AVX2
 //! machine code over the wrapped engine's structure-of-arrays lane store
 //! (see `super::vcode`): four lanes per `ymm`, fully unrolled to the
-//! configured lane count, ragged tails handled with masked stores. The
-//! scalar JIT's split-store coherence machinery has no counterpart here —
-//! generated code and interpreted fallback chunks read and write the
-//! *same* SoA arrays, so there is nothing to synchronize, ever. Dirty-bit
-//! cone gating is preserved: a quiescent cone skips its chunks exactly as
-//! in the interpreter.
+//! configured lane count, ragged tails handled with masked stores. As in
+//! the scalar JIT, generated code and interpreted fallback chunks read
+//! and write the *same* arrays (the wide ones laid out by the shared
+//! `crate::lower::WideLayout`), so there is nothing to synchronize.
+//! Dirty-bit cone gating is preserved: a quiescent cone skips its chunks
+//! exactly as in the interpreter.
 //!
 //! The vector tier engages only when all of these hold at construction:
 //!

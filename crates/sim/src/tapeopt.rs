@@ -1706,8 +1706,8 @@ fn partition(low: &mut Lowered) {
 /// close, under the constraint that a destination id stays strictly greater
 /// than every operand id — preserving the engines' `split_at_mut` invariant
 /// while shrinking the working set. The wide store is compacted by an
-/// order-preserving dense renumber (wide values are heap-backed, so reuse
-/// across widths is not worth the bookkeeping). One zeroed scratch slot is
+/// order-preserving dense renumber (wide slots differ in word count, so
+/// reuse across widths is not worth the bookkeeping). One zeroed scratch slot is
 /// appended for debug locations whose value no longer exists.
 #[allow(clippy::too_many_lines)]
 fn reallocate(low: &mut Lowered) {

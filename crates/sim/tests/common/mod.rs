@@ -1,7 +1,8 @@
 //! Shared random-module generator and stimulus driver for the
 //! differential suites: a recipe-based builder covering both value
-//! representations (narrow `u64` slots and wide values), registers with
-//! enables and synchronous resets, and a multi-port memory.
+//! representations (narrow `u64` slots and wide values), wide concats and
+//! wide-to-wide slices, registers with enables and synchronous resets, and
+//! two memories (one narrow with two write ports, one wide).
 #![allow(dead_code)] // each test crate uses a subset
 
 use hc_bits::Bits;
@@ -11,7 +12,7 @@ use proptest::prelude::*;
 
 /// Width of the narrow value pool — fits a single `u64` slot.
 pub const WIDTH: u32 = 12;
-/// Width of the wide value pool — forces the `Bits` side table.
+/// Width of the wide value pool — forces the engines' wide stores.
 pub const WIDE: u32 = 80;
 
 /// A recipe for one node, interpreted against the pools built so far.
@@ -32,6 +33,12 @@ pub enum Step {
     Narrow(u8, usize),
     /// Wide comparison, zero-extended into the narrow pool.
     WideCompare(bool, usize, usize),
+    /// Concatenation with a wide result; the first field picks the halves
+    /// (narrow/narrow, wide/wide, wide/narrow or narrow/wide). Two narrow
+    /// halves split `WIDE` at a point picked by the last field; the other
+    /// shapes come out wider than `WIDE` and are sliced back down
+    /// wide-to-wide at an offset picked by it.
+    WideConcat(u8, usize, usize, u8),
 }
 
 pub fn step_strategy() -> impl Strategy<Value = Step> {
@@ -47,13 +54,15 @@ pub fn step_strategy() -> impl Strategy<Value = Step> {
         (0u8..6, any::<usize>()).prop_map(|(op, a)| Step::Narrow(op, a)),
         (any::<bool>(), any::<usize>(), any::<usize>())
             .prop_map(|(eq, a, b)| Step::WideCompare(eq, a, b)),
+        (0u8..4, any::<usize>(), any::<usize>(), any::<u8>())
+            .prop_map(|(kind, a, b, at)| Step::WideConcat(kind, a, b, at)),
     ]
 }
 
 /// Builds a module with three narrow inputs, one wide input, an enabled +
-/// resettable register pair (one narrow, one wide) and a small memory.
-/// Every narrow intermediate is `WIDTH` bits and every wide one `WIDE`
-/// bits, so recipes always type-check.
+/// resettable register pair (one narrow, one wide) and two small memories
+/// (one narrow, one wide). Every narrow intermediate is `WIDTH` bits and
+/// every wide one `WIDE` bits, so recipes always type-check.
 pub fn build(steps: &[Step]) -> Module {
     let mut m = Module::new("differential");
     let mut narrow: Vec<NodeId> = vec![
@@ -67,7 +76,11 @@ pub fn build(steps: &[Step]) -> Module {
     let r0 = m.reg("r0", WIDTH, Bits::from_i64(WIDTH, -5));
     let wr = m.reg("wr", WIDE, Bits::from_i64(WIDE, -1));
     narrow.push(m.reg_out(r0));
-    let mut wide: Vec<NodeId> = vec![wi, m.reg_out(wr)];
+    // A wide memory read at a wide address (the wide input's low word)
+    // joins the wide pool; the write port follows the recipes.
+    let wmem = m.mem("wscratch", WIDE, 4);
+    let wrd = m.mem_read(wmem, wi);
+    let mut wide: Vec<NodeId> = vec![wi, m.reg_out(wr), wrd];
 
     for step in steps {
         let pick = |i: usize| narrow[i % narrow.len()];
@@ -186,6 +199,24 @@ pub fn build(steps: &[Step]) -> Module {
                 let node = m.zext(c, WIDTH);
                 narrow.push(node);
             }
+            Step::WideConcat(kind, a, b, at) => {
+                let node = if kind % 4 == 0 {
+                    let lo_w = [17, 40, 64][usize::from(at % 3)];
+                    let hi = m.zext(pick(a), WIDE - lo_w);
+                    let lo = m.sext(pick(b), lo_w);
+                    m.concat(hi, lo)
+                } else {
+                    let (hi, lo) = match kind % 4 {
+                        1 => (pick_w(a), pick_w(b)),
+                        2 => (pick_w(a), pick(b)),
+                        _ => (pick(a), pick_w(b)),
+                    };
+                    let cat = m.concat(hi, lo);
+                    let spare = m.width(cat) - WIDE;
+                    m.slice(cat, u32::from(at) % (spare + 1), WIDE)
+                };
+                wide.push(node);
+            }
         }
     }
 
@@ -201,17 +232,24 @@ pub fn build(steps: &[Step]) -> Module {
     let raddr = m.slice(first, 0, 3);
     let rd = m.mem_read(mem, raddr);
     narrow.push(rd);
+    let wlast = *wide.last().unwrap();
+    let wwaddr = m.slice(first, 3, 2);
+    let wwen = m.slice(last, 3, 1);
+    m.mem_write(wmem, wwaddr, wlast, wwen);
 
-    // Close the feedback loops: r0 has an enable and a reset, wr is plain.
+    // Close the feedback loops: both registers have an enable and a reset.
     let en = m.slice(mid, 0, 1);
     m.connect_reg(r0, rd);
     m.reg_en(r0, en);
     m.reg_reset(r0, rst);
-    m.connect_reg(wr, *wide.last().unwrap());
+    let wen = m.slice(first, 0, 1);
+    m.connect_reg(wr, wlast);
+    m.reg_en(wr, wen);
+    m.reg_reset(wr, rst);
 
     m.output("y0", last);
     m.output("y1", rd);
-    m.output("yw", *wide.last().unwrap());
+    m.output("yw", wlast);
     m
 }
 

@@ -3,10 +3,10 @@
 //!
 //! Random module generation covers both value representations of the
 //! compiled store (narrow values packed in `u64` slots and wide values in
-//! the `Bits` side table), registers with enables and synchronous resets,
-//! and a memory with multiple write ports. Both engines run the same
-//! random stimulus; per-cycle outputs, final register state and cycle
-//! counts must agree exactly.
+//! flat words), registers with enables and synchronous resets, and narrow
+//! and wide memories. Both engines run the same random stimulus;
+//! per-cycle outputs, final register state and cycle counts must agree
+//! exactly.
 //!
 //! The held-input cases hold each stimulus step for 1–64 cycles, so most
 //! of a design goes quiet and the change-driven engines skip most parts
@@ -41,8 +41,9 @@ fn held_matches<B: SimBackend>(
     Ok(())
 }
 
+// Every suite here takes the default case count (256), which
+// `PROPTEST_CASES` overrides; CI reruns them at 4096 in release.
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
     fn compiled_backend_matches_interpreter(
         steps in proptest::collection::vec(step_strategy(), 1..50),
@@ -71,11 +72,6 @@ proptest! {
         }
     }
 
-}
-
-// The held-input suites take the default case count (256), which
-// `PROPTEST_CASES` overrides; CI reruns them at 4096 in release.
-proptest! {
     #[test]
     fn compiled_backend_matches_interpreter_on_held_inputs(
         steps in proptest::collection::vec(step_strategy(), 1..50),

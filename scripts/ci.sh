@@ -25,10 +25,11 @@ echo "== pass pipeline byte-identity at depth (in-place passes vs the pre-rewrit
 PROPTEST_CASES=4096 cargo test -q --release -p hc-rtl --lib \
   passes::oracle::tests::in_place_pipeline_matches_the_oracle
 
-echo "== held-input differential suites at depth (change-driven tape engine and scalar JIT)"
+echo "== differential suites at depth (tape engine on fresh stimulus; tape engine and scalar JIT on held inputs)"
 # Inputs held for 1-64 cycles leave most parts clean and most registers
-# uncommitted; 4096 random modules per engine against the interpreter.
-PROPTEST_CASES=4096 cargo test -q --release -p hc-sim --test differential -- held_inputs
+# uncommitted; 4096 random modules per suite against the interpreter.
+PROPTEST_CASES=4096 cargo test -q --release -p hc-sim --test differential -- \
+  compiled_backend_matches_interpreter held_inputs
 
 echo "== kernel x frontend matrix agreement suite (five backends, full registry)"
 # Release mode: the debug workspace run above covers dct8/idct4/fir32 but
