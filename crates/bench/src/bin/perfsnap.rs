@@ -293,13 +293,12 @@ fn main() {
             let report = sim
                 .tape_opt_report()
                 .expect("tape optimizer is on by default");
-            let post = hc_sim::CompiledSimulator::with_options(
-                design.module.clone(),
-                hc_sim::EngineOptions::optimized(),
-            )
-            .expect("Table II designs validate")
-            .tape_stats()
-            .0;
+            let mut optimized = design.module.clone();
+            hc_rtl::passes::optimize(&mut optimized);
+            let post = hc_sim::CompiledSimulator::new(optimized)
+                .expect("Table II designs validate")
+                .tape_stats()
+                .0;
             // The vector-cone split is a compile-time decision, so a
             // minimal 4-lane build is enough to record it per design.
             let vjit = hc_sim::NativeBatchedSimulator::new(design.module.clone(), 4)

@@ -107,24 +107,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let n = items.len();
-    let workers = worker_count(n);
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: OnceSlots<R> = OnceSlots::new(n);
-    run_workers(workers, || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        let r = f(&items[i]);
-        // SAFETY: the fetch_add claim makes this thread the only
-        // writer of index `i`; collection happens after the join.
-        unsafe { slots.write(i, r) };
-    });
-    slots.into_vec()
+    parallel_map_chunked(items, 1, f)
 }
 
 /// Runs `workers` copies of `body` on scoped threads and re-raises the
@@ -171,8 +154,8 @@ pub fn adaptive_chunk(n: usize, est_item_seconds: f64) -> usize {
 /// [`parallel_map`] with the atomic cursor advancing `chunk` items at a
 /// time, so each claim amortizes scheduling overhead over a contiguous run
 /// of items. Results still come back **in input order**. `chunk == 1` is
-/// exactly [`parallel_map`]; a chunk covering all items degrades to a
-/// serial map on the calling thread.
+/// [`parallel_map`]; a chunk covering all items degrades to a serial map
+/// on the calling thread.
 ///
 /// # Panics
 ///

@@ -23,8 +23,6 @@ pub struct Config {
     pub cache_cap: Option<usize>,
     /// `HC_TRACE`: Chrome-trace output path; tracing is on iff set.
     pub trace: Option<String>,
-    /// `HC_PROFILE`: per-opcode / per-cone simulator profiling.
-    pub profile: bool,
     /// `HC_NO_NATIVE`: disable the per-cone x86-64 JIT tiers — both the
     /// scalar `NativeSimulator` codegen and the vector
     /// `NativeBatchedSimulator` codegen — forcing the interpreted paths.
@@ -68,7 +66,6 @@ impl Config {
             threads: positive(get("HC_THREADS")),
             cache_cap: positive(get("HC_CACHE_CAP")),
             trace: get("HC_TRACE").filter(|p| !p.is_empty()),
-            profile: flag(get("HC_PROFILE")),
             no_native: flag(get("HC_NO_NATIVE")),
             serve_threads: positive(get("HC_SERVE_THREADS")),
             serve_queue_cap: positive(get("HC_SERVE_QUEUE_CAP")),
@@ -131,18 +128,16 @@ mod tests {
     fn empty_environment_is_all_defaults() {
         let cfg = fixture(&[]);
         assert_eq!(cfg, Config::default());
-        assert!(!cfg.profile && !cfg.no_native && !cfg.store_sync);
+        assert!(!cfg.no_native && !cfg.store_sync);
         assert_eq!(cfg.threads, None);
     }
 
     #[test]
     fn flags_follow_the_nonempty_nonzero_convention() {
-        assert!(fixture(&[("HC_PROFILE", "1")]).profile);
-        assert!(fixture(&[("HC_PROFILE", "yes")]).profile);
-        assert!(!fixture(&[("HC_PROFILE", "0")]).profile);
-        assert!(!fixture(&[("HC_PROFILE", "")]).profile);
         assert!(fixture(&[("HC_NO_NATIVE", "1")]).no_native);
+        assert!(fixture(&[("HC_NO_NATIVE", "yes")]).no_native);
         assert!(!fixture(&[("HC_NO_NATIVE", "0")]).no_native);
+        assert!(!fixture(&[("HC_NO_NATIVE", "")]).no_native);
         assert!(fixture(&[("HC_STORE_SYNC", "on")]).store_sync);
         assert!(!fixture(&[("HC_STORE_SYNC", "")]).store_sync);
     }

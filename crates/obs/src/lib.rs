@@ -9,17 +9,17 @@
 //! `hc-core` drivers) can report into it without dependency cycles.
 //! Downstream code normally reaches it as `hc_core::obs`.
 //!
-//! Everything is compile-out-cheap: with neither `HC_TRACE` nor
-//! `HC_PROFILE` set, a span is one relaxed atomic load and the metrics
-//! counters are plain uncontended atomics touched only at pipeline-stage
-//! granularity (never per simulated cycle or per tape instruction).
+//! Everything is compile-out-cheap: with `HC_TRACE` unset, a span is one
+//! relaxed atomic load and the metrics counters are plain uncontended
+//! atomics touched only at pipeline-stage granularity (never per simulated
+//! cycle or per tape instruction).
 //!
 //! | variable | effect |
 //! |---|---|
 //! | `HC_THREADS` | worker-pool width override for measurement sweeps |
 //! | `HC_CACHE_CAP` | LRU capacity of the front-half memo cache |
 //! | `HC_TRACE` | write a Chrome-trace JSON of pipeline spans to this path |
-//! | `HC_PROFILE` | enable per-opcode / per-cone simulator profiling |
+//! | `HC_NO_NATIVE` | turn off both JIT tiers; the engines interpret their tapes |
 //! | `HC_SERVE_THREADS` | hc-serve worker-pool width |
 //! | `HC_SERVE_QUEUE_CAP` | hc-serve job-queue bound (beyond it: HTTP 429) |
 //! | `HC_STORE_DIR` | directory of the persistent result store (on iff set) |

@@ -66,20 +66,6 @@ pub fn counter(name: &'static str) -> Counter {
     Counter(cell)
 }
 
-/// [`counter`] for names built at runtime (e.g. per-opcode profile keys).
-/// The name is copied into the registry only the first time it is seen, so
-/// repeated lookups of the same name never grow the leak.
-pub fn counter_named(name: &str) -> Counter {
-    let mut reg = registry().lock().expect("metrics registry");
-    if let Some(cell) = reg.get(name) {
-        return Counter(cell);
-    }
-    let key: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    let cell: &'static AtomicU64 = Box::leak(Box::new(AtomicU64::new(0)));
-    reg.insert(key, cell);
-    Counter(cell)
-}
-
 /// Zeroes every registered counter (entries stay registered).
 pub fn reset() {
     for (_, cell) in registry().lock().expect("metrics registry").iter() {
@@ -138,22 +124,6 @@ mod tests {
             .1
             .as_u64()
             .is_some_and(|v| v >= 2));
-    }
-
-    #[test]
-    fn counter_named_deduplicates_runtime_names() {
-        let _g = test_lock();
-        let name = String::from("test.metrics.named");
-        let a = counter_named(&name);
-        let base = a.get();
-        a.inc();
-        // Same runtime-built content resolves to the same cell, and the
-        // static-name path agrees with it.
-        assert_eq!(
-            counter_named(&format!("test.metrics.{}", "named")).get(),
-            base + 1
-        );
-        assert_eq!(counter("test.metrics.named").get(), base + 1);
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! The [`SimBackend`] abstraction over simulation engines.
 //!
-//! Two engines implement it: the interpreted [`Simulator`](crate::Simulator),
-//! which walks the node table with boxed [`Bits`] values every cycle, and the
+//! Three engines implement it: the interpreted
+//! [`Simulator`](crate::Simulator), which walks the node table with boxed
+//! [`Bits`] values every cycle; the
 //! [`CompiledSimulator`](crate::CompiledSimulator), which lowers the module
-//! once into a flat instruction tape over a word-packed value store.
-//! Harnesses (such as the AXI-Stream test benches in `hc-axi`) are generic
-//! over this trait, so the same stimulus can drive either engine — the
-//! interpreter doubles as a reference oracle for differential testing of the
-//! compiled backend.
+//! once into a flat instruction tape over a word-packed value store; and the
+//! [`NativeSimulator`](crate::NativeSimulator), which runs that tape's parts
+//! as generated x86-64 code. Harnesses (such as the AXI-Stream test benches
+//! in `hc-axi`) are generic over this trait, so the same stimulus can drive
+//! any engine — the interpreter doubles as a reference oracle for
+//! differential testing of the other two.
 
 use hc_bits::Bits;
 use hc_rtl::{Module, ValidateError};

@@ -297,13 +297,6 @@ pub struct BatchedSimulator {
     pub(crate) dirty: Vec<bool>,
     /// Running count of component evaluations skipped by activity gating.
     pub(crate) cones_skipped: u64,
-    /// Execution histograms, allocated iff `HC_PROFILE` was on at
-    /// construction (see `crate::profile`). Opcode counts are per tape
-    /// replay, not per lane. The lane loops dispatch per tape
-    /// instruction, so the re-walk attribution stays accurate — only
-    /// parts that run as JIT machine code (see
-    /// [`crate::NativeSimulator`]) need the separate `native` bucket.
-    pub(crate) prof: Option<Box<crate::profile::ProfileState>>,
 }
 
 /// `dst[lane] = f(a[lane])` over the destination's lane group.
@@ -413,7 +406,6 @@ impl BatchedSimulator {
         }
         let wreg_shadow = vec![0u64; soff];
         let dirty = vec![true; low.comps.len()];
-        let prof = crate::profile::ProfileState::from_config(&low);
         Ok(BatchedSimulator {
             low,
             lanes,
@@ -430,12 +422,10 @@ impl BatchedSimulator {
             evaluated: false,
             dirty,
             cones_skipped: 0,
-            prof,
         })
     }
 
-    /// The simulated module (post-optimization when the `optimize` option
-    /// was set).
+    /// The simulated module.
     pub fn module(&self) -> &Module {
         &self.low.module
     }
@@ -462,15 +452,6 @@ impl BatchedSimulator {
         })
     }
 
-    /// Execution profile accumulated so far (`None` unless `HC_PROFILE`
-    /// was enabled when the engine was built). Opcode counts are per tape
-    /// replay, not per lane.
-    pub fn profile_report(&self) -> Option<crate::ProfileReport> {
-        self.prof
-            .as_deref()
-            .map(crate::profile::ProfileState::report)
-    }
-
     /// Records an input write: with gating on, a *changed* value marks the
     /// input's reader cones dirty; an unchanged write is free. With gating
     /// off every write invalidates the settled state, as before.
@@ -485,12 +466,6 @@ impl BatchedSimulator {
         } else {
             self.evaluated = false;
         }
-    }
-
-    /// Node/register accounting from the pre-lowering optimization pipeline
-    /// (`None` when [`EngineOptions::optimize`] was off).
-    pub fn opt_report(&self) -> Option<hc_rtl::passes::OptReport> {
-        self.low.opt_report
     }
 
     /// Completed clock cycles of one lane (frozen while the lane is
@@ -753,16 +728,9 @@ impl BatchedSimulator {
                 self.dirty[c] = false;
                 let (start, end) = self.low.comp_range(c);
                 self.eval_range(start, end);
-                if let Some(p) = self.prof.as_deref_mut() {
-                    p.record_comp(&self.low, c);
-                }
             }
         } else {
-            let end = self.low.tape.len();
-            self.eval_range(0, end);
-            if let Some(p) = self.prof.as_deref_mut() {
-                p.record_range(&self.low, 0, 0, end);
-            }
+            self.eval_range(0, self.low.tape.len());
         }
         self.evaluated = true;
     }
@@ -1544,9 +1512,6 @@ impl Drop for BatchedSimulator {
         }
         if self.cones_skipped > 0 {
             hc_obs::metrics::counter("sim.batched.cones_skipped").add(self.cones_skipped);
-        }
-        if let Some(p) = self.prof.as_deref() {
-            p.flush_to_metrics("sim.batched");
         }
     }
 }

@@ -78,9 +78,6 @@ pub struct CompiledSimulator {
     before: Vec<u64>,
     pub(crate) parts_skipped: u64,
     pub(crate) regs_committed: u64,
-    /// Execution histograms, allocated iff `HC_PROFILE` was on at
-    /// construction (see `crate::profile`).
-    pub(crate) prof: Option<Box<crate::profile::ProfileState>>,
     pub(crate) evaluated: bool,
     pub(crate) cycle: u64,
 }
@@ -178,9 +175,7 @@ impl CompiledSimulator {
     }
 
     /// Like [`new`](CompiledSimulator::new), with explicit construction
-    /// options — notably `optimize`, which runs the standard pass pipeline
-    /// (const-fold → CSE → DCE) before lowering so the engine replays a
-    /// smaller tape.
+    /// options (see [`EngineOptions`]).
     ///
     /// # Errors
     ///
@@ -213,7 +208,6 @@ impl CompiledSimulator {
         set_first(&mut act[lay.pend_at..lay.ran_at], low.nregs_total());
         let pend_cur = vec![0; lay.ran_at - lay.pend_at];
         let before = vec![0; low.bound.widest()];
-        let prof = crate::profile::ProfileState::from_config(&low);
         Ok(CompiledSimulator {
             low,
             narrow,
@@ -229,14 +223,12 @@ impl CompiledSimulator {
             before,
             parts_skipped: 0,
             regs_committed: 0,
-            prof,
             evaluated: false,
             cycle: 0,
         })
     }
 
-    /// The simulated module (post-optimization when the `optimize` option
-    /// was set).
+    /// The simulated module.
     pub fn module(&self) -> &Module {
         &self.low.module
     }
@@ -256,12 +248,6 @@ impl CompiledSimulator {
         self.low.lowered_stats
     }
 
-    /// Node/register accounting from the pre-lowering optimization pipeline
-    /// (`None` when [`EngineOptions::optimize`] was off).
-    pub fn opt_report(&self) -> Option<hc_rtl::passes::OptReport> {
-        self.low.opt_report
-    }
-
     /// Accounting from the tape backend optimizer (`None` when
     /// [`EngineOptions::tape_opt`] was off), with the live counts of part
     /// evaluations skipped and registers committed so far.
@@ -271,14 +257,6 @@ impl CompiledSimulator {
             r.regs_committed = self.regs_committed;
             r
         })
-    }
-
-    /// The execution profile recorded so far, or `None` when `HC_PROFILE`
-    /// was off at construction (see [`crate::ProfileReport`]).
-    pub fn profile_report(&self) -> Option<crate::ProfileReport> {
-        self.prof
-            .as_deref()
-            .map(crate::profile::ProfileState::report)
     }
 
     /// After a value change of input `idx`, marks the parts reading it
@@ -373,9 +351,6 @@ impl CompiledSimulator {
             sim.run_part(k, |sim| {
                 let seg = sim.low.parts[k];
                 sim.eval_range(seg.start as usize, seg.end as usize);
-                if let Some(p) = sim.prof.as_deref_mut() {
-                    p.record_range(&sim.low, k, seg.start as usize, seg.end as usize);
-                }
             });
             Ran::Part
         });
@@ -834,10 +809,6 @@ impl CompiledSimulator {
     }
 
     /// Reads the settled value of an arbitrary node (for probing).
-    ///
-    /// Note that with the `optimize` option the node ids refer to the
-    /// *optimized* module (see [`module`](CompiledSimulator::module)), not
-    /// the module passed to the constructor.
     pub fn probe(&mut self, node: NodeId) -> Bits {
         self.eval();
         self.read_loc(self.low.node_loc[node.index()], self.low.module.width(node))
@@ -1021,9 +992,6 @@ impl Drop for CompiledSimulator {
         }
         if self.regs_committed > 0 {
             hc_obs::metrics::counter("sim.compiled.regs_committed").add(self.regs_committed);
-        }
-        if let Some(p) = self.prof.as_deref() {
-            p.flush_to_metrics("sim.compiled");
         }
     }
 }
@@ -1317,7 +1285,7 @@ mod tests {
     }
 
     #[test]
-    fn optimize_option_shrinks_the_tape_and_preserves_behavior() {
+    fn optimized_module_shrinks_the_tape_and_preserves_behavior() {
         // Redundant logic the pipeline can fold: the design computes the
         // same sum twice and adds a constant expression.
         let mut m = Module::new("redundant");
@@ -1331,7 +1299,8 @@ mod tests {
         m.output("y", y);
 
         let mut plain = CompiledSimulator::new(m.clone()).unwrap();
-        let mut opt = CompiledSimulator::with_options(m, EngineOptions::optimized()).unwrap();
+        hc_rtl::passes::optimize(&mut m);
+        let mut opt = CompiledSimulator::new(m).unwrap();
         assert!(
             opt.tape_stats().0 < plain.tape_stats().0,
             "optimize should shrink the tape: {:?} vs {:?}",

@@ -82,7 +82,6 @@ mod compiled;
 mod lower;
 mod native;
 mod probe;
-mod profile;
 mod simulator;
 mod tapeopt;
 mod vcd;
@@ -93,7 +92,6 @@ pub use compiled::CompiledSimulator;
 pub use lower::EngineOptions;
 pub use native::{NativeBatchedReport, NativeBatchedSimulator, NativeReport, NativeSimulator};
 pub use probe::ProbeRecorder;
-pub use profile::ProfileReport;
 pub use simulator::Simulator;
 pub use tapeopt::TapeOptReport;
 pub use vcd::VcdWriter;

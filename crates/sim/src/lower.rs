@@ -393,62 +393,6 @@ pub(crate) enum Instr {
     },
 }
 
-impl Instr {
-    /// Stable opcode name, keying the `HC_PROFILE=1` execution histogram.
-    pub(crate) fn opname(&self) -> &'static str {
-        match self {
-            Instr::CopyMask { .. } => "CopyMask",
-            Instr::Not { .. } => "Not",
-            Instr::Neg { .. } => "Neg",
-            Instr::RedOr { .. } => "RedOr",
-            Instr::RedAnd { .. } => "RedAnd",
-            Instr::RedXor { .. } => "RedXor",
-            Instr::Add { .. } => "Add",
-            Instr::Sub { .. } => "Sub",
-            Instr::MulS { .. } => "MulS",
-            Instr::MulU { .. } => "MulU",
-            Instr::DivU { .. } => "DivU",
-            Instr::RemU { .. } => "RemU",
-            Instr::And { .. } => "And",
-            Instr::Or { .. } => "Or",
-            Instr::Xor { .. } => "Xor",
-            Instr::Eq { .. } => "Eq",
-            Instr::Ne { .. } => "Ne",
-            Instr::LtU { .. } => "LtU",
-            Instr::LtS { .. } => "LtS",
-            Instr::LeU { .. } => "LeU",
-            Instr::LeS { .. } => "LeS",
-            Instr::Shl { .. } => "Shl",
-            Instr::ShrL { .. } => "ShrL",
-            Instr::ShrA { .. } => "ShrA",
-            Instr::MuxN { .. } => "MuxN",
-            Instr::ConcatN { .. } => "ConcatN",
-            Instr::SliceN { .. } => "SliceN",
-            Instr::SExtN { .. } => "SExtN",
-            Instr::SliceW { .. } => "SliceW",
-            Instr::ConcatWNN { .. } => "ConcatWNN",
-            Instr::SliceWW { .. } => "SliceWW",
-            Instr::ConcatWWW { .. } => "ConcatWWW",
-            Instr::ConcatWWN { .. } => "ConcatWWN",
-            Instr::ConcatWNW { .. } => "ConcatWNW",
-            Instr::ZExtWN { .. } => "ZExtWN",
-            Instr::SExtWN { .. } => "SExtWN",
-            Instr::MuxW { .. } => "MuxW",
-            Instr::EqW { .. } => "EqW",
-            Instr::NeW { .. } => "NeW",
-            Instr::CopyW { .. } => "CopyW",
-            Instr::MemReadN { .. } => "MemReadN",
-            Instr::MemReadW { .. } => "MemReadW",
-            Instr::Generic(_) => "Generic",
-            Instr::MacS { .. } => "MacS",
-            Instr::MacU { .. } => "MacU",
-            Instr::SelN { .. } => "SelN",
-            Instr::ShlI { .. } => "ShlI",
-            Instr::SraI { .. } => "SraI",
-        }
-    }
-}
-
 /// Comparison kind carried by the fused [`Instr::SelN`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) enum CmpKind {
@@ -688,15 +632,11 @@ pub(crate) struct MemWritePlan {
     pub data: u32,
 }
 
-/// Construction options shared by the compiled engines.
+/// Construction options shared by the compiled engines. The engines
+/// lower the module they are given as it is; a caller that wants the IR
+/// pass pipeline runs `hc_rtl::passes::optimize` on its copy first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineOptions {
-    /// Run the `hc_rtl::passes::optimize` pipeline (const-fold → strength
-    /// reduction → CSE → DCE to a size fixpoint) before lowering, so the
-    /// engine replays a smaller tape. Off by default: the unoptimized tape
-    /// mirrors the module node-for-node, which keeps `probe` indices stable
-    /// for debugging.
-    pub optimize: bool,
     /// Run the tape backend optimizer after lowering: superinstruction
     /// fusion, copy forwarding, tape dead-code elimination, live-range slot
     /// reallocation, and the part partition for change-driven evaluation.
@@ -708,29 +648,15 @@ pub struct EngineOptions {
 
 impl Default for EngineOptions {
     fn default() -> Self {
-        EngineOptions {
-            optimize: false,
-            tape_opt: true,
-        }
+        EngineOptions { tape_opt: true }
     }
 }
 
 impl EngineOptions {
-    /// Options with the pre-lowering optimization pipeline enabled.
-    pub fn optimized() -> Self {
-        EngineOptions {
-            optimize: true,
-            ..Self::default()
-        }
-    }
-
     /// Options with the tape backend optimizer disabled (the raw lowered
     /// tape is replayed unconditionally, as before the optimizer existed).
     pub fn no_tape_opt() -> Self {
-        EngineOptions {
-            tape_opt: false,
-            ..Self::default()
-        }
+        EngineOptions { tape_opt: false }
     }
 }
 
@@ -740,9 +666,6 @@ impl EngineOptions {
 #[derive(Debug)]
 pub(crate) struct Lowered {
     pub module: Module,
-    /// Accounting from the pre-lowering optimization pipeline; `None` when
-    /// the pipeline was not run.
-    pub opt_report: Option<hc_rtl::passes::OptReport>,
     pub tape: Vec<Instr>,
     pub generic: Vec<GenericOp>,
     /// Initial narrow slot image: register inits and constants; all other
@@ -820,25 +743,14 @@ fn alloc(narrow: &mut Vec<u64>, wide: &mut Vec<Bits>, width: u32) -> Loc {
 }
 
 impl Lowered {
-    /// Validates and lowers `module` into a tape, applying the pre-lowering
-    /// optimization pipeline first when `options.optimize` is set.
+    /// Validates and lowers `module` into a tape.
     ///
     /// # Errors
     ///
     /// Returns the module's [`ValidateError`] if it is structurally invalid.
-    pub fn new(mut module: Module, options: EngineOptions) -> Result<Self, ValidateError> {
+    pub fn new(module: Module, options: EngineOptions) -> Result<Self, ValidateError> {
         let mut span = hc_obs::span("lower").with("module", module.name());
         module.validate()?;
-        let opt_report = if options.optimize {
-            let report = hc_rtl::passes::optimize(&mut module);
-            // The pass pipeline must hand back a valid module; re-validate
-            // so a broken pass fails loudly here instead of corrupting the
-            // tape.
-            module.validate()?;
-            Some(report)
-        } else {
-            None
-        };
 
         let mut narrow = Vec::new();
         let mut wide = Vec::new();
@@ -1007,7 +919,6 @@ impl Lowered {
         let lowered_stats = (tape.len(), generic.len());
         let mut low = Lowered {
             module,
-            opt_report,
             tape,
             generic,
             narrow_init: narrow,

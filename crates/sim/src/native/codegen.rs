@@ -56,9 +56,8 @@ impl WideLayout {
 /// One chunk of a part's execution plan.
 #[derive(Debug)]
 pub(crate) enum StepPlan {
-    /// Native code at byte offset `off` in the assembler buffer, covering
-    /// `instrs` tape instructions.
-    Jit { off: usize, instrs: u32 },
+    /// Native code at byte offset `off` in the assembler buffer.
+    Jit { off: usize },
     /// Interpret `tape[start..end]`.
     Interp { start: u32, end: u32 },
 }
@@ -1153,10 +1152,7 @@ pub(crate) fn compile_segment(
                 emit(a, lay, instr, &mut st);
             }
             a.ret();
-            steps.push(StepPlan::Jit {
-                off,
-                instrs: (e - s) as u32,
-            });
+            steps.push(StepPlan::Jit { off });
         } else {
             steps.push(StepPlan::Interp {
                 start: s as u32,

@@ -47,7 +47,7 @@ use crate::{CompiledSimulator, SimBackend};
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[derive(Debug)]
 enum Step {
-    Native { f: exec::Entry, instrs: u32 },
+    Native { f: exec::Entry },
     Interp { start: u32, end: u32 },
 }
 
@@ -60,8 +60,8 @@ enum PartPlan {
     /// this part and handles every part from there up to `end`.
     Run { f: exec::PartEntry, end: u32 },
     /// Chunks for a part the emitter covers only in part (or for every
-    /// part when gating or the JIT's inline bookkeeping is off); the part
-    /// loop does its bookkeeping (`CompiledSimulator::run_part`).
+    /// part when gating is off); the part loop does its bookkeeping
+    /// (`CompiledSimulator::run_part`).
     Chunks(Box<[Step]>),
 }
 
@@ -111,16 +111,14 @@ impl Compiled {
     }
 }
 
-/// Compiles every part. With gating on and profiling off, maximal runs
-/// of parts the emitter covers become one function each, doing the part
-/// loop's work inline; every other part gets chunk plans. Profiling keeps
-/// chunk plans throughout so its per-part histogram sees every part.
+/// Compiles every part. With gating on, maximal runs of parts the
+/// emitter covers become one function each, doing the part loop's work
+/// inline; every other part gets chunk plans.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn compile(
     low: &crate::lower::Lowered,
     lay: &crate::lower::WideLayout,
     act: ActLayout,
-    profile: bool,
 ) -> Compiled {
     /// A part's code before the mapping exists.
     enum Code {
@@ -130,12 +128,11 @@ fn compile(
 
     let mut span = hc_obs::span("native_compile").with("module", low.module.name());
     let books = codegen::PartBooks::new(low, act);
-    let fuse = low.gate && !profile;
     let mut asm = asm::Asm::new();
     let mut codes = Vec::with_capacity(low.parts.len());
     let mut k = 0;
     while k < low.parts.len() {
-        if fuse && books.native(k) {
+        if low.gate && books.native(k) {
             let end = (k..low.parts.len())
                 .find(|&e| !books.native(e))
                 .unwrap_or(low.parts.len());
@@ -193,9 +190,8 @@ fn compile(
                 steps
                     .into_iter()
                     .map(|s| match s {
-                        codegen::StepPlan::Jit { off, instrs } => Step::Native {
+                        codegen::StepPlan::Jit { off } => Step::Native {
                             f: unsafe { mem.entry(off) },
-                            instrs,
                         },
                         codegen::StepPlan::Interp { start, end } => Step::Interp { start, end },
                     })
@@ -250,7 +246,7 @@ impl NativeSimulator {
             let c = if hc_obs::config().no_native {
                 Compiled::none(sim.low.parts.len())
             } else {
-                compile(&sim.low, &sim.wlay, sim.lay, sim.prof.is_some())
+                compile(&sim.low, &sim.wlay, sim.lay)
             };
             hc_obs::metrics::counter("sim.native.cones_compiled").add(c.compiled as u64);
             hc_obs::metrics::counter("sim.native.fallback_cones").add(c.fallback as u64);
@@ -284,8 +280,7 @@ impl NativeSimulator {
         }
     }
 
-    /// The simulated module (post-optimization when the `optimize` option
-    /// was set).
+    /// The simulated module.
     pub fn module(&self) -> &Module {
         self.sim.module()
     }
@@ -303,11 +298,6 @@ impl NativeSimulator {
     /// See [`CompiledSimulator::tape_opt_report`].
     pub fn tape_opt_report(&self) -> Option<crate::TapeOptReport> {
         self.sim.tape_opt_report()
-    }
-
-    /// See [`CompiledSimulator::profile_report`].
-    pub fn profile_report(&self) -> Option<crate::ProfileReport> {
-        self.sim.profile_report()
     }
 
     /// Drives an input port.
@@ -367,29 +357,22 @@ impl NativeSimulator {
             }
             PartPlan::Chunks(steps) => {
                 sim.run_part(k, |sim| {
-                    let mut native_instrs = 0u64;
+                    let mut native = false;
                     for step in &**steps {
                         match step {
-                            Step::Native { f, instrs } => {
+                            Step::Native { f } => {
                                 // SAFETY: as for `PartPlan::Run`, without the
                                 // activity array.
                                 unsafe { f(sim.narrow.as_mut_ptr(), sim.wide.as_mut_ptr()) };
-                                native_instrs += u64::from(*instrs);
+                                native = true;
                             }
                             Step::Interp { start, end } => {
                                 sim.eval_range(*start as usize, *end as usize);
-                                if let Some(p) = sim.prof.as_deref_mut() {
-                                    p.record_ops(&sim.low, *start as usize, *end as usize);
-                                }
                             }
                         }
                     }
-                    if native_instrs > 0 {
+                    if native {
                         report.native_cone_evals += 1;
-                    }
-                    if let Some(p) = sim.prof.as_deref_mut() {
-                        p.record_part(k);
-                        p.record_native_ops(native_instrs);
                     }
                 });
                 Ran::Part
@@ -488,9 +471,6 @@ impl Drop for NativeSimulator {
         }
         if self.report.native_cone_evals > 0 {
             hc_obs::metrics::counter("sim.native.cone_evals").add(self.report.native_cone_evals);
-        }
-        if let Some(p) = self.sim.prof.take() {
-            p.flush_to_metrics("sim.native");
         }
         self.sim.cycle = 0;
         self.sim.parts_skipped = 0;
@@ -761,19 +741,5 @@ mod tests {
             }
         }
         assert_eq!(native.cycle(), oracle.cycle());
-    }
-
-    /// `HC_NO_NATIVE=1` at construction must disable codegen entirely.
-    #[test]
-    fn no_native_override_disables_codegen() {
-        let baseline = (*hc_obs::config()).clone();
-        let mut off = baseline.clone();
-        off.no_native = true;
-        hc_obs::config::set_override(off);
-        let sim = NativeSimulator::new(mac_module()).unwrap();
-        hc_obs::config::set_override(baseline);
-        let r = sim.native_report();
-        assert_eq!(r.cones_compiled, 0, "{r:?}");
-        assert_eq!(r.code_bytes, 0, "{r:?}");
     }
 }

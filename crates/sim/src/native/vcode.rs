@@ -79,8 +79,7 @@ const TAILM: Ymm = Ymm(13);
 /// recipes never write a bank register.
 const BANK: [Ymm; 4] = [Ymm(10), Ymm(11), Ymm(12), Ymm(15)];
 
-/// One chunk of a cone's runtime plan. (No profiling payload: the vector
-/// tier only engages when profiling is off.)
+/// One chunk of a cone's runtime plan.
 #[derive(Debug)]
 pub(crate) enum VStep {
     Native { f: exec::Entry },

@@ -11,13 +11,11 @@
 //! Dirty-bit cone gating is preserved: a quiescent cone skips its chunks
 //! exactly as in the interpreter.
 //!
-//! The vector tier engages only when all of these hold at construction:
+//! The vector tier engages only when both of these hold at construction:
 //!
 //! * x86-64 Linux with AVX2 detected **at runtime** (binaries built
-//!   without `-C target-cpu=native` still get the fast path),
-//! * `HC_NO_NATIVE` (both JIT tiers) is not set, and
-//! * `HC_PROFILE` is off — opcode histograms require the interpreter's
-//!   per-instruction dispatch, so profiling runs fall back whole.
+//!   without `-C target-cpu=native` still get the fast path), and
+//! * `HC_NO_NATIVE` (both JIT tiers) is not set.
 //!
 //! Otherwise the engine degrades to exactly the interpreted
 //! [`BatchedSimulator`] — same results, no speedup. Bit-exactness against
@@ -101,9 +99,7 @@ impl NativeBatchedSimulator {
         let sim = BatchedSimulator::with_options(module, lanes, options)?;
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         {
-            let cfg = hc_obs::config();
-            let engaged = !cfg.no_native && avx2_available() && sim.prof.is_none();
-            let c = if engaged {
+            let c = if !hc_obs::config().no_native && avx2_available() {
                 vcode::compile(&sim)
             } else {
                 vcode::VCompiled::none(sim.low.comps.len())
@@ -140,8 +136,7 @@ impl NativeBatchedSimulator {
         }
     }
 
-    /// The simulated module (post-optimization when the `optimize` option
-    /// was set).
+    /// The simulated module.
     pub fn module(&self) -> &Module {
         self.sim.module()
     }
@@ -176,17 +171,6 @@ impl NativeBatchedSimulator {
     /// See [`BatchedSimulator::tape_opt_report`].
     pub fn tape_opt_report(&self) -> Option<crate::TapeOptReport> {
         self.sim.tape_opt_report()
-    }
-
-    /// See [`BatchedSimulator::profile_report`]. (Always `None` while the
-    /// vector tier is engaged: profiling forces full fallback instead.)
-    pub fn profile_report(&self) -> Option<crate::ProfileReport> {
-        self.sim.profile_report()
-    }
-
-    /// See [`BatchedSimulator::opt_report`].
-    pub fn opt_report(&self) -> Option<hc_rtl::passes::OptReport> {
-        self.sim.opt_report()
     }
 
     /// Completed clock cycles on one lane.

@@ -2026,14 +2026,7 @@ mod tests {
     use hc_rtl::{BinaryOp, Module};
 
     fn lowered(m: Module) -> Lowered {
-        Lowered::new(
-            m,
-            EngineOptions {
-                optimize: false,
-                tape_opt: true,
-            },
-        )
-        .unwrap()
+        Lowered::new(m, EngineOptions::default()).unwrap()
     }
 
     /// Regression: an externally read destination (here output `y0`, a

@@ -10,7 +10,9 @@
 //!
 //! The held-input cases hold each stimulus step for 1–64 cycles, so most
 //! of a design goes quiet and the change-driven engines skip most parts
-//! and commit few registers; they run the tape engine and the scalar JIT.
+//! and commit few registers; they run the tape engine and the scalar JIT,
+//! and require the JIT to skip the same parts and commit the same
+//! registers as the tape engine.
 
 mod common;
 
@@ -90,5 +92,13 @@ proptest! {
         let module = common::build(&steps);
         let mut native = NativeSimulator::new(module.clone()).expect("compiler accepts");
         held_matches(&module, &mut native, &stimulus)?;
+        // The JIT's inline part bookkeeping (`codegen::compile_run`) must
+        // do exactly what the tape engine's `run_part` does.
+        let mut compiled = CompiledSimulator::new(module).expect("compiler accepts");
+        drive_held(&mut compiled, &stimulus);
+        let jit = native.tape_opt_report().expect("tape optimizer on");
+        let tape = compiled.tape_opt_report().expect("tape optimizer on");
+        prop_assert_eq!(jit.parts_skipped, tape.parts_skipped);
+        prop_assert_eq!(jit.regs_committed, tape.regs_committed);
     }
 }

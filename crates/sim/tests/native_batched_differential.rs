@@ -37,7 +37,7 @@ fn tier_available() -> bool {
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     {
         let cfg = hc_obs::config();
-        !cfg.no_native && !cfg.profile && std::arch::is_x86_feature_detected!("avx2")
+        !cfg.no_native && std::arch::is_x86_feature_detected!("avx2")
     }
     #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
     {

@@ -9,7 +9,7 @@ use hls_vs_hc::axi::{BatchedStreamHarness, StreamHarness};
 use hls_vs_hc::core::entries::{all_tools, Design, DesignInterface};
 use hls_vs_hc::idct::generator::BlockGen;
 use hls_vs_hc::rtl::passes::optimize;
-use hls_vs_hc::sim::{CompiledSimulator, EngineOptions, SimBackend, Simulator};
+use hls_vs_hc::sim::{CompiledSimulator, SimBackend, Simulator};
 
 fn optimized_module(design: &Design) -> hls_vs_hc::rtl::Module {
     let mut module = design.module.clone();
@@ -84,17 +84,15 @@ fn check_stream(design: &Design) {
     );
 }
 
-/// The engine-side `optimize` option (const-fold → CSE → DCE before
-/// lowering) must strictly shrink the instruction tape of every Table II
+/// The IR pass pipeline (const-fold → CSE → DCE), run on a copy before
+/// lowering, must strictly shrink the instruction tape of every Table II
 /// design relative to lowering the module as-is.
 #[test]
 fn optimize_option_shrinks_every_table2_tape() {
     for tool in all_tools() {
         for design in [&tool.initial, &tool.optimized] {
             let plain = CompiledSimulator::new(design.module.clone()).expect("validates");
-            let opt =
-                CompiledSimulator::with_options(design.module.clone(), EngineOptions::optimized())
-                    .expect("validates");
+            let opt = CompiledSimulator::new(optimized_module(design)).expect("validates");
             let (plain_len, _) = plain.tape_stats();
             let (opt_len, _) = opt.tape_stats();
             assert!(

@@ -18,7 +18,7 @@ use hls_vs_hc::idct::generator::BlockGen;
 use hls_vs_hc::kernels::kernels;
 use hls_vs_hc::rtl::hash::content_hash;
 use hls_vs_hc::rtl::passes::{optimize, optimize_with, PassConfig};
-use hls_vs_hc::sim::{CompiledSimulator, EngineOptions, SimBackend, Simulator};
+use hls_vs_hc::sim::{CompiledSimulator, SimBackend, Simulator};
 use proptest::prelude::*;
 
 fn optimized_module(design: &Design) -> hls_vs_hc::rtl::Module {
@@ -133,11 +133,10 @@ fn tape_shrinks_at_least_20_percent_on_two_designs() {
                 .expect("validates")
                 .tape_stats()
                 .0;
-            let opt =
-                CompiledSimulator::with_options(design.module.clone(), EngineOptions::optimized())
-                    .expect("validates")
-                    .tape_stats()
-                    .0;
+            let opt = CompiledSimulator::new(optimized_module(design))
+                .expect("validates")
+                .tape_stats()
+                .0;
             let shrink = (plain.saturating_sub(opt)) as f64 / plain.max(1) as f64;
             if shrink >= 0.20 {
                 big_shrinks.push((design.label.clone(), plain, opt));

@@ -12,6 +12,8 @@
 
 use hls_vs_hc::bits::Bits;
 use hls_vs_hc::core::entries::all_tools;
+use hls_vs_hc::rtl::passes::optimize;
+use hls_vs_hc::rtl::Module;
 use hls_vs_hc::sim::{CompiledSimulator, EngineOptions, ProbeRecorder};
 
 /// Deterministic per-(cycle, port, word) stimulus chunk.
@@ -27,12 +29,7 @@ fn stim_word(cycle: u64, port: u64, word: u64) -> u64 {
 /// Runs `module` under the given engine options for `cycles` cycles of
 /// dense deterministic stimulus, recording `names` into a VCD byte
 /// stream.
-fn probe_dump(
-    module: hls_vs_hc::rtl::Module,
-    opts: EngineOptions,
-    names: &[String],
-    cycles: u64,
-) -> Vec<u8> {
+fn probe_dump(module: Module, opts: EngineOptions, names: &[String], cycles: u64) -> Vec<u8> {
     let mut sim = CompiledSimulator::with_options(module, opts).expect("validates");
     let mut buf = Vec::new();
     let mut probe = ProbeRecorder::with_signals(&sim, &mut buf, names).expect("signals resolve");
@@ -57,18 +54,11 @@ fn probe_dump(
     buf
 }
 
-/// The probe set for one design: every port, plus every register that
-/// exists under *both* engine configurations (dead-code elimination may
-/// legitimately remove an architecturally dead register, so only the
-/// shared ones can be compared).
-fn shared_probes(module: &hls_vs_hc::rtl::Module, cfgs: [EngineOptions; 2]) -> Vec<String> {
-    let reg_sets: Vec<Vec<String>> = cfgs
-        .iter()
-        .map(|&o| {
-            let sim = CompiledSimulator::with_options(module.clone(), o).expect("validates");
-            sim.module().regs().iter().map(|r| r.name.clone()).collect()
-        })
-        .collect();
+/// The probe set for one design: every port of `module`, plus every
+/// register that exists in both `module` and `other` (dead-code
+/// elimination may legitimately remove an architecturally dead register,
+/// so only the shared ones can be compared).
+fn shared_probes(module: &Module, other: &Module) -> Vec<String> {
     let mut names: Vec<String> = module
         .inputs()
         .iter()
@@ -76,34 +66,30 @@ fn shared_probes(module: &hls_vs_hc::rtl::Module, cfgs: [EngineOptions; 2]) -> V
         .chain(module.outputs().iter().map(|o| o.name.clone()))
         .collect();
     names.extend(
-        reg_sets[0]
+        module
+            .regs()
             .iter()
-            .filter(|r| reg_sets[1].contains(r))
-            .cloned(),
+            .filter(|r| other.regs().iter().any(|o| o.name == r.name))
+            .map(|r| r.name.clone()),
     );
     names
 }
 
 #[test]
 fn probes_survive_pass_pipeline_and_tape_optimizer() {
-    let raw = EngineOptions {
-        optimize: false,
-        tape_opt: false,
-    };
-    let full = EngineOptions {
-        optimize: true,
-        tape_opt: true,
-    };
     for tool in all_tools() {
         for design in [&tool.initial, &tool.optimized] {
-            let names = shared_probes(&design.module, [raw, full]);
+            let mut optimized = design.module.clone();
+            optimize(&mut optimized);
+            let names = shared_probes(&design.module, &optimized);
             assert!(
                 names.len() >= 2,
                 "{}: expected at least two probeable signals",
                 design.label
             );
+            let raw = EngineOptions::no_tape_opt();
             let dump_raw = probe_dump(design.module.clone(), raw, &names, 64);
-            let dump_opt = probe_dump(design.module.clone(), full, &names, 64);
+            let dump_opt = probe_dump(optimized, EngineOptions::default(), &names, 64);
             assert!(
                 !dump_raw.is_empty(),
                 "{}: probe recorder wrote nothing",
@@ -119,23 +105,15 @@ fn probes_survive_pass_pipeline_and_tape_optimizer() {
 }
 
 /// The tape optimizer alone (no IR passes) must also preserve every
-/// probed waveform — this is the configuration `measure` runs, where the
-/// raw frontend netlist goes straight to the optimized tape.
+/// probed waveform of the netlist as the frontend emitted it.
 #[test]
 fn probes_survive_tape_optimizer_alone() {
-    let raw = EngineOptions {
-        optimize: false,
-        tape_opt: false,
-    };
-    let tape = EngineOptions {
-        optimize: false,
-        tape_opt: true,
-    };
     for tool in all_tools() {
         let design = &tool.optimized;
-        let names = shared_probes(&design.module, [raw, tape]);
+        let names = shared_probes(&design.module, &design.module);
+        let raw = EngineOptions::no_tape_opt();
         let dump_raw = probe_dump(design.module.clone(), raw, &names, 48);
-        let dump_tape = probe_dump(design.module.clone(), tape, &names, 48);
+        let dump_tape = probe_dump(design.module.clone(), EngineOptions::default(), &names, 48);
         assert_eq!(
             dump_raw, dump_tape,
             "{}: tape optimizer changed a probed waveform",
