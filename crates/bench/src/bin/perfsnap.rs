@@ -34,8 +34,9 @@
 //!    `HC_NO_NATIVE` override, i.e. the tape interpreter inside the same
 //!    wrapper) and the resulting `native_speedup_vs_compiled`.
 //! 5. **Tape shrink** per Table II design: the IR pass pipeline's
-//!    instruction counts (pre/post `hc_rtl::passes::optimize`) plus the
-//!    tape optimizer's per-design report.
+//!    instruction counts (pre/post `hc_rtl::passes::optimize`), the tape
+//!    optimizer's report on the raw module, and the instruction and part
+//!    counts of the optimized module's tape (the one measurements replay).
 //! 6. **Fig. 1 sweep wall-clock**: the legacy cold per-point pipeline run
 //!    serially vs the memoized + chunked parallel driver, with per-point
 //!    p50/p90 seconds (the raw 70-element array was pure noise in diffs),
@@ -66,6 +67,21 @@ use hc_sim::{
 
 /// One 8x8 input block.
 type Block = [[i32; 8]; 8];
+
+/// A Table II design's `tape` row.
+struct TapeRow {
+    label: String,
+    /// Lowered tape length of the raw module.
+    pre: usize,
+    /// Lowered tape length of the optimized module.
+    post: usize,
+    /// The tape optimizer's report on the raw module.
+    raw: TapeOptReport,
+    /// Its report on the optimized module: the tape measurements replay.
+    opt: TapeOptReport,
+    /// The raw module's vector-JIT coverage.
+    vjit: NativeBatchedReport,
+}
 
 /// Best cycles/sec over 3 timed repetitions (after one warmup rep). The
 /// closure streams one batch through an already-built engine and returns the
@@ -148,7 +164,6 @@ fn tapeopt_json(r: &TapeOptReport) -> Json {
         "instrs_post" => r.instrs_post,
         "fused" => r.fused,
         "forwarded" => r.forwarded,
-        "cse" => r.cse,
         "strength_reduced" => r.strength_reduced,
         "dead_removed" => r.dead_removed,
         "narrow_slots_pre" => r.narrow_slots_pre,
@@ -284,7 +299,7 @@ fn main() {
     );
 
     println!("optimization pass pipeline (compiled tape, pre/post)...");
-    let mut tape_rows: Vec<(String, usize, usize, TapeOptReport, NativeBatchedReport)> = Vec::new();
+    let mut tape_rows: Vec<TapeRow> = Vec::new();
     for tool in hc_core::entries::all_tools() {
         for design in [&tool.initial, &tool.optimized] {
             let sim = hc_sim::CompiledSimulator::new(design.module.clone())
@@ -295,10 +310,12 @@ fn main() {
                 .expect("tape optimizer is on by default");
             let mut optimized = design.module.clone();
             hc_rtl::passes::optimize(&mut optimized);
-            let post = hc_sim::CompiledSimulator::new(optimized)
-                .expect("Table II designs validate")
-                .tape_stats()
-                .0;
+            let opt_sim =
+                hc_sim::CompiledSimulator::new(optimized).expect("Table II designs validate");
+            let post = opt_sim.tape_stats().0;
+            let opt_report = opt_sim
+                .tape_opt_report()
+                .expect("tape optimizer is on by default");
             // The vector-cone split is a compile-time decision, so a
             // minimal 4-lane build is enough to record it per design.
             let vjit = hc_sim::NativeBatchedSimulator::new(design.module.clone(), 4)
@@ -315,24 +332,29 @@ fn main() {
                 vjit.cones_compiled,
                 vjit.cones_compiled + vjit.cones_fallback,
             );
-            tape_rows.push((design.label.clone(), pre, post, report, vjit));
+            tape_rows.push(TapeRow {
+                label: design.label.clone(),
+                pre,
+                post,
+                raw: report,
+                opt: opt_report,
+                vjit,
+            });
         }
     }
-    let tapeopt_fused_min = tape_rows
-        .iter()
-        .map(|(_, _, _, r, _)| r.fused)
-        .min()
-        .unwrap_or(0);
+    let tapeopt_fused_min = tape_rows.iter().map(|r| r.raw.fused).min().unwrap_or(0);
     let tape_json: Vec<Json> = tape_rows
         .iter()
-        .map(|(label, pre, post, report, vjit)| {
+        .map(|r| {
             jobj! {
-                "design" => label.as_str(),
-                "tape_pre" => *pre,
-                "tape_post" => *post,
-                "tapeopt" => tapeopt_json(report),
-                "vjit_cones_compiled" => vjit.cones_compiled,
-                "vjit_cones_fallback" => vjit.cones_fallback,
+                "design" => r.label.as_str(),
+                "tape_pre" => r.pre,
+                "tape_post" => r.post,
+                "tapeopt" => tapeopt_json(&r.raw),
+                "opt_instrs_post" => r.opt.instrs_post,
+                "opt_parts" => r.opt.parts,
+                "vjit_cones_compiled" => r.vjit.cones_compiled,
+                "vjit_cones_fallback" => r.vjit.cones_fallback,
             }
         })
         .collect();

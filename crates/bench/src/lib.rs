@@ -114,15 +114,18 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
 /// Wraps an AXI-Stream IDCT wrapper module as a batch IDCT function for
 /// [`hc_idct::ieee1180::measure_range_batched`]: each call streams the
 /// whole batch through a lane-batched harness (one contiguous chunk per
-/// lane) and returns the decoded blocks in input order.
+/// lane) and returns the decoded blocks in input order. The module runs
+/// through the IR pass pipeline once, here, as on every measurement path:
+/// the engines build from the optimized netlist.
 ///
 /// # Panics
 ///
 /// The returned closure panics if the module fails validation or the
 /// harness loses blocks.
 pub fn rtl_idct_batched(
-    module: hc_rtl::Module,
+    mut module: hc_rtl::Module,
 ) -> impl FnMut(&[hc_idct::Block]) -> Vec<hc_idct::Block> {
+    hc_rtl::passes::optimize(&mut module);
     move |batch| {
         let lanes = hc_axi::lanes_for_blocks(batch.len());
         let mut harness = hc_axi::BatchedStreamHarness::new(module.clone(), lanes)

@@ -8,7 +8,8 @@ use hc_bits::Bits;
 /// Folds nodes whose operands are constants and applies width-preserving
 /// algebraic identities (`x + 0`, `x * 1`, `x & 0`, shift-by-0, constant-
 /// select muxes, …). Dead originals are left for [`super::dce`] to collect.
-pub fn const_fold(module: &mut Module) {
+/// Returns whether the module changed.
+pub fn const_fold(module: &mut Module) -> bool {
     let n = module.nodes().len();
     // replace[i] = the node that should be used instead of node i.
     let mut replace: Vec<NodeId> = (0..n).map(NodeId::new).collect();
@@ -59,7 +60,8 @@ pub fn const_fold(module: &mut Module) {
         }
     }
 
-    apply_replacement(module, &replace);
+    let appended = module.nodes().len() > n;
+    apply_replacement(module, &replace) || appended
 }
 
 /// The value of a `Const` node recorded in `const_fold`'s value table.
@@ -185,7 +187,10 @@ fn identity(
 /// Operands are rewritten in place. When every operand then points at an
 /// earlier node the order is kept as it is: the topological sort would
 /// return the identity permutation.
-pub(crate) fn apply_replacement(module: &mut Module, replace: &[NodeId]) {
+///
+/// Returns whether anything moved: a node replaced by another, or the
+/// order re-sorted. An identity table leaves the module as it was.
+pub(crate) fn apply_replacement(module: &mut Module, replace: &[NodeId]) -> bool {
     let mut nodes = std::mem::take(&mut module.nodes);
     let mut ordered = true;
     for (i, nd) in nodes.iter_mut().enumerate() {
@@ -241,6 +246,7 @@ pub(crate) fn apply_replacement(module: &mut Module, replace: &[NodeId]) {
             w.en = map(w.en);
         }
     }
+    position.is_some() || replace.iter().enumerate().any(|(i, to)| to.index() != i)
 }
 
 /// Topological order of an acyclic node graph (operands before users),

@@ -114,6 +114,12 @@ impl OptReport {
 /// Runs the configured passes (fold → strength → CSE → DCE) to a fixpoint
 /// of sizes and reports the before/after accounting.
 ///
+/// An iteration after the first in which neither folding nor strength
+/// reduction changed the module ends before CSE and DCE: those two already
+/// ran on exactly this module, they are idempotent, and the node count
+/// cannot shrink. It still counts in [`OptReport::iterations`], so the
+/// report is the one a full last sweep would give.
+///
 /// This is roughly what an HDL compiler does before technology mapping, so
 /// every frontend calls it before handing a module to `hc-synth` — area
 /// numbers then reflect optimized logic rather than frontend verbosity.
@@ -127,11 +133,16 @@ pub fn optimize_with(module: &mut Module, config: &PassConfig) -> OptReport {
     if config.any() {
         loop {
             let before = module.nodes().len();
+            let mut changed = false;
             if config.const_fold {
-                const_fold(module);
+                changed |= const_fold(module);
             }
             if config.strength {
-                strength_reduce(module);
+                changed |= strength_reduce(module);
+            }
+            report.iterations += 1;
+            if report.iterations > 1 && !changed {
+                break;
             }
             if config.cse {
                 cse(module);
@@ -139,7 +150,6 @@ pub fn optimize_with(module: &mut Module, config: &PassConfig) -> OptReport {
             if config.dce {
                 dce(module);
             }
-            report.iterations += 1;
             if module.nodes().len() >= before {
                 break;
             }

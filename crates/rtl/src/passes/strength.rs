@@ -14,8 +14,9 @@ use crate::{Module, Node, NodeId};
 use hc_bits::Bits;
 
 /// Rewrites slice/concat/extension plumbing into fewer, narrower nodes.
-/// Dead originals are left for [`super::dce`] to collect.
-pub fn strength_reduce(module: &mut Module) {
+/// Dead originals are left for [`super::dce`] to collect. Returns whether
+/// the module changed.
+pub fn strength_reduce(module: &mut Module) -> bool {
     let n = module.nodes().len();
     let mut replace: Vec<NodeId> = (0..n).map(NodeId::new).collect();
 
@@ -48,7 +49,8 @@ pub fn strength_reduce(module: &mut Module) {
         replace[i] = replace[new.index()];
     }
 
-    apply_replacement(module, &replace);
+    let appended = module.nodes().len() > n;
+    apply_replacement(module, &replace) || appended
 }
 
 /// The rewrite for one (operand-remapped) node of width `w`, if any.

@@ -86,7 +86,7 @@ pub(crate) fn sxt(v: u64, s: u32) -> i64 {
 /// Naming: a bare op name works on narrow (`u64`) slots; a `W` suffix means
 /// wide operands are involved. `Generic` falls back to `eval_pure` over
 /// materialized `Bits` for shapes with no specialized form.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Instr {
     /// `dst = a & mask` — narrow copy, truncating zext/sext, widening zext.
     CopyMask {
@@ -394,7 +394,7 @@ pub(crate) enum Instr {
 }
 
 /// Comparison kind carried by the fused [`Instr::SelN`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum CmpKind {
     Eq,
     Ne,

@@ -1,8 +1,11 @@
 //! Tape backend optimizer: rewrites the flat [`Instr`] tape after lowering
 //! and before execution.
 //!
-//! Four cooperating transformations run to a fixpoint, then the tape is
-//! laid out for the engines:
+//! A pre-pass reads every narrow constant operand through the slot of
+//! lowest index holding the same value ([`SlotFacts::canon`]), so equal
+//! literals lowered into separate slots become one operand. Then three
+//! cooperating transformations run to a fixpoint, and the tape is laid out
+//! for the engines:
 //!
 //! 1. **Copy forwarding + constant strength reduction** — copies whose mask
 //!    covers the source's significant bits are deleted and their readers
@@ -16,12 +19,15 @@
 //!    becomes [`Instr::SelN`], a `Concat` of two slices of one source
 //!    becomes a single masked [`Instr::SliceN`] window, and mask/shift
 //!    chains combine.
-//! 3. **Common-subexpression elimination** — an instruction identical in
-//!    shape and operands to an earlier one becomes a copy of the first
-//!    result (which forwarding then deletes outright).
-//! 4. **Tape dead-code elimination** — instructions whose destination is
+//! 3. **Tape dead-code elimination** — instructions whose destination is
 //!    unreachable from any register plan, memory write, or output port are
 //!    dropped.
+//!
+//! There is no tape-level common-subexpression elimination. Every
+//! measurement and the IEEE 1180 run build their engines from netlists
+//! that `hc_rtl::passes::optimize` has already hash-consed, and on those a
+//! second, tape-level pass found nothing to merge on any shipped design. A
+//! raw netlist runs correctly but keeps its recomputations.
 //!
 //! Afterwards the tape is **partitioned** (see [`partition`]) into
 //! *components* — connected combinational cones, joined only through temp
@@ -74,9 +80,6 @@ pub struct TapeOptReport {
     pub fused: usize,
     /// Copies eliminated by forwarding their source to all readers.
     pub forwarded: usize,
-    /// Recomputations replaced with the result of an identical earlier
-    /// instruction (local value numbering over the tape).
-    pub cse: usize,
     /// Constant-operand operations rewritten to cheaper forms.
     pub strength_reduced: usize,
     /// Instructions removed as dead by the tape DCE.
@@ -117,10 +120,11 @@ struct SlotFacts {
     n_const: Vec<bool>,
     /// Per narrow slot: the lowest constant slot holding the same value for
     /// a constant slot, the slot itself otherwise. Lowering gives every
-    /// literal its own constant slot, which hides repeats of the same
-    /// expression behind distinct-but-equal operands (an IDCT reuses each
-    /// cosine coefficient across all eight row sums); CSE keys operands
-    /// through this map.
+    /// literal its own constant slot, and the IR pipeline keeps literals of
+    /// equal value but different widths apart (a zero or a one appears at
+    /// many widths), so the pre-pass ([`canonical_tape`]) rewrites every
+    /// operand through this map once: the duplicates go unread and
+    /// reallocation drops them.
     canon: Vec<u32>,
     /// Word width of each narrow memory, in `nmem` index order.
     nmem_width: Vec<u32>,
@@ -185,11 +189,10 @@ pub(crate) fn optimize(low: &mut Lowered) -> TapeOptReport {
         ..TapeOptReport::default()
     };
     let facts = SlotFacts::new(low);
-    let mut tape: Vec<Option<Instr>> = low.tape.iter().copied().map(Some).collect();
+    let mut tape = canonical_tape(low, &facts.canon);
     loop {
         let mut changed = forward_pass(low, &facts, &mut tape, &mut report);
         changed |= fuse_pass(low, &mut tape, &mut report);
-        changed |= cse_pass(low, &facts, &mut tape, &mut report);
         changed |= dce_pass(low, &mut tape, &mut report);
         if !changed {
             break;
@@ -214,10 +217,31 @@ pub(crate) fn optimize(low: &mut Lowered) -> TapeOptReport {
     m("tapeopt.runs").inc();
     m("tapeopt.fused").add(report.fused as u64);
     m("tapeopt.forwarded").add(report.forwarded as u64);
-    m("tapeopt.cse").add(report.cse as u64);
     m("tapeopt.strength_reduced").add(report.strength_reduced as u64);
     m("tapeopt.dead_removed").add(report.dead_removed as u64);
     report
+}
+
+/// The pre-pass: the tape as the fixpoint loop edits it, with every narrow
+/// constant operand read through `canon` (see [`SlotFacts::canon`]).
+/// `Generic` keeps its operands in the side table and is left as lowered.
+fn canonical_tape(low: &mut Lowered, canon: &[u32]) -> Vec<Option<Instr>> {
+    let generic = &mut low.generic;
+    low.tape
+        .iter()
+        .map(|&instr| {
+            let mut instr = instr;
+            if !matches!(instr, Instr::Generic(_)) {
+                visit_srcs(
+                    &mut instr,
+                    generic,
+                    &mut |s| *s = canon[*s as usize],
+                    &mut |_| {},
+                );
+            }
+            Some(instr)
+        })
+        .collect()
 }
 
 /// Calls `n` on every narrow source slot of `instr` and `w` on every wide
@@ -1032,150 +1056,6 @@ fn fuse_pass(low: &mut Lowered, tape: &mut [Option<Instr>], report: &mut TapeOpt
 
 /// Backward liveness over the tape: an instruction is live iff its
 /// destination reaches a register plan, a memory write, or an output port.
-/// One value-numbering pass over the tape: an instruction whose operands are
-/// all eval-stable slots (no tape def — inputs, registers, constants — or a
-/// single def, which the SSA-form tape guarantees for temps) computes the
-/// same value as any earlier instruction of the identical shape, so the
-/// recomputation becomes a copy of the first result. The copy then feeds the
-/// forwarding pass, which rewires its readers and deletes it. Memory reads
-/// qualify too: memory only commits at the clock edge, so two reads of the
-/// same address within one settle agree.
-fn cse_pass(
-    low: &mut Lowered,
-    facts: &SlotFacts,
-    tape: &mut [Option<Instr>],
-    report: &mut TapeOptReport,
-) -> bool {
-    let mut defs_n = vec![0u32; low.narrow_init.len()];
-    let mut defs_w = vec![0u32; low.wide_init.len()];
-    for instr in tape.iter().flatten() {
-        match dst_loc(instr, &low.generic) {
-            Loc::N(d) => defs_n[d as usize] += 1,
-            Loc::W(d) => defs_w[d as usize] += 1,
-        }
-    }
-    // Constant operands are keyed by their canonical slot (see
-    // `SlotFacts::canon`).
-    let mut seen: HashMap<CseKey, Loc> = HashMap::with_capacity(tape.len());
-    let mut changed = false;
-    let generic = &mut low.generic;
-    for slot in tape.iter_mut() {
-        let Some(instr) = slot else { continue };
-        if !matches!(instr, Instr::Generic(_)) {
-            visit_srcs(
-                instr,
-                generic,
-                &mut |s| *s = facts.canon[*s as usize],
-                &mut |_| {},
-            );
-        }
-        // Copies are the forwarding pass's job (rewriting them here would
-        // churn the fixpoint loop), and `Generic` keeps its operands in a
-        // side table, so zeroing a copied instruction can't build its key.
-        if matches!(
-            instr,
-            Instr::CopyMask { .. } | Instr::CopyW { .. } | Instr::Generic(_)
-        ) {
-            continue;
-        }
-        let stable = std::cell::Cell::new(true);
-        {
-            let mut probe = *instr;
-            visit_srcs(
-                &mut probe,
-                generic,
-                &mut |s| stable.set(stable.get() && defs_n[*s as usize] <= 1),
-                &mut |s| stable.set(stable.get() && defs_w[*s as usize] <= 1),
-            );
-        }
-        if !stable.get() {
-            continue;
-        }
-        let mut key = *instr;
-        visit_dst(&mut key, generic, &mut |d| *d = 0, &mut |d| *d = 0);
-        let key = CseKey(key);
-        match (seen.get(&key).copied(), dst_loc(instr, generic)) {
-            (Some(Loc::N(p)), Loc::N(dst)) => {
-                // The source value is the identical instruction's result, so
-                // it is already masked to the destination's width.
-                *instr = Instr::CopyMask {
-                    a: p,
-                    dst,
-                    mask: u64::MAX,
-                };
-                report.cse += 1;
-                changed = true;
-            }
-            (Some(Loc::W(p)), Loc::W(dst)) => {
-                *instr = Instr::CopyW { a: p, dst };
-                report.cse += 1;
-                changed = true;
-            }
-            (None, dst) => {
-                // Only a single-def result is a valid replacement source at
-                // later occurrences — a multi-def slot may be overwritten
-                // between the two points.
-                let single = match dst {
-                    Loc::N(d) => defs_n[d as usize] == 1,
-                    Loc::W(d) => defs_w[d as usize] == 1,
-                };
-                if single {
-                    seen.insert(key, dst);
-                }
-            }
-            _ => unreachable!("the CSE key pins the destination store"),
-        }
-    }
-    changed
-}
-
-/// A CSE table key: the instruction with its destination zeroed. Its hash
-/// gathers the derived field-by-field encoding into one buffer and feeds
-/// that to the map's keyed hasher in a single write, instead of one
-/// hasher call per field. The map keeps std's `RandomState`, since
-/// `/v1/measure` lowers untrusted Verilog.
-#[derive(PartialEq, Eq)]
-struct CseKey(Instr);
-
-impl std::hash::Hash for CseKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        let mut bytes = Gather::default();
-        self.0.hash(&mut bytes);
-        state.write(&bytes.buf[..bytes.len]);
-    }
-}
-
-/// A `Hasher` that only records the bytes written to it. Every [`Instr`]
-/// encodes in well under the buffer size; were one ever longer, the tail
-/// would be dropped, which costs collisions but never correctness (the
-/// map still compares whole keys).
-struct Gather {
-    buf: [u8; 96],
-    len: usize,
-}
-
-impl Default for Gather {
-    fn default() -> Self {
-        Gather {
-            buf: [0; 96],
-            len: 0,
-        }
-    }
-}
-
-impl std::hash::Hasher for Gather {
-    fn write(&mut self, bytes: &[u8]) {
-        let n = bytes.len().min(self.buf.len() - self.len);
-        self.buf[self.len..self.len + n].copy_from_slice(&bytes[..n]);
-        self.len += n;
-    }
-
-    /// Never consulted: [`CseKey`] hands the gathered bytes on instead.
-    fn finish(&self) -> u64 {
-        0
-    }
-}
-
 fn dce_pass(low: &mut Lowered, tape: &mut [Option<Instr>], report: &mut TapeOptReport) -> bool {
     let mut live_n = vec![false; low.narrow_init.len()];
     let mut live_w = vec![false; low.wide_init.len()];
@@ -2137,6 +2017,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `a = x + 5` at 8 bits and `b = y + second` at 16 bits: two literals
+    /// in slots of their own, equal when `second` is 5.
+    fn two_literal_module(second: u64) -> Module {
+        let mut m = Module::new("lits");
+        let x = m.input("x", 8);
+        let y = m.input("y", 16);
+        let c8 = m.const_u(8, 5);
+        let c16 = m.const_u(16, second);
+        let a = m.binary(BinaryOp::Add, x, c8, 8);
+        let b = m.binary(BinaryOp::Add, y, c16, 16);
+        m.output("a", a);
+        m.output("b", b);
+        m
+    }
+
+    /// The pre-pass reads both additions' literals through one slot when
+    /// their values are equal, whatever their widths, so reallocation
+    /// keeps one narrow slot fewer than for two different values.
+    #[test]
+    fn equal_literals_of_different_widths_share_one_slot() {
+        let shared = lowered(two_literal_module(5))
+            .tape_opt
+            .expect("tape opt ran");
+        let apart = lowered(two_literal_module(6))
+            .tape_opt
+            .expect("tape opt ran");
+        assert_eq!(shared.narrow_slots_pre, apart.narrow_slots_pre);
+        assert_eq!(shared.instrs_post, apart.instrs_post);
+        assert_eq!(
+            shared.narrow_slots_post + 1,
+            apart.narrow_slots_post,
+            "equal literals: {shared:?}\ndifferent literals: {apart:?}"
+        );
     }
 
     fn select_module() -> Module {

@@ -34,8 +34,10 @@ PROPTEST_CASES=4096 cargo test -q --release -p hc-sim --test differential -- \
 echo "== kernel x frontend matrix agreement suite (five backends, full registry)"
 # Release mode: the debug workspace run above covers dct8/idct4/fir32 but
 # skips the 16x16 IDCT (tens of minutes under the un-optimized
-# interpreter); this pass sweeps the complete registry.
-cargo test -q --release --test kernel_matrix
+# interpreter); this pass sweeps the complete registry. The batched
+# interpreter tier is its own binary: it builds under an HC_NO_NATIVE
+# override that must not reach the JIT tiers' engines.
+cargo test -q --release --test kernel_matrix --test kernel_matrix_interpreted
 
 echo "== criterion smoke (each bench body once)"
 cargo bench -p hc-bench -- --test

@@ -9,7 +9,8 @@
 //! designs) is pinned here so it cannot silently regress. The optimized
 //! netlist of every shipped design (Table II, Fig. 1, kernel matrix) is
 //! pinned by content hash, so a pass change that moves synthesized area
-//! or Q shows up here first.
+//! or Q shows up here first, and the tape the compiled engine builds from
+//! it by its instruction, part and slot counts.
 
 use hls_vs_hc::axi::{BatchedStreamHarness, StreamHarness};
 use hls_vs_hc::core::entries::{all_tools, dse_points, Design, DesignInterface};
@@ -318,31 +319,213 @@ fn assert_pinned(set: &str, designs: &[Design], pins: &[(&str, u128)]) {
     );
 }
 
-#[test]
-fn optimized_table2_modules_match_their_pinned_hashes() {
-    let designs: Vec<Design> = all_tools()
+/// Every tool's initial, then optimized design.
+fn table2_designs() -> Vec<Design> {
+    all_tools()
         .into_iter()
         .flat_map(|tool| [tool.initial, tool.optimized])
-        .collect();
-    assert_pinned("Table II", &designs, &TABLE2_OPTIMIZED);
+        .collect()
+}
+
+/// Every tool's DSE points, in sweep order.
+fn fig1_designs() -> Vec<Design> {
+    all_tools()
+        .iter()
+        .flat_map(|tool| dse_points(tool.info.id))
+        .collect()
+}
+
+/// Every kernel's matrix cells, kernel by kernel.
+fn matrix_designs() -> Vec<Design> {
+    kernels()
+        .iter()
+        .flat_map(|spec| matrix_cells(spec).into_iter().map(|(_, design)| design))
+        .collect()
+}
+
+#[test]
+fn optimized_table2_modules_match_their_pinned_hashes() {
+    assert_pinned("Table II", &table2_designs(), &TABLE2_OPTIMIZED);
 }
 
 #[test]
 fn optimized_fig1_modules_match_their_pinned_hashes() {
-    let designs: Vec<Design> = all_tools()
-        .iter()
-        .flat_map(|tool| dse_points(tool.info.id))
-        .collect();
-    assert_pinned("Fig. 1", &designs, &FIG1_OPTIMIZED);
+    assert_pinned("Fig. 1", &fig1_designs(), &FIG1_OPTIMIZED);
 }
 
 #[test]
 fn optimized_matrix_modules_match_their_pinned_hashes() {
-    let designs: Vec<Design> = kernels()
+    assert_pinned("matrix", &matrix_designs(), &MATRIX_OPTIMIZED);
+}
+
+/// The tape the compiled engine builds from each optimized module, as
+/// `(label, instrs_post, parts, narrow_slots_post)` from its
+/// `tape_opt_report()`: the tape every measurement replays. Recorded while
+/// the tape optimizer still ran a CSE pass of its own, which merged
+/// nothing on these netlists, so a change to lowering or the tape
+/// optimizer that moves what the measurements run shows up here.
+/// Table II designs, in `TABLE2_OPTIMIZED` order.
+const TABLE2_TAPES: [(&str, usize, usize, usize); 14] = [
+    ("initial", 1438, 489, 730),
+    ("opt(1row+1col)", 650, 81, 180),
+    ("initial", 2041, 489, 1090),
+    ("opt(1row+1col)", 712, 76, 215),
+    ("initial(C translation)", 573, 95, 178),
+    ("opt(1row+1col)", 780, 139, 241),
+    ("stages=0(comb)", 1413, 489, 773),
+    ("stages=8", 1460, 602, 1782),
+    ("matrix/cycle", 1528, 858, 5363),
+    ("row/cycle", 1049, 560, 3556),
+    ("MEM_ACC_11+LSS", 668, 298, 724),
+    ("PERFORMANCE-MP+sdc", 640, 255, 663),
+    ("push-button", 669, 287, 708),
+    ("pipeline+partition+inline", 1458, 665, 1898),
+];
+
+/// Fig. 1 design-space points, in `FIG1_OPTIMIZED` order.
+const FIG1_TAPES: [(&str, usize, usize, usize); 72] = [
+    ("8row+8col", 1438, 489, 730),
+    ("1row+8col", 984, 270, 379),
+    ("1row+1col", 650, 81, 180),
+    ("8row+8col", 2041, 489, 1090),
+    ("1row+1col", 712, 76, 215),
+    ("seq,urgency0", 573, 95, 178),
+    ("seq,urgency1", 572, 96, 177),
+    ("seq,urgency2", 572, 95, 176),
+    ("seq,urgency3", 573, 95, 176),
+    ("seq,urgency4", 573, 95, 176),
+    ("seq,urgency5", 572, 96, 178),
+    ("rowcol,urgency0", 780, 139, 241),
+    ("rowcol,urgency1", 780, 140, 264),
+    ("rowcol,urgency2", 780, 140, 264),
+    ("rowcol,urgency3", 780, 140, 264),
+    ("rowcol,urgency4", 779, 140, 261),
+    ("rowcol,urgency5", 780, 139, 241),
+    ("rowcol,urgency6", 779, 140, 242),
+    ("rowcol,urgency7", 780, 140, 261),
+    ("rowcol,urgency8", 780, 139, 241),
+    ("rowcol,urgency9", 780, 140, 264),
+    ("rowcol,urgency10", 779, 141, 262),
+    ("rowcol,urgency11", 780, 139, 261),
+    ("rowcol,urgency12", 780, 139, 260),
+    ("rowcol,urgency13", 780, 139, 241),
+    ("rowcol,urgency14", 780, 139, 241),
+    ("rowcol,urgency15", 780, 140, 264),
+    ("rowcol,urgency16", 780, 140, 264),
+    ("rowcol,urgency17", 780, 140, 264),
+    ("rowcol,urgency18", 779, 140, 261),
+    ("rowcol,urgency19", 780, 139, 241),
+    ("stages=0", 1413, 489, 773),
+    ("stages=1", 1422, 556, 993),
+    ("stages=2", 1425, 550, 1085),
+    ("stages=3", 1430, 612, 1231),
+    ("stages=4", 1427, 510, 1262),
+    ("stages=5", 1446, 539, 1387),
+    ("stages=6", 1445, 648, 1567),
+    ("stages=7", 1461, 589, 1657),
+    ("stages=8", 1460, 602, 1782),
+    ("stages=9", 1458, 665, 1898),
+    ("stages=10", 1468, 667, 1971),
+    ("stages=11", 1454, 689, 2007),
+    ("stages=12", 1463, 662, 2044),
+    ("stages=13", 1479, 703, 2224),
+    ("stages=14", 1491, 739, 2343),
+    ("stages=15", 1482, 766, 2403),
+    ("stages=16", 1479, 765, 2566),
+    ("stages=17", 1498, 780, 2649),
+    ("stages=18", 1491, 772, 2741),
+    ("matrix/cycle", 1528, 858, 5363),
+    ("row/cycle", 1049, 560, 3556),
+    ("Area", 664, 278, 695),
+    ("Area+lss", 668, 298, 724),
+    ("Area+sdc", 652, 251, 648),
+    ("Area+sdc+lss", 664, 281, 694),
+    ("Balanced", 664, 278, 695),
+    ("Balanced+lss", 668, 298, 724),
+    ("Balanced+sdc", 652, 251, 648),
+    ("Balanced+sdc+lss", 664, 281, 694),
+    ("PerformanceMp", 640, 252, 663),
+    ("PerformanceMp+lss", 644, 272, 691),
+    ("PerformanceMp+sdc", 628, 225, 613),
+    ("PerformanceMp+sdc+lss", 640, 255, 663),
+    ("pipe=0,part=0,inline=0", 669, 287, 708),
+    ("pipe=0,part=0,inline=1", 657, 279, 696),
+    ("pipe=0,part=1,inline=0", 6144, 1539, 2188),
+    ("pipe=0,part=1,inline=1", 5875, 1468, 2114),
+    ("pipe=1,part=0,inline=0", 669, 287, 708),
+    ("pipe=1,part=0,inline=1", 657, 279, 696),
+    ("pipe=1,part=1,inline=0", 6144, 1539, 2188),
+    ("pipe=1,part=1,inline=1", 1458, 665, 1898),
+];
+
+/// Kernel x frontend matrix cells, in `MATRIX_OPTIMIZED` order.
+const MATRIX_TAPES: [(&str, usize, usize, usize); 28] = [
+    ("matrix.dct8.verilog", 1886, 217, 428),
+    ("matrix.dct8.construct", 4357, 281, 913),
+    ("matrix.dct8.rules", 613, 65, 150),
+    ("matrix.dct8.flow", 1882, 604, 1496),
+    ("matrix.dct8.dataflow", 2752, 2194, 11360),
+    ("matrix.dct8.hls_bambu", 2973, 1198, 2096),
+    ("matrix.dct8.hls_vivado", 2152, 1096, 3094),
+    ("matrix.fir32.verilog", 2022, 542, 1378),
+    ("matrix.fir32.construct", 4158, 598, 825),
+    ("matrix.fir32.rules", 1991, 546, 665),
+    ("matrix.fir32.flow", 1841, 588, 1722),
+    ("matrix.fir32.dataflow", 3266, 2888, 13578),
+    ("matrix.fir32.hls_bambu", 583, 227, 564),
+    ("matrix.fir32.hls_vivado", 2969, 1424, 4633),
+    ("matrix.idct4.verilog", 351, 65, 142),
+    ("matrix.idct4.construct", 508, 65, 159),
+    ("matrix.idct4.rules", 232, 46, 99),
+    ("matrix.idct4.flow", 353, 132, 367),
+    ("matrix.idct4.dataflow", 432, 294, 1565),
+    ("matrix.idct4.hls_bambu", 575, 277, 541),
+    ("matrix.idct4.hls_vivado", 386, 178, 514),
+    ("matrix.idct16.verilog", 12230, 2153, 2529),
+    ("matrix.idct16.construct", 27958, 2153, 3547),
+    ("matrix.idct16.rules", 1986, 152, 349),
+    ("matrix.idct16.flow", 11929, 2948, 7982),
+    ("matrix.idct16.dataflow", 19200, 16946, 87260),
+    ("matrix.idct16.hls_bambu", 19571, 6591, 10024),
+    ("matrix.idct16.hls_vivado", 13674, 7278, 22996),
+];
+
+fn assert_tapes_pinned(set: &str, designs: &[Design], pins: &[(&str, usize, usize, usize)]) {
+    assert_eq!(designs.len(), pins.len(), "{set}: design count changed");
+    let drift: Vec<String> = designs
         .iter()
-        .flat_map(|spec| matrix_cells(spec).into_iter().map(|(_, design)| design))
+        .zip(pins)
+        .filter_map(|(design, &(label, instrs, parts, slots))| {
+            assert_eq!(design.label, label, "{set}: design order changed");
+            let r = CompiledSimulator::new(optimized_module(design))
+                .expect("validates")
+                .tape_opt_report()
+                .expect("tape optimizer is on by default");
+            let got = (r.instrs_post, r.parts, r.narrow_slots_post);
+            let want = (instrs, parts, slots);
+            (got != want).then(|| format!("{label}: {got:?} != {want:?}"))
+        })
         .collect();
-    assert_pinned("matrix", &designs, &MATRIX_OPTIMIZED);
+    assert!(
+        drift.is_empty(),
+        "{set}: optimized tapes changed (instrs_post, parts, narrow_slots_post):\n{}",
+        drift.join("\n")
+    );
+}
+
+#[test]
+fn optimized_table2_tapes_match_their_pins() {
+    assert_tapes_pinned("Table II", &table2_designs(), &TABLE2_TAPES);
+}
+
+#[test]
+fn optimized_fig1_tapes_match_their_pins() {
+    assert_tapes_pinned("Fig. 1", &fig1_designs(), &FIG1_TAPES);
+}
+
+#[test]
+fn optimized_matrix_tapes_match_their_pins() {
+    assert_tapes_pinned("matrix", &matrix_designs(), &MATRIX_TAPES);
 }
 
 proptest! {
