@@ -16,16 +16,27 @@
 //! # Fidelity
 //!
 //! Each lane reproduces, cycle for cycle, what the scalar harness would do
-//! with the same matrix sequence: the per-cycle ordering is the same
-//! monitor → driver → checker sequence (see `StreamHarness::run`), applied
-//! in two batched phases so the whole tape settles only twice per cycle
-//! instead of twice per lane:
+//! with the same matrix sequence. The scalar loop (see `StreamHarness::run`)
+//! runs monitor → driver → checker: it samples `m_axis_tvalid/tdata` while
+//! `s_axis_tvalid/tdata` still hold the previous cycle's beat, then writes
+//! the new beat and settles again to read `s_axis_tready`. The batched
+//! harness settles the whole tape once per cycle instead, for all lanes:
 //!
-//! 1. all lanes apply `m_axis_tready` and sample `m_axis_tvalid/tdata`
-//!    (the driver's inputs still hold the previous cycle's values, exactly
-//!    as in the scalar loop);
-//! 2. all lanes apply `s_axis_tvalid/tdata`, then sample `s_axis_tready`
-//!    for the handshake and run the protocol checks.
+//! 1. all lanes apply `m_axis_tready` and `s_axis_tvalid/tdata`;
+//! 2. one settle; from it every lane samples `m_axis_tvalid/tdata` for the
+//!    monitor, `s_axis_tready` for the handshake, and runs the protocol
+//!    checks.
+//!
+//! This is exact when no combinational path runs from
+//! `s_axis_tvalid/tdata` to `m_axis_tvalid/tdata`: the monitor's ports
+//! then depend only on registers, memories, `rst` and `m_axis_tready`, and
+//! `m_axis_tready` is written before either order samples them, so
+//! sampling before or after the driver's write reads the same values. The
+//! harness decides this once, when it is built, with one forward sweep over
+//! the netlist. A wrapper that has such a path keeps the scalar order and
+//! two settles per cycle: phase 1 applies `m_axis_tready` and samples the
+//! monitor, phase 2 applies the driver's beat and samples the handshake
+//! and the checks.
 //!
 //! Lanes never interact — the wrapper state is fully per-lane — so
 //! reordering *across* lanes is invisible. The root equivalence suite
@@ -45,6 +56,30 @@ use crate::harness::{pack_words, unpack_words, StreamTiming};
 use crate::ProtocolError;
 use hc_rtl::{Module, ValidateError};
 use hc_sim::{EngineOptions, NativeBatchedSimulator};
+
+/// Whether a combinational path runs from `s_axis_tvalid`/`s_axis_tdata`
+/// to `m_axis_tvalid`/`m_axis_tdata`. One forward sweep over the node
+/// list, which is topologically ordered: a node is reached when one of its
+/// operands is, so a register output or a constant ends a path and an
+/// asynchronous memory read follows its address.
+fn driver_reaches_monitor(module: &Module) -> bool {
+    let mut reached = vec![false; module.nodes().len()];
+    for name in ["s_axis_tvalid", "s_axis_tdata"] {
+        if let Some(port) = module.input_named(name) {
+            reached[port.node.index()] = true;
+        }
+    }
+    for (i, nd) in module.nodes().iter().enumerate() {
+        let mut hit = false;
+        nd.node.for_each_operand(|a| hit |= reached[a.index()]);
+        reached[i] |= hit;
+    }
+    ["m_axis_tvalid", "m_axis_tdata"].iter().any(|name| {
+        module
+            .output_named(name)
+            .is_some_and(|o| reached[o.node.index()])
+    })
+}
 
 /// How many lanes to use for a run of `nblocks` independent matrices.
 ///
@@ -95,6 +130,9 @@ pub struct BatchedStreamHarness {
     cols: usize,
     in_elem_width: u32,
     out_elem_width: u32,
+    /// No combinational path reaches the monitor's ports from the
+    /// driver's, so each cycle drives first and settles once.
+    settles_once: bool,
     /// Protocol violations observed during runs, tagged `(lane, error)`.
     pub protocol_errors: Vec<(usize, ProtocolError)>,
 }
@@ -137,12 +175,14 @@ impl BatchedStreamHarness {
         sim.set_all_u64("m_axis_tready", 0);
         sim.step();
         sim.set_all_u64("rst", 0);
+        let settles_once = !driver_reaches_monitor(sim.module());
         Ok(BatchedStreamHarness {
             sim,
             rows: spec.rows as usize,
             cols: spec.cols as usize,
             in_elem_width: spec.in_elem_width,
             out_elem_width: spec.out_elem_width,
+            settles_once,
             protocol_errors: Vec::new(),
         })
     }
@@ -150,6 +190,14 @@ impl BatchedStreamHarness {
     /// Number of lanes.
     pub fn lanes(&self) -> usize {
         self.sim.lanes()
+    }
+
+    /// Whether each cycle settles the netlist once (the wrapper has no
+    /// combinational path from `s_axis_tvalid/tdata` to
+    /// `m_axis_tvalid/tdata`) rather than twice; see the module's
+    /// Fidelity section.
+    pub fn settles_once(&self) -> bool {
+        self.settles_once
     }
 
     /// Access to the simulator (e.g. for probing or tier reports).
@@ -292,19 +340,40 @@ impl BatchedStreamHarness {
             }
         }
 
+        // The driver side, all lanes: offer the next beat, or nothing once
+        // the chunk is sent.
+        let drive = |sim: &mut NativeBatchedSimulator, st: &[Lane]| {
+            for (lane, s) in st.iter().enumerate() {
+                if s.done {
+                    continue;
+                }
+                let beat = s.input.get(s.sent * in_words..(s.sent + 1) * in_words);
+                sim.set_port_u64(lane, s_tvalid, u64::from(beat.is_some()));
+                sim.set_port_words(lane, s_tdata, beat.unwrap_or(&zero));
+            }
+        };
+
         for _ in 0..max_cycles {
             if st.iter().all(|s| s.done) {
                 break;
             }
-            // Phase 1 — the monitor side, all lanes: apply ready, then
-            // sample tvalid/tdata. The s_axis inputs still hold the
-            // previous cycle's values, matching the scalar per-cycle
-            // ordering (monitor before driver).
+            // m_axis_tready goes first in either order: it may reach
+            // s_axis_tready combinationally. Settling once, the driver
+            // writes too, and the monitor, the handshake and the checks
+            // below all read one settle: the monitor's ports do not depend
+            // combinationally on the driver's, so they read what the
+            // scalar loop reads before its driver acts.
             for (lane, s) in st.iter().enumerate() {
                 if !s.done {
                     self.sim.set_port_u64(lane, m_tready, 1);
                 }
             }
+            if self.settles_once {
+                drive(&mut self.sim, &st);
+            }
+            // The monitor side, all lanes: sample tvalid/tdata. Settling
+            // twice, s_axis still holds the previous cycle's beat here, as
+            // in the scalar loop (monitor before driver).
             for (lane, s) in st.iter_mut().enumerate() {
                 if !s.done && self.sim.get_port_u64(lane, m_tvalid) != 0 {
                     s.out_cycles.push(self.sim.cycle(lane));
@@ -313,19 +382,12 @@ impl BatchedStreamHarness {
                     self.sim.get_port_words(lane, m_tdata, &mut s.output[n..]);
                 }
             }
-            // Phase 2 — the driver side, all lanes: apply tvalid/tdata,
-            // then sample tready for the handshake; the protocol checks
-            // sample last (exactly the scalar driver → checker order).
-            for (lane, s) in st.iter_mut().enumerate() {
-                if s.done {
-                    continue;
-                }
-                let beat = s.input.get(s.sent * in_words..(s.sent + 1) * in_words);
-                self.sim
-                    .set_port_u64(lane, s_tvalid, u64::from(beat.is_some()));
-                self.sim
-                    .set_port_words(lane, s_tdata, beat.unwrap_or(&zero));
+            if !self.settles_once {
+                drive(&mut self.sim, &st);
             }
+            // The handshake samples tready with the beat applied; the
+            // protocol checks sample last (the scalar driver → checker
+            // order). Settling twice, the first read here settles again.
             for (lane, s) in st.iter_mut().enumerate() {
                 if s.done {
                     continue;
@@ -417,12 +479,133 @@ impl BatchedStreamHarness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{wrap_comb_matrix, MatrixWrapperSpec, StreamHarness};
+    use crate::adapter::{pack_row, unpack_row};
+    use crate::{wrap_comb_matrix, AxisMaster, AxisSlave, MatrixWrapperSpec, StreamHarness};
+    use hc_bits::Bits;
+    use hc_rtl::{BinaryOp, NodeId, UnaryOp};
 
     fn identity_wrapper() -> Module {
         wrap_comb_matrix("w", MatrixWrapperSpec::idct(), |m, elems| {
             elems.iter().map(|&e| m.slice(e, 0, 9)).collect()
         })
+    }
+
+    /// A module with the harness's ports at the IDCT widths: `wire` maps
+    /// `[s_axis_tdata, s_axis_tvalid, m_axis_tready]` to
+    /// `[m_axis_tdata, m_axis_tvalid, s_axis_tready]`.
+    fn axis_module(wire: impl FnOnce(&mut Module, [NodeId; 3]) -> [NodeId; 3]) -> Module {
+        let mut m = Module::new("t");
+        m.input("rst", 1);
+        let s = AxisSlave::declare(&mut m, "s_axis", 96);
+        let out = AxisMaster::declare(&mut m, "m_axis");
+        let [data, valid, ready] = wire(&mut m, [s.tdata, s.tvalid, out.tready]);
+        out.set_outputs(&mut m, "m_axis", data, valid);
+        s.set_ready(&mut m, "s_axis", ready);
+        m.validate().unwrap();
+        m
+    }
+
+    /// The output of a register loaded from `d` every cycle.
+    fn delayed(m: &mut Module, name: &str, d: NodeId) -> NodeId {
+        let w = m.width(d);
+        let r = m.reg(name, w, Bits::zero(w));
+        m.connect_reg(r, d);
+        m.reg_out(r)
+    }
+
+    #[test]
+    fn a_register_ends_the_path() {
+        let m = axis_module(|m, [data, valid, ready]| {
+            let held = delayed(m, "held", data);
+            let data = m.slice(held, 0, 72);
+            let valid = delayed(m, "valid", valid);
+            [data, valid, ready]
+        });
+        assert!(!driver_reaches_monitor(&m));
+    }
+
+    #[test]
+    fn an_async_memory_read_follows_its_address() {
+        let m = axis_module(|m, [data, valid, ready]| {
+            let rom = m.mem("rom", 72, 16);
+            let addr = m.slice(data, 0, 4);
+            let word = m.mem_read(rom, addr);
+            let valid = delayed(m, "valid", valid);
+            [word, valid, ready]
+        });
+        assert!(driver_reaches_monitor(&m));
+    }
+
+    #[test]
+    fn tvalid_through_logic_is_a_path() {
+        let m = axis_module(|m, [data, valid, ready]| {
+            let held = delayed(m, "held", data);
+            let data = m.slice(held, 0, 72);
+            let armed = delayed(m, "armed", valid);
+            let valid = m.binary(BinaryOp::And, valid, armed, 1);
+            [data, valid, ready]
+        });
+        assert!(driver_reaches_monitor(&m));
+    }
+
+    #[test]
+    fn a_ready_to_ready_path_alone_is_no_path() {
+        // m_axis_tready reaches s_axis_tready and m_axis_tvalid, as in the
+        // wrappers' hand-over logic; the driver's ports reach neither
+        // monitor port.
+        let m = axis_module(|m, [data, valid, ready]| {
+            let held = delayed(m, "held", data);
+            let data = m.slice(held, 0, 72);
+            let full = delayed(m, "full", valid);
+            let valid = m.binary(BinaryOp::And, full, ready, 1);
+            let free = m.unary(UnaryOp::Not, full);
+            let ready = m.binary(BinaryOp::Or, free, ready, 1);
+            [data, valid, ready]
+        });
+        assert!(!driver_reaches_monitor(&m));
+    }
+
+    /// A wrapper whose monitor ports are combinational functions of the
+    /// driver's: `m_axis_tvalid = s_axis_tvalid`, each output element the
+    /// low 9 bits of its input element, `s_axis_tready = m_axis_tready`.
+    fn pass_through_wrapper() -> Module {
+        axis_module(|m, [data, valid, ready]| {
+            let elems: Vec<NodeId> = unpack_row(m, data, 12, 8)
+                .into_iter()
+                .map(|e| m.slice(e, 0, 9))
+                .collect();
+            [pack_row(m, &elems), valid, ready]
+        })
+    }
+
+    #[test]
+    fn a_driver_to_monitor_path_keeps_two_settles() {
+        // The scalar harness samples the monitor before its driver writes,
+        // so it sees each beat one cycle after it was accepted: T_L = 9
+        // (8 beats plus that cycle). Settling once would read the beat in
+        // the cycle it is offered and measure 8.
+        assert!(driver_reaches_monitor(&pass_through_wrapper()));
+        let blocks: Vec<[[i32; 8]; 8]> = (0..9)
+            .map(|k| {
+                std::array::from_fn(|r| std::array::from_fn(|c| k * 20 + (r * 8 + c) as i32 - 128))
+            })
+            .collect();
+        let mut scalar = StreamHarness::compiled(pass_through_wrapper()).unwrap();
+        let (souts, stiming) = scalar.run(&blocks, 400);
+        assert_eq!(souts, blocks);
+        let pinned = StreamTiming {
+            latency: 9,
+            periodicity: 8,
+        };
+        assert_eq!(stiming, pinned);
+        for lanes in [1, 3] {
+            let mut batched = BatchedStreamHarness::new(pass_through_wrapper(), lanes).unwrap();
+            assert!(!batched.settles_once());
+            let (bouts, btiming) = batched.run_blocks(&blocks, 400);
+            assert_eq!(bouts, blocks, "{lanes} lanes");
+            assert_eq!(btiming, pinned, "{lanes} lanes");
+            assert!(batched.protocol_errors.is_empty());
+        }
     }
 
     #[test]
@@ -453,6 +636,7 @@ mod tests {
         let (souts, stiming) = scalar.run(&blocks, budget);
         let lanes = lanes_for_blocks(blocks.len());
         let mut batched = BatchedStreamHarness::new(identity_wrapper(), lanes).unwrap();
+        assert!(batched.settles_once());
         let (bouts, btiming) = batched.run_blocks(&blocks, budget);
         assert_eq!(souts, bouts);
         assert_eq!(stiming, btiming);

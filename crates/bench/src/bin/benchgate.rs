@@ -117,6 +117,10 @@ const SETS: &[GateSet] = &[
                figure: Value(at(&["native_batched_speedup_vs_batched"])), need: AtLeast(2.0) },
         Gate { name: "AXI harness delivers a real share of the vector JIT's rate", when: Avx2,
                figure: Value(at(&["native_batched_harness_engine_ratio"])), need: AtLeast(0.3) },
+        // A count, not a timing: two settles per harness cycle read 1.305.
+        Gate { name: "AXI harness settles each component at most once per cycle", when: Avx2,
+               figure: Value(at(&["native_batched_harness_evals_per_cone_cycle"])),
+               need: AtMost(1.0) },
         Gate { name: "tape optimizer pays for itself", when: Always,
                figure: Value(at(&["tapeopt_speedup"])), need: AtLeast(1.2) },
         Gate { name: "superinstructions fused on the IDCT design", when: Always,
@@ -398,6 +402,7 @@ mod tests {
               "native_batched_active": true,
               "native_batched_speedup_vs_batched": 3.91,
               "native_batched_harness_engine_ratio": 0.47,
+              "native_batched_harness_evals_per_cone_cycle": 0.902,
               "tapeopt_speedup": 1.3,
               "tapeopt": {"instrs_pre": 2669, "fused": 216},
               "compiled_cycles_per_sec": 36764,
@@ -596,8 +601,8 @@ mod tests {
                 "{msg}"
             );
         }
-        // x86-64, three AVX2 gates and the threads gate.
-        assert_eq!(skipped, 5);
+        // x86-64, four AVX2 gates and the threads gate.
+        assert_eq!(skipped, 6);
         // An AVX2 gate is skipped on x86-64 without AVX2 too.
         let (set, gate) = gates()
             .find(|(_, g)| g.name == "vector JIT is active")
@@ -608,6 +613,22 @@ mod tests {
         };
         let v = verdict(set, gate, &healthy(set), no_avx2);
         assert!(matches!(v, Verdict::Skip(_)), "{v:?}");
+    }
+
+    #[test]
+    fn two_settles_per_harness_cycle_fail_the_evaluation_count() {
+        // The batched harness before it settled once per cycle read 1.305
+        // evaluations per component per cycle on perfsnap's run.
+        let (set, gate) = gates()
+            .find(|(_, g)| g.name.contains("at most once per cycle"))
+            .unwrap();
+        let mut docs = healthy(set);
+        docs[0].set(
+            "native_batched_harness_evals_per_cone_cycle",
+            Json::from(1.305),
+        );
+        let v = verdict(set, gate, &docs, FULL_HOST);
+        assert!(matches!(v, Verdict::Fail(_)), "{v:?}");
     }
 
     #[test]

@@ -28,7 +28,10 @@
 //!    `native_batched_harness_speedup`, and the vector-JIT tier's
 //!    harness-level over engine-level rate in
 //!    `native_batched_harness_engine_ratio` (also gated). Per-design
-//!    vector-cone/fallback counts are recorded alongside.
+//!    vector-cone/fallback counts are recorded alongside, and so is
+//!    `native_batched_harness_evals_per_cone_cycle`: the vector-JIT
+//!    harness's component evaluations per component per cycle, a count
+//!    (gated at most 1, one settle per cycle).
 //! 4. **Native (per-cone JIT) throughput** on the same stream, with a
 //!    native-off A/B twin (the identical engine built under an
 //!    `HC_NO_NATIVE` override, i.e. the tape interpreter inside the same
@@ -127,6 +130,26 @@ fn batched_rate(h: &mut BatchedStreamHarness, inputs: &[Block], budget: u64) -> 
     })
 }
 
+/// Vector-JIT component evaluations per component per harness cycle over
+/// one more run of `h` on `inputs`. A count, not a timing, so it reads the
+/// same on a loaded host: a harness that settles once per cycle keeps it
+/// at or below 1. Reads 0 where the vector JIT is inactive.
+fn evals_per_cone_cycle(h: &mut BatchedStreamHarness, inputs: &[Block], budget: u64) -> f64 {
+    let sim = h.simulator_mut();
+    let before = sim.native_batched_report().native_cone_evals;
+    let cycles_before: Vec<u64> = (0..sim.lanes()).map(|lane| sim.cycle(lane)).collect();
+    assert_eq!(h.run_blocks(inputs, budget).0.len(), inputs.len());
+    let sim = h.simulator_mut();
+    let report = sim.native_batched_report();
+    // The lane that finishes last was clocked on every harness cycle.
+    let cycles = (0..sim.lanes())
+        .map(|lane| sim.cycle(lane) - cycles_before[lane])
+        .max()
+        .unwrap_or(0);
+    let components = (report.cones_compiled + report.cones_fallback) as u64;
+    (report.native_cone_evals - before) as f64 / (components * cycles).max(1) as f64
+}
+
 /// Builds an engine with both JIT tiers off (a temporary `HC_NO_NATIVE`
 /// override): the interpreted A/B twin of whatever `build` constructs.
 /// The decision is taken at engine construction, so restoring the config
@@ -206,6 +229,7 @@ fn main() {
     let nhz_off = stream_rate(&mut oh, &inputs, budget);
     let mut bh = BatchedStreamHarness::new(module.clone(), lanes).expect("validates");
     let bhz = batched_rate(&mut bh, &inputs, budget);
+    let evals_per_cone_cycle = evals_per_cone_cycle(&mut bh, &inputs, budget);
     let nb_report = bh.simulator_mut().native_batched_report();
     let nb_active = bh.simulator_mut().vector_active();
     // Vector-JIT A/B: the identical batched harness built without the JIT,
@@ -285,7 +309,8 @@ fn main() {
     println!(
         "  engine-level:       {ebhz:12.0} lane-cycles/sec vs {ebhz_off:.0} interpreted \
          ({native_batched_speedup:.2}x, the gated figure; harness delivers \
-         {harness_engine_ratio:.2}x of the engine)"
+         {harness_engine_ratio:.2}x of the engine, {evals_per_cone_cycle:.3} evaluations \
+         per component per cycle)"
     );
     println!(
         "  tape opt: {} -> {} instrs, {} fused, {} slots -> {}, {} cones ({} skipped)",
@@ -492,6 +517,7 @@ fn main() {
         "native_batched_engine_lane_cycles_per_sec" => round(ebhz, 0),
         "native_batched_speedup_vs_batched" => round(native_batched_speedup, 2),
         "native_batched_harness_engine_ratio" => round(harness_engine_ratio, 2),
+        "native_batched_harness_evals_per_cone_cycle" => round(evals_per_cone_cycle, 3),
         "native_batched_active" => nb_active,
         "native_batched_cones_compiled" => nb_report.cones_compiled,
         "native_batched_cones_fallback" => nb_report.cones_fallback,

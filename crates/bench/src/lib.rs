@@ -140,7 +140,33 @@ pub fn rtl_idct_batched(
 
 #[cfg(test)]
 mod tests {
-    use super::percentile;
+    use super::{percentile, rtl_idct_batched};
+    use hc_idct::ieee1180::{measure_range, measure_range_batched};
+    use hc_idct::rand1180::Rand1180;
+    use hc_idct::{fixed, Block};
+
+    /// The route the IEEE 1180 RTL runs take: `opt_rowcol` through the
+    /// batched harness, on the standard's (-256, 255) stimulus.
+    #[test]
+    fn rtl_idct_batched_matches_the_golden_model_on_the_standard_stimulus() {
+        const BLOCKS: usize = 480;
+        let module = hc_verilog::designs::opt_rowcol().expect("parses");
+        let mut rtl = rtl_idct_batched(module);
+        let mut rng = Rand1180::new();
+        let inputs: Vec<Block> = (0..BLOCKS)
+            .map(|_| Block::from_fn(|_, _| rng.next_in(256, 255)))
+            .collect();
+        let outputs = rtl(&inputs);
+        assert_eq!(outputs.len(), BLOCKS);
+        for (k, (input, output)) in inputs.iter().zip(&outputs).enumerate() {
+            assert_eq!(*output, fixed::idct2d(input), "block {k}");
+        }
+        let golden = measure_range(&mut |b| fixed::idct2d(b), 256, 255, BLOCKS, false);
+        assert_eq!(
+            measure_range_batched(&mut rtl, 256, 255, BLOCKS, false),
+            golden
+        );
+    }
 
     #[test]
     fn percentile_interpolates_and_handles_edges() {

@@ -5,10 +5,11 @@
 //! by the conformance suites — are spot-checked through simulation on a
 //! reduced run.
 
-use hls_vs_hc::axi::StreamHarness;
+use hls_vs_hc::axi::{BatchedStreamHarness, StreamHarness};
 use hls_vs_hc::idct::ieee1180::{measure_all, measure_range, STANDARD_BLOCKS};
 use hls_vs_hc::idct::rand1180::Rand1180;
 use hls_vs_hc::idct::{fixed, Block};
+use hls_vs_hc::rtl::passes::optimize;
 
 /// The golden model's exact statistics on the full standard procedure,
 /// `(ppe, pmse, omse, pme, ome)` per run in `measure_all`'s order. They
@@ -79,4 +80,42 @@ fn reduced_run_statistics_are_stable() {
     let b = measure_range(&mut |b| fixed::idct2d(b), 300, 300, 500, false);
     assert_eq!(a, b);
     assert!(a.ppe <= 1);
+}
+
+#[test]
+fn batched_harness_evaluates_each_component_at_most_once_per_cycle() {
+    // The full compliance run streams `opt_rowcol` on 16 lanes of the
+    // batched harness. Its vector JIT counts the components it evaluates;
+    // settling once per cycle keeps that count at or below components x
+    // cycles (two settles read about 1.5 evaluations per component per
+    // cycle on this design).
+    let mut module = hls_vs_hc::verilog::designs::opt_rowcol().expect("parses");
+    optimize(&mut module);
+    let mut harness = BatchedStreamHarness::new(module, 16).expect("validates");
+    let sim = harness.simulator_mut();
+    if !sim.vector_active() {
+        eprintln!("skipped: the vector JIT is inactive (no AVX2, or HC_NO_NATIVE set), so it counts no evaluations");
+        return;
+    }
+    let report = sim.native_batched_report();
+    let components = (report.cones_compiled + report.cones_fallback) as u64;
+    let cycles_before: Vec<u64> = (0..16).map(|lane| sim.cycle(lane)).collect();
+    let mut rng = Rand1180::new();
+    let inputs: Vec<[[i32; 8]; 8]> = (0..480)
+        .map(|_| Block::from_fn(|_, _| rng.next_in(256, 255)).0)
+        .collect();
+    let (outputs, _) = harness.run_blocks(&inputs, 40_000);
+    assert_eq!(outputs.len(), inputs.len());
+    let sim = harness.simulator_mut();
+    let evals = sim.native_batched_report().native_cone_evals - report.native_cone_evals;
+    // The lane that finishes last was clocked on every harness cycle.
+    let cycles = (0..16)
+        .map(|lane| sim.cycle(lane) - cycles_before[lane])
+        .max()
+        .unwrap();
+    assert!(evals > 0, "the vector JIT evaluated nothing");
+    assert!(
+        evals <= components * cycles,
+        "{evals} evaluations of {components} components over {cycles} cycles"
+    );
 }

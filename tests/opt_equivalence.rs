@@ -528,6 +528,36 @@ fn optimized_matrix_tapes_match_their_pins() {
     assert_tapes_pinned("matrix", &matrix_designs(), &MATRIX_TAPES);
 }
 
+/// The batched harness settles once per cycle on every shipped AXIS
+/// design as it is measured (after `optimize`): no combinational path runs
+/// from `s_axis_tvalid/tdata` to `m_axis_tvalid/tdata`. `opt_rowcol`, the
+/// design of the IEEE 1180 RTL run, is Verilog's optimized Table II entry.
+/// A wrapper that grew such a path would fall back to two settles per
+/// cycle, and the IEEE 1180 run would lose its harness speed silently.
+#[test]
+fn every_shipped_axis_design_settles_once_in_the_batched_harness() {
+    let settles_once = |module| {
+        BatchedStreamHarness::new(module, 1)
+            .expect("validates")
+            .settles_once()
+    };
+    let mut rowcol = hls_vs_hc::verilog::designs::opt_rowcol().expect("parses");
+    optimize(&mut rowcol);
+    assert!(settles_once(rowcol), "opt_rowcol settles twice per cycle");
+    let designs: Vec<Design> = [table2_designs(), fig1_designs(), matrix_designs()]
+        .into_iter()
+        .flatten()
+        .filter(|design| matches!(design.interface, DesignInterface::Axis))
+        .collect();
+    assert_eq!(designs.len(), 106, "AXIS design count changed");
+    let twice: Vec<&str> = designs
+        .iter()
+        .filter(|design| !settles_once(optimized_module(design)))
+        .map(|design| design.label.as_str())
+        .collect();
+    assert!(twice.is_empty(), "two settles per cycle: {twice:?}");
+}
+
 proptest! {
     // Each case drives every Table II design through the interpreter
     // oracle, so a handful of cases already covers thousands of cycles
