@@ -1,5 +1,5 @@
-//! AXI-Stream infrastructure: port bundles, matrix adapters, verification
-//! BFMs and the PCIe link model.
+//! AXI-Stream infrastructure: port bundles, matrix adapters, the
+//! measurement harness and the PCIe link model.
 //!
 //! The paper wraps every IDCT kernel in a row-by-row AXI-Stream adapter and
 //! shows that this *sequential adapter* — one 96-bit row per cycle in, one
@@ -12,12 +12,14 @@
 //! * [`wrap_comb_matrix`], [`wrap_pipelined_matrix`],
 //!   [`wrap_sequential_matrix`] — adapter generators around the three
 //!   kernel styles the evaluated tools produce;
-//! * [`StreamHarness`] — a simulator testbench that feeds matrices through
-//!   a wrapper and *measures* latency and periodicity the way the paper
-//!   defines them;
-//! * [`BatchedStreamHarness`] — the lane-batched variant that streams many
-//!   independent matrix sequences through one simulation for throughput;
-//! * [`ProtocolChecker`] — asserts the AXI-Stream stability rules;
+//! * [`StreamHarness`] — the one simulator testbench: it feeds matrices
+//!   through a wrapper (or a MaxJ-style stream kernel) on any
+//!   [`LaneEngine`](hc_sim::LaneEngine), *measures* latency and
+//!   periodicity the way the paper defines them, and checks the
+//!   AXI-Stream stability rules under optional [`Backpressure`];
+//! * [`BatchedStreamHarness`] — that harness on the lane-batched vector
+//!   JIT, streaming many independent matrix sequences through one
+//!   simulation for throughput;
 //! * [`PcieLink`] — the PCIe 3.0 x16 bandwidth model behind MaxCompiler's
 //!   numbers.
 //!
@@ -43,7 +45,6 @@
 
 mod adapter;
 mod batched;
-mod bfm;
 mod harness;
 mod pcie;
 mod ports;
@@ -53,7 +54,8 @@ pub use adapter::{
     SequentialKernel,
 };
 pub use batched::{lanes_for_blocks, BatchedStreamHarness};
-pub use bfm::{AxisDriver, AxisMonitor, ProtocolChecker, ProtocolError};
-pub use harness::{pack_elems_n, unpack_elems_n, StreamHarness, StreamTiming};
+pub use harness::{
+    pack_elems_n, unpack_elems_n, Backpressure, ProtocolError, StreamHarness, StreamTiming,
+};
 pub use pcie::PcieLink;
 pub use ports::{AxisMaster, AxisSlave};

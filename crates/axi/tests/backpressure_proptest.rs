@@ -1,14 +1,18 @@
 //! Property: the matrix wrappers never lose, duplicate or corrupt data
 //! under arbitrary producer gaps and consumer stalls, and never violate
-//! the AXI-Stream stability rules.
+//! the AXI-Stream stability rules — on every engine the harness drives:
+//! the interpreter, the tape engine and the scalar JIT at one lane, and
+//! the vector JIT at three.
+//!
+//! Every suite here takes the default case count (256), which
+//! `PROPTEST_CASES` overrides; CI reruns them at 1024 in release.
 
 use hc_axi::{
-    wrap_comb_matrix, wrap_pipelined_matrix, AxisDriver, AxisMonitor, MatrixWrapperSpec,
-    ProtocolChecker,
+    wrap_comb_matrix, wrap_pipelined_matrix, Backpressure, MatrixWrapperSpec, StreamHarness,
 };
 use hc_bits::Bits;
 use hc_rtl::Module;
-use hc_sim::Simulator;
+use hc_sim::{CompiledSimulator, LaneEngine, NativeBatchedSimulator, NativeSimulator, Simulator};
 use proptest::prelude::*;
 
 /// Identity kernel: output element = low 9 bits of the input element.
@@ -35,38 +39,76 @@ fn pipelined_dut() -> Module {
     wrap_pipelined_matrix("dut", MatrixWrapperSpec::idct(), &k, 2)
 }
 
-fn run_case(module: Module, beats: &[u64], gaps: &[u8], stall_period: u32) -> Vec<u128> {
-    let mut sim = Simulator::new(module).expect("dut validates");
-    sim.set_u64("rst", 1);
-    sim.set_u64("s_axis_tvalid", 0);
-    sim.set_u64("m_axis_tready", 0);
-    sim.step();
-    sim.set_u64("rst", 0);
-
-    let mut driver = AxisDriver::new("s_axis", 96);
-    for (i, &b) in beats.iter().enumerate() {
-        driver.push_with_gap(Bits::from_u64(96, b), u32::from(gaps[i % gaps.len()] % 4));
+/// The output beats of one stream of 96-bit input `beats` (whole
+/// matrices) under the gap pattern `gaps` (each taken mod 4) and a
+/// consumer stalling every `stall_period` cycles, once per engine: the
+/// interpreter, the tape engine and the scalar JIT stream `beats` on their
+/// one lane; the vector JIT streams it on each of three lanes. Each
+/// output beat is returned as its 72-bit word.
+fn run_case(module: Module, beats: &[u64], gaps: &[u8], stall_period: u32) -> Vec<Vec<u128>> {
+    fn run<E: LaneEngine>(
+        sim: E,
+        chunks: &[&[Vec<i32>]],
+        budget: u64,
+        p: &Backpressure,
+    ) -> Vec<Vec<u128>> {
+        let mut h = StreamHarness::from_engine(sim, MatrixWrapperSpec::idct());
+        let (outs, _) = h.run_lanes_under(chunks, budget, p);
+        assert!(h.protocol_errors.is_empty(), "{:?}", h.protocol_errors);
+        outs.iter()
+            .map(|lane| {
+                lane.iter()
+                    .flat_map(|block| block.chunks(8))
+                    .map(|row| hc_axi::pack_elems_n(row, 9).to_u128())
+                    .collect()
+            })
+            .collect()
     }
-    let mut monitor = AxisMonitor::new("m_axis").with_stalls(stall_period);
-    let mut checker = ProtocolChecker::new("m_axis");
-    for _ in 0..(beats.len() as u64 * 30 + 400) {
-        // The monitor sets this cycle's m_tready first: s_tready can
-        // depend on it combinationally (the hand-over path), and the
-        // driver must see the settled value.
-        monitor.before_edge(&mut sim);
-        driver.before_edge(&mut sim);
-        checker.before_edge(&mut sim);
-        sim.step();
-        if monitor.beats.len() >= beats.len() {
-            break;
-        }
-    }
-    assert!(checker.errors.is_empty(), "{:?}", checker.errors);
-    monitor.beats.iter().map(|(_, b)| b.to_u128()).collect()
+    // A 96-bit beat holding `b` is the row of its eight 12-bit elements.
+    let blocks: Vec<Vec<i32>> = beats
+        .chunks(8)
+        .map(|rows| {
+            rows.iter()
+                .flat_map(|&b| hc_axi::unpack_elems_n(&Bits::from_u64(96, b), 12, 8))
+                .collect()
+        })
+        .collect();
+    let pressure = Backpressure {
+        gaps: gaps.iter().map(|g| u32::from(g % 4)).collect(),
+        stall_period,
+    };
+    let budget = beats.len() as u64 * 30 + 400;
+    let chunks: [&[Vec<i32>]; 3] = [&blocks, &blocks, &blocks];
+    let m = || module.clone();
+    let mut outs = Vec::new();
+    outs.extend(run(
+        Simulator::new(m()).unwrap(),
+        &chunks[..1],
+        budget,
+        &pressure,
+    ));
+    outs.extend(run(
+        CompiledSimulator::new(m()).unwrap(),
+        &chunks[..1],
+        budget,
+        &pressure,
+    ));
+    outs.extend(run(
+        NativeSimulator::new(m()).unwrap(),
+        &chunks[..1],
+        budget,
+        &pressure,
+    ));
+    outs.extend(run(
+        NativeBatchedSimulator::new(m(), 3).unwrap(),
+        &chunks,
+        budget,
+        &pressure,
+    ));
+    outs
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
     fn comb_wrapper_is_lossless_under_chaos(
         matrices in 1usize..5,
@@ -74,16 +116,17 @@ proptest! {
         stall in 0u32..5,
     ) {
         let beats: Vec<u64> = (0..matrices * 8).map(|i| i as u64 * 37 + 5).collect();
-        let got = run_case(comb_dut(), &beats, &gaps, if stall < 2 { 0 } else { stall });
-        prop_assert_eq!(got.len(), beats.len());
-        for (i, (&expect, &actual)) in beats.iter().zip(&got).enumerate() {
-            // Identity kernel truncates each 12-bit lane to 9 bits.
-            let mut want = 0u128;
-            for lane in 0..8u32 {
-                let v = (u128::from(expect) >> (lane * 12)) & 0x1ff;
-                want |= v << (lane * 9);
+        for got in run_case(comb_dut(), &beats, &gaps, if stall < 2 { 0 } else { stall }) {
+            prop_assert_eq!(got.len(), beats.len());
+            for (i, (&expect, &actual)) in beats.iter().zip(&got).enumerate() {
+                // Identity kernel truncates each 12-bit lane to 9 bits.
+                let mut want = 0u128;
+                for lane in 0..8u32 {
+                    let v = (u128::from(expect) >> (lane * 12)) & 0x1ff;
+                    want |= v << (lane * 9);
+                }
+                prop_assert_eq!(actual, want, "beat {}", i);
             }
-            prop_assert_eq!(actual, want, "beat {}", i);
         }
     }
 
@@ -94,9 +137,10 @@ proptest! {
         stall in 0u32..5,
     ) {
         let beats: Vec<u64> = (0..matrices * 8).map(|i| i as u64 * 91 + 3).collect();
-        let got = run_case(pipelined_dut(), &beats, &gaps, if stall < 2 { 0 } else { stall });
-        prop_assert_eq!(got.len(), beats.len());
-        let first = u128::from(beats[0] & 0x1ff);
-        prop_assert_eq!(got[0] & 0x1ff, first);
+        for got in run_case(pipelined_dut(), &beats, &gaps, if stall < 2 { 0 } else { stall }) {
+            prop_assert_eq!(got.len(), beats.len());
+            let first = u128::from(beats[0] & 0x1ff);
+            prop_assert_eq!(got[0] & 0x1ff, first);
+        }
     }
 }

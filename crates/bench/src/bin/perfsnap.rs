@@ -61,11 +61,12 @@
 
 use std::time::{Duration, Instant};
 
-use hc_axi::{BatchedStreamHarness, StreamHarness};
+use hc_axi::{BatchedStreamHarness, MatrixWrapperSpec, StreamHarness};
 use hc_idct::generator::BlockGen;
 use hc_obs::{jobj, Json};
 use hc_sim::{
-    EngineOptions, NativeBatchedReport, NativeBatchedSimulator, SimBackend, TapeOptReport,
+    CompiledSimulator, EngineOptions, LaneEngine, NativeBatchedReport, NativeBatchedSimulator,
+    TapeOptReport,
 };
 
 /// One 8x8 input block.
@@ -108,24 +109,16 @@ fn rate<F: FnMut() -> u64>(mut run_batch: F) -> f64 {
     best
 }
 
-/// [`rate`] of a scalar harness streaming `inputs`, in simulated cycles.
-fn stream_rate<B: SimBackend>(h: &mut StreamHarness<B>, inputs: &[Block], budget: u64) -> f64 {
-    rate(|| {
-        let before = h.simulator_mut().cycle();
-        assert_eq!(h.run(inputs, budget).0.len(), inputs.len());
-        h.simulator_mut().cycle() - before
-    })
-}
-
-/// [`rate`] of a batched harness streaming `inputs`, in lane-cycles.
-fn batched_rate(h: &mut BatchedStreamHarness, inputs: &[Block], budget: u64) -> f64 {
-    let lane_cycles = |h: &mut BatchedStreamHarness| {
+/// [`rate`] of a harness streaming `inputs`, in lane-cycles (simulated
+/// cycles summed over the engine's lanes).
+fn harness_rate<E: LaneEngine>(h: &mut StreamHarness<E>, inputs: &[Block], budget: u64) -> f64 {
+    let lane_cycles = |h: &mut StreamHarness<E>| {
         let sim = h.simulator_mut();
         (0..sim.lanes()).map(|lane| sim.cycle(lane)).sum::<u64>()
     };
     rate(|| {
         let before = lane_cycles(h);
-        assert_eq!(h.run_blocks(inputs, budget).0.len(), inputs.len());
+        assert_eq!(h.run(inputs, budget).0.len(), inputs.len());
         lane_cycles(h) - before
     })
 }
@@ -212,23 +205,26 @@ fn main() {
 
     println!("simulating 64 blocks on the Verilog initial design...");
     let mut ih = StreamHarness::new(module.clone()).expect("validates");
-    let ihz = stream_rate(&mut ih, &inputs, budget);
+    let ihz = harness_rate(&mut ih, &inputs, budget);
     let mut ch = StreamHarness::compiled(module.clone()).expect("validates");
-    let chz = stream_rate(&mut ch, &inputs, budget);
-    let mut rh = StreamHarness::compiled_with_options(module.clone(), EngineOptions::no_tape_opt())
-        .expect("validates");
-    let chz_raw = stream_rate(&mut rh, &inputs, budget);
+    let chz = harness_rate(&mut ch, &inputs, budget);
+    let mut rh = StreamHarness::from_engine(
+        CompiledSimulator::with_options(module.clone(), EngineOptions::no_tape_opt())
+            .expect("validates"),
+        MatrixWrapperSpec::idct(),
+    );
+    let chz_raw = harness_rate(&mut rh, &inputs, budget);
     // Native (per-cone JIT) A/B: the same harness type twice, once as
     // built by default (JIT where the target supports it) and once without
     // the JIT. Off x86-64 both figures are the interpreted tape and the
     // speedup reads ~1.0 (benchgate skips the gate there).
     let mut nh = StreamHarness::native(module.clone()).expect("validates");
-    let nhz = stream_rate(&mut nh, &inputs, budget);
+    let nhz = harness_rate(&mut nh, &inputs, budget);
     let native_report = nh.simulator_mut().native_report();
     let mut oh = without_jit(|| StreamHarness::native(module.clone()).expect("validates"));
-    let nhz_off = stream_rate(&mut oh, &inputs, budget);
+    let nhz_off = harness_rate(&mut oh, &inputs, budget);
     let mut bh = BatchedStreamHarness::new(module.clone(), lanes).expect("validates");
-    let bhz = batched_rate(&mut bh, &inputs, budget);
+    let bhz = harness_rate(&mut bh, &inputs, budget);
     let evals_per_cone_cycle = evals_per_cone_cycle(&mut bh, &inputs, budget);
     let nb_report = bh.simulator_mut().native_batched_report();
     let nb_active = bh.simulator_mut().vector_active();
@@ -238,7 +234,7 @@ fn main() {
     // (benchgate skips the gate there).
     let mut obh =
         without_jit(|| BatchedStreamHarness::new(module.clone(), lanes).expect("validates"));
-    let bhz_off = batched_rate(&mut obh, &inputs, budget);
+    let bhz_off = harness_rate(&mut obh, &inputs, budget);
     // Engine-level lane throughput: the same two engines driven directly
     // (fresh stimulus on every lane, eval + step, no AXI protocol or
     // harness bookkeeping), isolating the component the vector JIT

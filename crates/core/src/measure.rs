@@ -14,11 +14,7 @@ use crate::entries::{Design, DesignInterface, ToolEntry};
 use crate::metrics;
 use crate::par::parallel_map;
 use crate::tool::ToolId;
-use hc_axi::{
-    pack_elems_n, unpack_elems_n, MatrixWrapperSpec, PcieLink, ProtocolError, StreamHarness,
-    StreamTiming,
-};
-use hc_bits::Bits;
+use hc_axi::{MatrixWrapperSpec, PcieLink, ProtocolError, StreamHarness};
 use hc_idct::generator::BlockGen;
 use hc_idct::{fixed, Block};
 use hc_kernels::KernelSpec;
@@ -36,8 +32,8 @@ const STIM_SEED: u64 = 7;
 /// reaches it.
 const CYCLES_PER_BLOCK: u64 = 4000;
 
-/// Cycles a stream drive keeps clocking after its last input beat — deep
-/// enough for the deepest registry pipeline (the 16×16 transform's
+/// Cycles a stream kernel's run keeps clocking after its last input beat
+/// — deep enough for the deepest registry pipeline (the 16×16 transform's
 /// auto-pipelined mac trees).
 const FLUSH_CYCLES: u64 = 2000;
 
@@ -150,6 +146,11 @@ pub enum MeasureError {
         got: i32,
     },
     /// The output stream broke an AXI-Stream stability rule.
+    ///
+    /// Unreachable from [`try_measure`] as it stands: a measurement drives
+    /// `m_axis_tready` high on every cycle, so no output beat ever stalls
+    /// and the stability checks, which run only on a stalled beat, never
+    /// fire. The harness tests reach the rules with a stalling consumer.
     Protocol(ProtocolError),
 }
 
@@ -367,15 +368,18 @@ fn check_ports(design: &Design) -> Result<(), MeasureError> {
 /// outputs against the golden model and assembles the [`Measurement`]
 /// from the two synthesis reports.
 ///
-/// Every measurement runs one stimulus stream on the scalar JIT
-/// ([`NativeSimulator`]): AXIS designs through the scalar [`StreamHarness`],
-/// stream kernels through [`drive_stream`]. Table II takes 3 blocks, Fig. 1
-/// and the kernel matrix 2, and at one lane the lane-batched vector JIT
-/// leaves three of every four `ymm` lanes idle: the scalar JIT built and
-/// ran all 94 AXIS designs faster with identical outputs and `T_L`/`T_P`.
-/// A 64-block `/v1/measure`, which would fill 16 lanes, takes about 2.2×
-/// as long here as on the batched harness; that harness stays with the
-/// IEEE 1180 runs (EXPERIMENTS.md, "Engine ladder").
+/// Every measurement runs one stimulus stream through the one
+/// [`StreamHarness`] on the scalar JIT ([`NativeSimulator`]), AXIS
+/// wrappers and stream kernels alike; only the cycle budget depends on the
+/// interface. Table II takes 3 blocks, Fig. 1 and the kernel matrix 2, and
+/// at one lane the lane-batched vector JIT leaves three of every four
+/// `ymm` lanes idle: the scalar JIT built and ran all 94 AXIS designs
+/// faster with identical outputs and `T_L`/`T_P`, and the stream kernels
+/// 1.9–3.3× faster per cycle. A 64-block `/v1/measure`, which would fill
+/// 16 lanes, takes about 2.2× as long here as on the batched harness;
+/// that harness stays with the IEEE 1180 runs (EXPERIMENTS.md, "Engine
+/// ladder"). Off x86-64 (or under `HC_NO_NATIVE=1`) the engine degrades
+/// to the tape interpreter with identical results.
 fn measure_back_half(
     design: &Design,
     nblocks: usize,
@@ -388,19 +392,13 @@ fn measure_back_half(
     let blocks = workload.stimulus(nblocks.max(2));
     let mut span = hc_obs::span("simulate").with("design", design.label.as_str());
     span.attach("blocks", blocks.len());
-    let (outputs, timing, protocol) = match design.interface {
-        DesignInterface::Axis => {
-            let mut harness = StreamHarness::<NativeSimulator>::with_spec(module, workload.spec())
-                .map_err(MeasureError::Validate)?;
-            let budget = CYCLES_PER_BLOCK * (blocks.len() as u64 + 4);
-            let (outputs, timing) = harness.run_flat(&blocks, budget);
-            (outputs, timing, harness.protocol_errors.into_iter().next())
-        }
-        DesignInterface::Stream { .. } => {
-            let (outputs, timing) = drive_stream(module, workload.spec(), &blocks)?;
-            (outputs, timing, None)
-        }
+    let mut harness = StreamHarness::<NativeSimulator>::with_spec(module, workload.spec())
+        .map_err(MeasureError::Validate)?;
+    let budget = match design.interface {
+        DesignInterface::Axis => CYCLES_PER_BLOCK * (blocks.len() as u64 + 4),
+        DesignInterface::Stream { .. } => harness.input_beats(blocks.len()) + FLUSH_CYCLES,
     };
+    let (outputs, timing) = harness.run_flat(&blocks, budget);
     if outputs.len() != blocks.len() {
         return Err(MeasureError::LostBlocks {
             expected: blocks.len(),
@@ -418,7 +416,7 @@ fn measure_back_half(
             });
         }
     }
-    if let Some(error) = protocol {
+    if let Some((_, error)) = harness.protocol_errors.into_iter().next() {
         return Err(MeasureError::Protocol(error));
     }
     span.attach("latency", timing.latency);
@@ -446,65 +444,6 @@ fn measure_back_half(
         q,
         loc: design.loc,
     })
-}
-
-/// Drives a MaxJ-style `in_data`/`in_valid` → `out_data`/`out_valid`
-/// kernel back-to-back: each beat carries `in_data`'s width in row-major
-/// elements (a row, or the whole block), each `out_valid` cycle one output
-/// block. `T_L` counts from the first beat to the first output, `T_P` is
-/// the spacing of the last two outputs.
-///
-/// Runs on the scalar (per-cone) JIT, like every AXIS measurement (see
-/// [`measure_back_half`]): a stream kernel takes one stimulus, so it cannot
-/// fill the vector JIT's lanes, and at one lane the scalar JIT ran these
-/// kernels 1.9–3.3× faster per cycle with bit-identical outputs
-/// (EXPERIMENTS.md, "Engine ladder").
-/// Off x86-64 (or under `HC_NO_NATIVE=1`) it degrades to the tape
-/// interpreter with identical results.
-fn drive_stream(
-    module: Module,
-    spec: MatrixWrapperSpec,
-    blocks: &[Vec<i32>],
-) -> Result<(Vec<Vec<i32>>, StreamTiming), MeasureError> {
-    let beat_width = module.input_named("in_data").map_or(0, |p| p.width);
-    let per_beat = (beat_width / spec.in_elem_width) as usize;
-    let total_beats = (blocks.len() * spec.elems()).div_ceil(per_beat) as u64;
-    let mut beats = blocks.iter().flat_map(|b| b.chunks(per_beat));
-    let zero = Bits::zero(beat_width);
-
-    let mut sim = NativeSimulator::new(module).map_err(MeasureError::Validate)?;
-    sim.set_u64("rst", 1);
-    sim.set_u64("in_valid", 0);
-    sim.step();
-    sim.set_u64("rst", 0);
-    sim.set_u64("in_valid", 1);
-
-    let mut out_cycles: Vec<u64> = Vec::new();
-    let mut outputs: Vec<Vec<i32>> = Vec::new();
-    for cycle in 0..total_beats + FLUSH_CYCLES {
-        let word = beats.next().map_or_else(
-            || zero.clone(),
-            |beat| pack_elems_n(beat, spec.in_elem_width),
-        );
-        sim.set("in_data", word);
-        if sim.get("out_valid").to_bool() {
-            out_cycles.push(cycle);
-            let word = sim.get("out_data");
-            outputs.push(unpack_elems_n(&word, spec.out_elem_width, spec.elems()));
-        }
-        sim.step();
-        if outputs.len() >= blocks.len() {
-            break;
-        }
-    }
-    let timing = StreamTiming {
-        latency: out_cycles.first().map_or(0, |c| c + 1),
-        periodicity: match out_cycles[..] {
-            [.., prev, last] => last - prev,
-            _ => 0,
-        },
-    };
-    Ok((outputs, timing))
 }
 
 /// Measures every tool's initial and optimized designs and derives the
@@ -730,6 +669,52 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `T_L`/`T_P` of every stream design the repo measures, at the block
+    /// counts its sweeps use: the MaxJ Table II pair (3 blocks), the same
+    /// two kernels as Fig. 1 points (2 blocks) and the four dataflow
+    /// cells of the kernel matrix (2 blocks). The figures were recorded
+    /// from the stream drive that predates the one harness; perfbench's
+    /// frozen reference holds the same six designs at 2 blocks.
+    #[test]
+    fn stream_timing_is_pinned() {
+        #[rustfmt::skip]
+        let expected: &[(&str, usize, u64, u64)] = &[
+            // (label, blocks, latency, periodicity)
+            ("matrix/cycle",           3, 48, 1),
+            ("row/cycle",              3, 56, 8),
+            ("matrix/cycle",           2, 48, 1),
+            ("row/cycle",              2, 56, 8),
+            ("matrix.dct8.dataflow",   2, 46, 1),
+            ("matrix.fir32.dataflow",  2, 52, 1),
+            ("matrix.idct4.dataflow",  2, 29, 1),
+            ("matrix.idct16.dataflow", 2, 80, 1),
+        ];
+        let maxj = crate::entries::all_tools()
+            .into_iter()
+            .find(|t| t.info.id == ToolId::Maxj)
+            .expect("MaxJ is a Table II tool");
+        let mut designs: Vec<(Design, usize)> = vec![(maxj.initial, 3), (maxj.optimized, 3)];
+        designs.extend(
+            crate::entries::dse_points(ToolId::Maxj)
+                .into_iter()
+                .map(|d| (d, 2)),
+        );
+        designs.extend(
+            hc_kernels::kernels()
+                .iter()
+                .map(|spec| (crate::matrix::cell_design(spec, ToolId::Maxj), 2)),
+        );
+        let actual: Vec<(&str, usize, u64, u64)> = designs
+            .iter()
+            .map(|(design, n)| {
+                assert!(matches!(design.interface, DesignInterface::Stream { .. }));
+                let m = try_measure(design, *n).unwrap_or_else(|e| panic!("{}: {e}", design.label));
+                (design.label.as_str(), *n, m.latency, m.periodicity)
+            })
+            .collect();
+        assert_eq!(actual, expected, "stream T_L/T_P drifted");
     }
 
     #[test]

@@ -129,36 +129,14 @@ pub fn matrix_kernel(spec: &KernelSpec) -> Module {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hc_axi::{pack_elems_n, unpack_elems_n};
+    use hc_axi::{MatrixWrapperSpec, StreamHarness};
     use hc_sim::Simulator;
 
     fn check(spec: &KernelSpec, nblocks: usize, seed: u64) {
-        let m = matrix_kernel(spec);
-        let mut sim = Simulator::new(m).unwrap();
+        let wspec = MatrixWrapperSpec::new(spec.rows, spec.cols, spec.in_width, spec.out_width);
+        let mut h = StreamHarness::<Simulator>::with_spec(matrix_kernel(spec), wspec).unwrap();
         let blocks = spec.stimulus(nblocks, seed);
-        sim.set_u64("rst", 1);
-        sim.step();
-        sim.set_u64("rst", 0);
-        let mut outs: Vec<Vec<i32>> = Vec::new();
-        let zero = pack_elems_n(&vec![0; spec.elems()], spec.in_width);
-        for c in 0..nblocks + 512 {
-            sim.set_u64("in_valid", 1);
-            match blocks.get(c) {
-                Some(blk) => sim.set("in_data", pack_elems_n(blk, spec.in_width)),
-                None => sim.set("in_data", zero.clone()),
-            }
-            if sim.get("out_valid").to_bool() {
-                outs.push(unpack_elems_n(
-                    &sim.get("out_data"),
-                    spec.out_width,
-                    spec.elems(),
-                ));
-            }
-            sim.step();
-            if outs.len() >= nblocks {
-                break;
-            }
-        }
+        let (outs, _) = h.run_flat(&blocks, nblocks as u64 + 512);
         assert_eq!(outs.len(), nblocks, "{}", spec.id);
         for (o, blk) in outs.iter().zip(&blocks) {
             assert_eq!(o, &spec.golden(blk), "{}", spec.id);

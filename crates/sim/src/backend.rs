@@ -6,10 +6,11 @@
 //! [`CompiledSimulator`](crate::CompiledSimulator), which lowers the module
 //! once into a flat instruction tape over a word-packed value store; and the
 //! [`NativeSimulator`](crate::NativeSimulator), which runs that tape's parts
-//! as generated x86-64 code. Harnesses (such as the AXI-Stream test benches
-//! in `hc-axi`) are generic over this trait, so the same stimulus can drive
-//! any engine — the interpreter doubles as a reference oracle for
-//! differential testing of the other two.
+//! as generated x86-64 code. The same by-name stimulus can drive any of
+//! them, so the interpreter doubles as a reference oracle for differential
+//! testing of the other two. The stream harness in `hc-axi` drives engines
+//! through [`LaneEngine`](crate::LaneEngine) instead: resolved ports,
+//! little-endian words, any lane count.
 
 use hc_bits::Bits;
 use hc_rtl::{Module, ValidateError};
@@ -59,34 +60,12 @@ pub trait SimBackend {
     /// Panics if no output named `name` exists.
     fn get(&mut self, name: &str) -> Bits;
 
-    /// Reads an output port as a `u64` (evaluating first if necessary),
-    /// truncating ports wider than 64 bits to their low word. The cheap
-    /// sibling of [`get`](SimBackend::get) for per-cycle handshake flags:
-    /// engines override it to skip the `Bits` allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no output named `name` exists.
-    fn get_u64(&mut self, name: &str) -> u64 {
-        self.get(name).to_u64()
-    }
-
     /// Reads back the value currently driving an input port.
     ///
     /// # Panics
     ///
     /// Panics if no input named `name` exists.
     fn input_value(&self, name: &str) -> Bits;
-
-    /// Reads back an input port's driven value as a `u64` (low word for
-    /// wide ports), without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no input named `name` exists.
-    fn input_value_u64(&self, name: &str) -> u64 {
-        self.input_value(name).to_u64()
-    }
 
     /// Reads a register's current value by name.
     ///

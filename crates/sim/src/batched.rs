@@ -37,6 +37,7 @@ use hc_bits::Bits;
 use hc_rtl::passes::eval::eval_pure;
 use hc_rtl::{Module, ValidateError};
 
+use crate::lanes::{read_lane, write_lane, InPort, OutPort};
 use crate::lower::{mask, sxt, CmpKind, EngineOptions, Instr, Loc, Lowered, WideLayout};
 
 /// A narrow memory with `depth` words per lane (`words[lane*depth + addr]`).
@@ -219,49 +220,6 @@ impl std::ops::Deref for LaneStore {
 impl std::ops::DerefMut for LaneStore {
     fn deref_mut(&mut self) -> &mut [u64] {
         &mut self.buf[self.off..self.off + self.len]
-    }
-}
-
-/// A pre-resolved input-port handle: name and width checks are paid once in
-/// [`BatchedSimulator::in_port`], so per-lane per-cycle harness loops can
-/// drive ports without a string lookup per call.
-#[derive(Clone, Copy, Debug)]
-pub struct InPort {
-    loc: Loc,
-    width: u32,
-    idx: usize,
-}
-
-impl InPort {
-    /// The port's bit width.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Little-endian `u64` words a value of this port occupies (see
-    /// [`BatchedSimulator::set_port_words`]).
-    pub fn words(&self) -> usize {
-        self.width.div_ceil(64) as usize
-    }
-}
-
-/// A pre-resolved output-port handle (see [`BatchedSimulator::out_port`]).
-#[derive(Clone, Copy, Debug)]
-pub struct OutPort {
-    loc: Loc,
-    width: u32,
-}
-
-impl OutPort {
-    /// The port's bit width.
-    pub fn width(&self) -> u32 {
-        self.width
-    }
-
-    /// Little-endian `u64` words a value of this port occupies (see
-    /// [`BatchedSimulator::get_port_words`]).
-    pub fn words(&self) -> usize {
-        self.width.div_ceil(64) as usize
     }
 }
 
@@ -511,33 +469,31 @@ impl BatchedSimulator {
     }
 
     /// Writes one lane of an input from little-endian words, comparing in
-    /// place: only a changed value marks the port's cones dirty. Words
-    /// past the end of `words` read as zero and the top word is masked to
-    /// the port width, so the zero-top invariant holds. Every lane write
-    /// goes through here.
-    fn write_lane(&mut self, lane: usize, port: InPort, words: &[u64]) {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        let l = self.lanes;
-        let changed = match port.loc {
-            Loc::N(s) => {
-                let v = words.first().copied().unwrap_or(0) & mask(port.width);
-                std::mem::replace(&mut self.narrow[s as usize * l + lane], v) != v
-            }
-            Loc::W(s) => {
-                let n = self.wlay.nwords(s) as usize;
-                let base = self.wlay.base(s) + lane;
-                let mut changed = false;
-                for w in 0..n {
-                    let mut v = words.get(w).copied().unwrap_or(0);
-                    if w == n - 1 {
-                        v &= top_mask(port.width);
-                    }
-                    changed |= std::mem::replace(&mut self.wide[base + w * l], v) != v;
-                }
-                changed
-            }
-        };
+    /// place (see [`crate::lanes::write_lane`]): only a changed value
+    /// marks the port's cones dirty. Every lane write goes through here.
+    pub(crate) fn write_lane(&mut self, lane: usize, port: InPort, words: &[u64]) {
+        let changed = write_lane(
+            &mut self.narrow,
+            &mut self.wide,
+            &self.wlay,
+            (self.lanes, lane),
+            port,
+            words,
+        );
         self.touch_input(port.idx, changed);
+    }
+
+    /// Settles if needed and copies one lane of an output into `out`.
+    pub(crate) fn read_lane(&mut self, lane: usize, port: OutPort, out: &mut [u64]) {
+        self.eval();
+        read_lane(
+            &self.narrow,
+            &self.wide,
+            &self.wlay,
+            (self.lanes, lane),
+            port,
+            out,
+        );
     }
 
     /// Drives an input port on one lane.
@@ -576,101 +532,24 @@ impl BatchedSimulator {
         }
     }
 
-    /// Resolves an input port once for the fast per-lane accessors.
+    /// Resolves an input port once, for [`set_port_u64`](Self::set_port_u64)
+    /// and the [`LaneEngine`](crate::LaneEngine) writes.
     ///
     /// # Panics
     ///
     /// Panics if no input named `name` exists.
     pub fn in_port(&self, name: &str) -> InPort {
-        let idx = self.low.input_idx(name);
-        let (loc, width) = self.low.input_locs[idx];
-        InPort { loc, width, idx }
-    }
-
-    /// Resolves an output port once for the fast per-lane accessors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no output named `name` exists.
-    pub fn out_port(&self, name: &str) -> OutPort {
-        let (loc, width) = self.low.output_loc(name);
-        OutPort { loc, width }
+        self.low.in_port(name)
     }
 
     /// Drives a pre-resolved input port on one lane from a `u64`
-    /// (truncated to the port width). The fast-path equivalent of
-    /// [`set_u64`](Self::set_u64).
+    /// (truncated to the port width).
     ///
     /// # Panics
     ///
     /// Panics if `lane` is out of range.
     pub fn set_port_u64(&mut self, lane: usize, port: InPort, value: u64) {
         self.write_lane(lane, port, &[value]);
-    }
-
-    /// Drives a pre-resolved input port on one lane from its little-endian
-    /// words ([`InPort::words`] of them; bits above the width are
-    /// ignored). The allocation-free equivalent of [`set`](Self::set): an
-    /// unchanged value leaves the port's cones clean.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range or `words` has the wrong length.
-    pub fn set_port_words(&mut self, lane: usize, port: InPort, words: &[u64]) {
-        assert_eq!(words.len(), port.words(), "input port word count");
-        self.write_lane(lane, port, words);
-    }
-
-    /// Reads a narrow (≤ 64-bit) pre-resolved output port on one lane
-    /// without allocating (evaluating first if necessary).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range or the port is wide.
-    pub fn get_port_u64(&mut self, lane: usize, port: OutPort) -> u64 {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        self.eval();
-        match port.loc {
-            Loc::N(s) => self.narrow[s as usize * self.lanes + lane],
-            Loc::W(_) => panic!("get_port_u64 needs a narrow (<= 64-bit) output"),
-        }
-    }
-
-    /// Copies a pre-resolved output port on one lane into `out` as
-    /// little-endian words ([`OutPort::words`] of them), evaluating first
-    /// if necessary. The allocation-free equivalent of [`get`](Self::get).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range or `out` has the wrong length.
-    pub fn get_port_words(&mut self, lane: usize, port: OutPort, out: &mut [u64]) {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        assert_eq!(out.len(), port.words(), "output port word count");
-        self.eval();
-        let l = self.lanes;
-        match port.loc {
-            Loc::N(s) => out[0] = self.narrow[s as usize * l + lane],
-            Loc::W(s) => {
-                let base = self.wlay.base(s) + lane;
-                for (w, o) in out.iter_mut().enumerate() {
-                    *o = self.wide[base + w * l];
-                }
-            }
-        }
-    }
-
-    /// Reads back the `u64` currently driving a narrow pre-resolved input
-    /// port on one lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range or the port is wide.
-    pub fn input_port_u64(&self, lane: usize, port: InPort) -> u64 {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        match port.loc {
-            Loc::N(s) => self.narrow[s as usize * self.lanes + lane],
-            Loc::W(_) => panic!("input_port_u64 needs a narrow (<= 64-bit) input"),
-        }
     }
 
     /// Reads an output port on one lane (evaluating first if necessary).

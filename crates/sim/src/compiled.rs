@@ -25,6 +25,7 @@ use hc_bits::Bits;
 use hc_rtl::passes::eval::eval_pure;
 use hc_rtl::{Module, NodeId, ValidateError};
 
+use crate::lanes::{write_lane, InPort};
 use crate::lower::{mask, EngineOptions, Instr, Loc, Lowered, WideLayout};
 use crate::SimBackend;
 
@@ -80,6 +81,9 @@ pub struct CompiledSimulator {
     pub(crate) regs_committed: u64,
     pub(crate) evaluated: bool,
     pub(crate) cycle: u64,
+    /// Cleared to mask the engine out of a lane harness's clock (see
+    /// [`LaneEngine::set_active`](crate::LaneEngine::set_active)).
+    pub(crate) active: bool,
 }
 
 /// Sets bit `k` of a bitset.
@@ -225,6 +229,7 @@ impl CompiledSimulator {
             regs_committed: 0,
             evaluated: false,
             cycle: 0,
+            active: true,
         })
     }
 
@@ -299,47 +304,34 @@ impl CompiledSimulator {
     ///
     /// Panics if no input named `name` exists or the width differs.
     pub fn set(&mut self, name: &str, value: Bits) {
-        let idx = self.low.input_idx(name);
-        let (loc, width) = self.low.input_locs[idx];
-        assert_eq!(width, value.width(), "input {name:?} width");
-        let changed = match loc {
-            Loc::N(s) => {
-                let v = value.to_u64();
-                std::mem::replace(&mut self.narrow[s as usize], v) != v
-            }
-            Loc::W(s) => {
-                let slot = &mut self.wide[self.wlay.words(s)];
-                let changed = slot != value.as_words();
-                slot.copy_from_slice(value.as_words());
-                changed
-            }
-        };
-        self.touch_input(idx, changed);
+        let port = self.low.in_port(name);
+        assert_eq!(port.width, value.width(), "input {name:?} width");
+        self.write_lane(0, port, value.as_words());
     }
 
-    /// Drives an input port from a `u64` (truncated to the port width).
+    /// Drives an input port from a `u64` (truncated to the port width; a
+    /// wide port's upper words are zeroed).
     ///
     /// # Panics
     ///
     /// Panics if no input named `name` exists.
     pub fn set_u64(&mut self, name: &str, value: u64) {
-        let idx = self.low.input_idx(name);
-        let (loc, width) = self.low.input_locs[idx];
-        let changed = match loc {
-            Loc::N(s) => {
-                let v = value & crate::lower::mask(width);
-                std::mem::replace(&mut self.narrow[s as usize], v) != v
-            }
-            Loc::W(s) => {
-                // A wide port holds any `u64` whole in its first word.
-                let slot = &mut self.wide[self.wlay.words(s)];
-                let changed = slot[0] != value || slot[1..].iter().any(|&w| w != 0);
-                slot[0] = value;
-                slot[1..].fill(0);
-                changed
-            }
-        };
-        self.touch_input(idx, changed);
+        self.write_lane(0, self.low.in_port(name), &[value]);
+    }
+
+    /// Writes an input from little-endian words, comparing in place (see
+    /// [`crate::lanes::write_lane`]): only a changed value marks its
+    /// readers dirty. Every input write goes through here.
+    pub(crate) fn write_lane(&mut self, lane: usize, port: InPort, words: &[u64]) {
+        let changed = write_lane(
+            &mut self.narrow,
+            &mut self.wide,
+            &self.wlay,
+            (1, lane),
+            port,
+            words,
+        );
+        self.touch_input(port.idx, changed);
     }
 
     /// Settles combinational logic for the current input/register state by
@@ -775,18 +767,6 @@ impl CompiledSimulator {
         self.read_loc(loc, width)
     }
 
-    /// Reads an output port as a `u64` (evaluating first if necessary),
-    /// truncating ports wider than 64 bits to their low word. Narrow slots
-    /// are stored masked, so this is a plain load — no `Bits` allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no output named `name` exists.
-    pub fn get_u64(&mut self, name: &str) -> u64 {
-        self.eval();
-        self.low_word(self.low.output_loc(name).0)
-    }
-
     /// Reads back the value currently driving an input port.
     ///
     /// # Panics
@@ -796,16 +776,6 @@ impl CompiledSimulator {
         let idx = self.low.input_idx(name);
         let (loc, width) = self.low.input_locs[idx];
         self.read_loc(loc, width)
-    }
-
-    /// Reads back an input port's driven value as a `u64` (low word for
-    /// wide ports), without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no input named `name` exists.
-    pub fn input_value_u64(&self, name: &str) -> u64 {
-        self.low_word(self.low.input_locs[self.low.input_idx(name)].0)
     }
 
     /// Reads the settled value of an arbitrary node (for probing).
@@ -1015,14 +985,8 @@ impl SimBackend for CompiledSimulator {
     fn get(&mut self, name: &str) -> Bits {
         CompiledSimulator::get(self, name)
     }
-    fn get_u64(&mut self, name: &str) -> u64 {
-        CompiledSimulator::get_u64(self, name)
-    }
     fn input_value(&self, name: &str) -> Bits {
         CompiledSimulator::input_value(self, name)
-    }
-    fn input_value_u64(&self, name: &str) -> u64 {
-        CompiledSimulator::input_value_u64(self, name)
     }
     fn peek_reg(&self, name: &str) -> Bits {
         CompiledSimulator::peek_reg(self, name)

@@ -67,6 +67,13 @@
 //!   engine on AVX2 hosts; elsewhere (or under `HC_NO_NATIVE=1`) it
 //!   degrades to exactly [`BatchedSimulator`].
 //!
+//! A stream harness drives all of them through one trait,
+//! [`LaneEngine`]: port handles resolved once, per-lane reads and writes
+//! of little-endian words (a write compares in place, so an unchanged one
+//! leaves every part clean), the per-lane cycle count and mask, and
+//! `step`. The interpreter, the tape engine and the scalar JIT implement
+//! it at one lane, [`NativeBatchedSimulator`] at `L` lanes.
+//!
 //! All compiled engines run the **tape backend optimizer** by default
 //! (see [`TapeOptReport`]): superinstruction fusion, copy forwarding, tape
 //! dead-code elimination, live-range slot reallocation, and a partition
@@ -79,6 +86,7 @@
 mod backend;
 mod batched;
 mod compiled;
+mod lanes;
 mod lower;
 mod native;
 mod probe;
@@ -87,8 +95,9 @@ mod tapeopt;
 mod vcd;
 
 pub use backend::SimBackend;
-pub use batched::{BatchedSimulator, InPort, OutPort};
+pub use batched::BatchedSimulator;
 pub use compiled::CompiledSimulator;
+pub use lanes::{InPort, LaneEngine, OutPort};
 pub use lower::EngineOptions;
 pub use native::{NativeBatchedReport, NativeBatchedSimulator, NativeReport, NativeSimulator};
 pub use probe::ProbeRecorder;

@@ -215,7 +215,7 @@ fn compile(
 /// [`CompiledSimulator`].
 #[derive(Debug)]
 pub struct NativeSimulator {
-    sim: CompiledSimulator,
+    pub(crate) sim: CompiledSimulator,
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     jit: Option<Jit>,
     report: NativeReport,
@@ -390,17 +390,6 @@ impl NativeSimulator {
         self.sim.get(name)
     }
 
-    /// Reads an output port as a `u64` without allocating (see
-    /// [`CompiledSimulator::get_u64`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no output named `name` exists.
-    pub fn get_u64(&mut self, name: &str) -> u64 {
-        self.eval();
-        self.sim.get_u64(name)
-    }
-
     /// Reads back the value currently driving an input port.
     ///
     /// # Panics
@@ -408,16 +397,6 @@ impl NativeSimulator {
     /// Panics if no input named `name` exists.
     pub fn input_value(&self, name: &str) -> Bits {
         self.sim.input_value(name)
-    }
-
-    /// Reads back an input port's driven value as a `u64` without
-    /// allocating (see [`CompiledSimulator::input_value_u64`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no input named `name` exists.
-    pub fn input_value_u64(&self, name: &str) -> u64 {
-        self.sim.input_value_u64(name)
     }
 
     /// Reads the settled value of an arbitrary node (for probing).
@@ -497,14 +476,8 @@ impl SimBackend for NativeSimulator {
     fn get(&mut self, name: &str) -> Bits {
         NativeSimulator::get(self, name)
     }
-    fn get_u64(&mut self, name: &str) -> u64 {
-        NativeSimulator::get_u64(self, name)
-    }
     fn input_value(&self, name: &str) -> Bits {
         NativeSimulator::input_value(self, name)
-    }
-    fn input_value_u64(&self, name: &str) -> u64 {
-        NativeSimulator::input_value_u64(self, name)
     }
     fn peek_reg(&self, name: &str) -> Bits {
         NativeSimulator::peek_reg(self, name)

@@ -25,7 +25,8 @@
 use hc_bits::Bits;
 use hc_rtl::{Module, ValidateError};
 
-use crate::batched::{BatchedSimulator, InPort, OutPort};
+use crate::batched::BatchedSimulator;
+use crate::lanes::InPort;
 use crate::lower::EngineOptions;
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -59,7 +60,7 @@ pub struct NativeBatchedReport {
 /// to [`BatchedSimulator`] lane for lane.
 #[derive(Debug)]
 pub struct NativeBatchedSimulator {
-    sim: BatchedSimulator,
+    pub(crate) sim: BatchedSimulator,
     #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
     vjit: Option<vcode::VJit>,
     report: NativeBatchedReport,
@@ -182,19 +183,9 @@ impl NativeBatchedSimulator {
         self.sim.cycle(lane)
     }
 
-    /// See [`BatchedSimulator::is_active`].
-    pub fn is_active(&self, lane: usize) -> bool {
-        self.sim.is_active(lane)
-    }
-
     /// See [`BatchedSimulator::set_active`].
     pub fn set_active(&mut self, lane: usize, active: bool) {
         self.sim.set_active(lane, active);
-    }
-
-    /// See [`BatchedSimulator::active_lanes`].
-    pub fn active_lanes(&self) -> usize {
-        self.sim.active_lanes()
     }
 
     /// Drives an input port on one lane.
@@ -233,15 +224,6 @@ impl NativeBatchedSimulator {
         self.sim.in_port(name)
     }
 
-    /// See [`BatchedSimulator::out_port`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no output named `name` exists.
-    pub fn out_port(&self, name: &str) -> OutPort {
-        self.sim.out_port(name)
-    }
-
     /// See [`BatchedSimulator::set_port_u64`].
     ///
     /// # Panics
@@ -249,47 +231,6 @@ impl NativeBatchedSimulator {
     /// Panics if `lane` is out of range.
     pub fn set_port_u64(&mut self, lane: usize, port: InPort, value: u64) {
         self.sim.set_port_u64(lane, port, value);
-    }
-
-    /// See [`BatchedSimulator::set_port_words`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range or `words` has the wrong length.
-    pub fn set_port_words(&mut self, lane: usize, port: InPort, words: &[u64]) {
-        self.sim.set_port_words(lane, port, words);
-    }
-
-    /// Reads an output port on one lane as a `u64` (evaluating first if
-    /// necessary).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range or the port is wider than 64 bits.
-    pub fn get_port_u64(&mut self, lane: usize, port: OutPort) -> u64 {
-        self.eval();
-        self.sim.get_port_u64(lane, port)
-    }
-
-    /// Copies an output port on one lane into `out` as little-endian words
-    /// (evaluating first if necessary); see
-    /// [`BatchedSimulator::get_port_words`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range or `out` has the wrong length.
-    pub fn get_port_words(&mut self, lane: usize, port: OutPort, out: &mut [u64]) {
-        self.eval();
-        self.sim.get_port_words(lane, port, out);
-    }
-
-    /// See [`BatchedSimulator::input_port_u64`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn input_port_u64(&self, lane: usize, port: InPort) -> u64 {
-        self.sim.input_port_u64(lane, port)
     }
 
     /// Reads an output port on one lane by name (evaluating first if

@@ -26,11 +26,14 @@ pub struct Simulator {
     regs_next: Vec<Bits>,
     mems: Vec<Vec<Bits>>,
     inputs: Vec<Bits>,
-    input_index: HashMap<String, (usize, u32)>,
+    input_index: HashMap<String, usize>,
     output_index: HashMap<String, NodeId>,
     reg_index: HashMap<String, usize>,
     evaluated: bool,
     cycle: u64,
+    /// Cleared to mask the engine out of a lane harness's clock (see
+    /// [`LaneEngine::set_active`](crate::LaneEngine::set_active)).
+    pub(crate) active: bool,
 }
 
 impl Simulator {
@@ -63,7 +66,7 @@ impl Simulator {
             .inputs()
             .iter()
             .enumerate()
-            .map(|(i, p)| (p.name.clone(), (i, p.width)))
+            .map(|(i, p)| (p.name.clone(), i))
             .collect();
         let output_index = module
             .outputs()
@@ -88,6 +91,7 @@ impl Simulator {
             reg_index,
             evaluated: false,
             cycle: 0,
+            active: true,
         })
     }
 
@@ -107,13 +111,13 @@ impl Simulator {
     ///
     /// Panics if no input named `name` exists or the width differs.
     pub fn set(&mut self, name: &str, value: Bits) {
-        let &(idx, width) = self
-            .input_index
-            .get(name)
-            .unwrap_or_else(|| panic!("no input named {name:?}"));
-        assert_eq!(width, value.width(), "input {name:?} width");
-        self.inputs[idx] = value;
-        self.evaluated = false;
+        let idx = self.input_port(name);
+        assert_eq!(
+            self.inputs[idx].width(),
+            value.width(),
+            "input {name:?} width"
+        );
+        self.set_input(idx, value);
     }
 
     /// Drives an input port from a `u64` (truncated to the port width).
@@ -122,12 +126,32 @@ impl Simulator {
     ///
     /// Panics if no input named `name` exists.
     pub fn set_u64(&mut self, name: &str, value: u64) {
-        let &(idx, width) = self
+        let idx = self.input_port(name);
+        self.set_input(idx, Bits::from_u64(self.inputs[idx].width(), value));
+    }
+
+    /// Index of the input port named `name`.
+    pub(crate) fn input_port(&self, name: &str) -> usize {
+        *self
             .input_index
             .get(name)
-            .unwrap_or_else(|| panic!("no input named {name:?}"));
-        self.inputs[idx] = Bits::from_u64(width, value);
-        self.evaluated = false;
+            .unwrap_or_else(|| panic!("no input named {name:?}"))
+    }
+
+    /// The node driving the output port named `name`.
+    pub(crate) fn output_node(&self, name: &str) -> NodeId {
+        *self
+            .output_index
+            .get(name)
+            .unwrap_or_else(|| panic!("no output named {name:?}"))
+    }
+
+    /// Drives input `idx`; only a changed value unsettles the netlist.
+    pub(crate) fn set_input(&mut self, idx: usize, value: Bits) {
+        if self.inputs[idx] != value {
+            self.inputs[idx] = value;
+            self.evaluated = false;
+        }
     }
 
     /// Settles combinational logic for the current input/register state.
@@ -165,11 +189,7 @@ impl Simulator {
     /// Panics if no output named `name` exists.
     pub fn get(&mut self, name: &str) -> Bits {
         self.eval();
-        let &node = self
-            .output_index
-            .get(name)
-            .unwrap_or_else(|| panic!("no output named {name:?}"));
-        self.values[node.index()].clone()
+        self.values[self.output_node(name).index()].clone()
     }
 
     /// Reads back the value currently driving an input port.
@@ -178,11 +198,7 @@ impl Simulator {
     ///
     /// Panics if no input named `name` exists.
     pub fn input_value(&self, name: &str) -> Bits {
-        let &(idx, _) = self
-            .input_index
-            .get(name)
-            .unwrap_or_else(|| panic!("no input named {name:?}"));
-        self.inputs[idx].clone()
+        self.inputs[self.input_port(name)].clone()
     }
 
     /// Reads the settled value of an arbitrary node (for probing).

@@ -231,7 +231,7 @@ fn held_inputs_skip_parts_and_registers() {
     for v in 3..13 {
         // Only `b` changes: the part computing `p1` stays clean.
         sim.set_u64("b", v);
-        assert_eq!(sim.get_u64("p2"), v ^ 5);
+        assert_eq!(sim.get("p2").to_u64(), v ^ 5);
         sim.run(10);
     }
     let r = sim.tape_opt_report().expect("tape optimizer on");

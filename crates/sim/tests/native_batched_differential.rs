@@ -25,7 +25,7 @@ use std::sync::Mutex;
 
 use common::{step_strategy, WIDE};
 use hc_bits::Bits;
-use hc_sim::{BatchedSimulator, NativeBatchedSimulator, Simulator};
+use hc_sim::{BatchedSimulator, LaneEngine, NativeBatchedSimulator, Simulator};
 use proptest::prelude::*;
 
 /// Serializes the tests that set or depend on a process-global config
@@ -212,9 +212,9 @@ fn port_words_module() -> hc_rtl::Module {
 }
 
 /// Checks one engine type's word accessors at one lane count: words
-/// written with `set_port_words` and read with `get_port_words` equal the
-/// by-name `Bits` path on a twin engine, and rewriting unchanged words
-/// leaves every data cone clean.
+/// written and read through [`LaneEngine`] equal the by-name `Bits` path
+/// on a twin engine, and rewriting unchanged words leaves every data cone
+/// clean.
 macro_rules! check_port_words {
     ($engine:ty, $lanes:expr, $rng:expr) => {{
         let lanes: usize = $lanes;
@@ -227,7 +227,7 @@ macro_rules! check_port_words {
             .map(|w| {
                 let name = format!("a{w}");
                 let port = words.in_port(&name);
-                assert_eq!(port.words(), w.div_ceil(64) as usize, "{name}");
+                assert_eq!(port.width(), *w, "{name}");
                 (name, port)
             })
             .collect();
@@ -243,8 +243,8 @@ macro_rules! check_port_words {
             let mut all = Vec::new();
             for lane in 0..lanes {
                 for (_, port) in &outs {
-                    let mut buf = vec![0; port.words()];
-                    sim.get_port_words(lane, *port, &mut buf);
+                    let mut buf = vec![0; port.width().div_ceil(64) as usize];
+                    sim.read(lane, *port, &mut buf);
                     all.push(buf);
                 }
             }
@@ -254,15 +254,15 @@ macro_rules! check_port_words {
             for lane in 0..lanes {
                 for (name, port) in &ins {
                     let v = rng.bits(port.width());
-                    words.set_port_words(lane, *port, v.as_words());
+                    words.write(lane, *port, v.as_words());
                     named.set(lane, name, v);
                 }
             }
             for lane in 0..lanes {
                 for (name, port) in &outs {
                     let want = named.get(lane, name);
-                    let mut got = vec![0; port.words()];
-                    words.get_port_words(lane, *port, &mut got);
+                    let mut got = vec![0; port.width().div_ceil(64) as usize];
+                    words.read(lane, *port, &mut got);
                     assert_eq!(
                         got,
                         want.as_words(),
@@ -284,7 +284,7 @@ macro_rules! check_port_words {
         for lane in 0..lanes {
             for (name, port) in &ins {
                 let current = words.input_value(lane, name);
-                words.set_port_words(lane, *port, current.as_words());
+                words.write(lane, *port, current.as_words());
                 words.set(lane, name, current);
             }
         }
@@ -300,15 +300,15 @@ macro_rules! check_port_words {
     }};
 }
 
-/// The allocation-free word accessors of both batched engines agree with
-/// the by-name `Bits` accessors on narrow, one-word, ragged and three-word
-/// ports, pass-through and registered, at every lane-group shape.
+/// The vector JIT's allocation-free word accessors agree with its
+/// by-name `Bits` accessors on narrow, one-word, ragged and three-word
+/// ports, pass-through and registered, at every lane-group shape (the
+/// batched interpreter's under `HC_NO_NATIVE=1`).
 #[test]
 fn port_words_match_the_bits_path() {
     let _guard = CFG_LOCK.lock().unwrap();
     let mut rng = Lcg(0x5eed_0f30_575a_11ab);
     for lanes in [1, 3, 5, 16] {
-        check_port_words!(BatchedSimulator, lanes, &mut rng);
         check_port_words!(NativeBatchedSimulator, lanes, &mut rng);
     }
 }

@@ -68,45 +68,64 @@ fn opt_rowcol_is_bit_exact_with_paper_timing() {
 
 #[test]
 fn optimized_design_survives_backpressure() {
-    // Drive with a stalling consumer: correctness must hold and the AXI
-    // rules must not be violated (the elastic 3-phase pipeline is the
-    // delicate one).
-    use hc_axi::{AxisDriver, AxisMonitor, ProtocolChecker};
-    use hc_sim::Simulator;
+    // Drive with producer gaps and a stalling consumer on every engine:
+    // correctness must hold and the AXI rules must not be violated (the
+    // elastic 3-phase pipeline is the delicate one).
+    use hc_axi::{Backpressure, MatrixWrapperSpec, ProtocolError};
+    use hc_sim::{
+        CompiledSimulator, LaneEngine, NativeBatchedSimulator, NativeSimulator, Simulator,
+    };
+
+    type Run = (Vec<Vec<Vec<i32>>>, Vec<(usize, ProtocolError)>);
+    fn run<E: LaneEngine>(sim: E, chunks: &[&[Vec<i32>]], pressure: &Backpressure) -> Run {
+        let mut h = StreamHarness::from_engine(sim, MatrixWrapperSpec::idct());
+        let (outs, _) = h.run_lanes_under(chunks, 3000, pressure);
+        (outs, h.protocol_errors)
+    }
 
     let module = hc_verilog::designs::opt_rowcol().unwrap();
-    let mut sim = Simulator::new(module).unwrap();
-    sim.set_u64("rst", 1);
-    sim.set_u64("s_axis_tvalid", 0);
-    sim.set_u64("m_axis_tready", 0);
-    sim.step();
-    sim.set_u64("rst", 0);
-
-    let blocks = BlockGen::new(99, -2048, 2047).take_blocks(6);
-    let mut driver = AxisDriver::new("s_axis", 96);
-    for (i, b) in blocks.iter().enumerate() {
-        for row in &b.0 {
-            driver.push_with_gap(hc_axi::pack_elems_n(row, 12), (i % 3) as u32);
-        }
-    }
-    let mut monitor = AxisMonitor::new("m_axis").with_stalls(3);
-    let mut checker = ProtocolChecker::new("m_axis");
-    for _ in 0..3000 {
-        monitor.before_edge(&mut sim);
-        driver.before_edge(&mut sim);
-        checker.before_edge(&mut sim);
-        sim.step();
-        if monitor.beats.len() >= blocks.len() * 8 {
-            break;
-        }
-    }
-    assert!(checker.errors.is_empty(), "{:?}", checker.errors);
-    assert_eq!(monitor.beats.len(), blocks.len() * 8);
-    for (i, block) in blocks.iter().enumerate() {
-        let golden = fixed::idct2d(block);
-        for r in 0..8 {
-            let row = hc_axi::unpack_elems_n(&monitor.beats[i * 8 + r].1, 9, 8);
-            assert_eq!(row, golden.row(r), "block {i} row {r}");
+    let blocks: Vec<Vec<i32>> = BlockGen::new(99, -2048, 2047)
+        .take_blocks(6)
+        .iter()
+        .map(|b| b.iter().collect())
+        .collect();
+    // Each row of a lane's block `i` leaves `i % 3` idle cycles after it.
+    let pressure = Backpressure {
+        gaps: (0..24).map(|beat| beat / 8 % 3).collect(),
+        stall_period: 3,
+    };
+    // The scalar engines stream lane 0; the vector JIT all three lanes.
+    let chunks: [&[Vec<i32>]; 3] = [&blocks, &blocks[2..], &blocks[..1]];
+    let one = &chunks[..1];
+    let m = || module.clone();
+    let runs = [
+        ("interp", run(Simulator::new(m()).unwrap(), one, &pressure)),
+        (
+            "tape",
+            run(CompiledSimulator::new(m()).unwrap(), one, &pressure),
+        ),
+        (
+            "scalar JIT",
+            run(NativeSimulator::new(m()).unwrap(), one, &pressure),
+        ),
+        (
+            "vector JIT",
+            run(
+                NativeBatchedSimulator::new(m(), 3).unwrap(),
+                &chunks,
+                &pressure,
+            ),
+        ),
+    ];
+    for (engine, (outs, errors)) in runs {
+        assert!(errors.is_empty(), "{engine}: {errors:?}");
+        for (lane, out) in outs.iter().enumerate() {
+            assert_eq!(out.len(), chunks[lane].len(), "{engine} lane {lane}");
+            for (i, (block, o)) in chunks[lane].iter().zip(out).enumerate() {
+                let golden = fixed::idct2d(&Block::from_fn(|r, c| block[r * 8 + c]));
+                let golden: Vec<i32> = golden.iter().collect();
+                assert_eq!(o, &golden, "{engine} lane {lane} block {i}");
+            }
         }
     }
 }

@@ -31,6 +31,12 @@ echo "== differential suites at depth (tape engine on fresh stimulus; tape engin
 PROPTEST_CASES=4096 cargo test -q --release -p hc-sim --test differential -- \
   compiled_backend_matches_interpreter held_inputs
 
+echo "== backpressure proptest at depth (every engine under producer gaps and consumer stalls)"
+# The one stream harness on the interpreter, the tape engine, the scalar
+# JIT and three vector-JIT lanes; 1024 random gap/stall patterns per
+# wrapper.
+PROPTEST_CASES=1024 cargo test -q --release -p hc-axi --test backpressure_proptest
+
 echo "== kernel x frontend matrix agreement suite (five backends, full registry)"
 # Release mode: the debug workspace run above covers dct8/idct4/fir32 but
 # skips the 16x16 IDCT (tens of minutes under the un-optimized

@@ -4,13 +4,13 @@
 //! kernel's seven matrix cells must agree with each other (and with the
 //! golden fixed-point model) on shared stimulus.
 
-use hls_vs_hc::axi::{pack_elems_n, unpack_elems_n, StreamHarness};
-use hls_vs_hc::core::entries::{all_tools, Design, DesignInterface};
+use hls_vs_hc::axi::StreamHarness;
+use hls_vs_hc::core::entries::{all_tools, DesignInterface};
 use hls_vs_hc::core::matrix::{matrix_cells, wrapper_spec};
 use hls_vs_hc::idct::generator::BlockGen;
 use hls_vs_hc::idct::{fixed, Block};
-use hls_vs_hc::kernels::{kernels, KernelSpec};
-use hls_vs_hc::sim::{SimBackend, Simulator};
+use hls_vs_hc::kernels::kernels;
+use hls_vs_hc::sim::Simulator;
 
 #[test]
 fn every_axis_design_is_bit_exact_on_shared_stimulus() {
@@ -35,37 +35,6 @@ fn every_axis_design_is_bit_exact_on_shared_stimulus() {
     }
 }
 
-/// Drives a full-block stream cell (the dataflow column) on the
-/// interpreter and collects one output block per input block.
-fn run_stream_cell(spec: &KernelSpec, design: &Design, blocks: &[Vec<i32>]) -> Vec<Vec<i32>> {
-    let mut sim = Simulator::from_module(design.module.clone()).expect("validates");
-    sim.set_u64("rst", 1);
-    sim.set_u64("in_valid", 0);
-    sim.step();
-    sim.set_u64("rst", 0);
-    sim.set_u64("in_valid", 1);
-    let zero = pack_elems_n(&vec![0; spec.elems()], spec.in_width);
-    let mut outs: Vec<Vec<i32>> = Vec::new();
-    for cycle in 0..blocks.len() + 2_000 {
-        match blocks.get(cycle) {
-            Some(blk) => sim.set("in_data", pack_elems_n(blk, spec.in_width)),
-            None => sim.set("in_data", zero.clone()),
-        }
-        if sim.get("out_valid").to_bool() {
-            outs.push(unpack_elems_n(
-                &sim.get("out_data"),
-                spec.out_width,
-                spec.elems(),
-            ));
-        }
-        sim.step();
-        if outs.len() >= blocks.len() {
-            break;
-        }
-    }
-    outs
-}
-
 /// The Table II contract, generalized along the workload axis: for every
 /// registry kernel, all seven frontends' cells produce identical output
 /// streams on shared stimulus — and that shared answer is the golden
@@ -82,23 +51,15 @@ fn every_matrix_cell_agrees_across_tools_on_shared_stimulus() {
         let golden: Vec<Vec<i32>> = blocks.iter().map(|b| spec.golden(b)).collect();
         let mut reference: Option<(String, Vec<Vec<i32>>)> = None;
         for (_, design) in matrix_cells(&spec) {
-            let outs = match design.interface {
-                DesignInterface::Axis => {
-                    let mut h = StreamHarness::<Simulator>::with_spec(
-                        design.module.clone(),
-                        wrapper_spec(&spec),
-                    )
+            let mut h =
+                StreamHarness::<Simulator>::with_spec(design.module.clone(), wrapper_spec(&spec))
                     .expect("validates");
-                    let (outs, _) = h.run_flat(&blocks, 200_000);
-                    assert!(
-                        h.protocol_errors.is_empty(),
-                        "{}: AXI violation",
-                        design.label
-                    );
-                    outs
-                }
-                DesignInterface::Stream { .. } => run_stream_cell(&spec, &design, &blocks),
-            };
+            let (outs, _) = h.run_flat(&blocks, 200_000);
+            assert!(
+                h.protocol_errors.is_empty(),
+                "{}: AXI violation",
+                design.label
+            );
             assert_eq!(outs, golden, "{}: disagrees with golden", design.label);
             match &reference {
                 None => reference = Some((design.label.clone(), outs)),

@@ -21,20 +21,13 @@ mod matrix;
 use hls_vs_hc::core::entries::DesignInterface;
 use hls_vs_hc::core::matrix::{matrix_cells, tool_slug};
 use hls_vs_hc::sim::{CompiledSimulator, NativeSimulator, Simulator};
-use matrix::{
-    batched_harness, check_axis, check_batched_tier, check_stream, kernels_under_test, Tier,
-};
+use matrix::{batched_harness, check_batched_tier, check_cell, kernels_under_test, Tier};
 
 /// Every cell of every kernel on one scalar backend.
 fn check_all_cells<B: Tier>(tier: &str) {
     for spec in kernels_under_test() {
         for (_, design) in matrix_cells(&spec) {
-            match design.interface {
-                DesignInterface::Axis => {
-                    check_axis::<B>(&spec, &design, tier);
-                }
-                DesignInterface::Stream { .. } => check_stream::<B>(&spec, &design, tier),
-            }
+            check_cell::<B>(&spec, &design, tier);
         }
     }
 }
@@ -101,7 +94,7 @@ fn per_kernel_timing_is_pinned() {
             if !matches!(design.interface, DesignInterface::Axis) {
                 continue; // dataflow cells pin periodicity 1 in hc-core
             }
-            let (lat, per) = check_axis::<Simulator>(spec, &design, "timing");
+            let (lat, per) = check_cell::<Simulator>(spec, &design, "timing");
             actual.push((spec.id, tool_slug(tool), lat, per));
         }
     }

@@ -4,11 +4,11 @@
 //! agreement with the kernel's golden fixed-point model.
 #![allow(dead_code)] // each test crate uses a subset
 
-use hls_vs_hc::axi::{pack_elems_n, unpack_elems_n, BatchedStreamHarness, StreamHarness};
+use hls_vs_hc::axi::{BatchedStreamHarness, StreamHarness};
 use hls_vs_hc::core::entries::{Design, DesignInterface};
 use hls_vs_hc::core::matrix::{matrix_cells, wrapper_spec};
 use hls_vs_hc::kernels::{kernels, KernelSpec};
-use hls_vs_hc::sim::{CompiledSimulator, NativeSimulator, SimBackend, Simulator};
+use hls_vs_hc::sim::{CompiledSimulator, LaneEngine, NativeSimulator, SimBackend, Simulator};
 
 /// Per-lane cycle budget; generous enough for the slowest cell (the
 /// sequential Bambu 16×16 transform).
@@ -52,7 +52,7 @@ fn vector_expected() -> bool {
 /// of its parts runs as generated code: an engine that fell back to the
 /// tape interpreter still matches its golden model, so without the check
 /// a JIT tier that lost its code would pass.
-pub trait Tier: SimBackend {
+pub trait Tier: SimBackend + LaneEngine {
     /// `None` for the interpreted engines.
     fn jit_engaged(&self) -> Option<bool> {
         None
@@ -76,9 +76,10 @@ fn assert_engaged<B: Tier>(sim: &B, label: &str, tier: &str) {
     );
 }
 
-/// Streams the stimulus through an AXI cell on backend `B` and asserts
-/// golden agreement; returns (latency, periodicity).
-pub fn check_axis<B: Tier>(spec: &KernelSpec, design: &Design, tier: &str) -> (u64, u64) {
+/// Streams the stimulus through a cell on backend `B` (an AXI-Stream
+/// wrapper, or a full-block stream kernel of the dataflow column) and
+/// asserts golden agreement; returns (latency, periodicity).
+pub fn check_cell<B: Tier>(spec: &KernelSpec, design: &Design, tier: &str) -> (u64, u64) {
     let mut h = StreamHarness::<B>::with_spec(design.module.clone(), wrapper_spec(spec))
         .expect("matrix cells validate");
     assert_engaged(h.simulator_mut(), &design.label, tier);
@@ -106,52 +107,6 @@ pub fn check_axis<B: Tier>(spec: &KernelSpec, design: &Design, tier: &str) -> (u
     (timing.latency, timing.periodicity)
 }
 
-/// Drives a full-block stream cell (the dataflow column) on backend `B`
-/// and asserts golden agreement.
-pub fn check_stream<B: Tier>(spec: &KernelSpec, design: &Design, tier: &str) {
-    let mut sim = B::from_module(design.module.clone()).expect("matrix cells validate");
-    assert_engaged(&sim, &design.label, tier);
-    let blocks = stimulus(spec);
-    sim.set_u64("rst", 1);
-    sim.set_u64("in_valid", 0);
-    sim.step();
-    sim.set_u64("rst", 0);
-    sim.set_u64("in_valid", 1);
-    let zero = pack_elems_n(&vec![0; spec.elems()], spec.in_width);
-    let mut outs: Vec<Vec<i32>> = Vec::new();
-    for cycle in 0..blocks.len() + 2_000 {
-        match blocks.get(cycle) {
-            Some(blk) => sim.set("in_data", pack_elems_n(blk, spec.in_width)),
-            None => sim.set("in_data", zero.clone()),
-        }
-        if sim.get("out_valid").to_bool() {
-            outs.push(unpack_elems_n(
-                &sim.get("out_data"),
-                spec.out_width,
-                spec.elems(),
-            ));
-        }
-        sim.step();
-        if outs.len() >= blocks.len() {
-            break;
-        }
-    }
-    assert_eq!(
-        outs.len(),
-        blocks.len(),
-        "{}/{tier}: lost blocks",
-        design.label
-    );
-    for (i, (o, b)) in outs.iter().zip(&blocks).enumerate() {
-        assert_eq!(
-            o,
-            &spec.golden(b),
-            "{}/{tier}: block {i} not bit-exact",
-            design.label
-        );
-    }
-}
-
 /// The two-lane batched harness of an AXI cell, as built by default.
 pub fn batched_harness(spec: &KernelSpec, design: &Design) -> BatchedStreamHarness {
     BatchedStreamHarness::with_spec(design.module.clone(), 2, wrapper_spec(spec))
@@ -173,7 +128,7 @@ pub fn check_batched_tier(
             if !matches!(design.interface, DesignInterface::Axis) {
                 continue; // stream cells are single-lane by construction
             }
-            let (lat, per) = check_axis::<Simulator>(&spec, &design, "interp-oracle");
+            let (lat, per) = check_cell::<Simulator>(&spec, &design, "interp-oracle");
             let blocks = stimulus(&spec);
             let doubled: Vec<Vec<i32>> = blocks.iter().chain(blocks.iter()).cloned().collect();
             let mut h = build(&spec, &design);
