@@ -121,8 +121,11 @@ const SETS: &[GateSet] = &[
         Gate { name: "AXI harness settles each component at most once per cycle", when: Avx2,
                figure: Value(at(&["native_batched_harness_evals_per_cone_cycle"])),
                need: AtMost(1.0) },
-        Gate { name: "tape optimizer pays for itself", when: Always,
-               figure: Value(at(&["tapeopt_speedup"])), need: AtLeast(1.2) },
+        // A count, not a timing: a tape engine that runs every part on
+        // every settle reads 1.0.
+        Gate { name: "tape engine re-runs only the parts whose inputs changed", when: Always,
+               figure: Value(at(&["compiled_harness_evals_per_part_cycle"])),
+               need: AtMost(0.5) },
         Gate { name: "superinstructions fused on the IDCT design", when: Always,
                figure: Value(at(&["tapeopt", "fused"])), need: Above(0.0) },
         // 4 registry kernels x 7 frontends; perfsnap records a cell only
@@ -403,7 +406,7 @@ mod tests {
               "native_batched_speedup_vs_batched": 3.91,
               "native_batched_harness_engine_ratio": 0.47,
               "native_batched_harness_evals_per_cone_cycle": 0.902,
-              "tapeopt_speedup": 1.3,
+              "compiled_harness_evals_per_part_cycle": 0.311,
               "tapeopt": {"instrs_pre": 2669, "fused": 216},
               "compiled_cycles_per_sec": 36764,
               "fig1_first_sweep_seconds": 0.1,
@@ -627,6 +630,19 @@ mod tests {
             "native_batched_harness_evals_per_cone_cycle",
             Json::from(1.305),
         );
+        let v = verdict(set, gate, &docs, FULL_HOST);
+        assert!(matches!(v, Verdict::Fail(_)), "{v:?}");
+    }
+
+    #[test]
+    fn running_every_part_fails_the_part_evaluation_count() {
+        // A tape engine without part gating evaluates every part on every
+        // harness cycle.
+        let (set, gate) = gates()
+            .find(|(_, g)| g.name.contains("only the parts"))
+            .unwrap();
+        let mut docs = healthy(set);
+        docs[0].set("compiled_harness_evals_per_part_cycle", Json::from(1.0));
         let v = verdict(set, gate, &docs, FULL_HOST);
         assert!(matches!(v, Verdict::Fail(_)), "{v:?}");
     }

@@ -8,11 +8,13 @@
 //!    initial design's AXI-Stream interface. Each figure is the best of
 //!    3 timed repetitions (min wall-clock per cycle), so scheduler noise
 //!    biases the record high-watermark rather than smearing it.
-//! 2. **Tape backend optimizer effect**: the same compiled run built with
-//!    [`EngineOptions::no_tape_opt`], the resulting `tapeopt_speedup`,
-//!    and the optimizer's [`TapeOptReport`](hc_sim::TapeOptReport)
-//!    (fused/forwarded/removed instruction counts, slot compaction, cone
-//!    count and the cones actually skipped during the measured run).
+//! 2. **Tape backend optimizer effect**: the optimizer's
+//!    [`TapeOptReport`](hc_sim::TapeOptReport) for the compiled run
+//!    (fused and strength-reduced instruction counts, slot compaction,
+//!    cone and part counts, and the parts actually skipped during the
+//!    measured run), and `compiled_harness_evals_per_part_cycle`: the tape
+//!    engine's part evaluations per part per harness cycle over one more
+//!    run, a count (gated, an engine that runs every part reads 1).
 //! 3. **Batched throughput** of the lane-batched engine on the same 64
 //!    blocks, counted in *lane-cycles* per second (each lane's cycle is a
 //!    full simulated cycle of an independent stimulus stream, so
@@ -61,12 +63,11 @@
 
 use std::time::{Duration, Instant};
 
-use hc_axi::{BatchedStreamHarness, MatrixWrapperSpec, StreamHarness};
+use hc_axi::{BatchedStreamHarness, StreamHarness};
 use hc_idct::generator::BlockGen;
 use hc_obs::{jobj, Json};
 use hc_sim::{
-    CompiledSimulator, EngineOptions, LaneEngine, NativeBatchedReport, NativeBatchedSimulator,
-    TapeOptReport,
+    CompiledSimulator, LaneEngine, NativeBatchedReport, NativeBatchedSimulator, TapeOptReport,
 };
 
 /// One 8x8 input block.
@@ -143,6 +144,29 @@ fn evals_per_cone_cycle(h: &mut BatchedStreamHarness, inputs: &[Block], budget: 
     (report.native_cone_evals - before) as f64 / (components * cycles).max(1) as f64
 }
 
+/// Tape-engine part evaluations per part per harness cycle over one more
+/// run of `h` on `inputs`, from the engine's skipped-part and cycle
+/// counts. A count, not a timing: the harness settles once per cycle, and
+/// an engine that ran every part on every settle would read 1. A cycle
+/// that needs no settle at all counts as running every part, so the
+/// figure is an upper bound.
+fn evals_per_part_cycle(
+    h: &mut StreamHarness<CompiledSimulator>,
+    inputs: &[Block],
+    budget: u64,
+) -> f64 {
+    let report = |h: &mut StreamHarness<CompiledSimulator>| {
+        let sim = h.simulator_mut();
+        let r = sim.tape_opt_report().expect("tape engines report");
+        (r.parts as u64, r.parts_skipped, sim.cycle())
+    };
+    let (parts, skipped_before, cycles_before) = report(h);
+    assert_eq!(h.run(inputs, budget).0.len(), inputs.len());
+    let (_, skipped, cycles) = report(h);
+    let slots = (parts * (cycles - cycles_before)).max(1);
+    (slots - (skipped - skipped_before)) as f64 / slots as f64
+}
+
 /// Builds an engine with both JIT tiers off (a temporary `HC_NO_NATIVE`
 /// override): the interpreted A/B twin of whatever `build` constructs.
 /// The decision is taken at engine construction, so restoring the config
@@ -179,9 +203,7 @@ fn tapeopt_json(r: &TapeOptReport) -> Json {
         "instrs_pre" => r.instrs_pre,
         "instrs_post" => r.instrs_post,
         "fused" => r.fused,
-        "forwarded" => r.forwarded,
         "strength_reduced" => r.strength_reduced,
-        "dead_removed" => r.dead_removed,
         "narrow_slots_pre" => r.narrow_slots_pre,
         "narrow_slots_post" => r.narrow_slots_post,
         "wide_slots_pre" => r.wide_slots_pre,
@@ -208,12 +230,6 @@ fn main() {
     let ihz = harness_rate(&mut ih, &inputs, budget);
     let mut ch = StreamHarness::compiled(module.clone()).expect("validates");
     let chz = harness_rate(&mut ch, &inputs, budget);
-    let mut rh = StreamHarness::from_engine(
-        CompiledSimulator::with_options(module.clone(), EngineOptions::no_tape_opt())
-            .expect("validates"),
-        MatrixWrapperSpec::idct(),
-    );
-    let chz_raw = harness_rate(&mut rh, &inputs, budget);
     // Native (per-cone JIT) A/B: the same harness type twice, once as
     // built by default (JIT where the target supports it) and once without
     // the JIT. Off x86-64 both figures are the interpreted tape and the
@@ -273,15 +289,12 @@ fn main() {
     let main_report = ch
         .simulator_mut()
         .tape_opt_report()
-        .expect("tape optimizer is on by default");
-    let tapeopt_speedup = chz / chz_raw;
+        .expect("tape engines report");
+    let evals_per_part_cycle = evals_per_part_cycle(&mut ch, &inputs, budget);
     println!("  interpreted:        {ihz:12.0} cycles/sec");
     println!(
-        "  compiled (raw tape): {chz_raw:11.0} cycles/sec  ({:.1}x)",
-        chz_raw / ihz
-    );
-    println!(
-        "  compiled (tape opt): {chz:11.0} cycles/sec  ({:.1}x, {tapeopt_speedup:.2}x vs raw)",
+        "  compiled:           {chz:12.0} cycles/sec  ({:.1}x, {evals_per_part_cycle:.3} \
+         evaluations per part per cycle)",
         chz / ihz
     );
     let native_speedup = nhz / chz;
@@ -326,17 +339,13 @@ fn main() {
             let sim = hc_sim::CompiledSimulator::new(design.module.clone())
                 .expect("Table II designs validate");
             let pre = sim.tape_stats().0;
-            let report = sim
-                .tape_opt_report()
-                .expect("tape optimizer is on by default");
+            let report = sim.tape_opt_report().expect("tape engines report");
             let mut optimized = design.module.clone();
             hc_rtl::passes::optimize(&mut optimized);
             let opt_sim =
                 hc_sim::CompiledSimulator::new(optimized).expect("Table II designs validate");
             let post = opt_sim.tape_stats().0;
-            let opt_report = opt_sim
-                .tape_opt_report()
-                .expect("tape optimizer is on by default");
+            let opt_report = opt_sim.tape_opt_report().expect("tape engines report");
             // The vector-cone split is a compile-time decision, so a
             // minimal 4-lane build is enough to record it per design.
             let vjit = hc_sim::NativeBatchedSimulator::new(design.module.clone(), 4)
@@ -491,8 +500,7 @@ fn main() {
         "blocks" => 64u32,
         "interpreted_cycles_per_sec" => round(ihz, 0),
         "compiled_cycles_per_sec" => round(chz, 0),
-        "compiled_raw_tape_cycles_per_sec" => round(chz_raw, 0),
-        "tapeopt_speedup" => round(tapeopt_speedup, 2),
+        "compiled_harness_evals_per_part_cycle" => round(evals_per_part_cycle, 3),
         "tapeopt_fused_min" => tapeopt_fused_min,
         "tapeopt" => tapeopt_json(&main_report),
         "parts_skipped_runtime" => main_report.parts_skipped,

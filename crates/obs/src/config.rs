@@ -9,8 +9,9 @@
 //! tools that need different settings use [`set_override`] (process-wide,
 //! explicit) or call the pure [`Config::from_vars`] parser directly — no
 //! `set_var` anywhere. Debugging switches that only bisect a miscompare
-//! are API options, not variables: `PassConfig::none()` for the IR passes
-//! and `EngineOptions::no_tape_opt()` for the tape optimizer.
+//! are API options, not variables: `PassConfig::none()` for the IR passes.
+//! The tape optimizer has no switch: a tape miscompare is bisected against
+//! the interpreter oracle (`hc_sim::Simulator`), which replays no tape.
 
 use std::sync::{Arc, OnceLock, RwLock};
 

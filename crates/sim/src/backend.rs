@@ -90,9 +90,8 @@ pub trait SimBackend {
     fn reset(&mut self);
 
     /// The tape backend optimizer's report, for engines that replay an
-    /// optimized instruction tape (`None` for interpreting engines or when
-    /// the optimizer is disabled via
-    /// [`EngineOptions::no_tape_opt`](crate::EngineOptions::no_tape_opt)).
+    /// optimized instruction tape (`None` for the interpreter, which has
+    /// no tape).
     fn tape_opt_report(&self) -> Option<crate::TapeOptReport> {
         None
     }

@@ -38,7 +38,7 @@ use hc_rtl::passes::eval::eval_pure;
 use hc_rtl::{Module, ValidateError};
 
 use crate::lanes::{read_lane, write_lane, InPort, OutPort};
-use crate::lower::{mask, sxt, CmpKind, EngineOptions, Instr, Loc, Lowered, WideLayout};
+use crate::lower::{mask, sxt, CmpKind, Instr, Loc, Lowered, WideLayout};
 
 /// A narrow memory with `depth` words per lane (`words[lane*depth + addr]`).
 #[derive(Clone, Debug)]
@@ -312,26 +312,8 @@ impl BatchedSimulator {
     ///
     /// Panics if `lanes == 0`.
     pub fn new(module: Module, lanes: usize) -> Result<Self, ValidateError> {
-        Self::with_options(module, lanes, EngineOptions::default())
-    }
-
-    /// Like [`new`](BatchedSimulator::new), with explicit construction
-    /// options (see [`EngineOptions`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the module's [`ValidateError`] if it is structurally invalid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`.
-    pub fn with_options(
-        module: Module,
-        lanes: usize,
-        options: EngineOptions,
-    ) -> Result<Self, ValidateError> {
         assert!(lanes > 0, "a batched simulator needs at least one lane");
-        let low = Lowered::new(module, options)?;
+        let low = Lowered::new(module)?;
         let mut narrow = Vec::with_capacity(low.narrow_init.len() * lanes);
         for &v in &low.narrow_init {
             narrow.extend(std::iter::repeat_n(v, lanes));
@@ -400,28 +382,23 @@ impl BatchedSimulator {
         self.low.lowered_stats
     }
 
-    /// The tape backend optimizer's report (`None` when it was disabled via
-    /// [`EngineOptions::no_tape_opt`]), with the runtime
-    /// cones-skipped counter filled in.
+    /// The tape backend optimizer's report, with the runtime
+    /// cones-skipped counter filled in. Always `Some`: every tape engine
+    /// runs the optimizer.
     pub fn tape_opt_report(&self) -> Option<crate::TapeOptReport> {
-        self.low.tape_opt.map(|mut r| {
-            r.cones_skipped = self.cones_skipped;
-            r
+        Some(crate::TapeOptReport {
+            cones_skipped: self.cones_skipped,
+            ..self.low.tape_opt
         })
     }
 
-    /// Records an input write: with gating on, a *changed* value marks the
-    /// input's reader cones dirty; an unchanged write is free. With gating
-    /// off every write invalidates the settled state, as before.
+    /// Records an input write: a *changed* value marks the input's reader
+    /// cones dirty; an unchanged write is free.
     fn touch_input(&mut self, idx: usize, changed: bool) {
-        if self.low.gate {
-            if changed {
-                for &k in self.low.input_parts.row(idx) {
-                    self.dirty[self.low.part_comp[k as usize] as usize] = true;
-                }
-                self.evaluated = false;
+        if changed {
+            for &k in self.low.input_parts.row(idx) {
+                self.dirty[self.low.part_comp[k as usize] as usize] = true;
             }
-        } else {
             self.evaluated = false;
         }
     }
@@ -595,21 +572,17 @@ impl BatchedSimulator {
         if self.evaluated {
             return;
         }
-        if self.low.gate {
-            // Activity gating: only components whose inputs (ports, register
-            // outputs, memory contents) changed since they last settled are
-            // replayed; quiescent components keep their slot values.
-            for c in 0..self.low.comps.len() {
-                if !self.dirty[c] {
-                    self.cones_skipped += 1;
-                    continue;
-                }
-                self.dirty[c] = false;
-                let (start, end) = self.low.comp_range(c);
-                self.eval_range(start, end);
+        // Activity gating: only components whose inputs (ports, register
+        // outputs, memory contents) changed since they last settled are
+        // replayed; quiescent components keep their slot values.
+        for c in 0..self.low.comps.len() {
+            if !self.dirty[c] {
+                self.cones_skipped += 1;
+                continue;
             }
-        } else {
-            self.eval_range(0, self.low.tape.len());
+            self.dirty[c] = false;
+            let (start, end) = self.low.comp_range(c);
+            self.eval_range(start, end);
         }
         self.evaluated = true;
     }
@@ -1068,7 +1041,6 @@ impl BatchedSimulator {
     pub fn step(&mut self) {
         self.eval();
         let l = self.lanes;
-        let gate = self.low.gate;
         let mut state_changed = false;
         let all_active = self.active.iter().all(|&a| a);
         // Phase 1: gather next values while every register slot still holds
@@ -1225,10 +1197,8 @@ impl BatchedSimulator {
             }
             if changed {
                 state_changed = true;
-                if gate {
-                    for &k in self.low.mem_parts.row(w.mem as usize) {
-                        self.dirty[self.low.part_comp[k as usize] as usize] = true;
-                    }
+                for &k in self.low.mem_parts.row(w.mem as usize) {
+                    self.dirty[self.low.part_comp[k as usize] as usize] = true;
                 }
             }
         }
@@ -1257,11 +1227,9 @@ impl BatchedSimulator {
             }
             if changed {
                 state_changed = true;
-                if gate {
-                    let row = self.low.nmem_depths.len() + w.mem as usize;
-                    for &k in self.low.mem_parts.row(row) {
-                        self.dirty[self.low.part_comp[k as usize] as usize] = true;
-                    }
+                let row = self.low.nmem_depths.len() + w.mem as usize;
+                for &k in self.low.mem_parts.row(row) {
+                    self.dirty[self.low.part_comp[k as usize] as usize] = true;
                 }
             }
         }
@@ -1291,10 +1259,8 @@ impl BatchedSimulator {
             };
             if changed {
                 state_changed = true;
-                if gate {
-                    for &k in self.low.reg_parts.row(ri) {
-                        self.dirty[self.low.part_comp[k as usize] as usize] = true;
-                    }
+                for &k in self.low.reg_parts.row(ri) {
+                    self.dirty[self.low.part_comp[k as usize] as usize] = true;
                 }
             }
         }
@@ -1327,10 +1293,8 @@ impl BatchedSimulator {
             };
             if changed {
                 state_changed = true;
-                if gate {
-                    for &k in self.low.reg_parts.row(self.low.nregs.len() + ri) {
-                        self.dirty[self.low.part_comp[k as usize] as usize] = true;
-                    }
+                for &k in self.low.reg_parts.row(self.low.nregs.len() + ri) {
+                    self.dirty[self.low.part_comp[k as usize] as usize] = true;
                 }
             }
         }
@@ -1339,7 +1303,7 @@ impl BatchedSimulator {
                 self.cycles[lane] += 1;
             }
         }
-        if !gate || state_changed {
+        if state_changed {
             self.evaluated = false;
         }
     }

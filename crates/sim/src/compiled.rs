@@ -26,7 +26,7 @@ use hc_rtl::passes::eval::eval_pure;
 use hc_rtl::{Module, NodeId, ValidateError};
 
 use crate::lanes::{write_lane, InPort};
-use crate::lower::{mask, EngineOptions, Instr, Loc, Lowered, WideLayout};
+use crate::lower::{mask, Instr, Loc, Lowered, WideLayout};
 use crate::SimBackend;
 
 /// A memory whose word width fits a `u64`.
@@ -175,17 +175,7 @@ impl CompiledSimulator {
     ///
     /// Returns the module's [`ValidateError`] if it is structurally invalid.
     pub fn new(module: Module) -> Result<Self, ValidateError> {
-        Self::with_options(module, EngineOptions::default())
-    }
-
-    /// Like [`new`](CompiledSimulator::new), with explicit construction
-    /// options (see [`EngineOptions`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the module's [`ValidateError`] if it is structurally invalid.
-    pub fn with_options(module: Module, options: EngineOptions) -> Result<Self, ValidateError> {
-        let low = Lowered::new(module, options)?;
+        let low = Lowered::new(module)?;
         let narrow = low.narrow_init.clone();
         let wlay = WideLayout::new(&low.wide_init, 1);
         let wide = wlay.image(&low.wide_init);
@@ -253,32 +243,27 @@ impl CompiledSimulator {
         self.low.lowered_stats
     }
 
-    /// Accounting from the tape backend optimizer (`None` when
-    /// [`EngineOptions::tape_opt`] was off), with the live counts of part
-    /// evaluations skipped and registers committed so far.
+    /// Accounting from the tape backend optimizer, with the live counts of
+    /// part evaluations skipped and registers committed so far. Always
+    /// `Some`: every tape engine runs the optimizer.
     pub fn tape_opt_report(&self) -> Option<crate::TapeOptReport> {
-        self.low.tape_opt.map(|mut r| {
-            r.parts_skipped = self.parts_skipped;
-            r.regs_committed = self.regs_committed;
-            r
+        Some(crate::TapeOptReport {
+            parts_skipped: self.parts_skipped,
+            regs_committed: self.regs_committed,
+            ..self.low.tape_opt
         })
     }
 
     /// After a value change of input `idx`, marks the parts reading it
-    /// dirty and the registers it feeds pending, or falls back to full
-    /// invalidation when gating is off.
+    /// dirty and the registers it feeds pending.
     fn touch_input(&mut self, idx: usize, changed: bool) {
-        if self.low.gate {
-            if changed {
-                for &k in self.low.input_parts.row(idx) {
-                    set_bit(&mut self.act, k as usize);
-                }
-                for &r in self.low.input_regs.row(idx) {
-                    set_bit(&mut self.act, self.lay.pend_at * 64 + r as usize);
-                }
-                self.evaluated = false;
+        if changed {
+            for &k in self.low.input_parts.row(idx) {
+                set_bit(&mut self.act, k as usize);
             }
-        } else {
+            for &r in self.low.input_regs.row(idx) {
+                set_bit(&mut self.act, self.lay.pend_at * 64 + r as usize);
+            }
             self.evaluated = false;
         }
     }
@@ -355,23 +340,12 @@ impl CompiledSimulator {
     /// this same pass. The runner does the part's bookkeeping through
     /// [`run_part`](Self::run_part); or the native engine's generated
     /// code takes a whole run of parts and does it inline
-    /// ([`Ran::Through`]). With gating off every part runs.
+    /// ([`Ran::Through`]).
     pub(crate) fn eval_parts(&mut self, mut run: impl FnMut(&mut CompiledSimulator, usize) -> Ran) {
         if self.evaluated {
             return;
         }
         let nparts = self.low.parts.len();
-        if !self.low.gate {
-            let mut k = 0;
-            while k < nparts {
-                k = match run(self, k) {
-                    Ran::Part => k + 1,
-                    Ran::Through(end) => end,
-                };
-            }
-            self.evaluated = true;
-            return;
-        }
         let mut ran = 0u64;
         let mut w = 0;
         while w < self.lay.pend_at {
@@ -399,12 +373,8 @@ impl CompiledSimulator {
     /// Runs `body` as part `k` with the part loop's bookkeeping: compares
     /// the part's boundary slots with their values before the run, marks
     /// the parts reading a changed one dirty, and marks the registers the
-    /// part feeds pending. With gating off it only runs `body`.
+    /// part feeds pending.
     pub(crate) fn run_part(&mut self, k: usize, body: impl FnOnce(&mut CompiledSimulator)) {
-        if !self.low.gate {
-            body(self);
-            return;
-        }
         let span = self.low.bound.span(k);
         for (b, &s) in self
             .before
@@ -801,13 +771,11 @@ impl CompiledSimulator {
     /// storage while every register still holds its old value, memory writes
     /// sample the settled combinational state, and only then do the shadows
     /// swap in. It visits only the pending registers (see `act`):
-    /// every register on the first cycle, after [`reset`](Self::reset) and
-    /// with gating off, and afterwards those fed by a part that ran, an
-    /// input that changed or a register that changed at the previous
-    /// commit.
+    /// every register on the first cycle and after [`reset`](Self::reset),
+    /// and afterwards those fed by a part that ran, an input that changed
+    /// or a register that changed at the previous commit.
     pub fn step(&mut self) {
         self.eval();
-        let gate = self.low.gate;
         let nregs = self.low.nregs.len();
         let pend = self.lay.pend_at..self.lay.ran_at;
         let mut regs = std::mem::take(&mut self.pend_cur);
@@ -841,9 +809,9 @@ impl CompiledSimulator {
             }
         });
         // Phase 2: memory writes sample the settled combinational values
-        // (which include pre-edge register outputs) in port order. With
-        // gating on, a write that changes a stored word marks the parts
-        // holding that memory's read ports dirty.
+        // (which include pre-edge register outputs) in port order. A write
+        // that changes a stored word marks the parts holding that memory's
+        // read ports dirty.
         let nmems = self.low.nmem_depths.len();
         let mut state_changed = false;
         for w in &self.low.nmem_writes {
@@ -851,7 +819,7 @@ impl CompiledSimulator {
                 let a = self.low_word(w.addr) % self.nmems[w.mem as usize].depth;
                 let v = self.narrow[w.data as usize];
                 let m = &mut self.nmems[w.mem as usize];
-                if std::mem::replace(&mut m.words[a as usize], v) != v && gate {
+                if std::mem::replace(&mut m.words[a as usize], v) != v {
                     state_changed = true;
                     for &k in self.low.mem_parts.row(w.mem as usize) {
                         set_bit(&mut self.act, k as usize);
@@ -866,11 +834,9 @@ impl CompiledSimulator {
                 let word = &mut self.wmems[w.mem as usize].words[a as usize];
                 if word.as_words() != data {
                     word.copy_from_words(data);
-                    if gate {
-                        state_changed = true;
-                        for &k in self.low.mem_parts.row(nmems + w.mem as usize) {
-                            set_bit(&mut self.act, k as usize);
-                        }
+                    state_changed = true;
+                    for &k in self.low.mem_parts.row(nmems + w.mem as usize) {
+                        set_bit(&mut self.act, k as usize);
                     }
                 }
             }
@@ -894,7 +860,7 @@ impl CompiledSimulator {
                 slot.copy_from_slice(next);
                 changed
             };
-            if changed && gate {
+            if changed {
                 state_changed = true;
                 for &k in self.low.reg_parts.row(ri) {
                     set_bit(&mut self.act, k as usize);
@@ -906,11 +872,7 @@ impl CompiledSimulator {
         });
         self.regs_committed += regs.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
         self.pend_cur = regs;
-        if !gate {
-            let n = self.low.nregs_total();
-            set_first(&mut self.act[self.lay.pend_at..self.lay.ran_at], n);
-        }
-        if !gate || state_changed {
+        if state_changed {
             self.evaluated = false;
         }
         self.cycle += 1;

@@ -74,14 +74,15 @@
 //! `step`. The interpreter, the tape engine and the scalar JIT implement
 //! it at one lane, [`NativeBatchedSimulator`] at `L` lanes.
 //!
-//! All compiled engines run the **tape backend optimizer** by default
-//! (see [`TapeOptReport`]): superinstruction fusion, copy forwarding, tape
-//! dead-code elimination, live-range slot reallocation, and a partition
-//! into parts and components for change-driven evaluation: the scalar
-//! engines re-run only the parts whose inputs changed and commit only the
-//! registers whose inputs changed; the batched engines re-run only the
-//! components whose inputs changed. Build with
-//! [`EngineOptions::no_tape_opt`] to replay the raw lowered tape instead.
+//! Every compiled engine runs the **tape backend optimizer** (see
+//! [`TapeOptReport`]), one straight-line pipeline: constant
+//! canonicalization, constant strength reduction, superinstruction
+//! fusion, a partition into parts and components for change-driven
+//! evaluation, and live-range slot reallocation. The scalar engines re-run
+//! only the parts whose inputs changed and commit only the registers whose
+//! inputs changed; the batched engines re-run only the components whose
+//! inputs changed. A miscompare is bisected against the interpreter
+//! oracle, [`Simulator`].
 
 mod backend;
 mod batched;
@@ -98,7 +99,6 @@ pub use backend::SimBackend;
 pub use batched::BatchedSimulator;
 pub use compiled::CompiledSimulator;
 pub use lanes::{InPort, LaneEngine, OutPort};
-pub use lower::EngineOptions;
 pub use native::{NativeBatchedReport, NativeBatchedSimulator, NativeReport, NativeSimulator};
 pub use probe::ProbeRecorder;
 pub use simulator::Simulator;

@@ -632,34 +632,6 @@ pub(crate) struct MemWritePlan {
     pub data: u32,
 }
 
-/// Construction options shared by the compiled engines. The engines
-/// lower the module they are given as it is; a caller that wants the IR
-/// pass pipeline runs `hc_rtl::passes::optimize` on its copy first.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EngineOptions {
-    /// Run the tape backend optimizer after lowering: superinstruction
-    /// fusion, copy forwarding, tape dead-code elimination, live-range slot
-    /// reallocation, and the part partition for change-driven evaluation.
-    /// On by default; [`EngineOptions::no_tape_opt`] turns it off to
-    /// bisect a miscompare or A/B the optimizer. Note that `probe` of a
-    /// node the optimizer eliminated reads a zero scratch slot.
-    pub tape_opt: bool,
-}
-
-impl Default for EngineOptions {
-    fn default() -> Self {
-        EngineOptions { tape_opt: true }
-    }
-}
-
-impl EngineOptions {
-    /// Options with the tape backend optimizer disabled (the raw lowered
-    /// tape is replayed unconditionally, as before the optimizer existed).
-    pub fn no_tape_opt() -> Self {
-        EngineOptions { tape_opt: false }
-    }
-}
-
 /// A module lowered once into an instruction tape plus every pre-resolved
 /// plan an engine needs: initial slot images, memory shapes, register and
 /// memory-write commit plans, and the name → slot indexes.
@@ -687,25 +659,19 @@ pub(crate) struct Lowered {
     pub input_index: NameMap<usize>,
     pub output_index: NameMap<(Loc, u32)>,
     pub reg_index: NameMap<usize>,
-    /// Accounting from the tape backend optimizer; `None` when it was off.
-    pub tape_opt: Option<crate::tapeopt::TapeOptReport>,
+    /// Accounting from the tape backend optimizer.
+    pub tape_opt: crate::tapeopt::TapeOptReport,
     /// Tape and generic-op counts as lowered, before the tape optimizer
     /// (what `tape_stats` reports, so pre/post IR-pass comparisons stay
     /// meaningful).
     pub lowered_stats: (usize, usize),
-    /// Tape ranges of the parts, in layout order (one part covering the
-    /// tape when the tape optimizer was off). See `crate::tapeopt`.
+    /// Tape ranges of the parts, in layout order. See `crate::tapeopt`.
     pub parts: Vec<Segment>,
     /// Part ranges of the components (connected combinational cones), in
     /// layout order; every component is a run of whole parts.
     pub comps: Vec<Segment>,
     /// The component of each part.
     pub part_comp: Vec<u32>,
-    /// Whether the engines may skip clean parts or components and commit
-    /// only the registers whose inputs may have changed (activity gating).
-    /// When false they replay the whole tape and commit every register on
-    /// every cycle, exactly as before the optimizer existed.
-    pub gate: bool,
     /// Per part: its boundary slots, the narrow slots it defines that a
     /// later part reads. Each has one def and a physical slot of its own.
     pub bound: Lists,
@@ -743,12 +709,15 @@ fn alloc(narrow: &mut Vec<u64>, wide: &mut Vec<Bits>, width: u32) -> Loc {
 }
 
 impl Lowered {
-    /// Validates and lowers `module` into a tape.
+    /// Validates and lowers `module` into a tape, then runs the tape
+    /// optimizer on it (`crate::tapeopt`). The module is lowered as it is;
+    /// a caller that wants the IR pass pipeline runs
+    /// `hc_rtl::passes::optimize` on its copy first.
     ///
     /// # Errors
     ///
     /// Returns the module's [`ValidateError`] if it is structurally invalid.
-    pub fn new(module: Module, options: EngineOptions) -> Result<Self, ValidateError> {
+    pub fn new(module: Module) -> Result<Self, ValidateError> {
         let mut span = hc_obs::span("lower").with("module", module.name());
         module.validate()?;
 
@@ -935,12 +904,11 @@ impl Lowered {
             input_index,
             output_index,
             reg_index,
-            tape_opt: None,
+            tape_opt: crate::tapeopt::TapeOptReport::default(),
             lowered_stats,
             parts: Vec::new(),
             comps: Vec::new(),
             part_comp: Vec::new(),
-            gate: false,
             bound: Lists::default(),
             readers: Lists::default(),
             part_regs: Lists::default(),
@@ -953,17 +921,7 @@ impl Lowered {
         span.attach("tape_instrs", low.lowered_stats.0);
         span.attach("generic_fallbacks", low.lowered_stats.1);
         drop(span);
-        if options.tape_opt {
-            let report = crate::tapeopt::optimize(&mut low);
-            low.tape_opt = Some(report);
-        } else {
-            low.parts = vec![Segment {
-                start: 0,
-                end: low.tape.len() as u32,
-            }];
-            low.comps = vec![Segment { start: 0, end: 1 }];
-            low.part_comp = vec![0];
-        }
+        low.tape_opt = crate::tapeopt::optimize(&mut low);
         Ok(low)
     }
 

@@ -39,7 +39,6 @@ use hc_rtl::{Module, NodeId, ValidateError};
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 use crate::compiled::{ActLayout, Ran};
-use crate::lower::EngineOptions;
 use crate::{CompiledSimulator, SimBackend};
 
 /// One chunk of a part's runtime plan: call into the executable mapping,
@@ -111,9 +110,9 @@ impl Compiled {
     }
 }
 
-/// Compiles every part. With gating on, maximal runs of parts the
-/// emitter covers become one function each, doing the part loop's work
-/// inline; every other part gets chunk plans.
+/// Compiles every part. Maximal runs of parts the emitter covers become
+/// one function each, doing the part loop's work inline; every other part
+/// gets chunk plans.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn compile(
     low: &crate::lower::Lowered,
@@ -132,7 +131,7 @@ fn compile(
     let mut codes = Vec::with_capacity(low.parts.len());
     let mut k = 0;
     while k < low.parts.len() {
-        if low.gate && books.native(k) {
+        if books.native(k) {
             let end = (k..low.parts.len())
                 .find(|&e| !books.native(e))
                 .unwrap_or(low.parts.len());
@@ -230,17 +229,7 @@ impl NativeSimulator {
     ///
     /// Returns the module's [`ValidateError`] if it is structurally invalid.
     pub fn new(module: Module) -> Result<Self, ValidateError> {
-        Self::with_options(module, EngineOptions::default())
-    }
-
-    /// Like [`new`](NativeSimulator::new), with explicit construction
-    /// options (see [`EngineOptions`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the module's [`ValidateError`] if it is structurally invalid.
-    pub fn with_options(module: Module, options: EngineOptions) -> Result<Self, ValidateError> {
-        let sim = CompiledSimulator::with_options(module, options)?;
+        let sim = CompiledSimulator::new(module)?;
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         {
             let c = if hc_obs::config().no_native {

@@ -27,7 +27,6 @@ use hc_rtl::{Module, ValidateError};
 
 use crate::batched::BatchedSimulator;
 use crate::lanes::InPort;
-use crate::lower::EngineOptions;
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 use super::vcode;
@@ -79,25 +78,7 @@ impl NativeBatchedSimulator {
     ///
     /// Panics if `lanes == 0`.
     pub fn new(module: Module, lanes: usize) -> Result<Self, ValidateError> {
-        Self::with_options(module, lanes, EngineOptions::default())
-    }
-
-    /// Like [`new`](NativeBatchedSimulator::new), with explicit
-    /// construction options (see [`EngineOptions`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the module's [`ValidateError`] if it is structurally invalid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes == 0`.
-    pub fn with_options(
-        module: Module,
-        lanes: usize,
-        options: EngineOptions,
-    ) -> Result<Self, ValidateError> {
-        let sim = BatchedSimulator::with_options(module, lanes, options)?;
+        let sim = BatchedSimulator::new(module, lanes)?;
         #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
         {
             let c = if !hc_obs::config().no_native && avx2_available() {
@@ -283,15 +264,12 @@ impl NativeBatchedSimulator {
             .vjit
             .as_ref()
             .expect("eval_vjit requires compiled code");
-        let gate = self.sim.low.gate;
         for k in 0..vjit.plans.len() {
-            if gate {
-                if !self.sim.dirty[k] {
-                    self.sim.cones_skipped += 1;
-                    continue;
-                }
-                self.sim.dirty[k] = false;
+            if !self.sim.dirty[k] {
+                self.sim.cones_skipped += 1;
+                continue;
             }
+            self.sim.dirty[k] = false;
             let mut native = false;
             for step in &*vjit.plans[k].steps {
                 match step {

@@ -5,9 +5,9 @@
 //! than by [`NodeId`](hc_rtl::NodeId). Node identities are rewritten by
 //! the IR pass pipeline and compiled tape slots are reshuffled by the tape
 //! backend optimizer, but port and register names survive both; a probe
-//! set therefore observes identical values whether optimization is on or
-//! off, which is exactly the invariant the differential probe tests pin
-//! down. Compare with [`VcdWriter`](crate::VcdWriter), which traces raw
+//! set therefore observes identical values on a raw netlist in the
+//! interpreter and on its optimized tape, which is exactly the invariant
+//! the differential probe tests pin down. Compare with [`VcdWriter`](crate::VcdWriter), which traces raw
 //! interpreter nodes (including optimized-away internals) and is tied to
 //! the interpreting engine.
 

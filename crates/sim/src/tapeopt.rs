@@ -1,38 +1,35 @@
 //! Tape backend optimizer: rewrites the flat [`Instr`] tape after lowering
-//! and before execution.
+//! and before execution. Every compiled engine runs it, as one
+//! straight-line pipeline in which each step runs once:
 //!
-//! A pre-pass reads every narrow constant operand through the slot of
-//! lowest index holding the same value ([`SlotFacts::canon`]), so equal
-//! literals lowered into separate slots become one operand. Then three
-//! cooperating transformations run to a fixpoint, and the tape is laid out
-//! for the engines:
-//!
-//! 1. **Copy forwarding + constant strength reduction** — copies whose mask
-//!    covers the source's significant bits are deleted and their readers
-//!    rewired; operations with a constant operand collapse to cheaper forms
-//!    (`And` with a constant becomes `CopyMask`, variable shifts by a
-//!    constant amount become immediate shifts, a `Mux` with a constant
-//!    select becomes a copy of the taken arm).
-//! 2. **Superinstruction fusion** — single-reader producer/consumer pairs
+//! 1. **Constant canonicalization** — every narrow constant operand is read
+//!    through the slot of lowest index holding the same value
+//!    ([`SlotFacts::canon`]), so equal literals lowered into separate slots
+//!    become one operand.
+//! 2. **Constant strength reduction** — operations with a constant operand
+//!    collapse to cheaper forms (`And` with a constant becomes `CopyMask`,
+//!    variable shifts by a constant amount become immediate shifts, a `Mux`
+//!    with a constant select becomes a copy of the taken arm).
+//! 3. **Superinstruction fusion** — single-reader producer/consumer pairs
 //!    merge into fused opcodes: `MulS`/`MulU` feeding an `Add` become
 //!    [`Instr::MacS`]/[`Instr::MacU`], a comparison feeding a `MuxN`
 //!    becomes [`Instr::SelN`], a `Concat` of two slices of one source
 //!    becomes a single masked [`Instr::SliceN`] window, and mask/shift
 //!    chains combine.
-//! 3. **Tape dead-code elimination** — instructions whose destination is
-//!    unreachable from any register plan, memory write, or output port are
-//!    dropped.
+//! 4. **Partition** into components and parts (see below).
+//! 5. **Reallocation** of the slot stores by live range (see below).
 //!
-//! There is no tape-level common-subexpression elimination. Every
-//! measurement and the IEEE 1180 run build their engines from netlists
-//! that `hc_rtl::passes::optimize` has already hash-consed, and on those a
-//! second, tape-level pass found nothing to merge on any shipped design. A
-//! raw netlist runs correctly but keeps its recomputations.
+//! There is no tape-level common-subexpression elimination, copy
+//! forwarding or dead-code elimination. Every measurement and the IEEE 1180
+//! run build their engines from netlists that `hc_rtl::passes::optimize`
+//! has already hash-consed, folded and swept, and on those the tape-level
+//! versions found nothing to do on any shipped design. A raw netlist runs
+//! correctly but keeps its recomputations, copies and dead values.
 //!
-//! Afterwards the tape is **partitioned** (see [`partition`]) into
-//! *components* — connected combinational cones, joined only through temp
-//! slots — and each component into *parts*: an instruction whose result has
-//! one tape reader joins that reader's part, so a part is roughly a maximal
+//! The tape is **partitioned** (see [`partition`]) into *components* —
+//! connected combinational cones, joined only through temp slots — and
+//! each component into *parts*: an instruction whose result has one tape
+//! reader joins that reader's part, so a part is roughly a maximal
 //! fanout-free cone. The tape is laid out part by part, components as runs
 //! of parts in topological order. Each part records its *boundary slots*
 //! (the narrow slots later parts read), the parts reading each, and the
@@ -48,19 +45,13 @@
 //! * The batched engines keep a dirty bit per component, reading the same
 //!   source → part lists through the part → component map.
 //!
-//! Then the narrow slot store is **reallocated by live range** so dead and
-//! fused slots are reclaimed and temps share a dense, cache-resident working
+//! Then the narrow slot store is **reallocated by live range** so fused
+//! slots are reclaimed and temps share a dense, cache-resident working
 //! set; a slot read outside its part (boundary slots, and slots register and
 //! memory plans or ports read) keeps a physical slot of its own. Reallocation
 //! preserves the structural invariant the engines rely on: every
 //! instruction's destination slot index is strictly greater than all its
 //! operand slot indices in the same store.
-//!
-//! [`EngineOptions::no_tape_opt`] disables the whole stage; the raw
-//! lowered tape is then replayed unconditionally, exactly as before this
-//! module existed.
-//!
-//! [`EngineOptions::no_tape_opt`]: crate::EngineOptions::no_tape_opt
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -78,12 +69,8 @@ pub struct TapeOptReport {
     pub instrs_post: usize,
     /// Instructions eliminated by superinstruction fusion.
     pub fused: usize,
-    /// Copies eliminated by forwarding their source to all readers.
-    pub forwarded: usize,
     /// Constant-operand operations rewritten to cheaper forms.
     pub strength_reduced: usize,
-    /// Instructions removed as dead by the tape DCE.
-    pub dead_removed: usize,
     /// Narrow (`u64`) slot count before live-range reallocation.
     pub narrow_slots_pre: usize,
     /// Narrow slot count after reallocation (includes one scratch slot).
@@ -111,9 +98,7 @@ pub struct TapeOptReport {
     pub regs_committed: u64,
 }
 
-/// Facts about narrow slots that hold for the whole optimization run,
-/// derived from the tape *as lowered* (a slot whose defining instruction is
-/// later fused or removed keeps its original classification).
+/// Facts about narrow slots, derived from the tape as lowered.
 struct SlotFacts {
     /// Slot holds a lowering-time constant: never written by the tape, not
     /// an input, not a register. Its value is `narrow_init[slot]`.
@@ -122,38 +107,30 @@ struct SlotFacts {
     /// a constant slot, the slot itself otherwise. Lowering gives every
     /// literal its own constant slot, and the IR pipeline keeps literals of
     /// equal value but different widths apart (a zero or a one appears at
-    /// many widths), so the pre-pass ([`canonical_tape`]) rewrites every
-    /// operand through this map once: the duplicates go unread and
-    /// reallocation drops them.
+    /// many widths), so [`canonical_tape`] rewrites every operand through
+    /// this map once: the duplicates go unread and reallocation drops them.
     canon: Vec<u32>,
-    /// Word width of each narrow memory, in `nmem` index order.
-    nmem_width: Vec<u32>,
 }
 
 impl SlotFacts {
     fn new(low: &Lowered) -> Self {
         let n = low.narrow_init.len();
-        let mut n_input = vec![false; n];
-        let mut n_reg = vec![false; n];
-        let mut has_def = vec![false; n];
+        let mut n_const = vec![true; n];
         for &(loc, _) in &low.input_locs {
             if let Loc::N(s) = loc {
-                n_input[s as usize] = true;
+                n_const[s as usize] = false;
             }
         }
         for &loc in &low.reg_loc {
             if let Loc::N(s) = loc {
-                n_reg[s as usize] = true;
+                n_const[s as usize] = false;
             }
         }
         for instr in &low.tape {
             if let Loc::N(d) = dst_loc(instr, &low.generic) {
-                has_def[d as usize] = true;
+                n_const[d as usize] = false;
             }
         }
-        let n_const: Vec<bool> = (0..n)
-            .map(|s| !has_def[s] && !n_input[s] && !n_reg[s])
-            .collect();
         let mut first: HashMap<u64, u32> = HashMap::new();
         let canon = (0..n)
             .map(|s| {
@@ -164,18 +141,7 @@ impl SlotFacts {
                 }
             })
             .collect();
-        let nmem_width = low
-            .module
-            .mems()
-            .iter()
-            .filter(|m| m.width <= 64)
-            .map(|m| m.width)
-            .collect();
-        SlotFacts {
-            n_const,
-            canon,
-            nmem_width,
-        }
+        SlotFacts { n_const, canon }
     }
 }
 
@@ -190,18 +156,11 @@ pub(crate) fn optimize(low: &mut Lowered) -> TapeOptReport {
     };
     let facts = SlotFacts::new(low);
     let mut tape = canonical_tape(low, &facts.canon);
-    loop {
-        let mut changed = forward_pass(low, &facts, &mut tape, &mut report);
-        changed |= fuse_pass(low, &mut tape, &mut report);
-        changed |= dce_pass(low, &mut tape, &mut report);
-        if !changed {
-            break;
-        }
-    }
+    report.strength_reduced = reduce_pass(low, &facts.n_const, &mut tape);
+    report.fused = fuse_pass(low, &mut tape);
     low.tape = tape.into_iter().flatten().collect();
     partition(low);
     reallocate(low);
-    low.gate = true;
     report.instrs_post = low.tape.len();
     report.narrow_slots_post = low.narrow_init.len();
     report.wide_slots_post = low.wide_init.len();
@@ -210,21 +169,19 @@ pub(crate) fn optimize(low: &mut Lowered) -> TapeOptReport {
     span.attach("instrs_pre", report.instrs_pre);
     span.attach("instrs_post", report.instrs_post);
     span.attach("fused", report.fused);
-    span.attach("dead_removed", report.dead_removed);
     span.attach("cones", report.cones);
     span.attach("parts", report.parts);
     let m = hc_obs::metrics::counter;
     m("tapeopt.runs").inc();
     m("tapeopt.fused").add(report.fused as u64);
-    m("tapeopt.forwarded").add(report.forwarded as u64);
     m("tapeopt.strength_reduced").add(report.strength_reduced as u64);
-    m("tapeopt.dead_removed").add(report.dead_removed as u64);
     report
 }
 
-/// The pre-pass: the tape as the fixpoint loop edits it, with every narrow
-/// constant operand read through `canon` (see [`SlotFacts::canon`]).
-/// `Generic` keeps its operands in the side table and is left as lowered.
+/// Constant canonicalization: the tape as the later steps edit it (a
+/// fused-away entry becomes `None`), with every narrow constant operand
+/// read through `canon` (see [`SlotFacts::canon`]). `Generic` keeps its
+/// operands in the side table and is left as lowered.
 fn canonical_tape(low: &mut Lowered, canon: &[u32]) -> Vec<Option<Instr>> {
     let generic = &mut low.generic;
     low.tape
@@ -461,86 +418,12 @@ fn visit_dst(
     }
 }
 
-/// Path-compressing lookup in a forwarding map.
-fn resolve(fwd: &mut [u32], s: u32) -> u32 {
-    let mut root = s;
-    while fwd[root as usize] != root {
-        root = fwd[root as usize];
-    }
-    let mut cur = s;
-    while fwd[cur as usize] != cur {
-        let next = fwd[cur as usize];
-        fwd[cur as usize] = root;
-        cur = next;
-    }
-    root
-}
-
-fn resolve_loc(loc: &mut Loc, fwd_n: &mut [u32], fwd_w: &mut [u32]) {
-    match loc {
-        Loc::N(s) => *s = resolve(fwd_n, *s),
-        Loc::W(s) => *s = resolve(fwd_w, *s),
-    }
-}
-
-/// Number of significant (possibly non-zero) low bits of a mask.
-fn sig(m: u64) -> u32 {
-    64 - m.leading_zeros()
-}
-
-/// Whether masking with `m` preserves any value of at most `significant`
-/// low bits.
-fn covers(m: u64, significant: u32) -> bool {
-    m & mask(significant) == mask(significant)
-}
-
-/// One forward pass over the tape: resolves operands through the forwarding
-/// maps, rewrites constant-operand operations to cheaper forms, deletes
-/// value-preserving copies, and tracks a per-slot significant-bit upper
-/// bound that justifies the deletions. Register plans, memory-write plans,
-/// output locations, and debug locations are re-pointed at the end.
-#[allow(clippy::too_many_lines)]
-fn forward_pass(
-    low: &mut Lowered,
-    facts: &SlotFacts,
-    tape: &mut [Option<Instr>],
-    report: &mut TapeOptReport,
-) -> bool {
-    let nslots = low.narrow_init.len();
-    let wslots = low.wide_init.len();
-    let mut fwd_n: Vec<u32> = (0..nslots as u32).collect();
-    let mut fwd_w: Vec<u32> = (0..wslots as u32).collect();
-    // Upper bound on the significant bits held in each narrow slot; 64 when
-    // nothing better is known.
-    let mut bits = vec![64u32; nslots];
-    for &(loc, w) in &low.input_locs {
-        if let Loc::N(s) = loc {
-            bits[s as usize] = w;
-        }
-    }
-    for (ri, &loc) in low.reg_loc.iter().enumerate() {
-        if let Loc::N(s) = loc {
-            bits[s as usize] = low.module.regs()[ri].width;
-        }
-    }
-    for (s, b) in bits.iter_mut().enumerate() {
-        if facts.n_const[s] {
-            *b = sig(low.narrow_init[s]);
-        }
-    }
-
-    let mut changed = false;
-    for slot in tape.iter_mut() {
-        let Some(instr) = slot else { continue };
-        visit_srcs(
-            instr,
-            &mut low.generic,
-            &mut |s| *s = resolve(&mut fwd_n, *s),
-            &mut |s| *s = resolve(&mut fwd_w, *s),
-        );
-
-        // Constant-operand strength reduction.
-        let cval = |s: u32| facts.n_const[s as usize].then(|| low.narrow_init[s as usize]);
+/// Constant strength reduction: rewrites operations with a constant
+/// operand to cheaper forms. Returns how many it rewrote.
+fn reduce_pass(low: &Lowered, n_const: &[bool], tape: &mut [Option<Instr>]) -> usize {
+    let cval = |s: u32| n_const[s as usize].then(|| low.narrow_init[s as usize]);
+    let mut reduced = 0;
+    for instr in tape.iter_mut().flatten() {
         let rewritten = match *instr {
             Instr::And { a, b, dst } => match (cval(a), cval(b)) {
                 (Some(v), _) => Some(Instr::CopyMask { a: b, dst, mask: v }),
@@ -633,160 +516,18 @@ fn forward_pass(
         };
         if let Some(ni) = rewritten {
             *instr = ni;
-            report.strength_reduced += 1;
-            changed = true;
-        }
-
-        // Copy forwarding plus significant-bit bookkeeping for the result.
-        match *instr {
-            Instr::CopyMask { a, dst, mask: m } => {
-                let ab = bits[a as usize];
-                if covers(m, ab) {
-                    fwd_n[dst as usize] = a;
-                    bits[dst as usize] = ab;
-                    *slot = None;
-                    report.forwarded += 1;
-                    changed = true;
-                } else {
-                    bits[dst as usize] = ab.min(sig(m));
-                }
-            }
-            Instr::SliceN {
-                a,
-                dst,
-                lo,
-                mask: m,
-            } => {
-                let ab = bits[a as usize];
-                if lo == 0 && covers(m, ab) {
-                    fwd_n[dst as usize] = a;
-                    bits[dst as usize] = ab;
-                    *slot = None;
-                    report.forwarded += 1;
-                    changed = true;
-                } else {
-                    bits[dst as usize] = sig(m).min(ab.saturating_sub(lo));
-                }
-            }
-            Instr::CopyW { a, dst } => {
-                fwd_w[dst as usize] = a;
-                *slot = None;
-                report.forwarded += 1;
-                changed = true;
-            }
-            Instr::Not { dst, mask: m, .. }
-            | Instr::Neg { dst, mask: m, .. }
-            | Instr::SExtN { dst, mask: m, .. }
-            | Instr::Add { dst, mask: m, .. }
-            | Instr::Sub { dst, mask: m, .. }
-            | Instr::MulS { dst, mask: m, .. }
-            | Instr::MulU { dst, mask: m, .. }
-            | Instr::Shl { dst, mask: m, .. }
-            | Instr::ShrA { dst, mask: m, .. }
-            | Instr::MacS { dst, mask: m, .. }
-            | Instr::MacU { dst, mask: m, .. }
-            | Instr::ShlI { dst, mask: m, .. }
-            | Instr::SraI { dst, mask: m, .. } => bits[dst as usize] = sig(m),
-            Instr::RedOr { dst, .. }
-            | Instr::RedAnd { dst, .. }
-            | Instr::RedXor { dst, .. }
-            | Instr::Eq { dst, .. }
-            | Instr::Ne { dst, .. }
-            | Instr::LtU { dst, .. }
-            | Instr::LtS { dst, .. }
-            | Instr::LeU { dst, .. }
-            | Instr::LeS { dst, .. }
-            | Instr::EqW { dst, .. }
-            | Instr::NeW { dst, .. } => bits[dst as usize] = 1,
-            Instr::DivU {
-                a, dst, mask: m, ..
-            } => {
-                bits[dst as usize] = bits[a as usize].max(sig(m));
-            }
-            Instr::RemU { a, dst, .. } | Instr::ShrL { a, dst, .. } => {
-                bits[dst as usize] = bits[a as usize];
-            }
-            Instr::And { a, b, dst } => {
-                bits[dst as usize] = bits[a as usize].min(bits[b as usize]);
-            }
-            Instr::Or { a, b, dst } | Instr::Xor { a, b, dst } => {
-                bits[dst as usize] = bits[a as usize].max(bits[b as usize]);
-            }
-            Instr::MuxN { t, f, dst, .. } | Instr::SelN { t, f, dst, .. } => {
-                bits[dst as usize] = bits[t as usize].max(bits[f as usize]);
-            }
-            Instr::ConcatN { hi, lo, dst, lo_w } => {
-                bits[dst as usize] = (bits[hi as usize] + lo_w).max(bits[lo as usize]).min(64);
-            }
-            Instr::SliceW { dst, width, .. } => bits[dst as usize] = width,
-            Instr::MemReadN { mem, dst, .. } => {
-                bits[dst as usize] = facts.nmem_width[mem as usize];
-            }
-            Instr::Generic(gi) => {
-                let g = &low.generic[gi as usize];
-                if let Loc::N(d) = g.dst {
-                    bits[d as usize] = g.width.min(64);
-                }
-            }
-            Instr::ConcatWNN { .. }
-            | Instr::SliceWW { .. }
-            | Instr::ConcatWWW { .. }
-            | Instr::ConcatWWN { .. }
-            | Instr::ConcatWNW { .. }
-            | Instr::ZExtWN { .. }
-            | Instr::SExtWN { .. }
-            | Instr::MuxW { .. }
-            | Instr::MemReadW { .. } => {}
+            reduced += 1;
         }
     }
-
-    // Late-bound references follow the forwarding maps too.
-    for p in &mut low.nregs {
-        p.next = resolve(&mut fwd_n, p.next);
-        if let Some(e) = p.en.as_mut() {
-            *e = resolve(&mut fwd_n, *e);
-        }
-        if let Some(r) = p.reset.as_mut() {
-            *r = resolve(&mut fwd_n, *r);
-        }
-    }
-    for p in &mut low.wregs {
-        p.next = resolve(&mut fwd_w, p.next);
-        if let Some(e) = p.en.as_mut() {
-            *e = resolve(&mut fwd_n, *e);
-        }
-        if let Some(r) = p.reset.as_mut() {
-            *r = resolve(&mut fwd_n, *r);
-        }
-    }
-    for p in &mut low.nmem_writes {
-        p.en = resolve(&mut fwd_n, p.en);
-        resolve_loc(&mut p.addr, &mut fwd_n, &mut fwd_w);
-        p.data = resolve(&mut fwd_n, p.data);
-    }
-    for p in &mut low.wmem_writes {
-        p.en = resolve(&mut fwd_n, p.en);
-        resolve_loc(&mut p.addr, &mut fwd_n, &mut fwd_w);
-        p.data = resolve(&mut fwd_w, p.data);
-    }
-    for (loc, _) in low.output_index.values_mut() {
-        resolve_loc(loc, &mut fwd_n, &mut fwd_w);
-    }
-    for (loc, _) in &mut low.input_locs {
-        resolve_loc(loc, &mut fwd_n, &mut fwd_w);
-    }
-    for loc in &mut low.node_loc {
-        resolve_loc(loc, &mut fwd_n, &mut fwd_w);
-    }
-    changed
+    reduced
 }
 
-/// One fusion pass: merges single-reader producer/consumer pairs into the
-/// fused opcodes. Reader counts are computed once per pass and only ever
-/// overstate after a kill, which is conservative (a fusion is skipped, never
-/// wrongly applied).
+/// Superinstruction fusion: merges single-reader producer/consumer pairs
+/// into the fused opcodes. Returns how many instructions it removed.
+/// Reader counts are computed once and only ever overstate after a kill,
+/// which is conservative (a fusion is skipped, never wrongly applied).
 #[allow(clippy::too_many_lines)]
-fn fuse_pass(low: &mut Lowered, tape: &mut [Option<Instr>], report: &mut TapeOptReport) -> bool {
+fn fuse_pass(low: &mut Lowered, tape: &mut [Option<Instr>]) -> usize {
     let nslots = low.narrow_init.len();
     let mut def = vec![u32::MAX; nslots];
     let mut readers = vec![0u32; nslots];
@@ -847,7 +588,7 @@ fn fuse_pass(low: &mut Lowered, tape: &mut [Option<Instr>], report: &mut TapeOpt
     let single = |readers: &[u32], def: &[u32], s: u32| {
         readers[s as usize] == 1 && def[s as usize] != u32::MAX
     };
-    let mut changed = false;
+    let mut removed = 0;
     for i in 0..tape.len() {
         let Some(instr) = tape[i] else { continue };
         match instr {
@@ -894,8 +635,7 @@ fn fuse_pass(low: &mut Lowered, tape: &mut [Option<Instr>], report: &mut TapeOpt
                     if let Some(f) = fused {
                         tape[i] = Some(f);
                         tape[di] = None;
-                        report.fused += 1;
-                        changed = true;
+                        removed += 1;
                         break;
                     }
                 }
@@ -923,8 +663,7 @@ fn fuse_pass(low: &mut Lowered, tape: &mut [Option<Instr>], report: &mut TapeOpt
                         dst,
                     });
                     tape[di] = None;
-                    report.fused += 1;
-                    changed = true;
+                    removed += 1;
                 }
             }
             // concat of two slices of one source → one masked window slice.
@@ -963,8 +702,7 @@ fn fuse_pass(low: &mut Lowered, tape: &mut [Option<Instr>], report: &mut TapeOpt
                         });
                         tape[dh] = None;
                         tape[dl] = None;
-                        report.fused += 2;
-                        changed = true;
+                        removed += 2;
                     }
                 }
             }
@@ -998,8 +736,7 @@ fn fuse_pass(low: &mut Lowered, tape: &mut [Option<Instr>], report: &mut TapeOpt
                 if let Some(f) = fused {
                     tape[i] = Some(f);
                     tape[di] = None;
-                    report.fused += 1;
-                    changed = true;
+                    removed += 1;
                 }
             }
             Instr::SliceN {
@@ -1044,80 +781,13 @@ fn fuse_pass(low: &mut Lowered, tape: &mut [Option<Instr>], report: &mut TapeOpt
                 if let Some(f) = fused {
                     tape[i] = Some(f);
                     tape[di] = None;
-                    report.fused += 1;
-                    changed = true;
+                    removed += 1;
                 }
             }
             _ => {}
         }
     }
-    changed
-}
-
-/// Backward liveness over the tape: an instruction is live iff its
-/// destination reaches a register plan, a memory write, or an output port.
-fn dce_pass(low: &mut Lowered, tape: &mut [Option<Instr>], report: &mut TapeOptReport) -> bool {
-    let mut live_n = vec![false; low.narrow_init.len()];
-    let mut live_w = vec![false; low.wide_init.len()];
-    {
-        let root_loc = |loc: Loc, live_n: &mut [bool], live_w: &mut [bool]| match loc {
-            Loc::N(s) => live_n[s as usize] = true,
-            Loc::W(s) => live_w[s as usize] = true,
-        };
-        for p in &low.nregs {
-            live_n[p.next as usize] = true;
-            if let Some(e) = p.en {
-                live_n[e as usize] = true;
-            }
-            if let Some(r) = p.reset {
-                live_n[r as usize] = true;
-            }
-        }
-        for p in &low.wregs {
-            live_w[p.next as usize] = true;
-            if let Some(e) = p.en {
-                live_n[e as usize] = true;
-            }
-            if let Some(r) = p.reset {
-                live_n[r as usize] = true;
-            }
-        }
-        for p in &low.nmem_writes {
-            live_n[p.en as usize] = true;
-            live_n[p.data as usize] = true;
-            root_loc(p.addr, &mut live_n, &mut live_w);
-        }
-        for p in &low.wmem_writes {
-            live_n[p.en as usize] = true;
-            live_w[p.data as usize] = true;
-            root_loc(p.addr, &mut live_n, &mut live_w);
-        }
-        for &(loc, _) in low.output_index.values() {
-            root_loc(loc, &mut live_n, &mut live_w);
-        }
-    }
-    let mut changed = false;
-    for slot in tape.iter_mut().rev() {
-        let Some(instr) = slot else { continue };
-        let live = match dst_loc(instr, &low.generic) {
-            Loc::N(d) => live_n[d as usize],
-            Loc::W(d) => live_w[d as usize],
-        };
-        if live {
-            let mut c = *instr;
-            visit_srcs(
-                &mut c,
-                &mut low.generic,
-                &mut |s| live_n[*s as usize] = true,
-                &mut |s| live_w[*s as usize] = true,
-            );
-        } else {
-            *slot = None;
-            report.dead_removed += 1;
-            changed = true;
-        }
-    }
-    changed
+    removed
 }
 
 fn uf_find(parent: &mut [u32], i: u32) -> u32 {
@@ -1901,12 +1571,11 @@ fn reallocate(low: &mut Lowered) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::EngineOptions;
     use hc_bits::Bits;
     use hc_rtl::{BinaryOp, Module};
 
     fn lowered(m: Module) -> Lowered {
-        Lowered::new(m, EngineOptions::default()).unwrap()
+        Lowered::new(m).unwrap()
     }
 
     /// Regression: an externally read destination (here output `y0`, a
@@ -1988,7 +1657,7 @@ mod tests {
     #[test]
     fn mul_add_fuses_to_mac() {
         let low = lowered(mac_module());
-        let report = low.tape_opt.expect("tape opt ran");
+        let report = low.tape_opt;
         assert!(report.fused >= 1, "no fusion: {report:?}");
         assert!(
             low.tape
@@ -2039,12 +1708,8 @@ mod tests {
     /// keeps one narrow slot fewer than for two different values.
     #[test]
     fn equal_literals_of_different_widths_share_one_slot() {
-        let shared = lowered(two_literal_module(5))
-            .tape_opt
-            .expect("tape opt ran");
-        let apart = lowered(two_literal_module(6))
-            .tape_opt
-            .expect("tape opt ran");
+        let shared = lowered(two_literal_module(5)).tape_opt;
+        let apart = lowered(two_literal_module(6)).tape_opt;
         assert_eq!(shared.narrow_slots_pre, apart.narrow_slots_pre);
         assert_eq!(shared.instrs_post, apart.instrs_post);
         assert_eq!(
@@ -2087,7 +1752,7 @@ mod tests {
     #[test]
     fn slice_concat_window_fuses() {
         let low = lowered(window_module());
-        let report = low.tape_opt.expect("tape opt ran");
+        let report = low.tape_opt;
         assert!(report.fused >= 2, "window not fused: {report:?}");
         assert!(low.tape.len() <= 1, "window tape: {:?}", low.tape);
     }
@@ -2266,7 +1931,7 @@ mod tests {
             let low = lowered(random_module(seed * 0x9e37_79b9));
             check_parts(&low);
             assert!(low.parts.len() >= low.comps.len());
-            assert_eq!(low.tape_opt.unwrap().parts, low.parts.len());
+            assert_eq!(low.tape_opt.parts, low.parts.len());
         }
     }
 
@@ -2317,10 +1982,119 @@ mod tests {
         assert!(t.elapsed().as_secs() < 60, "{:?}", t.elapsed());
     }
 
+    /// A raw module (no IR passes) with two copies: a same-width wide
+    /// extension, lowered to `CopyW`, and a narrow extension whose mask
+    /// covers its operand, lowered to `CopyMask`. Both feed later
+    /// instructions, a register and an output.
+    fn copy_module() -> Module {
+        let mut m = Module::new("copies");
+        let x = m.input("x", 12);
+        let y = m.input("y", 16);
+        let sel = m.input("sel", 1);
+        let wi = m.input("wi", 80);
+        let r = m.reg("r", 16, Bits::from_u64(16, 3));
+        let wr = m.reg("wr", 80, Bits::from_i64(80, -7));
+        let xc = m.zext(x, 16);
+        let wc = m.zext(wi, 80);
+        let sum = m.binary(BinaryOp::Add, xc, y, 16);
+        let q = m.reg_out(r);
+        let acc = m.binary(BinaryOp::Xor, sum, q, 16);
+        m.connect_reg(r, acc);
+        let wq = m.reg_out(wr);
+        let pick = m.mux(sel, wc, wq);
+        m.connect_reg(wr, pick);
+        let hi = m.slice(wc, 60, 16);
+        let mix = m.binary(BinaryOp::Add, hi, acc, 16);
+        m.output("sum", sum);
+        m.output("mix", mix);
+        m.output("wc", wc);
+        m.output("wq", wq);
+        m
+    }
+
+    /// Both copies stay on the gated tape and keep the part invariants,
+    /// and every engine replays them exactly: the tape engine, the scalar
+    /// JIT and the vector JIT at 3 lanes (which interprets `CopyW`) match
+    /// the interpreter on every cycle, with inputs held on every third
+    /// cycle.
+    #[test]
+    fn copies_stay_on_the_gated_tape_and_match_the_interpreter() {
+        const LANES: usize = 3;
+        let low = lowered(copy_module());
+        assert!(
+            low.tape.iter().any(|i| matches!(i, Instr::CopyW { .. })),
+            "no CopyW: {:?}",
+            low.tape
+        );
+        assert!(
+            low.tape
+                .iter()
+                .any(|i| matches!(i, Instr::CopyMask { mask: m, .. } if *m == mask(16))),
+            "no covering CopyMask: {:?}",
+            low.tape
+        );
+        check_parts(&low);
+
+        let m = copy_module();
+        let mut oracles: Vec<crate::Simulator> = (0..LANES)
+            .map(|_| crate::Simulator::new(m.clone()).unwrap())
+            .collect();
+        let mut tape = crate::CompiledSimulator::new(m.clone()).unwrap();
+        let mut jit = crate::NativeSimulator::new(m.clone()).unwrap();
+        let mut vjit = crate::NativeBatchedSimulator::new(m, LANES).unwrap();
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        for cycle in 0..48 {
+            for (lane, oracle) in oracles.iter_mut().enumerate() {
+                if cycle % 3 != 2 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let stim = [
+                        ("x", Bits::from_u64(12, x)),
+                        ("y", Bits::from_u64(16, x >> 12)),
+                        ("sel", Bits::from_u64(1, x >> 40)),
+                        ("wi", Bits::from_i64(80, x as i64)),
+                    ];
+                    for (name, v) in stim {
+                        oracle.set(name, v.clone());
+                        vjit.set(lane, name, v.clone());
+                        if lane == 0 {
+                            tape.set(name, v.clone());
+                            jit.set(name, v);
+                        }
+                    }
+                }
+                for out in ["sum", "mix", "wc", "wq"] {
+                    let want = oracle.get(out);
+                    assert_eq!(
+                        vjit.get(lane, out),
+                        want,
+                        "vjit {out}, lane {lane}, cycle {cycle}"
+                    );
+                    if lane == 0 {
+                        assert_eq!(tape.get(out), want, "tape {out}, cycle {cycle}");
+                        assert_eq!(jit.get(out), want, "jit {out}, cycle {cycle}");
+                    }
+                }
+                for reg in ["r", "wr"] {
+                    let want = oracle.peek_reg(reg);
+                    assert_eq!(vjit.peek_reg(lane, reg), want, "vjit {reg}, lane {lane}");
+                    if lane == 0 {
+                        assert_eq!(tape.peek_reg(reg), want, "tape {reg}, cycle {cycle}");
+                        assert_eq!(jit.peek_reg(reg), want, "jit {reg}, cycle {cycle}");
+                    }
+                }
+                oracle.step();
+            }
+            tape.step();
+            jit.step();
+            vjit.step();
+        }
+    }
+
     #[test]
     fn gating_metadata_covers_the_tape() {
         let low = lowered(mac_module());
-        assert!(low.gate);
         let total: u32 = low.parts.iter().map(|s| s.end - s.start).sum();
         assert_eq!(total as usize, low.tape.len());
         assert_eq!(low.input_parts.rows(), 2);

@@ -30,7 +30,7 @@ fn set_lane(sim: &mut BatchedSimulator, lane: usize, stim: Stim) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(common::cases_unless_env(48))]
     #[test]
     fn batched_lanes_match_scalar_backends(
         steps in proptest::collection::vec(step_strategy(), 1..40),

@@ -9,7 +9,7 @@
 
 use hc_bits::Bits;
 use hc_rtl::{BinaryOp, Module};
-use hc_sim::{CompiledSimulator, EngineOptions, NativeSimulator, SimBackend, Simulator};
+use hc_sim::{CompiledSimulator, NativeSimulator, SimBackend, Simulator};
 
 /// One stimulus event.
 #[derive(Clone, Copy)]
@@ -57,7 +57,7 @@ fn lockstep<B: SimBackend>(module: &Module, mut engine: B, events: &[Ev]) {
     }
 }
 
-/// Runs `events` on the tape engine, the scalar JIT and the ungated tape.
+/// Runs `events` on the tape engine and the scalar JIT.
 fn all_engines(module: &Module, events: &[Ev]) {
     lockstep(
         module,
@@ -67,11 +67,6 @@ fn all_engines(module: &Module, events: &[Ev]) {
     lockstep(
         module,
         NativeSimulator::new(module.clone()).unwrap(),
-        events,
-    );
-    lockstep(
-        module,
-        CompiledSimulator::with_options(module.clone(), EngineOptions::no_tape_opt()).unwrap(),
         events,
     );
 }

@@ -10,6 +10,14 @@ use hc_rtl::{BinaryOp, Module, NodeId, UnaryOp};
 use hc_sim::SimBackend;
 use proptest::prelude::*;
 
+/// A config running `cases` cases, a count cheap enough for a debug
+/// build, unless `PROPTEST_CASES` asks for another (ci.sh reruns the
+/// batched suites at 1024 in release).
+pub fn cases_unless_env(cases: u32) -> ProptestConfig {
+    let env = std::env::var("PROPTEST_CASES").ok();
+    ProptestConfig::with_cases(env.and_then(|v| v.parse().ok()).unwrap_or(cases))
+}
+
 /// Width of the narrow value pool — fits a single `u64` slot.
 pub const WIDTH: u32 = 12;
 /// Width of the wide value pool — forces the engines' wide stores.

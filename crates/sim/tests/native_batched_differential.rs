@@ -330,7 +330,7 @@ macro_rules! set_lane {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(common::cases_unless_env(24))]
     /// Random modules, ragged lane counts (1..=7 — exercising every tail
     /// shape), per-lane stimulus streams of different lengths with lanes
     /// retiring via `set_active`, through three engines at once: the

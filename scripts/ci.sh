@@ -37,6 +37,13 @@ echo "== backpressure proptest at depth (every engine under producer gaps and co
 # wrapper.
 PROPTEST_CASES=1024 cargo test -q --release -p hc-axi --test backpressure_proptest
 
+echo "== batched proptests at depth (batched interpreter and vector JIT on random modules)"
+# Raw random modules keep their copies on the gated tape; 1024 per suite
+# against the scalar engines and the interpreter (debug runs 48 and 24).
+PROPTEST_CASES=1024 cargo test -q --release -p hc-sim \
+  --test batched_differential --test native_batched_differential -- \
+  batched_lanes_match_scalar_backends vector_tier_matches_interpreter_on_random_modules
+
 echo "== kernel x frontend matrix agreement suite (five backends, full registry)"
 # Release mode: the debug workspace run above covers dct8/idct4/fir32 but
 # skips the 16x16 IDCT (tens of minutes under the un-optimized

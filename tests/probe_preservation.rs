@@ -3,18 +3,19 @@
 //! `ProbeRecorder` resolves signals by port and register *name*, so a
 //! probe set is meaningful across the IR pass pipeline (which rewrites
 //! node identities) and the tape backend optimizer (which reshuffles
-//! value slots and drops dead tape). This suite pins the resulting
+//! value slots and fuses instructions). This suite pins the resulting
 //! guarantee: for every Table II design, recording the same named probes
-//! under identical stimulus produces **byte-identical VCD streams** with
-//! the optimizers fully on and fully off. A divergence means an optimizer
-//! changed an architecturally visible value — exactly the class of bug
-//! waveform probes exist to catch.
+//! under identical stimulus produces **byte-identical VCD streams** on the
+//! optimized tape engine and on the interpreter oracle running the raw
+//! netlist. A divergence means an optimizer changed an architecturally
+//! visible value — exactly the class of bug waveform probes exist to
+//! catch.
 
 use hls_vs_hc::bits::Bits;
 use hls_vs_hc::core::entries::all_tools;
 use hls_vs_hc::rtl::passes::optimize;
 use hls_vs_hc::rtl::Module;
-use hls_vs_hc::sim::{CompiledSimulator, EngineOptions, ProbeRecorder};
+use hls_vs_hc::sim::{CompiledSimulator, ProbeRecorder, SimBackend, Simulator};
 
 /// Deterministic per-(cycle, port, word) stimulus chunk.
 fn stim_word(cycle: u64, port: u64, word: u64) -> u64 {
@@ -26,11 +27,10 @@ fn stim_word(cycle: u64, port: u64, word: u64) -> u64 {
     x.wrapping_mul(0xd6e8_feb8_6659_fd93)
 }
 
-/// Runs `module` under the given engine options for `cycles` cycles of
-/// dense deterministic stimulus, recording `names` into a VCD byte
-/// stream.
-fn probe_dump(module: Module, opts: EngineOptions, names: &[String], cycles: u64) -> Vec<u8> {
-    let mut sim = CompiledSimulator::with_options(module, opts).expect("validates");
+/// Runs `module` on engine `B` for `cycles` cycles of dense deterministic
+/// stimulus, recording `names` into a VCD byte stream.
+fn probe_dump<B: SimBackend>(module: Module, names: &[String], cycles: u64) -> Vec<u8> {
+    let mut sim = B::from_module(module).expect("validates");
     let mut buf = Vec::new();
     let mut probe = ProbeRecorder::with_signals(&sim, &mut buf, names).expect("signals resolve");
     let inputs: Vec<(String, u32)> = sim
@@ -87,9 +87,8 @@ fn probes_survive_pass_pipeline_and_tape_optimizer() {
                 "{}: expected at least two probeable signals",
                 design.label
             );
-            let raw = EngineOptions::no_tape_opt();
-            let dump_raw = probe_dump(design.module.clone(), raw, &names, 64);
-            let dump_opt = probe_dump(optimized, EngineOptions::default(), &names, 64);
+            let dump_raw = probe_dump::<Simulator>(design.module.clone(), &names, 64);
+            let dump_opt = probe_dump::<CompiledSimulator>(optimized, &names, 64);
             assert!(
                 !dump_raw.is_empty(),
                 "{}: probe recorder wrote nothing",
@@ -97,7 +96,7 @@ fn probes_survive_pass_pipeline_and_tape_optimizer() {
             );
             assert_eq!(
                 dump_raw, dump_opt,
-                "{}: probed waveforms diverge between raw and optimized engines",
+                "{}: probed waveforms diverge between the raw oracle and the optimized tape",
                 design.label
             );
         }
@@ -111,9 +110,8 @@ fn probes_survive_tape_optimizer_alone() {
     for tool in all_tools() {
         let design = &tool.optimized;
         let names = shared_probes(&design.module, &design.module);
-        let raw = EngineOptions::no_tape_opt();
-        let dump_raw = probe_dump(design.module.clone(), raw, &names, 48);
-        let dump_tape = probe_dump(design.module.clone(), EngineOptions::default(), &names, 48);
+        let dump_raw = probe_dump::<Simulator>(design.module.clone(), &names, 48);
+        let dump_tape = probe_dump::<CompiledSimulator>(design.module.clone(), &names, 48);
         assert_eq!(
             dump_raw, dump_tape,
             "{}: tape optimizer changed a probed waveform",
